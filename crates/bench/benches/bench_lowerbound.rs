@@ -1,7 +1,7 @@
 //! Wall-clock benches of the lower-bound machinery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gossip_lowerbound::diameter::{bounds, diameter_at_most};
+use gossip_lowerbound::diameter::{bounds, diameter_at_most, exact};
 use gossip_lowerbound::graph::sample_union_graph;
 use gossip_lowerbound::theorem3::trial;
 
@@ -19,6 +19,16 @@ fn bench_graph_and_diameter(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("decision", n), &n, |b, &n| {
             let graph = sample_union_graph(n, 4, 1);
             b.iter(|| diameter_at_most(&graph, 16));
+        });
+        // T = 3 against budget 2^3: the bounds straddle, so these two
+        // reach the word-parallel scan (`decision` above never does).
+        g.bench_with_input(BenchmarkId::new("decision_borderline", n), &n, |b, &n| {
+            let graph = sample_union_graph(n, 3, 1);
+            b.iter(|| diameter_at_most(&graph, 8));
+        });
+        g.bench_with_input(BenchmarkId::new("exact", n), &n, |b, &n| {
+            let graph = sample_union_graph(n, 3, 1);
+            b.iter(|| exact(&graph));
         });
     }
     g.bench_function("theorem3_trial", |b| {

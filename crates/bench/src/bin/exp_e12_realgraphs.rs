@@ -15,8 +15,10 @@
 //! The shape table cross-checks the **HyperBall** diameter estimate
 //! against the certified exact BFS diameter on every fixture — the ±1
 //! agreement the test-suite pins, demonstrated in stdout. Past
-//! `n = 2^15` (where exact BFS stops being feasible) the estimator is
-//! the only column left; the fixtures are sized so both are printable.
+//! `n = 2^15` (`diameter::EXACT_LIMIT` — a pinned-output choice, not a
+//! cost wall: the exact scan is word-parallel, and raising the limit
+//! moves committed digests) the estimator is the only column left; the
+//! fixtures are sized so both are printable.
 //!
 //! Observed shapes (recorded in EXPERIMENTS.md §E12): the loaded
 //! graphs behave exactly as their synthetic families predict — the

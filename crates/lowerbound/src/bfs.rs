@@ -5,25 +5,78 @@ use crate::graph::Graph;
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u32 = u32::MAX;
 
+/// Reusable single-source BFS state: one distance vector and one queue,
+/// sized once, so a caller running many searches over the same graph
+/// (the diameter sweeps) allocates nothing per search.
+#[derive(Debug)]
+pub(crate) struct Search {
+    dist: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl Search {
+    /// Scratch for graphs on `n` vertices.
+    pub(crate) fn new(n: usize) -> Self {
+        Search {
+            dist: vec![UNREACHABLE; n],
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// Distances of the last [`Search::run`] (`UNREACHABLE` where
+    /// disconnected).
+    pub(crate) fn dist(&self) -> &[u32] {
+        &self.dist
+    }
+
+    /// BFS from `src`, overwriting the distances of the previous search.
+    fn fill(&mut self, g: &Graph, src: u32) {
+        self.dist.fill(UNREACHABLE);
+        self.queue.clear();
+        self.dist[src as usize] = 0;
+        self.queue.push(src);
+        let mut head = 0;
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
+            let dv = self.dist[v as usize];
+            for &u in g.neighbors(v) {
+                if self.dist[u as usize] == UNREACHABLE {
+                    self.dist[u as usize] = dv + 1;
+                    self.queue.push(u);
+                }
+            }
+        }
+    }
+
+    /// BFS from `src` and its eccentricity (see [`eccentricity`]); the
+    /// distances stay readable through [`Search::dist`].
+    pub(crate) fn run(&mut self, g: &Graph, src: u32) -> Ecc {
+        self.fill(g, src);
+        let mut ecc = 0;
+        let mut farthest = src;
+        for (v, &d) in self.dist.iter().enumerate() {
+            if d == UNREACHABLE {
+                return Ecc {
+                    ecc: UNREACHABLE,
+                    farthest: v as u32,
+                };
+            }
+            if d > ecc {
+                ecc = d;
+                farthest = v as u32;
+            }
+        }
+        Ecc { ecc, farthest }
+    }
+}
+
 /// BFS from `src`; returns the distance vector (`UNREACHABLE` where
 /// disconnected).
 #[must_use]
 pub fn distances(g: &Graph, src: u32) -> Vec<u32> {
-    let n = g.len();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    dist[src as usize] = 0;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &u in g.neighbors(v) {
-            if dist[u as usize] == UNREACHABLE {
-                dist[u as usize] = dv + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
+    let mut search = Search::new(g.len());
+    search.fill(g, src);
+    search.dist
 }
 
 /// Result of one eccentricity computation.
@@ -40,22 +93,7 @@ pub struct Ecc {
 /// `UNREACHABLE` when the graph is disconnected from `src`.
 #[must_use]
 pub fn eccentricity(g: &Graph, src: u32) -> Ecc {
-    let dist = distances(g, src);
-    let mut ecc = 0;
-    let mut farthest = src;
-    for (v, &d) in dist.iter().enumerate() {
-        if d == UNREACHABLE {
-            return Ecc {
-                ecc: UNREACHABLE,
-                farthest: v as u32,
-            };
-        }
-        if d > ecc {
-            ecc = d;
-            farthest = v as u32;
-        }
-    }
-    Ecc { ecc, farthest }
+    Search::new(g.len()).run(g, src)
 }
 
 /// Whether the graph is connected.

@@ -107,8 +107,9 @@ impl KnowledgeGraph {
         // the pre-round snapshot so the closure is exactly one step.
         let snapshot = self.bits.clone();
         let words = self.words;
+        let mut acc = vec![0u64; words];
         for u in 0..n {
-            let mut acc = vec![0u64; words];
+            acc.fill(0);
             for (wi, word) in snapshot[u * words..(u + 1) * words].iter().enumerate() {
                 let mut w = *word;
                 while w != 0 {

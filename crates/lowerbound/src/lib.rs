@@ -26,7 +26,8 @@
 //! * [`graph::sample_union_graph`] — draws `K' = ∪_{t≤T} G_t`;
 //! * [`bfs`] / [`diameter`] — BFS eccentricities and certified
 //!   diameter *bounds* (double-sweep lower bound, center-eccentricity
-//!   upper bound, exact scan for small `n`);
+//!   upper bound) plus the word-parallel bounded-depth scan — 64 BFS
+//!   sources per pass — that settles `diam ≤ 2^T` when they straddle;
 //! * [`theorem3`] — per-trial verdicts `diam(K') ≤ 2^T?` and Monte-Carlo
 //!   estimates of the success probability, reproducing the sharp
 //!   threshold at `T ≈ log₂ log₂ n` (experiment E4).

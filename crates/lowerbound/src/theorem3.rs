@@ -11,7 +11,7 @@
 use phonecall::derive_seed;
 use serde::Serialize;
 
-use crate::diameter::{bounds, diameter_at_most};
+use crate::diameter::Sweeps;
 use crate::graph::sample_union_graph;
 
 /// Outcome of one lower-bound trial.
@@ -34,8 +34,13 @@ pub struct TrialVerdict {
 pub fn trial(n: usize, t: u32, seed: u64) -> TrialVerdict {
     let g = sample_union_graph(n, t, seed);
     let budget = 1u64 << t.min(62);
-    let possible = diameter_at_most(&g, budget);
-    let diam_lo = bounds(&g, 2).map_or(u32::MAX, |b| b.lo);
+    // One sweep run serves both readings: the lower bound after two
+    // sweeps, then the decision on the four-sweep bounds.
+    let (possible, diam_lo) = Sweeps::start(&g).map_or((false, u32::MAX), |mut s| {
+        s.advance_to(2);
+        let lo = s.bounds().lo;
+        (s.at_most(budget), lo)
+    });
     TrialVerdict {
         n,
         t,
@@ -51,8 +56,16 @@ pub fn trial(n: usize, t: u32, seed: u64) -> TrialVerdict {
 /// let p = gossip_lowerbound::estimate_success(4096, 1, 10, 7);
 /// assert_eq!(p, 0.0);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `trials` is `0`: the estimate would be `0 / 0`.
 #[must_use]
 pub fn estimate_success(n: usize, t: u32, trials: u32, seed: u64) -> f64 {
+    assert!(
+        trials >= 1,
+        "estimate_success: `trials` must be at least 1, got 0"
+    );
     if t == 0 {
         return if n <= 1 { 1.0 } else { 0.0 };
     }
@@ -76,6 +89,10 @@ pub fn paper_threshold(n: usize) -> f64 {
 /// probability reaches ½ (the transition is so sharp that any quantile
 /// gives nearly the same answer). Returns `max_t + 1` if success is never
 /// reached (cannot happen for `max_t ≥ loglog n + 2`).
+///
+/// # Panics
+///
+/// Panics if `trials` is `0` (via [`estimate_success`]).
 #[must_use]
 pub fn empirical_threshold(n: usize, trials: u32, seed: u64, max_t: u32) -> u32 {
     for t in 1..=max_t {
@@ -140,6 +157,31 @@ mod tests {
     fn empirical_threshold_saturates_at_cap() {
         // With max_t too small the finder reports max_t + 1.
         assert_eq!(empirical_threshold(1 << 16, 4, 1, 2), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "`trials` must be at least 1")]
+    fn zero_trials_is_refused() {
+        let _ = estimate_success(1 << 10, 3, 0, 1);
+    }
+
+    #[test]
+    fn trial_reads_both_results_off_one_sweep_run() {
+        // The formula `trial` used before the sweeps became resumable:
+        // the decision and the 2-sweep lower bound as two separate runs.
+        use crate::diameter::{bounds, diameter_at_most};
+        for k in 0..50u64 {
+            let n = [48, 200, 777, 1 << 10, 1 << 11][k as usize % 5];
+            let t = 1 + (k / 5) as u32 % 5;
+            let g = sample_union_graph(n, t, k);
+            let want = TrialVerdict {
+                n,
+                t,
+                possible: diameter_at_most(&g, 1 << t),
+                diam_lo: bounds(&g, 2).map_or(u32::MAX, |b| b.lo),
+            };
+            assert_eq!(trial(n, t, k), want, "n {n} t {t} seed {k}");
+        }
     }
 
     #[test]

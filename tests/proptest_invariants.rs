@@ -214,6 +214,46 @@ proptest! {
         }
     }
 
+    /// The word-parallel diameter scan against one scalar BFS per vertex:
+    /// sizes below one 64-source batch, off the batch boundary and over
+    /// several batches, connected or not.
+    #[test]
+    fn diameter_scan_matches_scalar_bfs(
+        seed in 0u64..1000,
+        n in 2usize..400,
+        t in 1u32..5,
+        shape in 0u32..3,
+    ) {
+        use optimal_gossip::lowerbound::bfs::{eccentricity, UNREACHABLE};
+        use optimal_gossip::lowerbound::diameter::{diameter_at_most, exact};
+        use optimal_gossip::lowerbound::graph::sample_union_graph;
+        use optimal_gossip::lowerbound::Graph;
+        let base = sample_union_graph(n, t, seed);
+        // Shape 1 appends an isolated vertex, shape 2 a disjoint copy.
+        let extra = [0, 1, n][shape as usize];
+        let mut g = Graph::empty(n + extra);
+        for v in 0..n as u32 {
+            for &u in base.neighbors(v) {
+                g.add_edge(v, u);
+                if shape == 2 {
+                    g.add_edge(v + n as u32, u + n as u32);
+                }
+            }
+        }
+        g.finish();
+        let eccs: Vec<u32> = (0..g.len() as u32).map(|v| eccentricity(&g, v).ecc).collect();
+        let want = (!eccs.contains(&UNREACHABLE)).then(|| eccs.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(exact(&g), want);
+        match want {
+            None => prop_assert!(!diameter_at_most(&g, u64::MAX / 2)),
+            Some(d) => {
+                for budget in 0..=d + 1 {
+                    prop_assert_eq!(diameter_at_most(&g, u64::from(budget)), d <= budget);
+                }
+            }
+        }
+    }
+
     /// Address-obliviousness (the paper's structural model restriction,
     /// enforced by the `decide`/`respond` split): permuting the node wire
     /// IDs never changes pull responses. Two networks whose nodes hold
