@@ -1,6 +1,6 @@
 //! Shared node state, messages and report assembly for the baselines.
 
-use gossip_core::report::{ClusteringStats, RunReport};
+use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
 use phonecall::{Network, NodeId, Wire};
 
@@ -53,26 +53,7 @@ impl Wire for BaselineMsg {
 pub fn rumor_network(n: usize, cfg: &CommonConfig) -> Network<RumorNode> {
     assert!(n >= 2, "gossip needs at least two nodes");
     assert!((cfg.source as usize) < n, "source index out of range");
-    let mut net: Network<RumorNode> = Network::new(n, cfg.seed);
-    net.apply_failures(&cfg.failures);
-    net.set_message_loss(cfg.message_loss);
-    // Same stream labels as ClusterSim (4 = churn, 5 = topology, 6 =
-    // traffic; `set_engine` derives the async 7/8/9 streams internally),
-    // so one scenario means one crash/recovery/burst history, one
-    // contact graph, one rumor stream and one event timeline for every
-    // algorithm.
-    net.set_churn(cfg.churn.clone(), phonecall::derive_seed(cfg.seed, 4));
-    net.set_topology(
-        cfg.topology.clone(),
-        cfg.addressing,
-        phonecall::derive_seed(cfg.seed, 5),
-    );
-    net.set_traffic(
-        cfg.traffic.clone(),
-        cfg.rumor_bits,
-        phonecall::derive_seed(cfg.seed, 6),
-    );
-    net.set_engine(cfg.engine.clone(), cfg.seed);
+    let mut net = cfg.network(n, |_idx, _id| RumorNode::default());
     net.states_mut()[cfg.source as usize].informed = true;
     for &extra in &cfg.extra_sources {
         assert!((extra as usize) < n, "extra source index out of range");
@@ -84,34 +65,8 @@ pub fn rumor_network(n: usize, cfg: &CommonConfig) -> Network<RumorNode> {
 /// Assembles a [`RunReport`] from a finished baseline network.
 #[must_use]
 pub fn report_from(net: &Network<RumorNode>) -> RunReport {
-    let n = net.len();
-    let alive = net.alive_count();
-    let informed = net
-        .states()
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| net.is_alive(phonecall::NodeIdx(*i as u32)) && s.informed)
-        .count();
-    let m = net.metrics();
-    RunReport {
-        n,
-        alive,
-        rounds: m.rounds,
-        virtual_time: net.virtual_time(),
-        events_processed: net.events_processed(),
-        messages: m.messages,
-        payload_messages: m.payload_messages,
-        bits: m.bits,
-        max_fan_in: m.max_fan_in,
-        max_message_bits: m.max_message_bits,
-        informed,
-        success: informed == alive,
-        clustering: ClusteringStats::default(),
-        phases: Vec::new(),
-        rumors: net.traffic_summary(),
-        rumor_payloads: m.rumor_payloads,
-        budget_drops: m.budget_drops,
-    }
+    let informed = informed_count(net);
+    RunReport::of(net, informed, informed == net.alive_count())
 }
 
 /// Counts alive informed nodes.

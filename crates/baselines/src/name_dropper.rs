@@ -83,34 +83,14 @@ pub fn run(n: usize, topology: Topology, cfg: &CommonConfig) -> DiscoveryReport 
 /// semantics (and keeping `informed ≤ alive` under churn).
 #[must_use]
 pub fn run_report(n: usize, topology: Topology, cfg: &CommonConfig) -> gossip_core::RunReport {
-    use gossip_core::report::{ClusteringStats, RunReport};
     let net = run_net(n, topology, cfg);
-    let m = net.metrics();
     let informed = net
         .states()
         .iter()
         .enumerate()
         .filter(|(i, s)| net.is_alive(phonecall::NodeIdx(*i as u32)) && s.known.len() == n)
         .count();
-    RunReport {
-        n,
-        alive: net.alive_count(),
-        rounds: m.rounds,
-        virtual_time: net.virtual_time(),
-        events_processed: net.events_processed(),
-        messages: m.messages,
-        payload_messages: m.payload_messages,
-        bits: m.bits,
-        max_fan_in: m.max_fan_in,
-        max_message_bits: m.max_message_bits,
-        informed,
-        success: is_complete(&net),
-        clustering: ClusteringStats::default(),
-        phases: Vec::new(),
-        rumors: net.traffic_summary(),
-        rumor_payloads: m.rumor_payloads,
-        budget_drops: m.budget_drops,
-    }
+    gossip_core::RunReport::of(&net, informed, is_complete(&net))
 }
 
 /// Whether every *alive* node has complete knowledge. Permanently dead
@@ -128,33 +108,13 @@ fn is_complete(net: &Network<DiscoveryNode>) -> bool {
 /// The shared discovery loop behind [`run`] and [`run_report`].
 fn run_net(n: usize, topology: Topology, cfg: &CommonConfig) -> Network<DiscoveryNode> {
     assert!(n >= 2, "discovery needs at least two nodes");
-    let mut net: Network<DiscoveryNode> = Network::new(n, cfg.seed);
-    // Discovery faces the same environment as the broadcast tasks:
-    // failures, loss and the dynamic adversary (all inert by default, so
-    // historical runs are untouched).
-    net.apply_failures(&cfg.failures);
-    net.set_message_loss(cfg.message_loss);
-    net.set_churn(cfg.churn.clone(), phonecall::derive_seed(cfg.seed, 4));
-    // The communication topology (stream label 5, shared with every
-    // other algorithm). Note the *knowledge* seed graph below is a
-    // property of the task, independent of the contact graph: under
+    // Discovery faces the same environment as the broadcast tasks. Note
+    // the *knowledge* seed graph below is a property of the task,
+    // independent of the contact graph: under
     // `DirectAddressing::Restricted` a known ID without a link is
-    // unusable, which is exactly the regime E11 probes.
-    net.set_topology(
-        cfg.topology.clone(),
-        cfg.addressing,
-        phonecall::derive_seed(cfg.seed, 5),
-    );
-    // The multi-rumor workload (stream label 6, shared too): workload
-    // rumors ride the ID-list messages like any other payload.
-    net.set_traffic(
-        cfg.traffic.clone(),
-        cfg.rumor_bits,
-        phonecall::derive_seed(cfg.seed, 6),
-    );
-    // The engine schedule (async streams 7/8/9 derived internally from
-    // the raw scenario seed; `Engine::Sync` installs nothing).
-    net.set_engine(cfg.engine.clone(), cfg.seed);
+    // unusable, which is exactly the regime E11 probes. Workload rumors
+    // ride the ID-list messages like any other payload.
+    let mut net = cfg.network(n, |_idx, _id| DiscoveryNode::default());
     let id_bits = phonecall::id_bits(n);
 
     // Seed the initial knowledge graph.

@@ -8,8 +8,8 @@
 //! EXPERIMENTS.md).
 
 use phonecall::{
-    AsyncConfig, ChurnConfig, DirectAddressing, Engine, FailurePlan, Latency, NodeIdx, Topology,
-    TrafficConfig,
+    derive_seed, AsyncConfig, ChurnConfig, DirectAddressing, Engine, FailurePlan, Latency, Network,
+    NodeId, NodeIdx, Topology, TrafficConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +103,38 @@ impl CommonConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// Builds an `n`-node network facing this environment: node `i`
+    /// starts in `state(i, id)`, the failure plan is applied, and loss,
+    /// churn, topology, traffic and engine are installed (inert configs,
+    /// the complete topology and the sync engine install nothing).
+    ///
+    /// Stream labels on the scenario seed: 1/2 are the engine's (ids,
+    /// targets), 3 the algorithm's own coins, 4 the churn schedule, 5 the
+    /// topology, 6 the traffic plan, and 7/8/9 the async clock/latency/
+    /// delivery streams, which `set_engine` derives itself. Every
+    /// algorithm builds its network here, so one scenario means one
+    /// adversary history, one graph, one rumor stream and one event
+    /// timeline whichever algorithm runs.
+    #[must_use]
+    pub fn network<S>(&self, n: usize, state: impl FnMut(NodeIdx, NodeId) -> S) -> Network<S> {
+        let mut net = Network::with_state_fn(n, self.seed, state);
+        net.apply_failures(&self.failures);
+        net.set_message_loss(self.message_loss);
+        net.set_churn(self.churn.clone(), derive_seed(self.seed, 4));
+        net.set_topology(
+            self.topology.clone(),
+            self.addressing,
+            derive_seed(self.seed, 5),
+        );
+        net.set_traffic(
+            self.traffic.clone(),
+            self.rumor_bits,
+            derive_seed(self.seed, 6),
+        );
+        net.set_engine(self.engine.clone(), self.seed);
+        net
     }
 
     /// The whole environment as a JSON object: the scalar knobs, the

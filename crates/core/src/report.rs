@@ -1,6 +1,6 @@
 //! Run reports: what an algorithm run cost and whether it succeeded.
 
-use phonecall::RumorStatus;
+use phonecall::{Network, RumorStatus};
 use serde::Serialize;
 
 /// Cost of one named phase of an algorithm.
@@ -80,6 +80,33 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a finished run on `net`: sizes, clocks and every
+    /// cost counter read off the network, `informed`/`success` as judged
+    /// by the task, no clustering and no phases.
+    #[must_use]
+    pub fn of<S>(net: &Network<S>, informed: usize, success: bool) -> Self {
+        let m = net.metrics();
+        RunReport {
+            n: net.len(),
+            alive: net.alive_count(),
+            rounds: m.rounds,
+            virtual_time: net.virtual_time(),
+            events_processed: net.events_processed(),
+            messages: m.messages,
+            payload_messages: m.payload_messages,
+            bits: m.bits,
+            max_fan_in: m.max_fan_in,
+            max_message_bits: m.max_message_bits,
+            informed,
+            success,
+            clustering: ClusteringStats::default(),
+            phases: Vec::new(),
+            rumors: net.traffic_summary(),
+            rumor_payloads: m.rumor_payloads,
+            budget_drops: m.budget_drops,
+        }
+    }
+
     /// Average messages per node — the paper's message-complexity measure.
     #[must_use]
     pub fn messages_per_node(&self) -> f64 {

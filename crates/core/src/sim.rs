@@ -52,40 +52,17 @@ impl ClusterSim {
     pub fn new(n: usize, common: &CommonConfig) -> Self {
         assert!(n >= 2, "gossip needs at least two nodes");
         assert!((common.source as usize) < n, "source index out of range");
-        let net = Network::with_state_fn(n, common.seed, |_idx, id| ClusterNode::new(id));
         let mut sim = ClusterSim {
-            net,
+            net: common.network(n, |_idx, id| ClusterNode::new(id)),
             arena: Arena::new(NodeId::from_raw(0)),
             id_bits: phonecall::id_bits(n),
             rumor_bits: common.rumor_bits,
+            // Stream 3 of the scenario seed; the environment's streams
+            // are listed at `CommonConfig::network`.
             rng: phonecall::rng_from_seed(phonecall::derive_seed(common.seed, 3)),
             phases: Vec::new(),
             phase_start: (0, 0, 0),
         };
-        sim.apply_failures(&common.failures);
-        sim.net.set_message_loss(common.message_loss);
-        // Stream labels: 1/2 are the engine's (ids, targets), 3 is the
-        // algorithm RNG above, 4 the churn schedule, 5 the topology, 6
-        // the traffic plan, and 7/8/9 the async engine's clock/latency/
-        // delivery streams — `set_engine` derives those internally from
-        // the raw scenario seed (shared with the baselines, so one
-        // scenario means one graph — and one adversary history, one
-        // rumor stream, and one event timeline — for every algorithm).
-        // Inert configs, the complete topology and the sync engine
-        // schedule/install nothing.
-        sim.net
-            .set_churn(common.churn.clone(), phonecall::derive_seed(common.seed, 4));
-        sim.net.set_topology(
-            common.topology.clone(),
-            common.addressing,
-            phonecall::derive_seed(common.seed, 5),
-        );
-        sim.net.set_traffic(
-            common.traffic.clone(),
-            common.rumor_bits,
-            phonecall::derive_seed(common.seed, 6),
-        );
-        sim.net.set_engine(common.engine.clone(), common.seed);
         sim.net.states_mut()[common.source as usize].informed = true;
         for &extra in &common.extra_sources {
             assert!((extra as usize) < n, "extra source index out of range");
@@ -234,27 +211,11 @@ impl ClusterSim {
     /// informedness and clustering state, consuming the recorded phases.
     #[must_use]
     pub fn report(&mut self) -> crate::report::RunReport {
-        let m = self.net.metrics();
-        let alive = self.alive_count();
         let informed = self.informed_count();
         crate::report::RunReport {
-            n: self.n(),
-            alive,
-            rounds: m.rounds,
-            virtual_time: self.net.virtual_time(),
-            events_processed: self.net.events_processed(),
-            messages: m.messages,
-            payload_messages: m.payload_messages,
-            bits: m.bits,
-            max_fan_in: m.max_fan_in,
-            max_message_bits: m.max_message_bits,
-            informed,
-            success: informed == alive,
             clustering: self.clustering_stats(),
-            rumor_payloads: m.rumor_payloads,
-            budget_drops: m.budget_drops,
             phases: self.take_phases(),
-            rumors: self.net.traffic_summary(),
+            ..crate::report::RunReport::of(&self.net, informed, informed == self.alive_count())
         }
     }
 }

@@ -30,11 +30,11 @@ use crate::lexer::{TokKind, Token};
 use crate::{Finding, Rule};
 
 /// Labels `0..=9` are the engine's reserved streams (documented at the
-/// wiring site in `crates/core/src/sim.rs`): 0 topology first-draw,
-/// 1 engine id-space, 2 engine target-sampling, 3 algorithm coins,
-/// 4 churn schedule, 5 topology build, 6 traffic plan, 7 async
-/// activation clocks, 8 async message latency, 9 async delivery
-/// verdicts (7–9 are the named `ASYNC_*_STREAM` constants in
+/// wiring site, `CommonConfig::network` in `crates/core/src/config.rs`):
+/// 0 topology first-draw, 1 engine id-space, 2 engine target-sampling,
+/// 3 algorithm coins, 4 churn schedule, 5 topology build, 6 traffic
+/// plan, 7 async activation clocks, 8 async message latency, 9 async
+/// delivery verdicts (7–9 are the named `ASYNC_*_STREAM` constants in
 /// `phonecall::rng`, derived internally by `Network::set_engine`).
 pub const RESERVED_LABELS: std::ops::RangeInclusive<u64> = 0..=9;
 

@@ -19,9 +19,14 @@
 //!   activations — in-flight messages straddle activation boundaries,
 //!   and a pull is answered from the responder's state *at request
 //!   arrival*, not from a start-of-round snapshot;
-//! * loss verdicts, churn boundary moves, topology gating and traffic
-//!   piggybacking all fire at event timestamps, with the same charging
-//!   rules as the synchronous engine.
+//! * loss verdicts are drawn when a message is *sent*, from a stream of
+//!   their own.
+//!
+//! That is all this module decides: *when* nodes activate and messages
+//! land, and with which verdict. What an activation resolves to and what
+//! a landing costs — boundary moves, topology gating, charging, traffic
+//! piggybacking, fan-in, tracing — is the step core (`step.rs`), the
+//! very methods the synchronous phases call.
 //!
 //! The step ends when the queue drains (activation chains are finite:
 //! an activation spawns at most one request, a request at most one
@@ -48,25 +53,21 @@
 //! [`ASYNC_LATENCY_STREAM`]: crate::rng::ASYNC_LATENCY_STREAM
 //! [`ASYNC_DELIVERY_STREAM`]: crate::rng::ASYNC_DELIVERY_STREAM
 
-use std::any::Any;
 use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::action::{Action, Delivery, Target};
+use crate::action::{Action, Delivery};
 use crate::id::NodeIdx;
 use crate::metrics::RoundStats;
 use crate::network::{Network, NodeCtx};
 use crate::rng::{
     derive_seed, rng_from_seed, ASYNC_CLOCK_STREAM, ASYNC_DELIVERY_STREAM, ASYNC_LATENCY_STREAM,
 };
-use crate::topology::DirectAddressing;
-use crate::trace::{Event, EventKind};
 use crate::wire::Wire;
 
 // ----------------------------------------------------------------------
@@ -352,21 +353,20 @@ impl Ord for EventKey {
 }
 
 /// An in-flight message: fires at `key.time` at node `key.node`.
-pub(crate) struct MsgEv<M> {
-    pub(crate) key: EventKey,
+struct MsgEv<M> {
+    key: EventKey,
     /// The sending node (the puller, for replies the responder).
-    pub(crate) src: u32,
-    pub(crate) kind: MsgKind<M>,
+    src: u32,
+    kind: MsgKind<M>,
 }
 
-/// What arrives when an in-flight message fires.
-pub(crate) enum MsgKind<M> {
-    /// A push payload; `lost` messages are charged but not delivered.
+/// What arrives when an in-flight message fires, with the loss verdict
+/// it was sent under.
+enum MsgKind<M> {
+    /// A push payload.
     Push { msg: M, lost: bool },
-    /// A pull request. Both loss legs are verdicts drawn at send time
-    /// (mirroring the synchronous engine's unconditional two-leg draw):
-    /// a `lost` request never reaches the responder, a lost reply
-    /// (`rep_lost`) is sent — and charged — but never arrives.
+    /// A pull request, carrying the verdicts of both legs: its own
+    /// (`lost`) and the one a reply will travel under (`rep_lost`).
     PullReq { lost: bool, rep_lost: bool },
     /// A pull reply carrying the responder's answer back to the puller.
     PullReply { msg: M, lost: bool },
@@ -392,49 +392,10 @@ impl<M> Ord for MsgEv<M> {
     }
 }
 
-/// Type-erased holder for the in-flight message heap (one per message
-/// type `M`, like the scratch cell): consecutive rounds with the same
-/// `M` reuse the same allocation, which grows to its steady-state
-/// high-water mark and then stays put. Unlike the scratch cell, `take`
-/// does **not** clear the heap — in-flight events persist across the
-/// take/put cycle (a phase switching message types drops the old
-/// heap, which is empty between rounds: the event loop drains it).
-#[derive(Default)]
-pub(crate) struct InflightCell(Option<Box<dyn Any>>);
-
-impl InflightCell {
-    // The `Box` around the heap is deliberate, not an accident the lint
-    // should flag: `take`/`put` shuttle the *same* box through the
-    // `dyn Any` slot every round, so no allocation happens per cycle —
-    // unboxing would force `put` to re-box (one allocation per round),
-    // breaking the steady-state allocation-freedom contract.
-    #[allow(clippy::box_collection)]
-    pub(crate) fn take<M: 'static>(&mut self) -> Box<BinaryHeap<Reverse<MsgEv<M>>>> {
-        match self
-            .0
-            .take()
-            .map(Box::<dyn Any>::downcast::<BinaryHeap<Reverse<MsgEv<M>>>>)
-        {
-            Some(Ok(heap)) => heap,
-            _ => Box::new(BinaryHeap::new()),
-        }
-    }
-
-    #[allow(clippy::box_collection)]
-    pub(crate) fn put<M: 'static>(&mut self, heap: Box<BinaryHeap<Reverse<MsgEv<M>>>>) {
-        self.0 = Some(heap);
-    }
-}
-
-impl fmt::Debug for InflightCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "InflightCell(warm)"
-        } else {
-            "InflightCell(empty)"
-        })
-    }
-}
+/// The in-flight message heap, min-first. It lives in the network's
+/// buffer slot between steps — empty then, since every step drains it —
+/// so its allocation grows to the steady-state high-water mark and stays.
+type Inflight<M> = BinaryHeap<Reverse<MsgEv<M>>>;
 
 // ----------------------------------------------------------------------
 // Engine state
@@ -499,9 +460,20 @@ impl AsyncState {
         -u.ln() / self.cfg.rate
     }
 
-    /// One message latency.
-    fn latency(&mut self) -> f64 {
-        self.cfg.latency.sample(&mut self.latency_rng)
+    /// One loss verdict, drawn when the message is sent. A pull draws
+    /// both its legs unconditionally when the knob is on — the delivery
+    /// stream never depends on an earlier verdict — and nothing is drawn
+    /// when it is zero.
+    fn verdict(&mut self, loss: f64) -> bool {
+        loss > 0.0 && self.delivery_rng.gen_bool(loss)
+    }
+
+    /// Puts a message in flight at time `now`: it fires at `dst` one
+    /// sampled latency later.
+    fn send<M>(&mut self, msgs: &mut Inflight<M>, now: f64, src: u32, dst: u32, kind: MsgKind<M>) {
+        let arrive = now + self.cfg.latency.sample(&mut self.latency_rng);
+        let key = self.next_key(arrive, dst);
+        msgs.push(Reverse(MsgEv { key, src, kind }));
     }
 }
 
@@ -513,58 +485,25 @@ impl<S> Network<S> {
     /// Executes one schedule step of [`Network::round`] on the
     /// asynchronous engine: schedules every node's activation at an
     /// exponential clock offset, then drains activations and in-flight
-    /// message arrivals in `(time, seq, node)` order. Charging, tracing
-    /// and fan-in accounting mirror the synchronous phases exactly; the
-    /// differences are semantic — deliveries land mid-step, pulls are
-    /// answered from current state at request arrival, and every
-    /// ordering decision is a timestamp.
+    /// message arrivals in `(time, seq, node)` order. Deliveries land
+    /// mid-step, pulls are answered from current state at request
+    /// arrival, and every ordering decision is a timestamp; the rules
+    /// applied at each event are the step core's (`step.rs`).
     pub(crate) fn round_async<M: Wire + 'static>(
         &mut self,
         mut decide: impl FnMut(NodeCtx<'_, S>, &mut SmallRng) -> Action<M>,
         mut respond: impl FnMut(&S) -> Option<M>,
         mut deliver: impl FnMut(&mut S, Delivery<M>),
     ) -> RoundStats {
+        // The boundary moves fire once per schedule step, before any
+        // activation of the step; `loss` holds for the step's sends.
+        let (mut stats, loss) = self.begin_step();
         let n = self.len();
-        let n32 = n as u32;
-        let mut stats = RoundStats {
-            round: self.round,
-            ..Default::default()
-        };
-
-        // Boundary events, exactly as the synchronous engine: the
-        // dynamic adversary and the workload move once per schedule
-        // step, before any activation of the step fires. Burst loss
-        // composes with the base knob for the step's sends.
-        let mut loss = self.loss;
-        if let Some(churn) = self.churn.as_mut() {
-            let ev = churn.advance(self.round, &mut self.alive);
-            self.alive_count = self.alive_count + ev.recovered as usize - ev.crashed as usize;
-            self.metrics.crashes += u64::from(ev.crashed);
-            self.metrics.recoveries += u64::from(ev.recovered);
-            if ev.bursting {
-                self.metrics.burst_rounds += 1;
-                loss = 1.0 - (1.0 - loss) * (1.0 - churn.extra_loss());
-            }
-        }
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_started += u64::from(tp.begin_round(self.round));
-        }
-
-        // Sparse fan-in reset (see the synchronous engine).
-        for wi in 0..self.touched.words().len() {
-            if self.touched.words()[wi] != 0 {
-                let start = wi * 64;
-                let end = (start + 64).min(n);
-                self.fan_in[start..end].fill(0);
-            }
-        }
-        self.touched.clear_all();
-
         let mut axs = self
             .async_state
             .take()
             .expect("round_async dispatched without async state");
-        let mut msgs = self.inflight.take::<M>();
+        let mut msgs = self.buffers.take::<Inflight<M>>();
         // Pre-size the event pool: at any instant at most one in-flight
         // message exists per node (an activation's single send, or the
         // reply that replaces its request when the request pops), so
@@ -578,7 +517,7 @@ impl<S> Network<S> {
         // per node, dead or alive — dead nodes are skipped at fire time,
         // so the clock stream never depends on the churn history.
         let t0 = axs.virtual_time;
-        for i in 0..n32 {
+        for i in 0..n as u32 {
             let gap = axs.clock_gap();
             let key = axs.next_key(t0 + gap, i);
             axs.clocks.push(Reverse(key));
@@ -596,96 +535,29 @@ impl<S> Network<S> {
             };
             axs.events += 1;
             if !fire_msg {
-                // An activation: the node decides, exactly as a
-                // synchronous phase-1 visit, and any send goes in
-                // flight with a sampled latency.
+                // An activation: whatever the node sends goes in flight
+                // under verdicts drawn now.
                 let Some(Reverse(key)) = axs.clocks.pop() else {
                     unreachable!()
                 };
                 axs.virtual_time = key.time;
-                let i = key.node as usize;
-                if !self.alive.get(i) {
+                let src = NodeIdx(key.node);
+                if !self.is_alive(src) {
                     continue;
                 }
-                let idx = NodeIdx(key.node);
-                let ctx = NodeCtx {
-                    idx,
-                    id: self.ids.id_of(idx),
-                    state: &self.states[i],
-                    round: self.round,
-                };
-                let action = decide(ctx, &mut self.rng);
-                let target = match &action {
-                    Action::Idle => continue,
-                    Action::Push { to, .. } => *to,
-                    Action::Pull { to } => *to,
-                };
-                stats.initiators += 1;
-                self.fan_in[i] += 1;
-                self.touched.set(i);
-                let dst = match target {
-                    Target::Random => match self.topo.as_mut() {
-                        None => {
-                            if n32 == 1 {
-                                continue; // nobody to talk to
-                            }
-                            Self::sample_other(&mut self.rng, n32, idx)
-                        }
-                        Some(view) => {
-                            match view
-                                .adj
-                                .sample_alive_neighbor(&mut view.rng, idx, &self.alive)
-                            {
-                                Some(d) => d,
-                                None => continue,
-                            }
-                        }
-                    },
-                    Target::Direct(id) => match self.ids.resolve(id) {
-                        Some(d) => {
-                            if let Some(view) = &self.topo {
-                                if view.mode == DirectAddressing::Restricted
-                                    && !view.adj.contains_edge(idx.0, d.0)
-                                {
-                                    continue;
-                                }
-                            }
-                            d
-                        }
-                        None => continue,
-                    },
-                };
-                let arrive = key.time + axs.latency();
-                match action {
-                    Action::Push { msg, .. } => {
-                        let lost = loss > 0.0 && axs.delivery_rng.gen_bool(loss);
-                        let k = axs.next_key(arrive, dst.0);
-                        msgs.push(Reverse(MsgEv {
-                            key: k,
-                            src: idx.0,
-                            kind: MsgKind::Push { msg, lost },
-                        }));
+                let (dst, kind) = match self.activate(src, &mut decide, &mut stats) {
+                    Some((dst, Action::Push { msg, .. })) => {
+                        let lost = axs.verdict(loss);
+                        (dst, MsgKind::Push { msg, lost })
                     }
-                    Action::Pull { .. } => {
-                        // Both legs sampled at send time, unconditionally
-                        // when the knob is on — the delivery stream never
-                        // depends on the first verdict (mirrors the
-                        // synchronous engine's phase 2).
-                        let mut lost = false;
-                        let mut rep_lost = false;
-                        if loss > 0.0 {
-                            lost = axs.delivery_rng.gen_bool(loss);
-                            rep_lost = axs.delivery_rng.gen_bool(loss);
-                        }
-                        let k = axs.next_key(arrive, dst.0);
-                        msgs.push(Reverse(MsgEv {
-                            key: k,
-                            src: idx.0,
-                            kind: MsgKind::PullReq { lost, rep_lost },
-                        }));
+                    Some((dst, Action::Pull { .. })) => {
+                        let lost = axs.verdict(loss);
+                        let rep_lost = axs.verdict(loss);
+                        (dst, MsgKind::PullReq { lost, rep_lost })
                     }
-                    Action::Idle => unreachable!(),
-                }
+                    _ => continue,
+                };
+                axs.send(&mut msgs, key.time, src.0, dst.0, kind);
                 continue;
             }
 
@@ -693,169 +565,42 @@ impl<S> Network<S> {
             let Some(Reverse(ev)) = msgs.pop() else {
                 unreachable!()
             };
-            axs.virtual_time = ev.key.time;
-            let t = ev.key.time;
+            let now = ev.key.time;
+            axs.virtual_time = now;
             let src = NodeIdx(ev.src);
             let dst = NodeIdx(ev.key.node);
-            let d = dst.as_usize();
             match ev.kind {
                 MsgKind::Push { msg, lost } => {
-                    let alive = self.alive.get(d);
-                    let delivered = alive && !lost;
-                    let mut bits = self.header_bits + msg.size_bits();
-                    if delivered {
-                        if let Some(tp) = self.traffic.as_mut() {
-                            let tr = tp.on_payload(src.0, dst.0);
-                            bits += u64::from(tr.transferred) * tp.rumor_bits();
-                            self.metrics.rumor_payloads += u64::from(tr.transferred);
-                            self.metrics.budget_drops += u64::from(tr.dropped);
-                        }
-                    }
-                    stats.messages += 1;
-                    stats.bits += bits;
-                    self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                    self.metrics.pushes += 1;
-                    self.metrics.payload_messages += 1;
-                    self.fan_in[d] += 1;
-                    self.touched.set(d);
-                    let kind = if delivered {
-                        EventKind::Push
-                    } else if alive {
-                        EventKind::DroppedLost
-                    } else {
-                        EventKind::DroppedDead
-                    };
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: src,
-                        to: dst,
-                        kind,
-                    });
-                    if delivered {
-                        deliver(
-                            &mut self.states[d],
-                            Delivery::Push {
-                                from: self.ids.id_of(src),
-                                msg,
-                            },
-                        );
-                    }
+                    self.land_push(src, dst, msg, lost, &mut stats, &mut deliver);
                 }
                 MsgKind::PullReq { lost, rep_lost } => {
-                    // The request: header-only, sender-paid whether or
-                    // not it arrives (same charging as the synchronous
-                    // phase 4). A lost request charges no responder-side
-                    // fan-in and produces no reply or notification.
-                    stats.messages += 1;
-                    stats.bits += self.header_bits;
-                    self.metrics.pull_requests += 1;
-                    if lost {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::DroppedLost,
-                        });
-                        continue;
-                    }
-                    self.fan_in[d] += 1;
-                    self.touched.set(d);
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: src,
-                        to: dst,
-                        kind: EventKind::PullRequest,
-                    });
-                    if !self.alive.get(d) {
+                    self.land_pull_request(src, dst, lost, &mut stats);
+                    if !self.hears(dst, lost) {
                         continue;
                     }
                     // Asynchronous semantics: the response reads the
                     // responder's state *now*, at request arrival — not
                     // a start-of-round snapshot — and the pulled-by
                     // notification lands immediately.
-                    let resp = respond(&self.states[d]);
-                    deliver(&mut self.states[d], Delivery::PulledBy(self.ids.id_of(src)));
+                    let state = &mut self.states[dst.as_usize()];
+                    let resp = respond(state);
+                    deliver(state, Delivery::PulledBy(self.ids.id_of(src)));
                     if let Some(msg) = resp {
-                        let arrive = t + axs.latency();
-                        let k = axs.next_key(arrive, src.0);
-                        msgs.push(Reverse(MsgEv {
-                            key: k,
-                            src: dst.0,
-                            kind: MsgKind::PullReply {
-                                msg,
-                                lost: rep_lost,
-                            },
-                        }));
+                        let kind = MsgKind::PullReply {
+                            msg,
+                            lost: rep_lost,
+                        };
+                        axs.send(&mut msgs, now, dst.0, src.0, kind);
                     }
                 }
                 MsgKind::PullReply { msg, lost } => {
-                    // The responder sent the reply, so it is charged in
-                    // full even when the return leg drops it.
-                    let delivered = !lost;
-                    let mut bits = self.header_bits + msg.size_bits();
-                    if delivered {
-                        if let Some(tp) = self.traffic.as_mut() {
-                            let tr = tp.on_payload(src.0, dst.0);
-                            bits += u64::from(tr.transferred) * tp.rumor_bits();
-                            self.metrics.rumor_payloads += u64::from(tr.transferred);
-                            self.metrics.budget_drops += u64::from(tr.dropped);
-                        }
-                    }
-                    stats.messages += 1;
-                    stats.bits += bits;
-                    self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                    self.metrics.pull_replies += 1;
-                    self.metrics.payload_messages += 1;
-                    if delivered {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::PullReply,
-                        });
-                        deliver(
-                            &mut self.states[d],
-                            Delivery::PullReply {
-                                from: self.ids.id_of(src),
-                                msg,
-                            },
-                        );
-                    } else {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::DroppedLost,
-                        });
-                    }
+                    self.land_reply(src, dst, msg, lost, &mut stats, &mut deliver);
                 }
             }
         }
-        self.inflight.put(msgs);
+        self.buffers.put(msgs);
         self.async_state = Some(axs);
-
-        // End-of-step workload and fan-in bookkeeping, as the
-        // synchronous tail.
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_completed += u64::from(tp.end_round(self.round, &self.alive));
-        }
-        let mut max_fan = 0u32;
-        for (wi, &word) in self.touched.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                max_fan = max_fan.max(self.fan_in[i]);
-            }
-        }
-        stats.max_fan_in = u64::from(max_fan);
-        self.metrics.rounds += 1;
-        self.metrics.messages += stats.messages;
-        self.metrics.bits += stats.bits;
-        self.metrics.max_fan_in = self.metrics.max_fan_in.max(stats.max_fan_in);
-        self.metrics.per_round.push(stats);
-        self.round += 1;
-        stats
+        self.end_step(stats)
     }
 }
 

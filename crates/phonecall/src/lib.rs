@@ -70,7 +70,10 @@
 //! latencies, and a deterministic `(virtual_time, seq, node)`-ordered
 //! event queue, with the continuous clock exposed as
 //! [`Network::virtual_time`]. [`Engine::Sync`] installs nothing, so
-//! synchronous runs stay bit-identical to pre-async builds.
+//! synchronous runs stay bit-identical to pre-async builds. Both engines
+//! are schedulers over one step core (`step.rs`): what an activation
+//! resolves to and what a landing message costs is written once, so the
+//! accounting cannot depend on the engine.
 //!
 //! # Determinism
 //!
@@ -125,6 +128,7 @@ mod id;
 mod metrics;
 mod network;
 mod rng;
+mod step;
 pub mod topology;
 mod trace;
 mod traffic;

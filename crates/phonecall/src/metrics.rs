@@ -14,17 +14,9 @@
 //! * **`Δ` / fan-in** — the maximum number of communications one node
 //!   participates in within one round.
 //!
-//! # Accounting under message loss
-//!
-//! The **sender pays** for every message it actually put on the wire,
-//! delivered or not: a lost push and a lost pull request are charged to
-//! `messages`/`bits` like delivered ones, and a pull reply that the
-//! responder *sent* but the link dropped is charged too
-//! (`messages`/`bits`/`pull_replies`/`payload_messages`). What is *not*
-//! charged is a reply that was never sent — when the pull request itself
-//! was lost in transit, the responder stayed silent, exactly like a
-//! request to a dead node. Receiver-side accounting (`fan-in`) counts
-//! only messages that arrived.
+//! The rules that charge these counters — who pays for a lost message,
+//! what a piggybacked rumor costs, what counts towards fan-in — are stated
+//! once, on the step core both engines run on ([`crate::step`]).
 
 use serde::{Deserialize, Serialize};
 

@@ -1,15 +1,16 @@
 //! The synchronous round engine.
 //!
 //! [`Network::round`] executes one round of the random phone call model with
-//! direct addressing:
+//! direct addressing, in lockstep phases:
 //!
-//! 1. every alive node's `decide` closure picks an [`Action`] from its own
-//!    state (and a per-node random stream);
-//! 2. `Random` targets are resolved to uniformly random *other* nodes;
-//! 3. pull responses are computed **first**, from each responder's state at
-//!    the start of the round, via the address-oblivious `respond` closure;
-//! 4. pushes, pull replies and pulled-by notifications are delivered through
-//!    `deliver`, and all message/bit/fan-in accounting is charged.
+//! 1. every alive node is activated: its `decide` closure picks an
+//!    [`Action`] from its own state (and a per-node random stream) and the
+//!    target is resolved;
+//! 2. pull responses are computed **first**, from each responder's state at
+//!    the start of the round, via the address-oblivious `respond` closure,
+//!    and the round's loss verdicts are drawn;
+//! 3. pushes, pull replies and pulled-by notifications land, in that order,
+//!    through `deliver`.
 //!
 //! The split into `decide` / `respond` / `deliver` is what enforces the
 //! model structurally: `decide` sees only the deciding node, `respond` sees
@@ -17,23 +18,26 @@
 //! paper's address-obliviousness), and all state changes from incoming
 //! traffic happen strictly after every action and response of the round is
 //! fixed (synchrony).
-
-use std::any::Any;
-use std::fmt;
+//!
+//! This module owns only that *schedule*. What an activation resolves to
+//! and what a landing message costs — charging, loss, fan-in, tracing — is
+//! the step core of [`crate::step`], shared with the asynchronous engine
+//! ([`crate::events`]).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::action::{Action, Delivery, Target};
+use crate::action::{Action, Delivery};
 use crate::bitset::BitSet;
 use crate::churn::{AdversarySchedule, ChurnConfig};
-use crate::events::{AsyncState, Engine, InflightCell};
+use crate::events::{AsyncState, Engine};
 use crate::failure::FailurePlan;
 use crate::id::{IdSpace, NodeId, NodeIdx};
 use crate::metrics::{Metrics, RoundStats};
 use crate::rng::{derive_seed, rng_from_seed};
+use crate::step::Slot;
 use crate::topology::{Adjacency, DirectAddressing, Topology};
-use crate::trace::{Event, EventKind, Trace};
+use crate::trace::Trace;
 use crate::traffic::{RumorStatus, TrafficConfig, TrafficPlan};
 use crate::wire::{header_bits, Wire};
 
@@ -88,16 +92,15 @@ pub struct Network<S> {
     /// round zero `fan_in` 64 nodes at a time and the fan-in maximum
     /// skip untouched regions instead of scanning all `n` counters.
     pub(crate) touched: BitSet,
-    scratch: ScratchCell,
+    /// The running engine's buffers, per message type: the [`Scratch`]
+    /// columns under [`Engine::Sync`], the in-flight message heap under
+    /// [`Engine::Async`] (see [`crate::events`]).
+    pub(crate) buffers: Slot,
     /// The asynchronous engine's state when [`Engine::Async`] is
     /// installed (see [`crate::events`]); `None` — the default — keeps
     /// [`Self::round`] on the synchronous path, bit-identical to builds
     /// that predate the event engine.
     pub(crate) async_state: Option<Box<AsyncState>>,
-    /// In-flight message heap of the asynchronous engine (type-erased
-    /// per message type, like `scratch`). Unused — and empty — under
-    /// [`Engine::Sync`].
-    pub(crate) inflight: InflightCell,
 }
 
 /// A materialized topology installed on a network: the CSR adjacency
@@ -135,20 +138,17 @@ struct Scratch<M> {
     /// Resolved pull destinations, parallel to `pull_src`.
     pull_dst: Vec<u32>,
     /// Per-pull *request-leg* loss verdicts (empty when the loss knob is
-    /// zero, like `push_lost`). A lost request never reaches the
-    /// responder: no reply, no pulled-by notification, no responder-side
-    /// fan-in.
+    /// zero, like `push_lost`).
     pull_req_lost: Vec<bool>,
     /// Per-pull *reply-leg* loss verdicts, parallel to `pull_req_lost`.
-    /// A lost reply was still sent — the responder is charged for it —
-    /// but the puller never receives it.
     pull_rep_lost: Vec<bool>,
     /// Pull responses, parallel to `pull_src`.
     responses: Vec<Option<M>>,
 }
 
-impl<M> Scratch<M> {
-    fn new() -> Self {
+// Not derived: a derive would demand `M: Default`.
+impl<M> Default for Scratch<M> {
+    fn default() -> Self {
         Scratch {
             push_src: Vec::new(),
             push_dst: Vec::new(),
@@ -161,7 +161,9 @@ impl<M> Scratch<M> {
             responses: Vec::new(),
         }
     }
+}
 
+impl<M> Scratch<M> {
     fn clear(&mut self) {
         self.push_src.clear();
         self.push_dst.clear();
@@ -203,43 +205,10 @@ impl<M> Scratch<M> {
     }
 }
 
-/// Type-erased holder for the [`Scratch`] buffers.
-///
-/// `round` is generic over the message type `M` while the network is not,
-/// so the buffers are stashed as `dyn Any` between rounds: consecutive
-/// rounds with the same `M` (the hot path — every algorithm loop) reuse
-/// the exact same allocations, and a phase switching to a different
-/// message type transparently starts a fresh set.
-#[derive(Default)]
-struct ScratchCell(Option<Box<dyn Any>>);
-
-impl ScratchCell {
-    /// Takes the buffers out for the duration of a round (re-typing or
-    /// creating them as needed), leaving the cell empty.
-    fn take<M: 'static>(&mut self) -> Box<Scratch<M>> {
-        match self.0.take().map(Box::<dyn Any>::downcast::<Scratch<M>>) {
-            Some(Ok(mut scratch)) => {
-                scratch.clear();
-                scratch
-            }
-            _ => Box::new(Scratch::new()),
-        }
-    }
-
-    /// Returns the buffers after the round.
-    fn put<M: 'static>(&mut self, scratch: Box<Scratch<M>>) {
-        self.0 = Some(scratch);
-    }
-}
-
-impl fmt::Debug for ScratchCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "ScratchCell(warm)"
-        } else {
-            "ScratchCell(empty)"
-        })
-    }
+/// The verdict for contact `k` of a loss column, which is either empty
+/// (loss off: nothing is lost) or holds one verdict per contact.
+fn verdict(col: &[bool], k: usize) -> bool {
+    col.get(k).copied().unwrap_or(false)
 }
 
 impl<S> Network<S> {
@@ -299,9 +268,8 @@ impl<S> Network<S> {
             traffic: None,
             fan_in: vec![0; n],
             touched: BitSet::new(n),
-            scratch: ScratchCell::default(),
+            buffers: Slot::default(),
             async_state: None,
-            inflight: InflightCell::default(),
         }
     }
 
@@ -333,7 +301,7 @@ impl<S> Network<S> {
                 Some(Box::new(AsyncState::new(cfg, self.len(), seed)))
             }
         };
-        self.inflight = InflightCell::default();
+        self.buffers = Slot::default();
     }
 
     /// Whether the asynchronous engine is installed.
@@ -617,12 +585,14 @@ impl<S> Network<S> {
     /// `Copy`. Only the `per_round` log grows (amortized; see
     /// [`Self::reserve_rounds`]).
     ///
-    /// Contact resolution is batched: phase 1 streams the alive mask and
-    /// resolves every push/pull target of the round into pre-sized
+    /// Contacts are batched: phase 1 streams the alive mask and collects
+    /// every resolved push/pull of the round into pre-sized
     /// struct-of-arrays scratch columns, phase 2 computes responses and
-    /// loss verdicts column-wise, and phases 3–4 apply all deliveries in
-    /// one pass each — the delivery loops touch only the packed `u32`
-    /// columns plus the recipient's state, never re-deriving targets.
+    /// loss verdicts column-wise, and phase 3 lands everything in one pass
+    /// per column — the landing loops touch only the packed `u32` columns
+    /// plus the recipient's state. The rules each activation and landing
+    /// applies are the step core's (`step.rs`), shared with the
+    /// asynchronous engine.
     pub fn round<M: Wire + 'static>(
         &mut self,
         mut decide: impl FnMut(NodeCtx<'_, S>, &mut SmallRng) -> Action<M>,
@@ -630,345 +600,96 @@ impl<S> Network<S> {
         mut deliver: impl FnMut(&mut S, Delivery<M>),
     ) -> RoundStats {
         // The asynchronous engine, if installed, runs the step as a
-        // drained event queue instead of lockstep phases (see
-        // [`crate::events`]); the closures and accounting are shared.
+        // drained event queue instead of lockstep phases.
         if self.async_state.is_some() {
             return self.round_async(decide, respond, deliver);
         }
-        let n = self.len();
-        let n32 = n as u32;
-        let mut stats = RoundStats {
-            round: self.round,
-            ..Default::default()
-        };
+        let (mut stats, loss) = self.begin_step();
+        let mut scratch = self.buffers.take::<Scratch<M>>();
+        scratch.clear();
+        scratch.presize(self.len());
 
-        // Phase 0: the dynamic adversary (if any) moves at the round
-        // boundary — crashes, recoveries and the burst-loss chain — from
-        // its own random stream, so churn-off runs draw the exact same
-        // engine RNG sequence as before churn existed. Burst loss
-        // composes with the base loss knob for this round only.
-        let mut loss = self.loss;
-        if let Some(churn) = self.churn.as_mut() {
-            let ev = churn.advance(self.round, &mut self.alive);
-            self.alive_count = self.alive_count + ev.recovered as usize - ev.crashed as usize;
-            self.metrics.crashes += u64::from(ev.crashed);
-            self.metrics.recoveries += u64::from(ev.recovered);
-            if ev.bursting {
-                self.metrics.burst_rounds += 1;
-                loss = 1.0 - (1.0 - loss) * (1.0 - churn.extra_loss());
-            }
-        }
-
-        // Phase 0b: the workload (if any) moves at the round boundary
-        // too — the bandwidth ledger resets and due rumors arrive at
-        // their origins (whether or not those are alive right now:
-        // state-intact semantics, like churn recoveries).
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_started += u64::from(tp.begin_round(self.round));
-        }
-
-        // Reset the fan-in counters sparsely: only nodes whose `touched`
-        // bit was set last round can hold a nonzero counter, so zero 64
-        // counters per set word instead of streaming all n.
-        for wi in 0..self.touched.words().len() {
-            if self.touched.words()[wi] != 0 {
-                let start = wi * 64;
-                let end = (start + 64).min(n);
-                self.fan_in[start..end].fill(0);
-            }
-        }
-        self.touched.clear_all();
-        let mut scratch = self.scratch.take::<M>();
-        scratch.presize(n);
-
-        // Phase 1: collect actions and batch-resolve their targets into
-        // the SoA columns, word-streaming the alive mask (64 dead nodes
-        // cost one load).
+        // Phase 1: activate every alive node, word-streaming the alive
+        // mask (64 dead nodes cost one load), and collect the resolved
+        // contacts into the SoA columns.
         for wi in 0..self.alive.words().len() {
             let mut w = self.alive.words()[wi];
             while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
+                let idx = NodeIdx((wi * 64) as u32 + w.trailing_zeros());
                 w &= w - 1;
-                let idx = NodeIdx(i as u32);
-                let ctx = NodeCtx {
-                    idx,
-                    id: self.ids.id_of(idx),
-                    state: &self.states[i],
-                    round: self.round,
-                };
-                let action = decide(ctx, &mut self.rng);
-                let target = match &action {
-                    Action::Idle => continue,
-                    Action::Push { to, .. } => *to,
-                    Action::Pull { to } => *to,
-                };
-                stats.initiators += 1;
-                self.fan_in[i] += 1;
-                self.touched.set(i);
-                let dst = match target {
-                    Target::Random => match self.topo.as_mut() {
-                        None => {
-                            if n32 == 1 {
-                                continue; // nobody to talk to
-                            }
-                            Self::sample_other(&mut self.rng, n32, idx)
-                        }
-                        // On a contact graph: a uniformly random alive
-                        // neighbor, from the topology's own stream. With
-                        // every neighbor down the connection attempt fails
-                        // and the node sits the round out (still charged as
-                        // an initiation, like a call to an unknown address).
-                        Some(view) => {
-                            match view
-                                .adj
-                                .sample_alive_neighbor(&mut view.rng, idx, &self.alive)
-                            {
-                                Some(d) => d,
-                                None => continue,
-                            }
-                        }
-                    },
-                    Target::Direct(id) => match self.ids.resolve(id) {
-                        Some(d) => {
-                            // Restricted direct addressing: a learned ID is
-                            // only usable over an existing link; calls to
-                            // non-neighbors are lost in the void (charged,
-                            // never delivered).
-                            if let Some(view) = &self.topo {
-                                if view.mode == DirectAddressing::Restricted
-                                    && !view.adj.contains_edge(idx.0, d.0)
-                                {
-                                    continue;
-                                }
-                            }
-                            d
-                        }
-                        // Unknown address: the message is lost in the void but
-                        // the attempt still counts as an initiated communication.
-                        None => continue,
-                    },
-                };
-                match action {
-                    Action::Push { msg, .. } => {
+                match self.activate(idx, &mut decide, &mut stats) {
+                    Some((dst, Action::Push { msg, .. })) => {
                         scratch.push_src.push(idx.0);
                         scratch.push_dst.push(dst.0);
                         scratch.push_msg.push(msg);
                     }
-                    Action::Pull { .. } => {
+                    Some((dst, Action::Pull { .. })) => {
                         scratch.pull_src.push(idx.0);
                         scratch.pull_dst.push(dst.0);
                     }
-                    Action::Idle => unreachable!(),
+                    _ => {}
                 }
             }
         }
 
         // Phase 2: compute pull responses from start-of-round state
         // (address-oblivious; one response per responder per round). The
-        // two legs of a pull fail independently and mean different
-        // things: a lost *request* never reaches the responder (no
-        // reply, no pulled-by notification, no responder-side fan-in),
-        // while a lost *reply* was sent — and paid for — but never
-        // arrives. Both surface identically to the puller.
+        // two legs of a pull fail independently: a lost *request* is
+        // never heard, a lost *reply* was sent but never arrives.
         for k in 0..scratch.pull_dst.len() {
-            let d = scratch.pull_dst[k] as usize;
             // Both legs are sampled unconditionally so the number of RNG
             // draws never depends on the first draw's outcome — the
             // stream stays stable under loss-model refactors. No draws
             // at all when the knob is zero (the verdict columns stay
             // empty, keeping loss-free runs bit-identical).
-            let mut req_lost = false;
             if loss > 0.0 {
-                req_lost = self.rng.gen_bool(loss);
-                let rep_lost = self.rng.gen_bool(loss);
-                scratch.pull_req_lost.push(req_lost);
-                scratch.pull_rep_lost.push(rep_lost);
+                scratch.pull_req_lost.push(self.rng.gen_bool(loss));
+                scratch.pull_rep_lost.push(self.rng.gen_bool(loss));
             }
-            let resp = if self.alive.get(d) && !req_lost {
-                respond(&self.states[d])
+            let dst = NodeIdx(scratch.pull_dst[k]);
+            let resp = if self.hears(dst, verdict(&scratch.pull_req_lost, k)) {
+                respond(&self.states[dst.as_usize()])
             } else {
                 None
             };
             scratch.responses.push(resp);
         }
 
-        // Phase 2b: batch the push-loss verdicts (same draw order the
-        // interleaved engine used — delivery makes no draws — and no
-        // draws at all when the knob is zero).
+        // Phase 2b: batch the push-loss verdicts (landing makes no draws;
+        // none at all when the knob is zero).
         if loss > 0.0 {
             for _ in 0..scratch.push_src.len() {
-                let verdict = self.rng.gen_bool(loss);
-                scratch.push_lost.push(verdict);
+                scratch.push_lost.push(self.rng.gen_bool(loss));
             }
         }
 
-        // Phase 3: apply pushes in one pass over the columns. Payloads
-        // are moved out of the scratch buffer (capacity is retained for
-        // the next round).
+        // Phase 3: land pushes, then pull requests with their replies,
+        // then — deferred, so no reply reflects it — the pulled-by
+        // notifications. Payloads are moved out of the scratch buffer
+        // (capacity is retained for the next round).
         let sc = &mut *scratch;
         for (k, msg) in sc.push_msg.drain(..).enumerate() {
-            let src = NodeIdx(sc.push_src[k]);
-            let dst = NodeIdx(sc.push_dst[k]);
-            let d = dst.as_usize();
-            let alive = self.alive.get(d);
-            let lost = !sc.push_lost.is_empty() && sc.push_lost[k];
-            let delivered = alive && !lost;
-            // The workload piggybacks on delivered payload messages:
-            // whatever transfers rides this push and widens it by
-            // `rumor_bits` per rumor carried.
-            let mut bits = self.header_bits + msg.size_bits();
-            if delivered {
-                if let Some(tp) = self.traffic.as_mut() {
-                    let t = tp.on_payload(src.0, dst.0);
-                    bits += u64::from(t.transferred) * tp.rumor_bits();
-                    self.metrics.rumor_payloads += u64::from(t.transferred);
-                    self.metrics.budget_drops += u64::from(t.dropped);
-                }
-            }
-            stats.messages += 1;
-            stats.bits += bits;
-            self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-            self.metrics.pushes += 1;
-            self.metrics.payload_messages += 1;
-            self.fan_in[d] += 1;
-            self.touched.set(d);
-            let kind = if delivered {
-                EventKind::Push
-            } else if alive {
-                EventKind::DroppedLost
-            } else {
-                EventKind::DroppedDead
-            };
-            self.trace.record(Event {
-                round: self.round,
-                from: src,
-                to: dst,
-                kind,
-            });
-            if delivered {
-                deliver(
-                    &mut self.states[d],
-                    Delivery::Push {
-                        from: self.ids.id_of(src),
-                        msg,
-                    },
-                );
-            }
+            let (src, dst) = (NodeIdx(sc.push_src[k]), NodeIdx(sc.push_dst[k]));
+            let lost = verdict(&sc.push_lost, k);
+            self.land_push(src, dst, msg, lost, &mut stats, &mut deliver);
         }
-
-        // Phase 4: deliver pull replies, then pulled-by notifications.
         for (k, reply) in sc.responses.drain(..).enumerate() {
-            let src = NodeIdx(sc.pull_src[k]);
-            let dst = NodeIdx(sc.pull_dst[k]);
-            let req_lost = !sc.pull_req_lost.is_empty() && sc.pull_req_lost[k];
-            let rep_lost = !sc.pull_rep_lost.is_empty() && sc.pull_rep_lost[k];
-            // The request itself: header-only, sender-paid whether or
-            // not it arrives — but a request lost in transit never
-            // reaches the responder, so it charges no responder-side
-            // fan-in and is traced as a drop, not a pull.
-            stats.messages += 1;
-            stats.bits += self.header_bits;
-            self.metrics.pull_requests += 1;
-            if req_lost {
-                self.trace.record(Event {
-                    round: self.round,
-                    from: src,
-                    to: dst,
-                    kind: EventKind::DroppedLost,
-                });
-            } else {
-                self.fan_in[dst.as_usize()] += 1;
-                self.touched.set(dst.as_usize());
-                self.trace.record(Event {
-                    round: self.round,
-                    from: src,
-                    to: dst,
-                    kind: EventKind::PullRequest,
-                });
-            }
+            let (src, dst) = (NodeIdx(sc.pull_src[k]), NodeIdx(sc.pull_dst[k]));
+            self.land_pull_request(src, dst, verdict(&sc.pull_req_lost, k), &mut stats);
             if let Some(msg) = reply {
-                // A reply exists only if the request arrived (phase 2);
-                // the responder sent it, so it is charged in full even
-                // when the return leg drops it.
-                let delivered = !rep_lost;
-                let mut bits = self.header_bits + msg.size_bits();
-                if delivered {
-                    if let Some(tp) = self.traffic.as_mut() {
-                        let t = tp.on_payload(dst.0, src.0);
-                        bits += u64::from(t.transferred) * tp.rumor_bits();
-                        self.metrics.rumor_payloads += u64::from(t.transferred);
-                        self.metrics.budget_drops += u64::from(t.dropped);
-                    }
-                }
-                stats.messages += 1;
-                stats.bits += bits;
-                self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                self.metrics.pull_replies += 1;
-                self.metrics.payload_messages += 1;
-                if delivered {
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: dst,
-                        to: src,
-                        kind: EventKind::PullReply,
-                    });
-                    deliver(
-                        &mut self.states[src.as_usize()],
-                        Delivery::PullReply {
-                            from: self.ids.id_of(dst),
-                            msg,
-                        },
-                    );
-                } else {
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: dst,
-                        to: src,
-                        kind: EventKind::DroppedLost,
-                    });
-                }
+                let lost = verdict(&sc.pull_rep_lost, k);
+                self.land_reply(dst, src, msg, lost, &mut stats, &mut deliver);
             }
         }
         for k in 0..sc.pull_src.len() {
-            let d = sc.pull_dst[k] as usize;
-            let req_lost = !sc.pull_req_lost.is_empty() && sc.pull_req_lost[k];
-            // A node is only pulled by requests that actually arrived.
-            if self.alive.get(d) && !req_lost {
-                deliver(
-                    &mut self.states[d],
-                    Delivery::PulledBy(self.ids.id_of(NodeIdx(sc.pull_src[k]))),
-                );
+            let dst = NodeIdx(sc.pull_dst[k]);
+            if self.hears(dst, verdict(&sc.pull_req_lost, k)) {
+                let by = self.ids.id_of(NodeIdx(sc.pull_src[k]));
+                deliver(&mut self.states[dst.as_usize()], Delivery::PulledBy(by));
             }
         }
-        self.scratch.put(scratch);
-
-        // End-of-round workload step: a rumor completes once every
-        // alive node knows it (checked after all deliveries, so a rumor
-        // can arrive, spread and complete within one round on a tiny
-        // network).
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_completed += u64::from(tp.end_round(self.round, &self.alive));
-        }
-
-        // The fan-in maximum only needs the touched nodes — untouched
-        // counters are zero by the sparse-reset invariant.
-        let mut max_fan = 0u32;
-        for (wi, &word) in self.touched.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                max_fan = max_fan.max(self.fan_in[i]);
-            }
-        }
-        stats.max_fan_in = u64::from(max_fan);
-        self.metrics.rounds += 1;
-        self.metrics.messages += stats.messages;
-        self.metrics.bits += stats.bits;
-        self.metrics.max_fan_in = self.metrics.max_fan_in.max(stats.max_fan_in);
-        self.metrics.per_round.push(stats);
-        self.round += 1;
-        stats
+        self.buffers.put(scratch);
+        self.end_step(stats)
     }
 
     /// Pre-reserves capacity for `rounds` additional entries of the
@@ -991,6 +712,9 @@ impl<S> Network<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Target;
+    use crate::events::AsyncConfig;
+    use crate::trace::EventKind;
 
     #[derive(Clone, Debug)]
     struct Unit;
@@ -1005,6 +729,38 @@ mod tests {
         pushes: u32,
         replies: u32,
         pulled_by: u32,
+    }
+
+    /// The charging rules are the step core's, not a scheduler's: the
+    /// tests that pin them take the engine as one more input.
+    fn engines() -> [Engine; 2] {
+        [Engine::Sync, Engine::Async(AsyncConfig::default())]
+    }
+
+    fn net_on(engine: &Engine, n: usize, seed: u64) -> Network<St> {
+        let mut net = Network::new(n, seed);
+        net.set_engine(engine.clone(), seed);
+        net
+    }
+
+    /// Runs a loss-free `case` on both engines and checks they charged
+    /// the same — who contacts whom, and with it fan-in, may differ with
+    /// the activation order; what is charged may not.
+    fn same_charges(case: impl Fn(&Engine) -> Metrics) {
+        let [sync, asynch] = engines().map(|e| {
+            let m = case(&e);
+            [
+                m.rounds,
+                m.messages,
+                m.payload_messages,
+                m.bits,
+                m.pushes,
+                m.pull_requests,
+                m.pull_replies,
+                m.max_message_bits,
+            ]
+        });
+        assert_eq!(sync, asynch, "the two engines charged differently");
     }
 
     fn everyone_pushes(net: &mut Network<St>) -> RoundStats {
@@ -1024,90 +780,102 @@ mod tests {
 
     #[test]
     fn push_round_counts_messages_and_bits() {
-        let mut net: Network<St> = Network::new(16, 1);
-        let stats = everyone_pushes(&mut net);
-        assert_eq!(stats.messages, 16);
-        assert_eq!(stats.bits, 16 * (header_bits(16) + 8));
-        assert_eq!(net.metrics().pushes, 16);
-        assert_eq!(net.metrics().rounds, 1);
-        let delivered: u32 = net.states().iter().map(|s| s.pushes).sum();
-        assert_eq!(delivered, 16, "all targets are alive, all pushes deliver");
+        same_charges(|engine| {
+            let mut net = net_on(engine, 16, 1);
+            let stats = everyone_pushes(&mut net);
+            assert_eq!(stats.messages, 16);
+            assert_eq!(stats.bits, 16 * (header_bits(16) + 8));
+            assert_eq!(net.metrics().pushes, 16);
+            assert_eq!(net.metrics().rounds, 1);
+            let delivered: u32 = net.states().iter().map(|s| s.pushes).sum();
+            assert_eq!(delivered, 16, "all targets are alive, all pushes deliver");
+            net.metrics().clone()
+        });
     }
 
     #[test]
     fn pull_round_charges_request_and_reply() {
-        let mut net: Network<St> = Network::new(8, 2);
-        let stats = net.round(
-            |ctx, _rng| {
-                if ctx.idx.0 == 0 {
-                    Action::<Unit>::Pull { to: Target::Random }
-                } else {
-                    Action::Idle
-                }
-            },
-            |_s| Some(Unit),
-            |s, d| match d {
-                Delivery::PullReply { .. } => s.replies += 1,
-                Delivery::PulledBy(_) => s.pulled_by += 1,
-                Delivery::Push { .. } => {}
-            },
-        );
-        assert_eq!(stats.messages, 2, "request + reply");
-        assert_eq!(net.metrics().pull_requests, 1);
-        assert_eq!(net.metrics().pull_replies, 1);
-        assert_eq!(net.states()[0].replies, 1);
-        let pulled: u32 = net.states().iter().map(|s| s.pulled_by).sum();
-        assert_eq!(pulled, 1);
+        same_charges(|engine| {
+            let mut net = net_on(engine, 8, 2);
+            let stats = net.round(
+                |ctx, _rng| {
+                    if ctx.idx.0 == 0 {
+                        Action::<Unit>::Pull { to: Target::Random }
+                    } else {
+                        Action::Idle
+                    }
+                },
+                |_s| Some(Unit),
+                |s, d| match d {
+                    Delivery::PullReply { .. } => s.replies += 1,
+                    Delivery::PulledBy(_) => s.pulled_by += 1,
+                    Delivery::Push { .. } => {}
+                },
+            );
+            assert_eq!(stats.messages, 2, "request + reply");
+            assert_eq!(net.metrics().pull_requests, 1);
+            assert_eq!(net.metrics().pull_replies, 1);
+            assert_eq!(net.states()[0].replies, 1);
+            let pulled: u32 = net.states().iter().map(|s| s.pulled_by).sum();
+            assert_eq!(pulled, 1);
+            net.metrics().clone()
+        });
     }
 
     #[test]
     fn silent_responder_charges_only_request() {
-        let mut net: Network<St> = Network::new(8, 3);
-        let stats = net.round(
-            |ctx, _rng| {
-                if ctx.idx.0 == 0 {
-                    Action::<Unit>::Pull { to: Target::Random }
-                } else {
-                    Action::Idle
-                }
-            },
-            |_s| None,
-            |_s, _d| {},
-        );
-        assert_eq!(stats.messages, 1);
-        assert_eq!(net.metrics().pull_replies, 0);
+        same_charges(|engine| {
+            let mut net = net_on(engine, 8, 3);
+            let stats = net.round(
+                |ctx, _rng| {
+                    if ctx.idx.0 == 0 {
+                        Action::<Unit>::Pull { to: Target::Random }
+                    } else {
+                        Action::Idle
+                    }
+                },
+                |_s| None,
+                |_s, _d| {},
+            );
+            assert_eq!(stats.messages, 1);
+            assert_eq!(net.metrics().pull_replies, 0);
+            net.metrics().clone()
+        });
     }
 
     #[test]
     fn dead_nodes_neither_act_nor_respond() {
-        let mut net: Network<St> = Network::new(4, 4);
-        net.apply_failures(&FailurePlan::explicit(vec![
-            NodeIdx(1),
-            NodeIdx(2),
-            NodeIdx(3),
-        ]));
-        assert_eq!(net.alive_count(), 1);
-        // Node 0 pulls a random node: all candidates are dead, so no reply.
-        let stats = net.round(
-            |ctx, _rng| {
-                if ctx.idx.0 == 0 {
-                    Action::<Unit>::Pull { to: Target::Random }
-                } else {
-                    Action::Push {
-                        to: Target::Random,
-                        msg: Unit,
+        same_charges(|engine| {
+            let mut net = net_on(engine, 4, 4);
+            net.apply_failures(&FailurePlan::explicit(vec![
+                NodeIdx(1),
+                NodeIdx(2),
+                NodeIdx(3),
+            ]));
+            assert_eq!(net.alive_count(), 1);
+            // Node 0 pulls a random node: all candidates are dead, so no reply.
+            let stats = net.round(
+                |ctx, _rng| {
+                    if ctx.idx.0 == 0 {
+                        Action::<Unit>::Pull { to: Target::Random }
+                    } else {
+                        Action::Push {
+                            to: Target::Random,
+                            msg: Unit,
+                        }
                     }
-                }
-            },
-            |_s| Some(Unit),
-            |s, d| {
-                if matches!(d, Delivery::PullReply { .. }) {
-                    s.replies += 1;
-                }
-            },
-        );
-        assert_eq!(stats.initiators, 1, "dead nodes do not act");
-        assert_eq!(net.states()[0].replies, 0, "dead nodes do not respond");
+                },
+                |_s| Some(Unit),
+                |s, d| {
+                    if matches!(d, Delivery::PullReply { .. }) {
+                        s.replies += 1;
+                    }
+                },
+            );
+            assert_eq!(stats.initiators, 1, "dead nodes do not act");
+            assert_eq!(net.states()[0].replies, 0, "dead nodes do not respond");
+            net.metrics().clone()
+        });
     }
 
     #[test]
@@ -1435,50 +1203,54 @@ mod tests {
         // Bugfix: with the request lost in transit the responder never
         // learns it was pulled — the old engine collapsed both loss legs
         // into one verdict and notified unconditionally.
-        let mut net: Network<St> = Network::new(16, 30);
-        net.set_message_loss(1.0);
-        net.round(
-            |_ctx, _rng| Action::<Unit>::Pull { to: Target::Random },
-            |_s| Some(Unit),
-            |s, d| {
-                if matches!(d, Delivery::PulledBy(_)) {
-                    s.pulled_by += 1;
-                }
-            },
-        );
-        let pulled: u32 = net.states().iter().map(|s| s.pulled_by).sum();
-        assert_eq!(pulled, 0, "no request arrived, so nobody was pulled");
-        assert_eq!(net.metrics().pull_requests, 16, "senders still paid");
-        assert_eq!(net.metrics().pull_replies, 0, "nobody answered");
-        assert_eq!(
-            net.metrics().max_fan_in,
-            1,
-            "initiations only: a lost request charges no responder fan-in"
-        );
+        for engine in engines() {
+            let mut net = net_on(&engine, 16, 30);
+            net.set_message_loss(1.0);
+            net.round(
+                |_ctx, _rng| Action::<Unit>::Pull { to: Target::Random },
+                |_s| Some(Unit),
+                |s, d| {
+                    if matches!(d, Delivery::PulledBy(_)) {
+                        s.pulled_by += 1;
+                    }
+                },
+            );
+            let pulled: u32 = net.states().iter().map(|s| s.pulled_by).sum();
+            assert_eq!(pulled, 0, "no request arrived, so nobody was pulled");
+            assert_eq!(net.metrics().pull_requests, 16, "senders still paid");
+            assert_eq!(net.metrics().pull_replies, 0, "nobody answered");
+            assert_eq!(
+                net.metrics().max_fan_in,
+                1,
+                "initiations only: a lost request charges no responder fan-in"
+            );
+        }
     }
 
     #[test]
     fn lost_push_to_alive_node_traces_dropped_lost() {
         // Bugfix: a loss-dropped push to an alive node used to be traced
         // as DroppedDead, indistinguishable from a dead destination.
-        let mut net: Network<St> = Network::new(8, 31);
-        net.set_message_loss(1.0);
-        net.enable_trace(100);
-        everyone_pushes(&mut net);
-        assert_eq!(net.trace().events().len(), 8);
-        assert!(
-            net.trace()
-                .events()
-                .iter()
-                .all(|e| e.kind == EventKind::DroppedLost),
-            "alive destination + bad link = DroppedLost"
-        );
-        // A dead destination still traces DroppedDead, lossy link or not.
-        let mut net: Network<St> = Network::new(2, 31);
-        net.apply_failures(&FailurePlan::explicit(vec![NodeIdx(1)]));
-        net.enable_trace(10);
-        everyone_pushes(&mut net);
-        assert_eq!(net.trace().events()[0].kind, EventKind::DroppedDead);
+        for engine in engines() {
+            let mut net = net_on(&engine, 8, 31);
+            net.set_message_loss(1.0);
+            net.enable_trace(100);
+            everyone_pushes(&mut net);
+            assert_eq!(net.trace().events().len(), 8);
+            assert!(
+                net.trace()
+                    .events()
+                    .iter()
+                    .all(|e| e.kind == EventKind::DroppedLost),
+                "alive destination + bad link = DroppedLost"
+            );
+            // A dead destination still traces DroppedDead, lossy link or not.
+            let mut net = net_on(&engine, 2, 31);
+            net.apply_failures(&FailurePlan::explicit(vec![NodeIdx(1)]));
+            net.enable_trace(10);
+            everyone_pushes(&mut net);
+            assert_eq!(net.trace().events()[0].kind, EventKind::DroppedDead);
+        }
     }
 
     #[test]
@@ -1488,35 +1260,37 @@ mod tests {
         // *arrives* at an always-answering alive responder produces a
         // charged reply — exactly as many replies as pulled-by
         // notifications — even though only the surviving ones deliver.
-        let n = 2000;
-        let mut net: Network<St> = Network::new(n, 32);
-        net.set_message_loss(0.5);
-        net.round(
-            |_ctx, _rng| Action::<Unit>::Pull { to: Target::Random },
-            |_s| Some(Unit),
-            |s, d| match d {
-                Delivery::PullReply { .. } => s.replies += 1,
-                Delivery::PulledBy(_) => s.pulled_by += 1,
-                Delivery::Push { .. } => {}
-            },
-        );
-        let pulled: u64 = net.states().iter().map(|s| u64::from(s.pulled_by)).sum();
-        let delivered: u64 = net.states().iter().map(|s| u64::from(s.replies)).sum();
-        assert_eq!(
-            net.metrics().pull_replies,
-            pulled,
-            "every arrived request was answered and the answer charged"
-        );
-        // ~50% of requests arrive; the old engine charged only the ~25%
-        // of pulls where both legs survived.
-        assert!(
-            (800..=1200).contains(&pulled),
-            "~half the requests arrive, got {pulled}"
-        );
-        assert!(
-            delivered < net.metrics().pull_replies,
-            "some charged replies were lost in flight ({delivered} delivered)"
-        );
+        for engine in engines() {
+            let n = 2000;
+            let mut net = net_on(&engine, n, 32);
+            net.set_message_loss(0.5);
+            net.round(
+                |_ctx, _rng| Action::<Unit>::Pull { to: Target::Random },
+                |_s| Some(Unit),
+                |s, d| match d {
+                    Delivery::PullReply { .. } => s.replies += 1,
+                    Delivery::PulledBy(_) => s.pulled_by += 1,
+                    Delivery::Push { .. } => {}
+                },
+            );
+            let pulled: u64 = net.states().iter().map(|s| u64::from(s.pulled_by)).sum();
+            let delivered: u64 = net.states().iter().map(|s| u64::from(s.replies)).sum();
+            assert_eq!(
+                net.metrics().pull_replies,
+                pulled,
+                "every arrived request was answered and the answer charged"
+            );
+            // ~50% of requests arrive; the old engine charged only the ~25%
+            // of pulls where both legs survived.
+            assert!(
+                (800..=1200).contains(&pulled),
+                "~half the requests arrive, got {pulled}"
+            );
+            assert!(
+                delivered < net.metrics().pull_replies,
+                "some charged replies were lost in flight ({delivered} delivered)"
+            );
+        }
     }
 
     #[test]
@@ -1574,24 +1348,26 @@ mod tests {
     fn traffic_bandwidth_budget_counts_drops() {
         // 8 rumors all front-loaded, budget 1: contention must show up
         // as budget drops, and completion still happens eventually.
-        let mut net: Network<St> = Network::new(16, 35);
-        net.set_traffic(
-            TrafficConfig {
-                rumors: 8,
-                arrival_rate: 100.0,
-                bandwidth: 1,
-                ..TrafficConfig::default()
-            },
-            256,
-            8,
-        );
-        for _ in 0..200 {
-            everyone_pushes(&mut net);
+        for engine in engines() {
+            let mut net = net_on(&engine, 16, 35);
+            net.set_traffic(
+                TrafficConfig {
+                    rumors: 8,
+                    arrival_rate: 100.0,
+                    bandwidth: 1,
+                    ..TrafficConfig::default()
+                },
+                256,
+                8,
+            );
+            for _ in 0..200 {
+                everyone_pushes(&mut net);
+            }
+            let m = net.metrics();
+            assert_eq!(m.rumors_started, 8);
+            assert_eq!(m.rumors_completed, 8, "budget delays, not prevents");
+            assert!(m.budget_drops > 0, "8 rumors over budget-1 links contend");
         }
-        let m = net.metrics();
-        assert_eq!(m.rumors_started, 8);
-        assert_eq!(m.rumors_completed, 8, "budget delays, not prevents");
-        assert!(m.budget_drops > 0, "8 rumors over budget-1 links contend");
     }
 
     #[test]
@@ -1619,14 +1395,16 @@ mod tests {
 
     #[test]
     fn trace_records_pushes() {
-        let mut net: Network<St> = Network::new(4, 8);
-        net.enable_trace(100);
-        everyone_pushes(&mut net);
-        assert_eq!(net.trace().events().len(), 4);
-        assert!(net
-            .trace()
-            .events()
-            .iter()
-            .all(|e| e.kind == EventKind::Push));
+        for engine in engines() {
+            let mut net = net_on(&engine, 4, 8);
+            net.enable_trace(100);
+            everyone_pushes(&mut net);
+            assert_eq!(net.trace().events().len(), 4);
+            assert!(net
+                .trace()
+                .events()
+                .iter()
+                .all(|e| e.kind == EventKind::Push));
+        }
     }
 }

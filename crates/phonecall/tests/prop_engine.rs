@@ -202,6 +202,77 @@ proptest! {
         prop_assert!(t1.to_bits() != t3.to_bits(), "different seeds must differ");
     }
 
+    /// The charging rules hold under either engine: over random mixes of
+    /// pushes, pulls and idling, to random, direct and unknown addresses,
+    /// with loss, dead nodes and part-silent responders, every round obeys
+    /// the conservation laws. And charging does not depend on the
+    /// schedule: when every contact is engine-independent (direct
+    /// targets, no loss) and responders are silent-or-constant, the two
+    /// engines charge the same messages and bits.
+    #[test]
+    fn charging_laws_hold_under_both_engines(
+        n in 2usize..150,
+        seed in 0u64..10_000,
+        rounds in 1u64..5,
+        loss_quarters in 0u32..4,
+        dead_frac in 0u32..50,
+        random_targets in any::<bool>(),
+    ) {
+        use phonecall::{AsyncConfig, Engine, Metrics, NodeId};
+        let loss = f64::from(loss_quarters) * 0.25;
+        let mix = |i: u32, round: u64, salt: u64| {
+            phonecall::derive_seed(seed ^ salt, u64::from(i) << 8 | round)
+        };
+        let run = |engine: Engine| -> Metrics {
+            let mut net: Network<St> = Network::new(n, seed);
+            net.set_engine(engine, seed);
+            net.set_message_loss(loss);
+            net.apply_failures(&FailurePlan::random(n, n * dead_frac as usize / 100, seed));
+            let ids: Vec<NodeId> = (0..n as u32).map(|i| net.id_of(phonecall::NodeIdx(i))).collect();
+            for (i, s) in net.states_mut().iter_mut().enumerate() {
+                s.got = u32::from(i % 3 == 0); // marks the silent responders
+            }
+            for _ in 0..rounds {
+                net.round(
+                    |ctx, _rng| {
+                        let h = mix(ctx.idx.0, ctx.round, 1);
+                        let to = match h % 8 {
+                            0 if random_targets => Target::Random,
+                            1 => Target::Direct(NodeId::from_raw(h)), // unknown address
+                            _ => Target::Direct(ids[(h >> 8) as usize % n]),
+                        };
+                        match mix(ctx.idx.0, ctx.round, 2) % 3 {
+                            0 => Action::Push { to, msg: Blob(h % 64) },
+                            1 => Action::Pull { to },
+                            _ => Action::Idle,
+                        }
+                    },
+                    |s| (s.got == 0).then_some(Blob(24)),
+                    |s, d| if let Delivery::PulledBy(_) = d { s.replies += 1 },
+                );
+            }
+            net.metrics().clone()
+        };
+        let header = phonecall::header_bits(n);
+        let [sync, asynch] = [Engine::Sync, Engine::Async(AsyncConfig::default())].map(run);
+        for m in [&sync, &asynch] {
+            prop_assert_eq!(m.messages, m.pushes + m.pull_requests + m.pull_replies);
+            prop_assert_eq!(m.payload_messages, m.pushes + m.pull_replies);
+            prop_assert!(m.bits >= m.messages * header);
+            prop_assert!(m.pull_replies <= m.pull_requests);
+            for r in &m.per_round {
+                prop_assert!(r.max_fan_in <= 1 + r.messages);
+                prop_assert!(r.bits >= r.messages * header);
+            }
+        }
+        if loss == 0.0 && !random_targets {
+            prop_assert_eq!(
+                (sync.messages, sync.bits, sync.pushes, sync.pull_requests, sync.pull_replies),
+                (asynch.messages, asynch.bits, asynch.pushes, asynch.pull_requests, asynch.pull_replies)
+            );
+        }
+    }
+
     /// Fan-in never exceeds the number of communications physically
     /// possible, and per-round stats sum to the aggregate metrics.
     #[test]

@@ -52,7 +52,7 @@ fn committed_registry_matches_fresh_extraction() {
          `cargo run -p gossip-lint --release -- --update-registry`"
     );
     // And the engine's reserved labels really are claimed in the
-    // registry: the wiring in sim.rs owns streams 3..=6.
+    // registry: sim.rs owns stream 3, `CommonConfig::network` 4..=6.
     for label in ["\tseed\t3\t", "\tseed\t4\t", "\tseed\t5\t", "\tseed\t6\t"] {
         assert!(
             committed.contains(label),
