@@ -2,7 +2,7 @@
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Network, NodeId, Wire};
+use phonecall::{BitSet, Network, Wire};
 
 /// Node state for the rumor-spreading baselines.
 #[derive(Clone, Debug, Default)]
@@ -24,10 +24,16 @@ pub enum BaselineMsg {
         /// Rumor payload size in bits.
         bits: u64,
     },
-    /// A list of node IDs (Name-Dropper's knowledge transfer).
-    IdList {
-        /// The transferred IDs.
-        ids: Vec<NodeId>,
+    /// A list of node IDs (Name-Dropper's knowledge transfer), held as
+    /// a snapshot of the sender's knowledge row: bit `r` stands for the
+    /// run's `r`-th smallest ID. The simulated wire still carries the
+    /// IDs themselves, `listed` of them.
+    IdRow {
+        /// The sender's knowledge at send time, by ID rank.
+        row: BitSet,
+        /// IDs on the wire: every member of `row`, plus the sender's own
+        /// ID once more as the list's closing entry.
+        listed: u64,
         /// Per-ID wire width in bits.
         id_bits: u64,
     },
@@ -38,7 +44,9 @@ impl Wire for BaselineMsg {
         match self {
             // birth counter costs one ID-width slot (O(log n) bits).
             BaselineMsg::Rumor { bits, .. } => bits + 32,
-            BaselineMsg::IdList { ids, id_bits } => 16 + ids.len() as u64 * id_bits,
+            BaselineMsg::IdRow {
+                listed, id_bits, ..
+            } => 16 + listed * id_bits,
         }
     }
 }
@@ -113,8 +121,10 @@ mod tests {
             bits: 100,
         };
         assert_eq!(rumor.size_bits(), 132);
-        let ids = BaselineMsg::IdList {
-            ids: vec![NodeId::from_raw(1)],
+        // Charged by the IDs listed, not by the row's width in words.
+        let ids = BaselineMsg::IdRow {
+            row: BitSet::new(4096),
+            listed: 1,
             id_bits: 20,
         };
         assert_eq!(ids.size_bits(), 36);

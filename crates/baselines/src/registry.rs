@@ -173,11 +173,13 @@ impl Algorithm for NameDropperAlgo {
                 }
             }
         }
-        Ok(name_dropper::run_report(
-            scenario.n(),
-            topology,
-            scenario.common(),
-        ))
+        let n = scenario.n();
+        if n < 2 {
+            return Err(ParamError(format!(
+                "scenario size \"n\" wants at least 2 for NameDropper (discovery needs someone to discover), got {n}"
+            )));
+        }
+        Ok(name_dropper::run_report(n, topology, scenario.common()))
     }
 }
 
@@ -332,6 +334,22 @@ mod tests {
         for algo in all() {
             assert!(msg.contains(algo.name()), "{msg} missing {}", algo.name());
         }
+    }
+
+    #[test]
+    fn name_dropper_names_n_when_the_network_is_too_small() {
+        for n in [0, 1] {
+            let err = NAME_DROPPER
+                .run_with_params(&Scenario::broadcast(n), &Value::empty())
+                .unwrap_err();
+            assert!(
+                err.0.contains("\"n\"") && err.0.contains(&format!("got {n}")),
+                "{err:?}"
+            );
+        }
+        assert!(NAME_DROPPER
+            .run_with_params(&Scenario::broadcast(2), &Value::empty())
+            .is_ok());
     }
 
     #[test]
