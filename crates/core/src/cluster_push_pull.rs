@@ -126,12 +126,11 @@ fn share_with_epoch(sim: &mut ClusterSim, epoch: u32) {
 fn uninformed_pull_round(sim: &mut ClusterSim, epoch: u32) {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    for s in sim.net.states_mut() {
-        s.response = if s.informed {
-            Some(Msg::new(MsgKind::Rumor, id_bits, rumor_bits))
-        } else {
-            None
-        };
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
+        if s.informed {
+            replies.set(s.idx, Msg::new(MsgKind::Rumor, id_bits, rumor_bits));
+        }
     }
     sim.net.round(
         |ctx, _rng| {
@@ -141,7 +140,7 @@ fn uninformed_pull_round(sim: &mut ClusterSim, epoch: u32) {
                 Action::Pull { to: Target::Random }
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if msg.kind == MsgKind::Rumor {
@@ -150,8 +149,8 @@ fn uninformed_pull_round(sim: &mut ClusterSim, epoch: u32) {
             }
         },
     );
+    replies.clear();
     for s in sim.net.states_mut() {
-        s.response = None;
         if s.informed && s.informed_at.is_none() {
             s.informed_at = Some(epoch);
         }

@@ -49,14 +49,17 @@ pub struct SuccessTest {
 pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let arena = &sim.arena;
+    let (arena, replies) = (&sim.arena, &mut sim.replies);
     let r0 = sim.net.metrics().rounds;
 
     // Round 1: probe. Uses the recruit inbox as the "saw uninformed" flag
     // carrier: an empty reply cannot happen (respond always answers), so
     // the flag is exactly Coin(false) replies.
     for s in sim.net.states_mut() {
-        s.response = Some(Msg::new(MsgKind::Coin(s.informed), id_bits, rumor_bits));
+        replies.set(
+            s.idx,
+            Msg::new(MsgKind::Coin(s.informed), id_bits, rumor_bits),
+        );
         arena.clear(&mut s.inbox);
     }
     sim.net.round(
@@ -67,7 +70,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if msg.kind == MsgKind::Coin(false) {
@@ -103,12 +106,11 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
 
     // Round 3: verdict down. A leader that saw any flag (its own probe or
     // a relayed one) declares failure.
-    for s in sim.net.states_mut() {
+    replies.clear();
+    for s in sim.net.states() {
         if s.is_leader() {
             let ok = s.inbox.is_empty();
-            s.response = Some(Msg::new(MsgKind::Coin(ok), id_bits, rumor_bits));
-        } else {
-            s.response = None;
+            replies.set(s.idx, Msg::new(MsgKind::Coin(ok), id_bits, rumor_bits));
         }
     }
     sim.net.round(
@@ -121,7 +123,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::Coin(ok) = msg.kind {
@@ -133,6 +135,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
             }
         },
     );
+    replies.clear();
 
     // Engine-side readout: the verdict at the largest cluster's leader.
     let verdict = sim
@@ -144,7 +147,6 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
         .unwrap_or(false);
     for s in sim.net.states_mut() {
         arena.clear(&mut s.inbox);
-        s.response = None;
     }
     SuccessTest {
         verdict,

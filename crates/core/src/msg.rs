@@ -9,6 +9,21 @@
 //! Message sizes depend on the run (ID width scales with `log n`, the rumor
 //! is `b` bits), so messages are built by [`crate::sim::ClusterSim`], which
 //! stamps each [`MsgKind`] with its exact size at construction.
+//!
+//! # Layout
+//!
+//! A [`Msg`] is 32 bytes and `Option<Msg>` is no larger (the enum tag has
+//! spare values): the engine keeps a column of each per round, and
+//! [`crate::sim::ClusterSim`] one prepared response per node. Every
+//! variant therefore fits 16 payload bytes — counts of nodes are `u32`
+//! (`n` fits one), variable-length payloads are thin boxed slices. A pull
+//! response is a **pre-round snapshot** that `respond` clones once per
+//! puller, so the one heap payload a response can carry
+//! ([`MsgKind::Leaders`]) is shared behind an `Rc`: a clone is a counter
+//! bump, not a copy of the ID list. (`Rc`, not `Arc`: a simulation never
+//! leaves its thread.)
+
+use std::rc::Rc;
 
 use phonecall::{NodeId, Wire};
 use serde::{Deserialize, Serialize};
@@ -20,17 +35,17 @@ pub enum MsgKind {
     /// implicitly; one ID charged).
     MemberId(NodeId),
     /// Member → leader: relayed recruit candidates received this iteration.
-    Candidates(Vec<NodeId>),
+    Candidates(Box<[NodeId]>),
     /// Cluster PUSH: "join / merge into the cluster led by this ID".
     Recruit(NodeId),
     /// Leader → followers (`ClusterResize` response): the new leader IDs,
     /// plus the leader's estimate of each new cluster's size so growth
     /// tracking survives the split.
     Leaders {
-        /// New leader IDs, ascending.
-        ids: Vec<NodeId>,
+        /// New leader IDs, ascending; shared by every puller's copy.
+        ids: Rc<[NodeId]>,
         /// Estimated size of each new piece.
-        piece_size: u64,
+        piece_size: u32,
     },
     /// Leader → followers: the current follow value (merge target, dissolve
     /// verdict, or pointer-jumping step). `None` encodes `∞`.
@@ -39,7 +54,7 @@ pub enum MsgKind {
     /// keep-recruiting verdict (Cluster2's growth control).
     SizeReport {
         /// Measured size.
-        size: u64,
+        size: u32,
         /// Whether the cluster remains active.
         active: bool,
     },
@@ -57,10 +72,10 @@ pub enum MsgKind {
         /// The advertised cluster's leader.
         leader: NodeId,
         /// The advertised cluster's size as known to the responder.
-        size: u64,
+        size: u32,
     },
     /// Relayed cluster advertisements (member -> leader).
-    Ads(Vec<(NodeId, u64)>),
+    Ads(Box<[(NodeId, u32)]>),
 }
 
 impl MsgKind {
@@ -121,6 +136,31 @@ mod tests {
     }
 
     #[test]
+    fn a_message_is_32_bytes_and_its_option_is_free() {
+        // The engine's `push_msg` / `responses` columns and the per-node
+        // prepared responses are sized by these two.
+        assert!(std::mem::size_of::<Msg>() <= 32);
+        assert_eq!(
+            std::mem::size_of::<Option<Msg>>(),
+            std::mem::size_of::<Msg>()
+        );
+    }
+
+    #[test]
+    fn cloning_a_leaders_reply_shares_the_id_list() {
+        let ids: Rc<[NodeId]> = vec![NodeId::from_raw(1), NodeId::from_raw(2)].into();
+        let kind = MsgKind::Leaders {
+            ids: ids.clone(),
+            piece_size: 5,
+        };
+        let copy = Msg::new(kind, ID, B).clone();
+        let MsgKind::Leaders { ids: copied, .. } = copy.kind else {
+            panic!("a clone keeps its kind");
+        };
+        assert!(Rc::ptr_eq(&ids, &copied));
+    }
+
+    #[test]
     fn single_id_messages_cost_one_id() {
         let id = NodeId::from_raw(1);
         assert_eq!(bits(MsgKind::MemberId(id)), ID);
@@ -135,9 +175,12 @@ mod tests {
             NodeId::from_raw(2),
             NodeId::from_raw(3),
         ];
-        assert_eq!(bits(MsgKind::Candidates(ids.clone())), 16 + 3 * ID);
+        assert_eq!(bits(MsgKind::Candidates(ids.clone().into())), 16 + 3 * ID);
         assert_eq!(
-            bits(MsgKind::Leaders { ids, piece_size: 5 }),
+            bits(MsgKind::Leaders {
+                ids: ids.into(),
+                piece_size: 5
+            }),
             16 + 3 * ID + ID
         );
     }
@@ -152,7 +195,7 @@ mod tests {
             }),
             2 * ID
         );
-        assert_eq!(bits(MsgKind::Ads(vec![(id, 1), (id, 2)])), 16 + 4 * ID);
+        assert_eq!(bits(MsgKind::Ads([(id, 1), (id, 2)].into())), 16 + 4 * ID);
     }
 
     #[test]

@@ -1,79 +1,81 @@
-//! Per-node algorithm state.
+//! Per-node algorithm state: one cache line of protocol state per node.
+//!
+//! [`Network::round`](phonecall::Network::round) activates every alive
+//! node every round, and in most rounds most nodes send nothing (three
+//! quarters of Cluster2's node-rounds are idle), so the bytes `decide`
+//! drags through the cache per idle node are a first-order cost. A
+//! [`ClusterNode`] therefore holds only what the paper's protocol reads
+//! and writes — `follow`, activation, informedness, the cluster size —
+//! plus the node's own index and the 12-byte recruit inbox handle: 64
+//! bytes, the size of a cache line, so an activation touches at most two
+//! lines. (The size of a line, deliberately not `#[repr(align(64))]`:
+//! glibc serves an over-aligned megabyte from the heap rather than by
+//! `mmap`, and a process that builds and drops many simulations then
+//! fragments — 3× the peak RSS on the benchmark's `async_latency`.)
+//!
+//! What a *primitive* needs only while it runs — leader member lists,
+//! merge candidates, the prepared pull response — is not here. It lives
+//! in [`ClusterSim`](crate::sim::ClusterSim)-owned storage keyed by
+//! [`ClusterNode::idx`] (see [`crate::sim`]).
 
-use phonecall::NodeId;
+use phonecall::{NodeId, NodeIdx};
 
-use crate::arena::{Arena, List};
+use crate::arena::List;
 use crate::follow::Follow;
-use crate::msg::Msg;
 
 /// The state a node carries through any of the cluster algorithms.
 ///
-/// Fields fall into three groups: the *protocol* state the paper describes
-/// (`follow`, activation, informedness), *leader* working memory (member
-/// lists, merge candidates, the prepared pull response), and per-primitive
-/// scratch (the recruit inbox). Everything here is node-local; algorithms
-/// only read other nodes' state through simulated messages.
+/// Everything here is node-local; algorithms only read other nodes' state
+/// through simulated messages.
 #[derive(Clone, Debug)]
 pub struct ClusterNode {
     /// This node's own wire ID.
     pub id: NodeId,
     /// The clustering variable of Section 3.1.
     pub follow: Follow,
+    /// This node's own dense index: the key into the
+    /// [`ClusterSim`](crate::sim::ClusterSim)'s per-node scratch. Engine
+    /// bookkeeping, never put on the wire.
+    pub idx: NodeIdx,
     /// Whether this node's cluster is currently activated
     /// (`ClusterActivate`); also used as the "keep recruiting" flag in the
     /// growth-controlled phases.
     pub active: bool,
     /// Whether this node knows the rumor.
     pub informed: bool,
+    /// Set when this node's cluster merged and its pointer may be one hop
+    /// stale (restricts flattening pulls to affected nodes).
+    pub needs_flatten: bool,
+    /// Last measured cluster size (leader: measured; follower: last value
+    /// pulled from the leader). A node count, so `u32` like `n`.
+    pub size: u32,
+    /// Cluster size at the previous measurement, for growth-rate stopping
+    /// rules.
+    pub prev_size: u32,
     /// Iteration at which this node's cluster became informed
     /// (ClusterPushPull's "newly informed" tracking).
     pub informed_at: Option<u32>,
-
     /// Recruit/candidate IDs received via random pushes this iteration.
     /// A 12-byte handle into the [`ClusterSim`](crate::sim::ClusterSim)'s
     /// shared ID arena, not a per-node `Vec`.
     pub inbox: List,
-    /// Leader: member IDs collected in the latest collect round (includes
-    /// the leader itself). Arena-backed, like `inbox`.
-    pub members: List,
-    /// Leader: merge candidates relayed by members this iteration.
-    /// Arena-backed, like `inbox`.
-    pub candidates: List,
-    /// Cluster advertisements `(leader, size)` gathered during
-    /// consolidation pulls.
-    pub ads: Vec<(NodeId, u64)>,
-    /// Set when this node's cluster merged and its pointer may be one hop
-    /// stale (restricts flattening pulls to affected nodes).
-    pub needs_flatten: bool,
-    /// The prepared address-oblivious pull response for the current round.
-    pub response: Option<Msg>,
-
-    /// Last measured cluster size (leader: measured; follower: last value
-    /// pulled from the leader).
-    pub size: u64,
-    /// Cluster size at the previous measurement, for growth-rate stopping
-    /// rules.
-    pub prev_size: u64,
 }
 
 impl ClusterNode {
-    /// Fresh, unclustered, uninformed node state.
+    /// Fresh, unclustered, uninformed state for the node at `idx`.
     #[must_use]
-    pub fn new(id: NodeId) -> Self {
+    pub fn new(idx: NodeIdx, id: NodeId) -> Self {
         ClusterNode {
             id,
             follow: Follow::Unclustered,
+            idx,
             active: false,
             informed: false,
-            informed_at: None,
-            inbox: List::default(),
-            members: List::default(),
-            candidates: List::default(),
-            ads: Vec::new(),
             needs_flatten: false,
-            response: None,
             size: 1,
             prev_size: 1,
+            informed_at: None,
+            inbox: List::default(),
         }
     }
 
@@ -107,47 +109,35 @@ impl ClusterNode {
         self.size = 1;
         self.prev_size = 1;
     }
-
-    /// Clears all per-primitive scratch buffers, returning the
-    /// arena-backed lists' chunks to `arena`'s freelist.
-    pub fn clear_scratch(&mut self, arena: &Arena<NodeId>) {
-        arena.clear(&mut self.inbox);
-        arena.clear(&mut self.members);
-        arena.clear(&mut self.candidates);
-        self.ads.clear();
-        self.response = None;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn node(raw: u64) -> ClusterNode {
+        ClusterNode::new(NodeIdx(0), NodeId::from_raw(raw))
+    }
+
     #[test]
-    fn scratch_lists_are_handles_not_vecs() {
-        // The million-node budget: the three scratch lists are 12-byte
-        // arena handles, not 24-byte `Vec` headers that each own a heap
-        // block. A regression back to owned containers (or a grown
-        // handle) shows up here before it shows up as 2^20 extra
-        // allocations in a profile.
+    fn a_node_is_one_cache_line() {
+        // The idle-activation budget: a round streams this struct once
+        // per alive node, so leader working memory and prepared responses
+        // stay out of it (they are `ClusterSim` scratch keyed by `idx`).
+        // A regression back to inline scratch shows up here before it
+        // shows up as a slower round at n = 2^19.
         assert_eq!(std::mem::size_of::<List>(), 12);
-        // 152 = the current layout: the arena swap bought 36 bytes of
-        // header (3×24-byte `Vec` → 3×12-byte `List`) plus the three
-        // per-node heap blocks those Vecs owned. The remaining bulk is
-        // the inline `Option<Msg>` response — boxing it would shrink the
-        // struct but cost one allocation per prepared response, which
-        // the steady-state-zero contract forbids.
         assert!(
-            std::mem::size_of::<ClusterNode>() <= 152,
-            "ClusterNode grew to {} bytes — the n=2^20 hot loop streams \
-             this struct; keep cold data behind the arena, not inline",
+            std::mem::size_of::<ClusterNode>() <= 64,
+            "ClusterNode grew to {} bytes — keep per-primitive scratch in \
+             ClusterSim, not inline",
             std::mem::size_of::<ClusterNode>()
         );
     }
 
     #[test]
     fn fresh_node_is_unclustered() {
-        let n = ClusterNode::new(NodeId::from_raw(1));
+        let n = node(1);
         assert!(!n.is_clustered());
         assert!(!n.is_leader());
         assert!(!n.is_follower());
@@ -156,7 +146,7 @@ mod tests {
 
     #[test]
     fn singleton_leader_roles() {
-        let mut n = ClusterNode::new(NodeId::from_raw(1));
+        let mut n = node(1);
         n.become_singleton_leader();
         assert!(n.is_leader());
         assert!(n.is_clustered());
@@ -166,24 +156,10 @@ mod tests {
 
     #[test]
     fn follower_roles() {
-        let mut n = ClusterNode::new(NodeId::from_raw(1));
+        let mut n = node(1);
         n.follow = Follow::Of(NodeId::from_raw(2));
         assert!(n.is_follower());
         assert!(!n.is_leader());
         assert_eq!(n.leader(), Some(NodeId::from_raw(2)));
-    }
-
-    #[test]
-    fn clear_scratch_resets_buffers() {
-        let arena = Arena::new(NodeId::from_raw(0));
-        let mut n = ClusterNode::new(NodeId::from_raw(1));
-        arena.push(&mut n.inbox, NodeId::from_raw(2));
-        arena.push(&mut n.members, NodeId::from_raw(3));
-        arena.push(&mut n.candidates, NodeId::from_raw(4));
-        n.ads.push((NodeId::from_raw(5), 3));
-        n.clear_scratch(&arena);
-        assert!(n.inbox.is_empty() && n.members.is_empty() && n.candidates.is_empty());
-        assert!(n.ads.is_empty());
-        assert!(n.response.is_none());
     }
 }

@@ -6,8 +6,6 @@ use rand::Rng;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::clear_responses;
-
 /// Initial sampling: every alive node independently becomes the leader of a
 /// fresh singleton cluster with probability `p` (Algorithms 1 and 2, first
 /// line of `GrowInitialClusters`). Purely node-local — zero rounds.
@@ -84,13 +82,15 @@ pub fn activate(sim: &mut ClusterSim, p: f64) {
         let s = &mut sim.net.states_mut()[i];
         if s.is_leader() {
             s.active = coin;
-            s.response = Some(Msg::new(MsgKind::Coin(coin), id_bits, rumor_bits));
+            sim.replies
+                .set(s.idx, Msg::new(MsgKind::Coin(coin), id_bits, rumor_bits));
         } else if !s.is_clustered() {
             s.active = false;
         }
     }
 
     // Followers pull the coin from their leader.
+    let replies = &sim.replies;
     sim.net.round(
         |ctx, _rng| {
             if ctx.state.is_follower() {
@@ -101,7 +101,7 @@ pub fn activate(sim: &mut ClusterSim, p: f64) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::Coin(b) = msg.kind {
@@ -110,7 +110,7 @@ pub fn activate(sim: &mut ClusterSim, p: f64) {
             }
         },
     );
-    clear_responses(sim);
+    sim.replies.clear();
 }
 
 #[cfg(test)]

@@ -16,17 +16,23 @@
 //! `O(#minority nodes)` messages plus one `ClusterSize` to make sizes
 //! consistent cluster-wide.
 
-use phonecall::{Action, Delivery, Target};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use phonecall::{Action, Delivery, NodeId, NodeIdx, Target};
 
 use crate::follow::Follow;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::{clear_responses, collect_members, size_round, Who};
+use super::{collect_members, size_round, Who};
+
+/// A cluster advertisement: leader ID and (approximate) cluster size.
+type Ad = (NodeId, u32);
 
 /// Total order on cluster advertisements: larger size wins, smaller
 /// leader ID breaks ties.
-fn beats(cand: (phonecall::NodeId, u64), own: (phonecall::NodeId, u64)) -> bool {
+fn beats(cand: Ad, own: Ad) -> bool {
     cand.1 > own.1 || (cand.1 == own.1 && cand.0 < own.0)
 }
 
@@ -43,61 +49,71 @@ pub fn consolidate(sim: &mut ClusterSim) {
     collect_members(sim, Who::AllClustered);
     size_round(sim, Who::AllClustered, None);
 
+    // The advertisements each node holds, by node index. Only members of
+    // minority clusters ever gather or receive any, so the map stays
+    // small; the `RefCell` lets the relay round's `decide` read a node's
+    // own ads while `deliver` files the relayed ones.
+    let ads: RefCell<BTreeMap<NodeIdx, Vec<Ad>>> = RefCell::default();
+    let file = |idx, new: &[Ad]| {
+        let mut ads = ads.borrow_mut();
+        ads.entry(idx).or_default().extend_from_slice(new);
+    };
+    let minority = |size: u32| 2 * u64::from(size) <= n;
+
     // Round 3: members of clusters that cannot be the majority pull a
     // random node; every clustered node responds with its cluster's ad.
-    for s in sim.net.states_mut() {
-        s.ads.clear();
-        s.response = if s.is_clustered() {
-            Some(Msg::new(
-                MsgKind::ClusterAd {
-                    leader: s.leader().expect("clustered"),
-                    size: s.size,
-                },
-                id_bits,
-                rumor_bits,
-            ))
-        } else {
-            None
-        };
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
+        if let Some(leader) = s.leader() {
+            let ad = MsgKind::ClusterAd {
+                leader,
+                size: s.size,
+            };
+            replies.set(s.idx, Msg::new(ad, id_bits, rumor_bits));
+        }
     }
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
-            if s.is_clustered() && 2 * s.size <= n {
+            if s.is_clustered() && minority(s.size) {
                 Action::<Msg>::Pull { to: Target::Random }
             } else {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::ClusterAd { leader, size } = msg.kind {
-                    s.ads.push((leader, size));
+                    file(s.idx, &[(leader, size)]);
                 }
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 
     // Round 4: relay gathered ads to the leader.
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
-            if s.is_follower() && !s.ads.is_empty() {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::Ads(s.ads.clone()), id_bits, rumor_bits),
-                }
+            let own = if s.is_follower() {
+                ads.borrow().get(&s.idx).map(|own| own.as_slice().into())
             } else {
-                Action::Idle
+                None
+            };
+            match own {
+                Some(own) => Action::Push {
+                    to: Target::Direct(s.leader().expect("follower has leader")),
+                    msg: Msg::new(MsgKind::Ads(own), id_bits, rumor_bits),
+                },
+                None => Action::Idle,
             }
         },
         |_s| None,
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Ads(v) = msg.kind {
-                    s.ads.extend(v);
+                    file(s.idx, &v);
                 }
             }
         },
@@ -105,15 +121,16 @@ pub fn consolidate(sim: &mut ClusterSim) {
 
     // Round 5: minority leaders merge into the best advertisement that
     // beats their own cluster; their followers pull the verdict.
+    let ads = ads.into_inner();
     for s in sim.net.states_mut() {
         if !s.is_leader() {
-            s.ads.clear();
             continue;
         }
         let own = (s.id, s.size);
-        let best = s
-            .ads
-            .iter()
+        let best = ads
+            .get(&s.idx)
+            .into_iter()
+            .flatten()
             .copied()
             .filter(|c| c.0 != s.id)
             .max_by(|a, b| {
@@ -121,24 +138,22 @@ pub fn consolidate(sim: &mut ClusterSim) {
             });
         let mut verdict = s.id;
         if let Some(b) = best {
-            if 2 * s.size <= n && beats(b, own) {
+            if minority(s.size) && beats(b, own) {
                 verdict = b.0;
                 s.follow = Follow::Of(verdict);
                 s.needs_flatten = true;
             }
         }
-        s.response = Some(Msg::new(
-            MsgKind::FollowVal(Some(verdict)),
-            id_bits,
-            rumor_bits,
-        ));
-        s.ads.clear();
+        replies.set(
+            s.idx,
+            Msg::new(MsgKind::FollowVal(Some(verdict)), id_bits, rumor_bits),
+        );
     }
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
             // Only minority-cluster followers need the verdict.
-            if s.is_follower() && 2 * s.size <= n {
+            if s.is_follower() && minority(s.size) {
                 Action::<Msg>::Pull {
                     to: Target::Direct(s.leader().expect("follower has leader")),
                 }
@@ -146,7 +161,7 @@ pub fn consolidate(sim: &mut ClusterSim) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(Some(v)) = msg.kind {
@@ -158,16 +173,15 @@ pub fn consolidate(sim: &mut ClusterSim) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 
     // Round 6: flatten, restricted to pointers that actually moved (chains
     // arise when the merge target itself merged in the same sweep).
-    for s in sim.net.states_mut() {
-        s.response = Some(Msg::new(
-            MsgKind::FollowVal(s.follow.leader()),
-            id_bits,
-            rumor_bits,
-        ));
+    for s in sim.net.states() {
+        replies.set(
+            s.idx,
+            Msg::new(MsgKind::FollowVal(s.follow.leader()), id_bits, rumor_bits),
+        );
     }
     sim.net.round(
         |ctx, _rng| {
@@ -180,7 +194,7 @@ pub fn consolidate(sim: &mut ClusterSim) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(v) = msg.kind {
@@ -189,7 +203,7 @@ pub fn consolidate(sim: &mut ClusterSim) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
     for s in sim.net.states_mut() {
         s.needs_flatten = false;
     }
@@ -210,11 +224,11 @@ mod tests {
         let small_leader = s.net.id_of(NodeIdx((n - 1) as u32));
         for i in 0..big {
             s.net.states_mut()[i].follow = Follow::Of(big_leader);
-            s.net.states_mut()[i].size = big as u64;
+            s.net.states_mut()[i].size = big as u32;
         }
         for i in (n - small)..n {
             s.net.states_mut()[i].follow = Follow::Of(small_leader);
-            s.net.states_mut()[i].size = small as u64;
+            s.net.states_mut()[i].size = small as u32;
         }
         s
     }

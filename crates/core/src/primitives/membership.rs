@@ -5,7 +5,7 @@ use phonecall::{Action, Delivery, Target};
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::{clear_responses, Who};
+use super::Who;
 
 /// Growth-control verdict parameters (Cluster2's stopping rule: deactivate
 /// a cluster that is already large but no longer roughly doubling).
@@ -22,12 +22,13 @@ pub struct GrowControl {
 /// follower (of a cluster selected by `who`) pushes its ID to its leader;
 /// leaders collect the membership (including themselves). One round.
 pub fn collect_members(sim: &mut ClusterSim, who: Who) {
-    let arena = &sim.arena;
+    let (arena, leaders) = (&sim.arena, &mut sim.leaders);
     // Leaders reset their member list and count themselves.
     for s in sim.net.states_mut() {
         if s.is_leader() && who.selects(true, s.active) {
-            arena.clear(&mut s.members);
-            arena.push(&mut s.members, s.id);
+            let members = &mut leaders.row(s.idx).members;
+            arena.clear(members);
+            arena.push(members, s.id);
         }
     }
     let id_bits = sim.id_bits;
@@ -48,7 +49,7 @@ pub fn collect_members(sim: &mut ClusterSim, who: Who) {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::MemberId(m) = msg.kind {
-                    arena.push(&mut s.members, m);
+                    arena.push(&mut leaders.row(s.idx).members, m);
                 }
             }
         },
@@ -64,15 +65,16 @@ pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) 
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
     let mut deactivated = 0;
+    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for s in sim.net.states_mut() {
         if !(s.is_leader() && who.selects(true, s.active)) {
             continue;
         }
-        let size = s.members.len() as u64;
+        let size = leaders.row(s.idx).members.len() as u32;
         let mut stay_active = s.active;
         if let Some(ctl) = control {
-            let growth = size as f64 / s.prev_size.max(1) as f64;
-            if size >= ctl.cap && growth < ctl.stall_factor {
+            let growth = f64::from(size) / f64::from(s.prev_size.max(1));
+            if u64::from(size) >= ctl.cap && growth < ctl.stall_factor {
                 stay_active = false;
                 deactivated += 1;
             }
@@ -80,14 +82,17 @@ pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) 
         s.prev_size = size;
         s.size = size;
         s.active = stay_active;
-        s.response = Some(Msg::new(
-            MsgKind::SizeReport {
-                size,
-                active: stay_active,
-            },
-            id_bits,
-            rumor_bits,
-        ));
+        replies.set(
+            s.idx,
+            Msg::new(
+                MsgKind::SizeReport {
+                    size,
+                    active: stay_active,
+                },
+                id_bits,
+                rumor_bits,
+            ),
+        );
     }
     sim.net.round(
         |ctx, _rng| {
@@ -100,7 +105,7 @@ pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) 
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::SizeReport { size, active } = msg.kind {
@@ -111,7 +116,7 @@ pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) 
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
     deactivated
 }
 
@@ -137,7 +142,7 @@ mod tests {
     fn cluster_size_measures_exactly() {
         let mut s = cluster_of(32, 10);
         collect_members(&mut s, Who::AllClustered);
-        assert_eq!(s.net.states()[0].members.len(), 10);
+        assert_eq!(s.leaders.row(NodeIdx(0)).members.len(), 10);
         size_round(&mut s, Who::AllClustered, None);
         for i in 0..10 {
             assert_eq!(s.net.states()[i].size, 10, "member {i} learned the size");

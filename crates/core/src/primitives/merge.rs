@@ -22,7 +22,7 @@ use crate::follow::Follow;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::{clear_responses, flatten_round, Who};
+use super::{flatten_round, Who};
 
 /// How a merging leader picks among relayed candidates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,7 +58,8 @@ pub struct MergeOpts {
 pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let arena = &sim.arena;
+    let n = sim.n();
+    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
 
     // Round 1: pushing clusters PUSH their cluster ID to random nodes.
     sim.net.round(
@@ -91,8 +92,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     };
     for s in sim.net.states_mut() {
         if s.is_leader() && eligible(s) {
-            let mut own_inbox = std::mem::take(&mut s.inbox);
-            arena.append(&mut s.candidates, &mut own_inbox);
+            arena.append(&mut leaders.row(s.idx).candidates, &mut s.inbox);
         }
     }
     sim.net.round(
@@ -102,7 +102,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
                 Action::Push {
                     to: Target::Direct(s.leader().expect("follower has leader")),
                     msg: Msg::new(
-                        MsgKind::Candidates(arena.to_vec(&s.inbox)),
+                        MsgKind::Candidates(arena.to_vec(&s.inbox).into()),
                         id_bits,
                         rumor_bits,
                     ),
@@ -115,31 +115,30 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Candidates(v) = msg.kind {
-                    arena.extend(&mut s.candidates, v);
+                    arena.extend(&mut leaders.row(s.idx).candidates, v.iter().copied());
                 }
             }
         },
     );
-    for s in sim.net.states_mut() {
-        arena.clear(&mut s.inbox);
-    }
 
     // Round 3: merge-eligible leaders decide and everyone pulls the verdict.
-    for i in 0..sim.n() {
+    for i in 0..n {
         // (split borrow: draw randomness before touching the state)
         let pick_random: f64 = sim.rng.gen();
         let s = &mut sim.net.states_mut()[i];
+        // Relayed or not, this iteration's inbox is spent.
+        if !s.inbox.is_empty() {
+            arena.clear(&mut s.inbox);
+        }
         if !s.is_leader() {
             continue;
         }
         let mut target = None;
-        if eligible(s) && !s.candidates.is_empty() {
+        let candidates = &leaders.row(s.idx).candidates;
+        if eligible(s) && !candidates.is_empty() {
             let own = s.id;
-            let mut cands: Vec<_> = arena
-                .to_vec(&s.candidates)
-                .into_iter()
-                .filter(|c| *c != own && (!opts.smaller_only || *c < own))
-                .collect();
+            let mut cands = arena.to_vec(candidates);
+            cands.retain(|c| *c != own && (!opts.smaller_only || *c < own));
             match opts.rule {
                 MergeRule::Smallest => target = cands.iter().copied().min(),
                 MergeRule::Random => {
@@ -153,18 +152,21 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
             }
         }
         let verdict = target.unwrap_or(s.id);
-        s.response = Some(Msg::new(
-            MsgKind::FollowVal(Some(verdict)),
-            id_bits,
-            rumor_bits,
-        ));
+        replies.set(
+            s.idx,
+            Msg::new(MsgKind::FollowVal(Some(verdict)), id_bits, rumor_bits),
+        );
         if target.is_some() {
             s.follow = Follow::Of(verdict);
             if opts.mark_merged_active {
                 s.active = true;
             }
         }
-        arena.clear(&mut s.candidates);
+    }
+    // Whatever was relayed is spent — including what stale pointers sent
+    // to nodes that lead nothing.
+    for row in leaders.rows_mut() {
+        arena.clear(&mut row.candidates);
     }
     let mark_active = opts.mark_merged_active;
     sim.net.round(
@@ -177,7 +179,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(Some(v)) = msg.kind {
@@ -191,11 +193,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
             }
         },
     );
-    for s in sim.net.states_mut() {
-        arena.clear(&mut s.candidates);
-        arena.clear(&mut s.inbox);
-    }
-    clear_responses(sim);
+    replies.clear();
 }
 
 /// `MergeAllClusters`: repeatedly merge every cluster into the smallest

@@ -41,6 +41,8 @@ pub use recruit::{
 pub use reshape::{dissolve, resize};
 pub use share::{flatten_round, share_rumor, unclustered_pull_round};
 
+use std::rc::Rc;
+
 use phonecall::NodeId;
 
 /// Which clustered nodes participate in a push.
@@ -74,12 +76,19 @@ pub(crate) fn smallest_geq(candidates: &[NodeId], own: NodeId) -> Option<NodeId>
         .or_else(|| candidates.iter().copied().max())
 }
 
-/// Clears the `response` buffer of every node (between respond-rounds, so
-/// stale responses can never leak into a later primitive).
-pub(crate) fn clear_responses(sim: &mut crate::sim::ClusterSim) {
-    for s in sim.net.states_mut() {
-        s.response = None;
-    }
+/// The `ClusterResize` grouping rule: `members` split into `k` contiguous
+/// groups by ascending ID (sizes differing by at most one); the largest ID
+/// of each group leads it. Returns the new leader IDs, ascending.
+pub(crate) fn group_leaders(mut members: Vec<NodeId>, k: usize) -> Rc<[NodeId]> {
+    members.sort_unstable();
+    let (base, extra) = (members.len() / k, members.len() % k);
+    let mut at = 0usize;
+    (0..k)
+        .map(|g| {
+            at += base + usize::from(g < extra);
+            members[at - 1]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -100,6 +109,17 @@ mod tests {
         // Defensive fallback: own above all leaders.
         assert_eq!(smallest_geq(&leaders, id(31)), Some(id(30)));
         assert_eq!(smallest_geq(&[], id(1)), None);
+    }
+
+    #[test]
+    fn group_leaders_are_the_largest_of_contiguous_groups() {
+        let members: Vec<_> = [70, 10, 40, 20, 60, 30, 50].map(id).into();
+        // 7 into 3: sizes 3, 2, 2 over the ascending IDs.
+        assert_eq!(
+            &*group_leaders(members.clone(), 3),
+            [id(30), id(50), id(70)]
+        );
+        assert_eq!(&*group_leaders(members, 1), [id(70)]);
     }
 
     #[test]

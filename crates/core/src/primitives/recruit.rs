@@ -7,7 +7,7 @@ use crate::follow::Follow;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::{collect_members, size_round, GrowControl, Who};
+use super::{collect_members, group_leaders, size_round, smallest_geq, GrowControl, Who};
 
 /// One recruiting round (Algorithm 1, `GrowInitialClusters` loop body):
 /// every member of a pushing cluster PUSHes its cluster ID to a random
@@ -42,12 +42,13 @@ pub fn grow_push_round(sim: &mut ClusterSim, pushers: Who) -> usize {
     // Local adoption: unclustered nodes join the first received cluster.
     let mut joined = 0;
     for s in sim.net.states_mut() {
+        let Some(cid) = arena.first(&s.inbox) else {
+            continue;
+        };
         if !s.is_clustered() {
-            if let Some(cid) = arena.first(&s.inbox) {
-                s.follow = Follow::Of(cid);
-                s.active = true;
-                joined += 1;
-            }
+            s.follow = Follow::Of(cid);
+            s.active = true;
+            joined += 1;
         }
         arena.clear(&mut s.inbox);
     }
@@ -79,67 +80,42 @@ pub fn grow_control_iteration(
     // Size verdicts + inline resize announcements.
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let sim_arena = &sim.arena;
+    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
     let mut deactivated = 0;
     for s in sim.net.states_mut() {
         if !(s.is_leader() && s.active) {
             continue;
         }
-        let size = s.members.len() as u64;
-        let growth = size as f64 / s.prev_size.max(1) as f64;
-        if size >= cap && growth < stall_factor {
+        let members = &leaders.row(s.idx).members;
+        let size = members.len() as u32;
+        let growth = f64::from(size) / f64::from(s.prev_size.max(1));
+        let kind = if u64::from(size) >= cap && growth < stall_factor {
             // Stall: deactivate the whole cluster.
             deactivated += 1;
             s.active = false;
             s.size = size;
-            s.prev_size = size;
-            s.response = Some(Msg::new(
-                MsgKind::SizeReport {
-                    size,
-                    active: false,
-                },
-                id_bits,
-                rumor_bits,
-            ));
-        } else if size >= 2 * cap {
+            MsgKind::SizeReport {
+                size,
+                active: false,
+            }
+        } else if u64::from(size) >= 2 * cap {
             // Oversized but still growing: split into ⌊size/cap⌋ groups
             // (inline ClusterResize(cap); same grouping rule as
             // `primitives::resize`).
-            let mut sorted = sim_arena.to_vec(&s.members);
-            sorted.sort_unstable();
-            let k = (size / cap).max(1) as usize;
-            let base = sorted.len() / k;
-            let extra = sorted.len() % k;
-            let mut ids = Vec::with_capacity(k);
-            let mut at = 0usize;
-            for g in 0..k {
-                let len = base + usize::from(g < extra);
-                at += len;
-                ids.push(sorted[at - 1]);
+            let k = (u64::from(size) / cap) as u32;
+            let ids = group_leaders(arena.to_vec(members), k as usize);
+            s.follow = Follow::Of(smallest_geq(&ids, s.id).expect("non-empty"));
+            s.size = size / k;
+            MsgKind::Leaders {
+                ids,
+                piece_size: size / k,
             }
-            let piece = size / k as u64;
-            s.response = Some(Msg::new(
-                MsgKind::Leaders {
-                    ids: ids.clone(),
-                    piece_size: piece,
-                },
-                id_bits,
-                rumor_bits,
-            ));
-            let own = s.id;
-            let new_leader = super::smallest_geq(&ids, own).expect("non-empty");
-            s.follow = Follow::Of(new_leader);
-            s.size = piece;
-            s.prev_size = piece;
         } else {
             s.size = size;
-            s.prev_size = size;
-            s.response = Some(Msg::new(
-                MsgKind::SizeReport { size, active: true },
-                id_bits,
-                rumor_bits,
-            ));
-        }
+            MsgKind::SizeReport { size, active: true }
+        };
+        s.prev_size = s.size;
+        replies.set(s.idx, Msg::new(kind, id_bits, rumor_bits));
     }
     sim.net.round(
         |ctx, _rng| {
@@ -152,7 +128,7 @@ pub fn grow_control_iteration(
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 match msg.kind {
@@ -162,7 +138,7 @@ pub fn grow_control_iteration(
                         s.active = active;
                     }
                     MsgKind::Leaders { ids, piece_size } => {
-                        if let Some(l) = super::smallest_geq(&ids, s.id) {
+                        if let Some(l) = smallest_geq(&ids, s.id) {
                             s.follow = Follow::Of(l);
                             s.size = piece_size;
                             s.prev_size = piece_size;
@@ -173,7 +149,7 @@ pub fn grow_control_iteration(
             }
         },
     );
-    super::clear_responses(sim);
+    replies.clear();
     BoundedRecruitOutcome {
         joined,
         deactivated,

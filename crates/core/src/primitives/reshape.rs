@@ -6,7 +6,7 @@ use crate::follow::Follow;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
 
-use super::{clear_responses, collect_members, smallest_geq, Who};
+use super::{collect_members, group_leaders, smallest_geq, Who};
 
 /// `ClusterDissolve(s)`: clusters smaller than `s` dissolve — every member
 /// (leader included) becomes unclustered. Two rounds: membership
@@ -15,13 +15,21 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
     collect_members(sim, who);
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
+    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
             continue;
         }
-        let size = st.members.len() as u64;
-        let verdict = if size >= s { Some(st.id) } else { None };
-        st.response = Some(Msg::new(MsgKind::FollowVal(verdict), id_bits, rumor_bits));
+        let size = leaders.row(st.idx).members.len() as u32;
+        let verdict = if u64::from(size) >= s {
+            Some(st.id)
+        } else {
+            None
+        };
+        replies.set(
+            st.idx,
+            Msg::new(MsgKind::FollowVal(verdict), id_bits, rumor_bits),
+        );
         if verdict.is_none() {
             st.follow = Follow::Unclustered;
             st.active = false;
@@ -43,7 +51,7 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
                 Action::Idle
             }
         },
-        |st| st.response.clone(),
+        |st| replies.get(st.idx),
         |st, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(v) = msg.kind {
@@ -57,7 +65,7 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 }
 
 /// `ClusterResize(s)`: every cluster of size `s' ≥ 2s` splits into
@@ -75,43 +83,34 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
     collect_members(sim, who);
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let arena = &sim.arena;
+    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
             continue;
         }
-        let size = st.members.len() as u64;
-        let k = (size / s).max(1);
-        let (ids, piece) = if k == 1 {
-            (vec![st.id], size)
+        let members = &leaders.row(st.idx).members;
+        let size = members.len() as u32;
+        let k = (u64::from(size) / s).max(1) as u32;
+        let ids = if k == 1 {
+            [st.id].into()
         } else {
-            let mut sorted = arena.to_vec(&st.members);
-            sorted.sort_unstable();
-            let k = k as usize;
-            let base = sorted.len() / k;
-            let extra = sorted.len() % k;
-            let mut ids = Vec::with_capacity(k);
-            let mut at = 0usize;
-            for g in 0..k {
-                let len = base + usize::from(g < extra);
-                at += len;
-                ids.push(sorted[at - 1]); // largest ID of the contiguous group
-            }
-            (ids, size / k as u64)
+            group_leaders(arena.to_vec(members), k as usize)
         };
-        st.response = Some(Msg::new(
-            MsgKind::Leaders {
-                ids: ids.clone(),
-                piece_size: piece,
-            },
-            id_bits,
-            rumor_bits,
-        ));
-        let own = st.id;
-        let new_leader = smallest_geq(&ids, own).expect("announcement is non-empty");
+        let new_leader = smallest_geq(&ids, st.id).expect("announcement is non-empty");
         st.follow = Follow::Of(new_leader);
-        st.size = piece;
-        st.prev_size = piece;
+        st.size = size / k;
+        st.prev_size = size / k;
+        replies.set(
+            st.idx,
+            Msg::new(
+                MsgKind::Leaders {
+                    ids,
+                    piece_size: size / k,
+                },
+                id_bits,
+                rumor_bits,
+            ),
+        );
     }
     sim.net.round(
         |ctx, _rng| {
@@ -124,7 +123,7 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
                 Action::Idle
             }
         },
-        |st| st.response.clone(),
+        |st| replies.get(st.idx),
         |st, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::Leaders { ids, piece_size } = msg.kind {
@@ -137,7 +136,7 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 
 use phonecall::{Action, Delivery, Target};
 
+use crate::follow::Follow;
 use crate::msg::{Msg, MsgKind};
 use crate::sim::ClusterSim;
-
-use super::clear_responses;
 
 /// `ClusterShare(rumor)`: informed members push the rumor to their leader,
 /// then every follower pulls it back. Two rounds; after it, a cluster with
@@ -47,9 +46,10 @@ pub fn share_rumor(sim: &mut ClusterSim) {
         },
     );
     // Round 2: followers pull; informed leaders respond with the rumor.
-    for s in sim.net.states_mut() {
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
         if s.is_leader() && s.informed {
-            s.response = Some(Msg::new(MsgKind::Rumor, id_bits, rumor_bits));
+            replies.set(s.idx, Msg::new(MsgKind::Rumor, id_bits, rumor_bits));
         }
     }
     sim.net.round(
@@ -63,7 +63,7 @@ pub fn share_rumor(sim: &mut ClusterSim) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if msg.kind == MsgKind::Rumor {
@@ -72,7 +72,7 @@ pub fn share_rumor(sim: &mut ClusterSim) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 }
 
 /// One pointer-jumping round: every follower pulls its current `follow`
@@ -82,12 +82,12 @@ pub fn share_rumor(sim: &mut ClusterSim) {
 pub fn flatten_round(sim: &mut ClusterSim) {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    for s in sim.net.states_mut() {
-        s.response = Some(Msg::new(
-            MsgKind::FollowVal(s.follow.leader()),
-            id_bits,
-            rumor_bits,
-        ));
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
+        replies.set(
+            s.idx,
+            Msg::new(MsgKind::FollowVal(s.follow.leader()), id_bits, rumor_bits),
+        );
     }
     sim.net.round(
         |ctx, _rng| {
@@ -99,7 +99,7 @@ pub fn flatten_round(sim: &mut ClusterSim) {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(v) = msg.kind {
@@ -111,7 +111,7 @@ pub fn flatten_round(sim: &mut ClusterSim) {
             }
         },
     );
-    clear_responses(sim);
+    replies.clear();
 }
 
 /// One round of `UnclusteredNodesPull`: every unclustered node pulls a
@@ -121,18 +121,16 @@ pub fn flatten_round(sim: &mut ClusterSim) {
 pub fn unclustered_pull_round(sim: &mut ClusterSim) -> usize {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    for s in sim.net.states_mut() {
-        s.response = if s.is_clustered() {
-            Some(Msg::new(
-                MsgKind::FollowVal(s.leader()),
-                id_bits,
-                rumor_bits,
-            ))
-        } else {
-            None
-        };
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
+        if s.is_clustered() {
+            replies.set(
+                s.idx,
+                Msg::new(MsgKind::FollowVal(s.leader()), id_bits, rumor_bits),
+            );
+        }
     }
-    let before = sim.clustered_count();
+    let mut joined = 0;
     sim.net.round(
         |ctx, _rng| {
             if ctx.state.is_clustered() {
@@ -141,29 +139,26 @@ pub fn unclustered_pull_round(sim: &mut ClusterSim) -> usize {
                 Action::Pull { to: Target::Random }
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::FollowVal(Some(l)) = msg.kind {
                     if !s.is_clustered() {
-                        s.follow = crate::follow::Follow::Of(l);
+                        s.follow = Follow::Of(l);
+                        joined += 1;
                     }
                 }
             }
         },
     );
-    clear_responses(sim);
-    // Saturating: under mid-run churn the alive clustered count can
-    // *shrink* across the round (a crash batch at the boundary), which
-    // would underflow a plain subtraction.
-    sim.clustered_count().saturating_sub(before)
+    replies.clear();
+    joined
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CommonConfig;
-    use crate::follow::Follow;
     use phonecall::NodeIdx;
 
     fn cluster_of(n: usize, k: usize) -> ClusterSim {

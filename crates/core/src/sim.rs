@@ -1,5 +1,6 @@
 //! [`ClusterSim`]: a phone-call network of [`ClusterNode`]s plus the
-//! run-level bookkeeping (message factory, algorithm RNG, phase capture).
+//! run-level bookkeeping (message factory, algorithm RNG, phase capture)
+//! and the primitives' working memory.
 //!
 //! The struct is deliberately thin: all protocol behaviour lives in
 //! [`crate::primitives`] and the algorithm modules; `ClusterSim` provides
@@ -7,28 +8,138 @@
 //! helpers (cluster maps, informed counts) used by tests, reports and
 //! experiments — these read global state and are *never* consulted by the
 //! simulated nodes themselves.
+//!
+//! # Scratch
+//!
+//! A [`ClusterNode`] is one cache line of protocol state. What a primitive
+//! needs only while it runs is **owned here and indexed by node index**
+//! ([`ClusterNode::idx`]): [`Replies`] (the prepared pull response of each
+//! node) and [`LeaderTable`] (member and merge-candidate lists, one row per
+//! node that ever led). Primitives capture these fields next to
+//! `&mut sim.net` and `&sim.arena` as disjoint borrows, so the `decide` /
+//! `respond` / `deliver` closures reach a node's scratch through its `idx`.
+//! Nothing here is visible to another node except through a message.
+//!
+//! A prepared response is a **pre-round snapshot**: it is written before
+//! the round from the responder's state and `respond` only ever clones it.
+//! Under `Engine::Async` a request lands in the middle of a step, after
+//! other deliveries may have changed the responder, so recomputing the
+//! answer from live state at that moment would change what pullers see.
 
 use std::collections::BTreeMap;
 
 use phonecall::{FailurePlan, Network, NodeId, NodeIdx};
 use rand::rngs::SmallRng;
 
-use crate::arena::Arena;
+use crate::arena::{Arena, List};
 use crate::config::CommonConfig;
 use crate::msg::{Msg, MsgKind};
 use crate::node::ClusterNode;
 use crate::report::{ClusteringStats, PhaseReport};
+
+/// The prepared address-oblivious pull response of every node, by node
+/// index, for the current respond-round.
+///
+/// Keeps the list of indices it was set for, so clearing after the round
+/// costs the number of responders (usually the leaders), not `n`.
+#[derive(Debug)]
+pub struct Replies {
+    slots: Vec<Option<Msg>>,
+    set: Vec<u32>,
+}
+
+impl Replies {
+    fn new(n: usize) -> Self {
+        Replies {
+            slots: vec![None; n],
+            set: Vec::new(),
+        }
+    }
+
+    /// Prepares `msg` as the response of the node at `idx`.
+    pub fn set(&mut self, idx: NodeIdx, msg: Msg) {
+        self.slots[idx.as_usize()] = Some(msg);
+        self.set.push(idx.0);
+    }
+
+    /// A copy of the response prepared for the node at `idx`, if any
+    /// (what the `respond` closure returns).
+    #[must_use]
+    pub fn get(&self, idx: NodeIdx) -> Option<Msg> {
+        self.slots[idx.as_usize()].clone()
+    }
+
+    /// Drops every prepared response, so a stale one can never leak into
+    /// a later primitive.
+    pub fn clear(&mut self) {
+        for i in self.set.drain(..) {
+            self.slots[i as usize] = None;
+        }
+    }
+}
+
+/// A leader's working memory: arena-backed ID lists, like the node's
+/// `inbox`.
+#[derive(Debug, Default)]
+pub struct LeaderRow {
+    /// Member IDs collected in the latest collect round (includes the
+    /// leader itself).
+    pub members: List,
+    /// Merge candidates relayed by members this iteration.
+    pub candidates: List,
+}
+
+/// [`LeaderRow`]s by node index, for the few nodes that need one: a row is
+/// opened the first time a node is addressed as a leader and kept for the
+/// run, so the table costs four bytes per node plus a row per leader
+/// instead of two list handles in every follower.
+#[derive(Debug)]
+pub struct LeaderTable {
+    row_of: Vec<u32>,
+    rows: Vec<LeaderRow>,
+}
+
+/// Marks a node without a row.
+const NO_ROW: u32 = u32::MAX;
+
+impl LeaderTable {
+    fn new(n: usize) -> Self {
+        LeaderTable {
+            row_of: vec![NO_ROW; n],
+            rows: Vec::new(),
+        }
+    }
+
+    /// The row of the node at `idx`, opened (empty) on first use.
+    pub fn row(&mut self, idx: NodeIdx) -> &mut LeaderRow {
+        let slot = &mut self.row_of[idx.as_usize()];
+        if *slot == NO_ROW {
+            *slot = self.rows.len() as u32;
+            self.rows.push(LeaderRow::default());
+        }
+        &mut self.rows[*slot as usize]
+    }
+
+    /// Every open row (in no meaningful order).
+    pub fn rows_mut(&mut self) -> &mut [LeaderRow] {
+        &mut self.rows
+    }
+}
 
 /// A simulation of `n` cluster nodes under one algorithm run.
 #[derive(Debug)]
 pub struct ClusterSim {
     /// The underlying phone-call network.
     pub net: Network<ClusterNode>,
-    /// Shared backing store for every node's `inbox`/`members`/
-    /// `candidates` list (see [`crate::arena`]). Primitives capture
-    /// `&sim.arena` alongside `&mut sim.net` (disjoint fields) so the
-    /// simulation closures can grow node lists without per-node `Vec`s.
+    /// Shared backing store for every `inbox`/`members`/`candidates`
+    /// list (see [`crate::arena`]). Primitives capture `&sim.arena`
+    /// alongside `&mut sim.net` (disjoint fields) so the simulation
+    /// closures can grow lists without per-node `Vec`s.
     pub arena: Arena<NodeId>,
+    /// The prepared pull responses (see the module docs).
+    pub replies: Replies,
+    /// Leader working memory (see the module docs).
+    pub leaders: LeaderTable,
     /// Width of a node ID on the wire: `2·⌈log₂ n⌉` bits (polynomial ID
     /// space).
     pub id_bits: u64,
@@ -53,8 +164,10 @@ impl ClusterSim {
         assert!(n >= 2, "gossip needs at least two nodes");
         assert!((common.source as usize) < n, "source index out of range");
         let mut sim = ClusterSim {
-            net: common.network(n, |_idx, id| ClusterNode::new(id)),
+            net: common.network(n, ClusterNode::new),
             arena: Arena::new(NodeId::from_raw(0)),
+            replies: Replies::new(n),
+            leaders: LeaderTable::new(n),
             id_bits: phonecall::id_bits(n),
             rumor_bits: common.rumor_bits,
             // Stream 3 of the scenario seed; the environment's streams
@@ -196,14 +309,6 @@ impl ClusterSim {
             } else {
                 clustered as f64 / map.len() as f64
             },
-        }
-    }
-
-    /// Clears every node's scratch buffers (between phases).
-    pub fn clear_all_scratch(&mut self) {
-        let arena = &self.arena;
-        for s in self.net.states_mut() {
-            s.clear_scratch(arena);
         }
     }
 

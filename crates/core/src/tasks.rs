@@ -50,7 +50,7 @@ pub fn count_alive(sim: &mut ClusterSim) -> u64 {
     collect_members(sim, Who::AllClustered);
     size_round(sim, Who::AllClustered, None);
     sim.alive_states()
-        .filter_map(|s| s.is_leader().then_some(s.size))
+        .filter_map(|s| s.is_leader().then_some(u64::from(s.size)))
         .max()
         .unwrap_or(0)
 }
@@ -95,20 +95,22 @@ impl Combine {
 ///
 /// Panics if `values.len() != sim.n()`.
 pub fn aggregate(sim: &mut ClusterSim, values: &[u64], op: Combine) -> u64 {
+    let held = aggregate_everywhere(sim, values, op);
+    sim.alive_states()
+        .find(|s| s.is_leader())
+        .map_or(op.identity(), |s| held[s.idx.as_usize()])
+}
+
+/// The two rounds of [`aggregate`]; returns the value every node holds
+/// afterwards, by node index (members of the spanning cluster: the
+/// aggregate).
+fn aggregate_everywhere(sim: &mut ClusterSim, values: &[u64], op: Combine) -> Vec<u64> {
     assert_eq!(values.len(), sim.n(), "one value per node");
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
 
-    // Stash each node's input in its `size` scratch? No — carry via the
-    // decide closure, which receives the node index.
-    let values_up: Vec<u64> = values.to_vec();
-    // Leaders start from their own value.
-    for (i, s) in sim.net.states_mut().iter_mut().enumerate() {
-        s.prev_size = values[i]; // scratch: local input
-        if s.is_leader() {
-            s.size = op.apply(op.identity(), values[i]); // scratch: accumulator
-        }
-    }
+    // Each node starts from its own input; leaders fold what arrives.
+    let mut held = values.to_vec();
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
@@ -116,7 +118,7 @@ pub fn aggregate(sim: &mut ClusterSim, values: &[u64], op: Combine) -> u64 {
                 Action::Push {
                     to: Target::Direct(s.leader().expect("follower has leader")),
                     msg: Msg::new(
-                        MsgKind::Count(values_up[ctx.idx.as_usize()]),
+                        MsgKind::Count(values[ctx.idx.as_usize()]),
                         id_bits,
                         rumor_bits,
                     ),
@@ -129,18 +131,19 @@ pub fn aggregate(sim: &mut ClusterSim, values: &[u64], op: Combine) -> u64 {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Count(v) = msg.kind {
-                    s.size = op.apply(s.size, v);
+                    let acc = &mut held[s.idx.as_usize()];
+                    *acc = op.apply(*acc, v);
                 }
             }
         },
     );
     // Leaders publish; members pull.
-    for s in sim.net.states_mut() {
-        s.response = if s.is_leader() {
-            Some(Msg::new(MsgKind::Count(s.size), id_bits, rumor_bits))
-        } else {
-            None
-        };
+    let replies = &mut sim.replies;
+    for s in sim.net.states() {
+        if s.is_leader() {
+            let total = MsgKind::Count(held[s.idx.as_usize()]);
+            replies.set(s.idx, Msg::new(total, id_bits, rumor_bits));
+        }
     }
     sim.net.round(
         |ctx, _rng| {
@@ -152,24 +155,17 @@ pub fn aggregate(sim: &mut ClusterSim, values: &[u64], op: Combine) -> u64 {
                 Action::Idle
             }
         },
-        |s| s.response.clone(),
+        |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if let MsgKind::Count(v) = msg.kind {
-                    s.size = v;
+                    held[s.idx.as_usize()] = v;
                 }
             }
         },
     );
-    let result = sim
-        .alive_states()
-        .filter_map(|s| s.is_leader().then_some(s.size))
-        .next()
-        .unwrap_or(op.identity());
-    for s in sim.net.states_mut() {
-        s.response = None;
-    }
-    result
+    replies.clear();
+    held
 }
 
 #[cfg(test)]
@@ -226,11 +222,8 @@ mod tests {
     fn members_learn_the_aggregate() {
         let mut sim = spanning(16);
         let values = [2u64; 16];
-        let total = aggregate(&mut sim, &values, Combine::Sum);
-        assert_eq!(total, 32);
-        for s in sim.alive_states() {
-            assert_eq!(s.size, 32, "every member holds the result");
-        }
+        let held = aggregate_everywhere(&mut sim, &values, Combine::Sum);
+        assert_eq!(held, [32; 16], "every member holds the result");
     }
 
     #[test]

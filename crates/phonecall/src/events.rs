@@ -107,6 +107,14 @@ impl Default for AsyncConfig {
     }
 }
 
+/// The longest span of virtual time one knob may stand for — a mean
+/// activation gap `1/rate`, a latency parameter. Far above anything a
+/// scenario means and far below where the `f64` clock degrades: a
+/// subnormal `rate` is positive and finite, yet every gap `-ln(u)/rate`
+/// it draws is `+inf`, after which [`Network::virtual_time`] reads `inf`
+/// and every later event ties.
+const MAX_SPAN: f64 = 1e12;
+
 impl AsyncConfig {
     /// Validates the knobs.
     ///
@@ -114,9 +122,11 @@ impl AsyncConfig {
     ///
     /// Returns a message naming the offending knob.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.rate.is_finite() || self.rate <= 0.0 {
+        let ok = self.rate > 0.0 && self.rate.is_finite() && 1.0 / self.rate <= MAX_SPAN;
+        if !ok {
             return Err(format!(
-                "async engine rate must be positive and finite, got {}",
+                "async engine rate must be positive and finite with 1/rate at most \
+                 {MAX_SPAN:e}, got {}",
                 self.rate
             ));
         }
@@ -149,29 +159,17 @@ impl Latency {
     /// Returns a message naming the offending knob.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            Latency::Fixed(v) => {
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!(
-                        "fixed latency must be finite and non-negative, got {v}"
-                    ));
-                }
-            }
-            Latency::Uniform(lo, hi) => {
-                if !lo.is_finite() || !hi.is_finite() || lo < 0.0 || hi <= lo {
-                    return Err(format!(
-                        "uniform latency wants 0 <= lo < hi (finite), got [{lo}, {hi})"
-                    ));
-                }
-            }
-            Latency::Exponential(mean) => {
-                if !mean.is_finite() || mean <= 0.0 {
-                    return Err(format!(
-                        "exponential latency mean must be positive and finite, got {mean}"
-                    ));
-                }
-            }
+            Latency::Fixed(v) if !(0.0..=MAX_SPAN).contains(&v) => Err(format!(
+                "fixed latency must be in [0, {MAX_SPAN:e}], got {v}"
+            )),
+            Latency::Uniform(lo, hi) if !(0.0 <= lo && lo < hi && hi <= MAX_SPAN) => Err(format!(
+                "uniform latency wants 0 <= lo < hi <= {MAX_SPAN:e}, got [{lo}, {hi})"
+            )),
+            Latency::Exponential(mean) if !(0.0 < mean && mean <= MAX_SPAN) => Err(format!(
+                "exponential latency mean must be in (0, {MAX_SPAN:e}], got {mean}"
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Stable lowercase family label (the JSON `"kind"` value).
@@ -696,6 +694,44 @@ mod tests {
             .contains("exponential"));
         assert!(Engine::Sync.validate().is_ok());
         assert!(Engine::Async(AsyncConfig::default()).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_spans_no_clock_can_hold() {
+        // A subnormal rate is positive and finite, but its mean gap is
+        // not; so is one whose gap merely dwarfs any run.
+        for rate in [5e-324, 1e-300, 1e-13, f64::INFINITY, f64::NAN] {
+            let err = AsyncConfig {
+                rate,
+                ..AsyncConfig::default()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("rate") && err.contains("1e12"), "{err}");
+        }
+        for (latency, knob) in [
+            (Latency::Fixed(1e308), "fixed"),
+            (Latency::Fixed(f64::INFINITY), "fixed"),
+            (Latency::Uniform(0.0, 1e308), "uniform"),
+            (Latency::Uniform(f64::NAN, 1.0), "uniform"),
+            (Latency::Exponential(1e308), "exponential"),
+            (Latency::Exponential(1e13), "exponential"),
+        ] {
+            let err = latency.validate().unwrap_err();
+            assert!(err.contains(knob) && err.contains("1e12"), "{err}");
+            let cfg = AsyncConfig { rate: 1.0, latency };
+            assert_eq!(Engine::Async(cfg).validate().unwrap_err(), err);
+        }
+        // Generous but representable knobs, and the whole catalog, pass.
+        let slow = AsyncConfig {
+            rate: 1e-11,
+            latency: Latency::Uniform(0.0, 1e12),
+        };
+        assert!(slow.validate().is_ok());
+        for name in ["fixed", "uniform", "exp"] {
+            let cfg = Engine::profile(name).expect("a catalog profile");
+            assert!(Engine::Async(cfg).validate().is_ok(), "{name}");
+        }
     }
 
     #[test]

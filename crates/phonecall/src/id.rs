@@ -6,11 +6,22 @@
 //! `n` does not let a node guess other nodes' addresses. We model this with
 //! a pseudo-random injection from dense indices `0..n` into a `u64` space;
 //! algorithm code only ever sees [`NodeId`]s, while the engine resolves them
-//! back to [`NodeIdx`]s through a hash map, like a network delivering to an
-//! IP address.
+//! back to [`NodeIdx`]s through [`IdSpace`]'s directory, like a network
+//! delivering to an IP address.
+//!
+//! # The directory
+//!
+//! After the first recruit rounds almost every message of the paper's
+//! algorithms is a follower ↔ leader `Target::Direct(id)`, so
+//! [`IdSpace::resolve`] sits on the hot path of every round. The directory
+//! is an open-addressed table of 4-byte slots, each holding a node index
+//! (`u32::MAX` = empty), with linear probing. Its one invariant: **the IDs are
+//! SplitMix64 outputs, already uniformly mixed, so an ID's own top bits
+//! are its hash** — no hasher runs. A probe hit is verified against
+//! `ids[idx]`, so a foreign ID sharing a home slot still resolves to
+//! `None`. The table has `(2n).next_power_of_two()` slots (load ≤ ½): a
+//! lookup is one shift, on average about one slot load and one `ids` load.
 
-// detlint: allow-file(hash_order) — the directory HashMap is lookup-only (resolve/contains_key); every enumeration goes through the ordered `ids` Vec, so iteration order never exists to observe
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -81,6 +92,13 @@ impl From<NodeIdx> for usize {
     }
 }
 
+/// Marks an empty directory slot. No node has this index: `n` fits `u32`,
+/// so indices stop at `u32::MAX - 1`.
+const EMPTY: u32 = u32::MAX;
+
+/// The SplitMix64 increment; also salts the seed into the first counter.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// The directory mapping between dense indices and wire IDs.
 ///
 /// Construction assigns every index a pseudo-random 64-bit address derived
@@ -89,7 +107,12 @@ impl From<NodeIdx> for usize {
 #[derive(Clone, Debug)]
 pub struct IdSpace {
     ids: Vec<NodeId>,
-    directory: HashMap<NodeId, NodeIdx>,
+    /// Open-addressed directory (see the module docs): a node index or
+    /// `EMPTY` per slot, a power-of-two number of slots, load ≤ ½.
+    slots: Vec<u32>,
+    /// `64 − log₂(slots.len())`: an ID's home slot is its top bits,
+    /// `raw >> shift`.
+    shift: u32,
 }
 
 impl IdSpace {
@@ -100,27 +123,45 @@ impl IdSpace {
     /// Panics if `n` is zero or does not fit in a `u32`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
-        assert!(n > 0, "network must contain at least one node");
-        assert!(u32::try_from(n).is_ok(), "n must fit in u32");
-        let mut ids = Vec::with_capacity(n);
-        let mut directory = HashMap::with_capacity(n * 2);
-        let mut counter = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for i in 0..n {
+        let mut space = Self::with_room(n);
+        let mut counter = seed ^ GOLDEN;
+        for _ in 0..n {
             // Draw mixed values until we find a fresh one (collisions in a
             // 64-bit space are vanishingly rare but must not corrupt the
             // directory).
             let id = loop {
-                counter = counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                counter = counter.wrapping_add(GOLDEN);
                 let candidate = NodeId(splitmix64(counter));
-                if !directory.contains_key(&candidate) {
+                if space.resolve(candidate).is_none() {
                     break candidate;
                 }
             };
-            let idx = NodeIdx(i as u32);
-            directory.insert(id, idx);
-            ids.push(id);
+            space.insert(id);
         }
-        IdSpace { ids, directory }
+        space
+    }
+
+    /// An empty space with a directory sized for `n` IDs.
+    fn with_room(n: usize) -> Self {
+        assert!(n > 0, "network must contain at least one node");
+        assert!(u32::try_from(n).is_ok(), "n must fit in u32");
+        let slots = (2 * n).next_power_of_two();
+        IdSpace {
+            ids: Vec::with_capacity(n),
+            slots: vec![EMPTY; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    /// Gives `id` (not yet present) the next dense index.
+    fn insert(&mut self, id: NodeId) {
+        let mask = self.slots.len() - 1;
+        let mut at = (id.0 >> self.shift) as usize;
+        while self.slots[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = self.ids.len() as u32;
+        self.ids.push(id);
     }
 
     /// Number of nodes.
@@ -146,9 +187,24 @@ impl IdSpace {
     }
 
     /// Resolves a wire ID back to its dense index, if the ID exists.
+    ///
+    /// Probes from the ID's home slot until it meets the ID (a hit is
+    /// verified against `ids`, so foreign IDs never alias) or an empty
+    /// slot; the load factor guarantees one.
     #[must_use]
     pub fn resolve(&self, id: NodeId) -> Option<NodeIdx> {
-        self.directory.get(&id).copied()
+        let mask = self.slots.len() - 1;
+        let mut at = (id.0 >> self.shift) as usize;
+        loop {
+            let idx = self.slots[at];
+            if idx == EMPTY {
+                return None;
+            }
+            if self.ids[idx as usize] == id {
+                return Some(NodeIdx(idx));
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// All IDs in dense-index order.
@@ -168,6 +224,106 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    impl IdSpace {
+        /// A space holding exactly `ids`, in order: lets a test choose
+        /// the probe chains.
+        fn from_ids(ids: &[NodeId]) -> Self {
+            let mut space = Self::with_room(ids.len());
+            for &id in ids {
+                assert_eq!(space.resolve(id), None, "duplicate {id}");
+                space.insert(id);
+            }
+            space
+        }
+    }
+
+    /// The directory this module had before the open-addressed table — the
+    /// same ID stream behind a standard map — kept as the oracle. (It was a
+    /// `HashMap`; a `BTreeMap` answers the same lookups and keeps hash
+    /// order out of the crate, test code included.)
+    fn reference(n: usize, seed: u64) -> (Vec<NodeId>, BTreeMap<NodeId, NodeIdx>) {
+        let mut ids = Vec::with_capacity(n);
+        let mut directory = BTreeMap::new();
+        let mut counter = seed ^ GOLDEN;
+        for i in 0..n {
+            let id = loop {
+                counter = counter.wrapping_add(GOLDEN);
+                let candidate = NodeId(splitmix64(counter));
+                if !directory.contains_key(&candidate) {
+                    break candidate;
+                }
+            };
+            directory.insert(id, NodeIdx(i as u32));
+            ids.push(id);
+        }
+        (ids, directory)
+    }
+
+    #[test]
+    fn directory_matches_the_map_reference() {
+        for n in [1, 2, 3, 255, 256, 257, 65_536] {
+            for seed in [0, 1, 0xB11, u64::MAX] {
+                let space = IdSpace::new(n, seed);
+                let (ids, directory) = reference(n, seed);
+                assert_eq!(space.ids(), &ids[..], "n = {n}, seed = {seed}");
+                let foreign = [NodeId(0), NodeId(u64::MAX)];
+                let flipped = ids.iter().map(|id| NodeId(id.0 ^ 1));
+                for id in ids.iter().copied().chain(foreign).chain(flipped) {
+                    assert_eq!(
+                        space.resolve(id),
+                        directory.get(&id).copied(),
+                        "n = {n}, seed = {seed}, id = {id}"
+                    );
+                }
+                // A flipped low bit never lands on another generated ID at
+                // these sizes, so every one of them is foreign.
+                assert!(ids
+                    .iter()
+                    .all(|id| space.resolve(NodeId(id.0 ^ 1)).is_none()));
+            }
+        }
+    }
+
+    #[test]
+    fn long_probe_chains_wrap_and_still_resolve() {
+        // 80 IDs → 256 slots keyed on the top 8 bits. 72 IDs share the
+        // last home slot, so their chain wraps past the end of the table
+        // and runs through the homes of the 8 IDs inserted after them.
+        let top = |home: u64, low: u64| NodeId(home << 56 | low);
+        let mut ids: Vec<NodeId> = (0..72).map(|k| top(255, k)).collect();
+        ids.extend((0..8).map(|home| top(home, 7)));
+        let space = IdSpace::from_ids(&ids);
+        assert_eq!(space.slots.len(), 256);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(space.resolve(id), Some(NodeIdx(i as u32)), "{id}");
+        }
+        // Foreign IDs: one walking the whole chain, one whose home lies
+        // inside its wrapped part, one on an empty home slot.
+        assert_eq!(space.resolve(top(255, 1000)), None);
+        assert_eq!(space.resolve(top(3, 8)), None);
+        assert_eq!(space.resolve(top(200, 0)), None);
+    }
+
+    #[test]
+    fn id_stream_is_pinned() {
+        // The directory may change again; the ID stream may not (every
+        // digest in the repo hangs off it). FNV-1a over the little-endian
+        // bytes of the first 1 024 IDs.
+        let fnv = |seed: u64| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for id in IdSpace::new(1024, seed).ids() {
+                for b in id.raw().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        };
+        assert_eq!(fnv(0), 0x7625_9bbf_8283_5000);
+        assert_eq!(fnv(7), 0xc924_6a68_42cf_bcd7);
+        assert_eq!(fnv(0xB11), 0xc903_b822_37f2_3a5c);
+    }
 
     #[test]
     fn ids_are_unique_and_resolvable() {
