@@ -23,9 +23,8 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{algos_by_name, cli, emit, BenchJson};
+use gossip_bench::{algos_by_name, coverage, coverage_rounds, pow2, Experiment, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{par_map_trials, Summary, Table};
 use phonecall::ChurnConfig;
 
 /// The churn profiles: named points on the crash-rate × recovery-rate ×
@@ -80,86 +79,68 @@ fn profiles(n: usize) -> Vec<(&'static str, ChurnConfig)> {
 }
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e10", &opts);
-    let n: usize = opts.n.unwrap_or(if opts.huge {
-        1 << 20
-    } else if opts.full {
-        1 << 13
-    } else {
-        1 << 11
+    let mut ex = Experiment::start(Spec {
+        name: "e10",
+        default: (vec![1 << 11], 6),
+        full: (vec![1 << 13], 12),
+        // --huge scales trials down with n (to 1 at n = 2^20).
+        huge: Some((vec![1 << 20], 6)),
+        // The broadcast field: the headline comparison seven plus the
+        // clustered algorithm that actually survives churn (Algorithm 3).
+        algos: algos_by_name(&[
+            "Cluster2",
+            "Cluster1",
+            "ClusterPushPull",
+            "AvinElsasser",
+            "Karp",
+            "PushPull",
+            "Push",
+            "Pull",
+        ]),
+        // Headline metrics contrast the robust clustered algorithm with
+        // the counter-terminated baseline under the storm profile — or
+        // track the selected algorithm under --algo.
+        head: Some("ClusterPushPull"),
+        ..Spec::default()
     });
-    // --huge scales trials down with n (to 1 at n = 2^20).
-    let trials = opts.cell_trials(opts.trials_or(if opts.full { 12 } else { 6 }), n);
+    let n = ex.sizes[0];
+    let trials = ex.trials_at(n);
     let profiles = profiles(n);
-    // The broadcast field: the headline comparison seven plus the
-    // clustered algorithm that actually survives churn (Algorithm 3).
-    let algos = opts.algos(&algos_by_name(&[
-        "Cluster2",
-        "Cluster1",
-        "ClusterPushPull",
-        "AvinElsasser",
-        "Karp",
-        "PushPull",
-        "Push",
-        "Pull",
-    ]));
-
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(profiles.iter().map(|(name, _)| (*name).to_string()));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut cov_tbl = Table::new(
-        format!(
-            "E10: informed fraction of survivors under dynamic churn (n = 2^{})",
-            n.trailing_zeros()
-        ),
-        &cols,
+    let rows = ex.sweep(
+        0xE10,
+        &profiles,
+        |algo, (profile_name, _)| (format!("{}{profile_name}", algo.name()), trials),
+        |algo, (_, churn), seed| {
+            let scenario = ex.scenario(Scenario::broadcast(n).churn(churn.clone()));
+            coverage(&algo.run(&scenario.seed(seed)))
+        },
+        coverage_rounds,
     );
-    let mut round_tbl = Table::new(
+    let cols: Vec<String> = profiles
+        .iter()
+        .map(|(name, _)| (*name).to_string())
+        .collect();
+    ex.emit_pair(
+        format!(
+            "E10: informed fraction of survivors under dynamic churn (n = {})",
+            pow2(n)
+        ),
         "E10b: rounds used (observer-stopped baselines stretch; schedules don't)",
         &cols,
+        &rows,
     );
-
-    // Headline metrics contrast the robust clustered algorithm with the
-    // counter-terminated baseline under the storm profile — or track the
-    // selected algorithm under --algo.
-    let head_name = opts.algo.map_or("ClusterPushPull", |a| a.name());
-    let mut headline = (0.0f64, 0.0f64);
-    let mut karp_storm = f64::NAN;
-    for &algo in &algos {
-        let mut row = vec![algo.name().to_string()];
-        let mut rrow = vec![algo.name().to_string()];
-        for (profile_name, churn) in &profiles {
-            let scenario =
-                opts.apply_engine(opts.apply_topology(Scenario::broadcast(n).churn(churn.clone())));
-            let label = format!("{}{profile_name}", algo.name());
-            let reps = par_map_trials(0xE10, &label, trials, |seed| {
-                let r = algo.run(&scenario.clone().seed(seed));
-                (r.informed as f64 / r.alive as f64, r.rounds as f64)
-            });
-            let coverage: Vec<f64> = reps.iter().map(|&(c, _)| c).collect();
-            let rounds: f64 = reps.iter().map(|&(_, r)| r).sum();
-            let cov = Summary::from_samples(&coverage);
-            if *profile_name == "storm" {
-                if algo.name() == head_name {
-                    headline = (cov.mean, rounds / f64::from(trials));
-                }
-                if algo.name() == "Karp" {
-                    karp_storm = cov.mean;
-                }
-            }
-            row.push(format!("{:.4}", cov.mean));
-            rrow.push(format!("{:.0}", rounds / f64::from(trials)));
+    let storm = profiles.iter().position(|(name, _)| *name == "storm");
+    let storm = storm.expect("storm is a profile");
+    let (cov, rounds) = ex.head_row(&rows)[storm];
+    ex.metric("trials_per_cell", f64::from(trials));
+    ex.head_metric("coverage_storm", cov);
+    ex.head_metric("mean_rounds_storm", rounds);
+    if ex.head != "Karp" {
+        if let Some(karp) = ex.row(&rows, "Karp") {
+            ex.metric("karp_coverage_storm", karp[storm].0);
         }
-        cov_tbl.push_row(row);
-        round_tbl.push_row(rrow);
     }
-    bench.stop();
-    emit(&cov_tbl, &opts);
-    println!();
-    emit(&round_tbl, &opts);
-    println!();
-    println!(
+    ex.finish(Some(
         "Reading: the observer-stopped baselines (Push/Pull/PushPull) trade\n\
          rounds for coverage — they keep running until every recovered node\n\
          is re-informed. The self-terminating protocols cannot. Karp's age\n\
@@ -169,16 +150,6 @@ fn main() {
          backbone coordination is the fragile piece — an unluckily timed\n\
          leader crash mid-merge can corrupt the whole run, which is exactly\n\
          why the paper's fault guarantee (Theorem 19) is stated for the\n\
-         time-0 adversary only."
-    );
-    if opts.json {
-        let head_key = head_name.to_lowercase();
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(format!("{head_key}_coverage_storm"), headline.0);
-        bench.metric(format!("{head_key}_mean_rounds_storm"), headline.1);
-        if !karp_storm.is_nan() {
-            bench.metric("karp_coverage_storm", karp_storm);
-        }
-        bench.finish();
-    }
+         time-0 adversary only.",
+    ));
 }

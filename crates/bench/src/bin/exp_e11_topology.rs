@@ -34,13 +34,14 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{algos_by_name, cli, emit, BenchJson};
+use gossip_baselines::registry;
+use gossip_bench::{pow2, Experiment, Grid, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{par_map_trials, Summary, Table};
+use gossip_harness::Table;
 use gossip_lowerbound::diameter;
 use gossip_lowerbound::graph::Graph;
 use phonecall::dataset::hyperball;
-use phonecall::{DirectAddressing, Topology};
+use phonecall::Topology;
 
 /// The topology grid: named points across the density spectrum, from
 /// the complete base model down to the ring. `G(n,p)` keeps its
@@ -72,42 +73,32 @@ fn topologies(n: usize) -> Vec<(&'static str, Topology)> {
 }
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e11", &opts);
-    let n: usize = opts.n.unwrap_or(if opts.huge {
-        1 << 20
-    } else if opts.full {
-        1 << 12
-    } else {
-        1 << 10
+    let mut ex = Experiment::start(Spec {
+        name: "e11",
+        default: (vec![1 << 10], 5),
+        full: (vec![1 << 12], 10),
+        // --huge scales trials down with n (to 1 at n = 2^20).
+        huge: Some((vec![1 << 20], 5)),
+        // The headline comparison seven: the paper's algorithms against
+        // the address-oblivious baselines, on every graph.
+        algos: registry::compared().to_vec(),
+        ..Spec::default()
     });
-    // --huge scales trials down with n (to 1 at n = 2^20).
-    let trials = opts.cell_trials(opts.trials_or(if opts.full { 10 } else { 5 }), n);
-    let topos = match &opts.topo {
+    let n = ex.sizes[0];
+    let trials = ex.trials_at(n);
+    let topos = match &ex.opts.topo {
         Some(t) => vec![("selected", t.clone())],
         // At million-node scale the high-diameter families (ring, torus)
         // only re-tell the diameter-collapse story the --full grid
         // already records, at enormous wall cost: baselines burn their
         // full ~200-round cap at 2^20 contacts per round. The huge grid
         // keeps the mixing families where the loglog claim is at stake.
-        None if opts.huge => topologies(n)
+        None if ex.grid == Grid::Huge => topologies(n)
             .into_iter()
             .filter(|(name, _)| !matches!(*name, "ring" | "torus2d"))
             .collect(),
         None => topologies(n),
     };
-    // The headline comparison seven: the paper's algorithms against the
-    // address-oblivious baselines, on every graph.
-    let algos = opts.algos(&algos_by_name(&[
-        "Cluster2",
-        "Cluster1",
-        "AvinElsasser",
-        "Karp",
-        "PushPull",
-        "Push",
-        "Pull",
-    ]));
-    let modes = [DirectAddressing::Overlay, DirectAddressing::Restricted];
 
     // Graph shapes first: one representative seeded instance per family
     // (each trial builds its own graph from its trial seed, so this row
@@ -115,8 +106,8 @@ fn main() {
     // exact graph — the table header says so).
     let mut shape_tbl = Table::new(
         format!(
-            "E11: contact-graph shapes (representative seeded instance, n = 2^{})",
-            n.trailing_zeros()
+            "E11: contact-graph shapes (representative seeded instance, n = {})",
+            pow2(n)
         ),
         &["topology", "edges", "max degree", "diameter"],
     );
@@ -153,76 +144,26 @@ fn main() {
         shape_tbl.push_row(row);
     }
 
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(topos.iter().map(|(name, _)| (*name).to_string()));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
+    ex.emit(&shape_tbl);
+    ex.metric("trials_per_cell", f64::from(trials));
 
     // One (coverage, rounds) table pair per addressing mode. All compute
     // fans out through the deterministic runner; rows fold in seed
     // order, so stdout is byte-identical at every GOSSIP_THREADS.
-    let mut tables = Vec::new();
-    let mut headline: Vec<(String, f64)> = Vec::new();
-    for mode in modes {
-        let mut cov_tbl = Table::new(
-            format!(
-                "E11: informed fraction of survivors, {} addressing",
-                mode.label()
-            ),
-            &cols,
-        );
-        let mut round_tbl = Table::new(
-            format!("E11b: mean rounds, {} addressing", mode.label()),
-            &cols,
-        );
-        for &algo in &algos {
-            let mut row = vec![algo.name().to_string()];
-            let mut rrow = vec![algo.name().to_string()];
-            for (topo_name, topo) in &topos {
-                let scenario = opts.apply_engine(
-                    Scenario::broadcast(n)
-                        .topology(topo.clone())
-                        .addressing(mode),
-                );
-                let label = format!("{}/{}/{}", algo.name(), topo_name, mode.label());
-                let reps = par_map_trials(0xE11, &label, trials, |seed| {
-                    let r = algo.run(&scenario.clone().seed(seed));
-                    (r.informed as f64 / r.alive as f64, r.rounds as f64)
-                });
-                let coverage: Vec<f64> = reps.iter().map(|&(c, _)| c).collect();
-                let mean_rounds: f64 =
-                    reps.iter().map(|&(_, r)| r).sum::<f64>() / f64::from(trials);
-                let cov = Summary::from_samples(&coverage);
-                row.push(format!("{:.4}", cov.mean));
-                rrow.push(format!("{mean_rounds:.0}"));
-                if matches!(algo.name(), "Cluster2" | "PushPull")
-                    && matches!(*topo_name, "complete" | "random-reg:8" | "ring")
-                {
-                    let key = format!(
-                        "{}_{}_{}",
-                        algo.name().to_lowercase(),
-                        topo_name.replace([':', '-'], "_"),
-                        mode.label()
-                    );
-                    headline.push((format!("{key}_coverage"), cov.mean));
-                    headline.push((format!("{key}_rounds"), mean_rounds));
-                }
-            }
-            cov_tbl.push_row(row);
-            round_tbl.push_row(rrow);
-        }
-        tables.push((cov_tbl, round_tbl));
-    }
-    bench.stop();
-
-    emit(&shape_tbl, &opts);
-    for (cov_tbl, round_tbl) in &tables {
-        println!();
-        emit(cov_tbl, &opts);
-        println!();
-        emit(round_tbl, &opts);
-    }
-    println!();
-    println!(
+    let cols: Vec<(&str, Scenario)> = topos
+        .iter()
+        .map(|(name, topo)| (*name, Scenario::broadcast(n).topology(topo.clone())))
+        .collect();
+    ex.addressing_pairs(
+        0xE11,
+        &cols,
+        "E11: informed fraction of survivors",
+        |name| {
+            matches!(name, "complete" | "random-reg:8" | "ring")
+                .then(|| name.replace([':', '-'], "_"))
+        },
+    );
+    ex.finish(Some(
         "Reading: under overlay addressing the paper's advantage survives\n\
          sparsification wherever the contact graph mixes — on the\n\
          scale-free, G(n,p) and random-regular graphs the clustered\n\
@@ -236,13 +177,6 @@ fn main() {
          don't notice the mode at all, so the gap inverts and flooding\n\
          dominates. Direct addressing buys loglog n exactly because the\n\
          address space is flat; confine it to edges and graph geometry\n\
-         rules again."
-    );
-    if opts.json {
-        bench.metric("trials_per_cell", f64::from(trials));
-        for (key, value) in headline {
-            bench.metric(key, value);
-        }
-        bench.finish();
-    }
+         rules again.",
+    ));
 }

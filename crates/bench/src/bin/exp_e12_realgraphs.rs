@@ -35,13 +35,13 @@
 use std::path::{Path, PathBuf};
 
 use gossip_baselines::registry;
-use gossip_bench::{cli, emit, BenchJson};
+use gossip_bench::{Experiment, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{par_map_trials, Summary, Table};
+use gossip_harness::Table;
 use gossip_lowerbound::diameter;
 use gossip_lowerbound::graph::Graph;
 use phonecall::dataset::{self, fixture, hyperball};
-use phonecall::{DirectAddressing, Topology};
+use phonecall::Topology;
 
 /// Resolves the fixture directory: the working directory's
 /// `tests/data` when run from the repo root, else the committed
@@ -57,15 +57,16 @@ fn data_dir() -> PathBuf {
 }
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e12", &opts);
     // The grid is the fixture catalog: sizes come from the files
     // themselves, and the topology *is* the subject.
-    opts.warn_unused_topo("e12");
-    if opts.n.is_some() {
-        eprintln!("e12 takes its sizes from the fixture files; ignoring --n");
-    }
-    let trials = opts.trials_or(if opts.full { 10 } else { 5 });
+    let mut ex = Experiment::start(Spec {
+        name: "e12",
+        default: (vec![], 5),
+        full: (vec![], 10),
+        algos: registry::all().to_vec(),
+        ignore_topo: true,
+        ..Spec::default()
+    });
     let dir = data_dir();
 
     // Load every fixture once up front (writing/reusing its binary
@@ -84,8 +85,6 @@ fn main() {
             (f, spec, adj)
         })
         .collect();
-    let algos = opts.algos(registry::all());
-    let modes = [DirectAddressing::Overlay, DirectAddressing::Restricted];
 
     // Shape table: the loaded graphs, with the HyperBall estimate
     // printed next to the certified BFS diameter — the ±1 agreement
@@ -102,7 +101,7 @@ fn main() {
             "90% eff. diam",
         ],
     );
-    let mut headline: Vec<(String, f64)> = Vec::new();
+    ex.metric("trials_per_cell", f64::from(ex.trials));
     for (f, _, adj) in &fixtures {
         let est = hyperball::estimate(adj, 0xE12);
         let exact = if adj.len() <= diameter::EXACT_LIMIT {
@@ -120,78 +119,34 @@ fn main() {
             exact,
             format!("{:.1}", est.effective_diameter),
         ]);
-        headline.push((
+        ex.metric(
             format!("{}_hyperball_diameter", f.name),
             f64::from(est.diameter),
-        ));
+        );
     }
-
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(fixtures.iter().map(|(f, ..)| f.name.to_string()));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
+    ex.emit(&shape_tbl);
 
     // One (coverage, rounds) table pair per addressing mode, whole
     // registry × every fixture. Rows fold in seed order inside
     // `par_map_trials`, so stdout is byte-identical at every
     // GOSSIP_THREADS — and identical cold or warm, because the cache
-    // layer only ever talks on stderr.
-    let mut tables = Vec::new();
-    for mode in modes {
-        let mut cov_tbl = Table::new(
-            format!(
-                "E12: informed fraction of survivors on loaded snapshots, {} addressing",
-                mode.label()
-            ),
-            &cols,
-        );
-        let mut round_tbl = Table::new(
-            format!("E12b: mean rounds, {} addressing", mode.label()),
-            &cols,
-        );
-        for &algo in &algos {
-            let mut row = vec![algo.name().to_string()];
-            let mut rrow = vec![algo.name().to_string()];
-            for (f, spec, adj) in &fixtures {
-                let scenario = opts.apply_engine(
-                    Scenario::broadcast(adj.len())
-                        .topology(Topology::FromFile(spec.clone()))
-                        .addressing(mode),
-                );
-                // The label (not the path) feeds seed derivation, so
-                // trial seeds do not depend on where the tree lives.
-                let label = format!("{}/{}/{}", algo.name(), f.name, mode.label());
-                let reps = par_map_trials(0xE12, &label, trials, |seed| {
-                    let r = algo.run(&scenario.clone().seed(seed));
-                    (r.informed as f64 / r.alive as f64, r.rounds as f64)
-                });
-                let coverage: Vec<f64> = reps.iter().map(|&(c, _)| c).collect();
-                let mean_rounds: f64 =
-                    reps.iter().map(|&(_, r)| r).sum::<f64>() / f64::from(trials);
-                let cov = Summary::from_samples(&coverage);
-                row.push(format!("{:.4}", cov.mean));
-                rrow.push(format!("{mean_rounds:.0}"));
-                if matches!(algo.name(), "Cluster2" | "PushPull") {
-                    let key = format!("{}_{}_{}", algo.name().to_lowercase(), f.name, mode.label());
-                    headline.push((format!("{key}_coverage"), cov.mean));
-                    headline.push((format!("{key}_rounds"), mean_rounds));
-                }
-            }
-            cov_tbl.push_row(row);
-            round_tbl.push_row(rrow);
-        }
-        tables.push((cov_tbl, round_tbl));
-    }
-    bench.stop();
-
-    emit(&shape_tbl, &opts);
-    for (cov_tbl, round_tbl) in &tables {
-        println!();
-        emit(cov_tbl, &opts);
-        println!();
-        emit(round_tbl, &opts);
-    }
-    println!();
-    println!(
+    // layer only ever talks on stderr. The label (not the path) feeds
+    // seed derivation, so trial seeds do not depend on where the tree
+    // lives.
+    let cols: Vec<(&str, Scenario)> = fixtures
+        .iter()
+        .map(|(f, spec, adj)| {
+            let topo = Topology::FromFile(spec.clone());
+            (f.name, Scenario::broadcast(adj.len()).topology(topo))
+        })
+        .collect();
+    ex.addressing_pairs(
+        0xE12,
+        &cols,
+        "E12: informed fraction of survivors on loaded snapshots",
+        |name| Some(name.to_string()),
+    );
+    ex.finish(Some(
         "Reading: the loaded snapshots behave exactly as their families\n\
          predict. The heavy-tailed pa_2k and rewired ws_1k graphs mix,\n\
          so under overlay addressing the clustered algorithms keep\n\
@@ -202,13 +157,6 @@ fn main() {
          HyperBall — is measurement plumbing: the estimator lands\n\
          within 1 of the certified diameter on every fixture (both\n\
          printed above), and results are byte-identical whether the\n\
-         graph came from text or from its binary cache."
-    );
-    if opts.json {
-        bench.metric("trials_per_cell", f64::from(trials));
-        for (key, value) in headline {
-            bench.metric(key, value);
-        }
-        bench.finish();
-    }
+         graph came from text or from its binary cache.",
+    ));
 }

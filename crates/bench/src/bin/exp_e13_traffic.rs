@@ -26,9 +26,9 @@
 #![forbid(unsafe_code)]
 
 use gossip_baselines::registry;
-use gossip_bench::{cli, emit, BenchJson};
+use gossip_bench::{pow2, Experiment, Grid, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{jain_fairness, par_map_trials, percentile, Table};
+use gossip_harness::{jain_fairness, percentile};
 
 /// The traffic profiles: named points on the K × arrival-rate ×
 /// bandwidth grid.
@@ -47,115 +47,112 @@ fn profiles(full: bool) -> Vec<(&'static str, u32, f64, u32)> {
 }
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e13", &opts);
-    let n: usize = opts.n.unwrap_or(if opts.huge {
-        1 << 20
-    } else if opts.full {
-        1 << 12
-    } else {
-        1 << 10
+    let mut ex = Experiment::start(Spec {
+        name: "e13",
+        default: (vec![1 << 10], 6),
+        full: (vec![1 << 12], 12),
+        huge: Some((vec![1 << 20], 6)),
+        // The whole registry: heavy traffic is one workload every task
+        // (broadcast, clustering, discovery) can carry.
+        algos: registry::all().to_vec(),
+        // Headline metrics contrast the long-schedule clustered broadcast
+        // with the fastest baseline under burst pressure — or track the
+        // selected algorithm under --algo.
+        head: Some("ClusterPushPull"),
+        ..Spec::default()
     });
-    let trials = opts.cell_trials(opts.trials_or(if opts.full { 12 } else { 6 }), n);
-    let profiles = profiles(opts.full);
-    // The whole registry: heavy traffic is one workload every task
-    // (broadcast, clustering, discovery) can carry.
-    let algos = opts.algos(registry::all());
-
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(profiles.iter().map(|&(name, k, rate, bw)| {
-        if bw > 0 {
-            format!("{name} (K={k}, λ={rate}, bw={bw})")
-        } else {
-            format!("{name} (K={k}, λ={rate})")
-        }
-    }));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut done_tbl = Table::new(
-        format!(
-            "E13: fraction of workload rumors completed (n = 2^{})",
-            n.trailing_zeros()
-        ),
-        &cols,
-    );
-    let mut lat_tbl = Table::new(
-        "E13b: completion latency p50/p90/p99 in rounds (completed rumors only)",
-        &cols,
-    );
-    let mut fair_tbl = Table::new(
-        "E13c: Jain fairness of per-rumor coverage (1 = all rumors equally spread)",
-        &cols,
-    );
-
-    // Headline metrics contrast the long-schedule clustered broadcast
-    // with the fastest baseline under burst pressure — or track the
-    // selected algorithm under --algo.
-    let head_name = opts.algo.map_or("ClusterPushPull", |a| a.name());
-    let mut head_burst = (f64::NAN, f64::NAN);
-    let mut pushpull_burst = f64::NAN;
-    let mut choked_drops = f64::NAN;
-    for &algo in &algos {
-        let mut drow = vec![algo.name().to_string()];
-        let mut lrow = vec![algo.name().to_string()];
-        let mut frow = vec![algo.name().to_string()];
-        for &(profile_name, k, rate, bw) in &profiles {
-            let scenario = opts.apply_engine(
-                opts.apply_topology(Scenario::broadcast(n).rumors(k, rate).bandwidth(bw)),
-            );
-            let label = format!("{}{profile_name}", algo.name());
-            let reps = par_map_trials(0xE13, &label, trials, |seed| {
-                let r = algo.run(&scenario.clone().seed(seed));
-                let coverage: Vec<f64> = r.rumors.iter().map(|s| s.informed as f64).collect();
-                (
-                    r.rumors_completed() as f64 / f64::from(k),
-                    r.rumor_latencies(),
-                    jain_fairness(&coverage),
-                    r.budget_drops as f64,
-                )
-            });
-            let done: f64 = reps.iter().map(|(d, ..)| d).sum::<f64>() / f64::from(trials);
+    let n = ex.sizes[0];
+    let trials = ex.trials_at(n);
+    let profiles = profiles(ex.grid == Grid::Full);
+    let t = f64::from(trials);
+    // Per cell: completed fraction, pooled latencies, fairness and
+    // budget drops, each a sum ÷ trials except the pooled latencies.
+    let rows = ex.sweep(
+        0xE13,
+        &profiles,
+        |algo, &(profile_name, ..)| (format!("{}{profile_name}", algo.name()), trials),
+        |algo, &(_, k, rate, bw), seed| {
+            let scenario = Scenario::broadcast(n).rumors(k, rate).bandwidth(bw);
+            let r = algo.run(&ex.scenario(scenario).seed(seed));
+            let coverage: Vec<f64> = r.rumors.iter().map(|s| s.informed as f64).collect();
+            (
+                r.rumors_completed() as f64 / f64::from(k),
+                r.rumor_latencies(),
+                jain_fairness(&coverage),
+                r.budget_drops as f64,
+            )
+        },
+        |reps| {
+            let done: f64 = reps.iter().map(|(d, ..)| d).sum::<f64>() / t;
             let lats: Vec<f64> = reps
                 .iter()
                 .flat_map(|(_, l, ..)| l.iter().map(|&x| x as f64))
                 .collect();
-            let fair: f64 = reps.iter().map(|&(_, _, f, _)| f).sum::<f64>() / f64::from(trials);
-            let drops: f64 = reps.iter().map(|&(.., d)| d).sum::<f64>() / f64::from(trials);
-            if profile_name == "burst" {
-                if algo.name() == head_name {
-                    head_burst = (done, percentile(&lats, 99.0));
-                }
-                if algo.name() == "PushPull" {
-                    pushpull_burst = done;
-                }
+            let fair: f64 = reps.iter().map(|&(_, _, f, _)| f).sum::<f64>() / t;
+            let drops: f64 = reps.iter().map(|&(.., d)| d).sum::<f64>() / t;
+            (done, lats, fair, drops)
+        },
+    );
+
+    let cols: Vec<String> = profiles
+        .iter()
+        .map(|&(name, k, rate, bw)| {
+            if bw > 0 {
+                format!("{name} (K={k}, λ={rate}, bw={bw})")
+            } else {
+                format!("{name} (K={k}, λ={rate})")
             }
-            if profile_name == "choked" && algo.name() == head_name {
-                choked_drops = drops;
-            }
-            drow.push(format!("{done:.4}"));
-            lrow.push(if lats.is_empty() {
+        })
+        .collect();
+    ex.emit_rows(
+        format!(
+            "E13: fraction of workload rumors completed (n = {})",
+            pow2(n)
+        ),
+        &cols,
+        &rows,
+        |(done, ..)| format!("{done:.4}"),
+    );
+    ex.emit_rows(
+        "E13b: completion latency p50/p90/p99 in rounds (completed rumors only)",
+        &cols,
+        &rows,
+        |(_, lats, ..)| {
+            if lats.is_empty() {
                 "—".to_string()
             } else {
                 format!(
                     "{:.0}/{:.0}/{:.0}",
-                    percentile(&lats, 50.0),
-                    percentile(&lats, 90.0),
-                    percentile(&lats, 99.0)
+                    percentile(lats, 50.0),
+                    percentile(lats, 90.0),
+                    percentile(lats, 99.0)
                 )
-            });
-            frow.push(format!("{fair:.4}"));
+            }
+        },
+    );
+    ex.emit_rows(
+        "E13c: Jain fairness of per-rumor coverage (1 = all rumors equally spread)",
+        &cols,
+        &rows,
+        |(_, _, fair, _)| format!("{fair:.4}"),
+    );
+
+    let col = |name| profiles.iter().position(|p| p.0 == name);
+    let burst = col("burst").expect("burst is a profile");
+    let choked = col("choked").expect("choked is a profile");
+    let head = ex.head_row(&rows);
+    let (done, lats, ..) = &head[burst];
+    let (done, p99, drops) = (*done, percentile(lats, 99.0), head[choked].3);
+    ex.metric("trials_per_cell", t);
+    ex.head_metric("completed_burst", done);
+    ex.head_metric("latency_p99_burst", p99);
+    ex.head_metric("budget_drops_choked", drops);
+    if ex.head != "PushPull" {
+        if let Some(push_pull) = ex.row(&rows, "PushPull") {
+            ex.metric("pushpull_completed_burst", push_pull[burst].0);
         }
-        done_tbl.push_row(drow);
-        lat_tbl.push_row(lrow);
-        fair_tbl.push_row(frow);
     }
-    bench.stop();
-    emit(&done_tbl, &opts);
-    println!();
-    emit(&lat_tbl, &opts);
-    println!();
-    emit(&fair_tbl, &opts);
-    println!();
-    println!(
+    ex.finish(Some(
         "Reading: completion under heavy traffic is decided by schedule\n\
          length, not message volume. The clustered protocols and\n\
          Name-Dropper run Theta(log n)-plus schedules and ferry every\n\
@@ -166,17 +163,6 @@ fn main() {
          burst's rumors queue behind each other, and a fixed schedule\n\
          ends long before the queue drains — completions collapse and\n\
          fairness with them, with only Name-Dropper's contact-heavy\n\
-         rounds pushing a few rumors through."
-    );
-    if opts.json {
-        let head_key = head_name.to_lowercase();
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(format!("{head_key}_completed_burst"), head_burst.0);
-        bench.metric(format!("{head_key}_latency_p99_burst"), head_burst.1);
-        bench.metric(format!("{head_key}_budget_drops_choked"), choked_drops);
-        if !pushpull_burst.is_nan() {
-            bench.metric("pushpull_completed_burst", pushpull_burst);
-        }
-        bench.finish();
-    }
+         rounds pushing a few rumors through.",
+    ));
 }

@@ -30,13 +30,13 @@
 #![forbid(unsafe_code)]
 
 use gossip_baselines::registry;
-use gossip_bench::{cli, emit, BenchJson};
+use gossip_bench::{pow2, Experiment, Options, Spec};
 use gossip_core::algo::Scenario;
 use gossip_harness::{par_map_trials, Table};
 use phonecall::{DirectAddressing, Engine, Topology};
 
 /// The engine schedules of the grid, by catalog spec.
-fn engines(opts: &cli::Options) -> Vec<(String, Engine)> {
+fn engines(opts: &Options) -> Vec<(String, Engine)> {
     match &opts.engine {
         // --engine restricts the grid to the one requested schedule
         // (mirrors what --topo does to E11's topology grid).
@@ -52,100 +52,87 @@ fn engines(opts: &cli::Options) -> Vec<(String, Engine)> {
 }
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e14", &opts);
-    let n: usize = opts.n.unwrap_or(if opts.huge {
-        1 << 20
-    } else if opts.full {
-        1 << 12
-    } else {
-        1 << 10
+    let mut ex = Experiment::start(Spec {
+        name: "e14",
+        default: (vec![1 << 10], 5),
+        full: (vec![1 << 12], 10),
+        huge: Some((vec![1 << 20], 5)),
+        // The whole registry: the acceptance bar for the async engine is
+        // that every algorithm runs unmodified through the Algorithm trait.
+        // Headline metrics contrast Cluster2 across engines — or track
+        // the selected algorithm under --algo.
+        algos: registry::all().to_vec(),
+        ..Spec::default()
     });
-    let trials = opts.cell_trials(opts.trials_or(if opts.full { 10 } else { 5 }), n);
-    let engines = engines(&opts);
-    // The whole registry: the acceptance bar for the async engine is
-    // that every algorithm runs unmodified through the Algorithm trait.
-    let algos = opts.algos(registry::all());
-
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(engines.iter().map(|(spec, _)| spec.clone()));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut rounds_tbl = Table::new(
-        format!(
-            "E14: schedule steps to completion (n = 2^{})",
-            n.trailing_zeros()
-        ),
-        &cols,
-    );
-    let mut vt_tbl = Table::new(
-        "E14b: elapsed virtual time (asynchronous engines; sync has no clock)",
-        &cols,
-    );
-    let mut msg_tbl = Table::new("E14c: messages per node", &cols);
-
-    // Headline metrics contrast the paper's headline algorithm across
-    // engines — or track the selected algorithm under --algo.
-    let head_name = opts.algo.map_or("Cluster2", |a| a.name());
-    let mut head_rounds_sync = f64::NAN;
-    let mut head_rounds_async = f64::NAN;
-    let mut head_vt_async = f64::NAN;
-    let mut head_msgs_sync = f64::NAN;
-    let mut head_msgs_async = f64::NAN;
-    for &algo in &algos {
-        let mut rrow = vec![algo.name().to_string()];
-        let mut vrow = vec![algo.name().to_string()];
-        let mut mrow = vec![algo.name().to_string()];
-        for (spec, engine) in &engines {
-            let scenario = opts.apply_topology(Scenario::broadcast(n).engine(engine.clone()));
-            let label = format!("{}/{spec}", algo.name());
-            let reps = par_map_trials(0xE14, &label, trials, |seed| {
-                let r = algo.run(&scenario.clone().seed(seed));
-                (
-                    r.rounds as f64,
-                    r.virtual_time,
-                    r.messages_per_node(),
-                    f64::from(u8::from(r.success)),
-                )
-            });
-            let t = f64::from(trials);
+    let n = ex.sizes[0];
+    let trials = ex.trials_at(n);
+    let engines = engines(&ex.opts);
+    let t = f64::from(trials);
+    // Per cell: mean steps, virtual time, messages per node and success
+    // rate, each a sum ÷ trials.
+    let rows = ex.sweep(
+        0xE14,
+        &engines,
+        |algo, (spec, _)| (format!("{}/{spec}", algo.name()), trials),
+        |algo, (_, engine), seed| {
+            let r = algo.run(
+                &ex.scenario(Scenario::broadcast(n).engine(engine.clone()))
+                    .seed(seed),
+            );
+            // Sync has no clock: its virtual-time cells print a dash.
+            let vt = engine.is_async().then_some(r.virtual_time);
+            let ok = f64::from(u8::from(r.success));
+            (r.rounds as f64, vt, r.messages_per_node(), ok)
+        },
+        |reps| {
             let rounds: f64 = reps.iter().map(|&(r, ..)| r).sum::<f64>() / t;
-            let vt: f64 = reps.iter().map(|&(_, v, ..)| v).sum::<f64>() / t;
+            let vt = reps.iter().map(|&(_, v, ..)| v).sum::<Option<f64>>();
             let msgs: f64 = reps.iter().map(|&(_, _, m, _)| m).sum::<f64>() / t;
             let ok: f64 = reps.iter().map(|&(.., s)| s).sum::<f64>() / t;
-            if algo.name() == head_name {
-                if engine.is_async() {
-                    // Last async column wins; with the default grid that
-                    // is async:exponential, the heaviest latency tail.
-                    head_rounds_async = rounds;
-                    head_vt_async = vt;
-                    head_msgs_async = msgs;
-                } else {
-                    head_rounds_sync = rounds;
-                    head_msgs_sync = msgs;
-                }
-            }
-            rrow.push(if ok < 1.0 {
+            (rounds, vt.map(|vt| vt / t), msgs, ok)
+        },
+    );
+
+    let cols: Vec<String> = engines.iter().map(|(spec, _)| spec.clone()).collect();
+    ex.emit_rows(
+        format!("E14: schedule steps to completion (n = {})", pow2(n)),
+        &cols,
+        &rows,
+        |&(rounds, _, _, ok)| {
+            if ok < 1.0 {
                 format!("{rounds:.1} ({:.0}% ok)", ok * 100.0)
             } else {
                 format!("{rounds:.1}")
-            });
-            vrow.push(if engine.is_async() {
-                format!("{vt:.1}")
-            } else {
-                "—".to_string()
-            });
-            mrow.push(format!("{msgs:.2}"));
+            }
+        },
+    );
+    ex.emit_rows(
+        "E14b: elapsed virtual time (asynchronous engines; sync has no clock)",
+        &cols,
+        &rows,
+        |(_, vt, ..)| vt.map_or("—".to_string(), |vt| format!("{vt:.1}")),
+    );
+    ex.emit_rows("E14c: messages per node", &cols, &rows, |&(_, _, m, _)| {
+        format!("{m:.2}")
+    });
+
+    let (mut rounds_sync, mut msgs_sync) = (f64::NAN, f64::NAN);
+    let (mut rounds_async, mut vt_async, mut msgs_async) = (f64::NAN, f64::NAN, f64::NAN);
+    for &(rounds, vt, msgs, _) in ex.head_row(&rows) {
+        match vt {
+            // Last async column wins; with the default grid that is
+            // async:exponential, the heaviest latency tail.
+            Some(vt) => (rounds_async, vt_async, msgs_async) = (rounds, vt, msgs),
+            None => (rounds_sync, msgs_sync) = (rounds, msgs),
         }
-        rounds_tbl.push_row(rrow);
-        vt_tbl.push_row(vrow);
-        msg_tbl.push_row(mrow);
     }
 
     // The E11 corner: does the restricted-addressing collapse survive
     // asynchrony? Sparse restricted graphs defeat the clustered
     // protocols under lockstep; the async engine changes timing, not
     // reachability, so the collapse must persist.
-    let corner_algos: Vec<&str> = if opts.algo.is_some() {
+    let head_name = ex.head;
+    let corner_algos: Vec<&str> = if ex.opts.algo.is_some() {
         vec![head_name]
     } else {
         vec!["Cluster2", "PushPull"]
@@ -153,8 +140,8 @@ fn main() {
     let corner_n = n.min(1 << 10);
     let mut corner_tbl = Table::new(
         format!(
-            "E14d: restricted-addressing coverage (n = 2^{}, informed/alive)",
-            corner_n.trailing_zeros()
+            "E14d: restricted-addressing coverage (n = {}, informed/alive)",
+            pow2(corner_n)
         ),
         &["algorithm/topology", "sync", "async:fixed"],
     );
@@ -180,7 +167,7 @@ fn main() {
                     let r = algo.run(&scenario.clone().seed(seed));
                     r.informed as f64 / r.alive as f64
                 });
-                let cov: f64 = reps.iter().sum::<f64>() / f64::from(trials);
+                let cov: f64 = reps.iter().sum::<f64>() / t;
                 if *name == head_name && tname == "rr8" && is_async {
                     head_restricted_async = cov;
                 }
@@ -189,17 +176,15 @@ fn main() {
             corner_tbl.push_row(row);
         }
     }
-
-    bench.stop();
-    emit(&rounds_tbl, &opts);
-    println!();
-    emit(&vt_tbl, &opts);
-    println!();
-    emit(&msg_tbl, &opts);
-    println!();
-    emit(&corner_tbl, &opts);
-    println!();
-    println!(
+    ex.emit(&corner_tbl);
+    ex.metric("trials_per_cell", t);
+    ex.head_metric("rounds_sync", rounds_sync);
+    ex.head_metric("rounds_async", rounds_async);
+    ex.head_metric("virtual_time_async", vt_async);
+    ex.head_metric("messages_per_node_sync", msgs_sync);
+    ex.head_metric("messages_per_node_async", msgs_async);
+    ex.head_metric("restricted_coverage_async", head_restricted_async);
+    ex.finish(Some(
         "Reading: the step counts are engine-invariant for the\n\
          bounded-schedule protocols — each asynchronous step drains its\n\
          whole event cascade before the next begins, so the loglog-vs-log\n\
@@ -210,23 +195,6 @@ fn main() {
          counts where pulls are answered mid-cascade with fresher state\n\
          than the start-of-round snapshot. The restricted collapse of\n\
          E11 persists under every schedule: it is a property of the\n\
-         contact graph, not of timing."
-    );
-    if opts.json {
-        let head_key = head_name.to_lowercase();
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(format!("{head_key}_rounds_sync"), head_rounds_sync);
-        bench.metric(format!("{head_key}_rounds_async"), head_rounds_async);
-        bench.metric(format!("{head_key}_virtual_time_async"), head_vt_async);
-        bench.metric(format!("{head_key}_messages_per_node_sync"), head_msgs_sync);
-        bench.metric(
-            format!("{head_key}_messages_per_node_async"),
-            head_msgs_async,
-        );
-        bench.metric(
-            format!("{head_key}_restricted_coverage_async"),
-            head_restricted_async,
-        );
-        bench.finish();
-    }
+         contact graph, not of timing.",
+    ));
 }

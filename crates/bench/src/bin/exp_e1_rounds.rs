@@ -14,78 +14,57 @@
 #![forbid(unsafe_code)]
 
 use gossip_baselines::registry;
-use gossip_bench::{cli, emit, ns_header, BenchJson};
-use gossip_core::algo::{Algorithm, Scenario};
+use gossip_bench::{ns_cols, table, Experiment, Spec};
+use gossip_core::algo::Scenario;
 use gossip_harness::fit::best_fits;
-use gossip_harness::{
-    fit_ratio, geometric_ns, par_map_trials, run_trials_seq, AsciiPlot, ScalingLaw, Summary, Table,
-};
+use gossip_harness::{fit_ratio, geometric_ns, run_trials_seq, AsciiPlot, ScalingLaw, Summary};
 
 fn main() {
-    let opts = cli::parse();
-    let ns = opts.ns_or(if opts.huge {
+    let mut ex = Experiment::start(Spec {
+        name: "e1",
+        default: (geometric_ns(8, 14, 2), 8),
+        full: (geometric_ns(8, 17, 1), 20),
         // The million-node grid: 2^14 → 2^17 → 2^20, where the
         // loglog-vs-log separation becomes the headline chart.
-        geometric_ns(14, 20, 3)
-    } else if opts.full {
-        geometric_ns(8, 17, 1)
-    } else {
-        geometric_ns(8, 14, 2)
+        huge: Some((geometric_ns(14, 20, 3), 16)),
+        algos: registry::compared().to_vec(),
+        ..Spec::default()
     });
-    let trials = opts.trials_or(if opts.huge {
-        16
-    } else if opts.full {
-        20
-    } else {
-        8
-    });
-    let algos = opts.algos(registry::compared());
-    let mut bench = BenchJson::start("e1", &opts);
+    let ns = ex.sizes.clone();
 
     // Compute phase: every (algorithm, n) cell fans its trials out across
     // the worker threads; per-trial records come back in seed order, so
-    // the summaries are bit-identical to a sequential run.
-    struct Cell {
-        rounds: Summary,
-        msgs_per_node: Summary,
-    }
-    let mut data: Vec<(&dyn Algorithm, Vec<Cell>)> = Vec::new();
-    for &algo in &algos {
-        let mut cells = Vec::new();
-        for &n in &ns {
-            // --huge scales the per-cell trial count down with n so the
-            // 2^20 cells stay tractable; other grids use `trials` as-is.
-            let cell_trials = opts.cell_trials(trials, n);
-            let reps = par_map_trials(0xE1, algo.name(), cell_trials, |seed| {
-                // --topo (default: complete) applies uniformly to every cell.
-                let r = algo.run(
-                    &opts.apply_engine(opts.apply_topology(Scenario::broadcast(n).seed(seed))),
-                );
-                (r.rounds as f64, r.messages_per_node())
-            });
+    // the summaries are bit-identical to a sequential run. --huge scales
+    // the per-cell trial count down with n so the 2^20 cells stay
+    // tractable.
+    let data = ex.sweep(
+        0xE1,
+        &ns,
+        |algo, &n| (algo.name().to_string(), ex.trials_at(n)),
+        |algo, &n, seed| {
+            let r = algo.run(&ex.scenario(Scenario::broadcast(n).seed(seed)));
+            (r.rounds as f64, r.messages_per_node())
+        },
+        |reps| {
             let rounds: Vec<f64> = reps.iter().map(|&(r, _)| r).collect();
             let msgs: Vec<f64> = reps.iter().map(|&(_, m)| m).collect();
-            cells.push(Cell {
-                rounds: Summary::from_samples(&rounds),
-                msgs_per_node: Summary::from_samples(&msgs),
-            });
-        }
-        data.push((algo, cells));
-    }
-    let wall_par_ms = bench.stop();
-
-    let header = ns_header(&["algorithm", "law"], &ns);
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut rounds_tbl = Table::new("E1: mean rounds to inform all nodes", &cols);
-
-    let header_b = ns_header(&["algorithm"], &ns);
-    let cols_b: Vec<&str> = header_b.iter().map(String::as_str).collect();
-    let mut norm_tbl = Table::new(
-        "E1b: rounds / predicted-law(n)  (flat row = predicted shape holds)",
-        &cols_b,
+            (Summary::from_samples(&rounds), Summary::from_samples(&msgs))
+        },
     );
+    let wall_par_ms = ex.stop();
 
-    let mut fit_tbl = Table::new(
+    let cols = ns_cols(&ns);
+    let mut rounds_tbl = table(
+        "E1: mean rounds to inform all nodes",
+        &["algorithm", "law"],
+        &cols,
+    );
+    let mut norm_tbl = table(
+        "E1b: rounds / predicted-law(n)  (flat row = predicted shape holds)",
+        &["algorithm"],
+        &cols,
+    );
+    let mut fit_tbl = table(
         "E1c: scaling-law fit (best law by R2, plus predicted law's R2)",
         &[
             "algorithm",
@@ -95,11 +74,12 @@ fn main() {
             "predicted R2",
             "c",
         ],
+        &[],
     );
 
     let mut fig = AsciiPlot::new("Figure E1: rounds vs n (log-x)", 60, 16);
-    for (algo, cells) in &data {
-        let means: Vec<f64> = cells.iter().map(|c| c.rounds.mean).collect();
+    for (algo, cells) in ex.algos.iter().zip(&data) {
+        let means: Vec<f64> = cells.iter().map(|(rounds, _)| rounds.mean).collect();
         let xs: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
         let law = ScalingLaw::from(algo.law());
         let predicted_fit = fit_ratio(&xs, &means, law);
@@ -134,32 +114,27 @@ fn main() {
         );
     }
 
-    emit(&rounds_tbl, &opts);
-    println!();
-    emit(&norm_tbl, &opts);
-    println!();
-    emit(&fit_tbl, &opts);
-    if !opts.csv {
-        println!();
-        print!("{}", fig.render());
+    ex.emit(&rounds_tbl);
+    ex.emit(&norm_tbl);
+    ex.emit(&fit_tbl);
+    if !ex.opts.csv {
+        ex.emit_text(&fig.render());
     }
 
-    if opts.json {
+    if ex.opts.json {
         // Sequential control pass: same grid through run_trials_seq. This
         // both times the sequential baseline and proves in situ that the
         // parallel summaries above are bit-identical to it.
         let seq_start = std::time::Instant::now();
-        for (algo, cells) in &data {
-            for (&n, cell) in ns.iter().zip(cells) {
-                let seq = run_trials_seq(0xE1, algo.name(), opts.cell_trials(trials, n), |seed| {
-                    algo.run(
-                        &opts.apply_engine(opts.apply_topology(Scenario::broadcast(n).seed(seed))),
-                    )
-                    .rounds as f64
+        for (algo, cells) in ex.algos.iter().zip(&data) {
+            for (&n, (rounds, _)) in ns.iter().zip(cells) {
+                let seq = run_trials_seq(0xE1, algo.name(), ex.trials_at(n), |seed| {
+                    algo.run(&ex.scenario(Scenario::broadcast(n).seed(seed)))
+                        .rounds as f64
                 });
                 assert_eq!(
                     seq,
-                    cell.rounds,
+                    *rounds,
                     "parallel summary diverged from sequential for {} at n={n}",
                     algo.name()
                 );
@@ -167,25 +142,17 @@ fn main() {
         }
         let wall_seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
 
-        // Headline metrics come from the first algorithm in the list —
-        // Cluster2 for the default comparison, the selection under --algo.
-        let (head, head_cells) = &data[0];
-        let head_key = head.name().to_lowercase();
-        let last = head_cells.last().expect("non-empty grid");
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric("grid_cells", (ns.len() * data.len()) as f64);
-        bench.metric("largest_n", *ns.last().expect("non-empty grid") as f64);
-        bench.metric("wall_ms_parallel", wall_par_ms);
-        bench.metric("wall_ms_sequential", wall_seq_ms);
-        bench.metric("speedup_vs_seq", wall_seq_ms / wall_par_ms.max(1e-9));
-        bench.metric(
-            format!("{head_key}_mean_rounds_largest_n"),
-            last.rounds.mean,
-        );
-        bench.metric(
-            format!("{head_key}_msgs_per_node_largest_n"),
-            last.msgs_per_node.mean,
-        );
-        bench.finish();
+        // Headline metrics come from Cluster2 for the default
+        // comparison, the selection under --algo.
+        let (rounds, msgs) = *ex.head_row(&data).last().expect("non-empty grid");
+        ex.metric("trials_per_cell", f64::from(ex.trials));
+        ex.metric("grid_cells", (ns.len() * data.len()) as f64);
+        ex.metric("largest_n", *ns.last().expect("non-empty grid") as f64);
+        ex.metric("wall_ms_parallel", wall_par_ms);
+        ex.metric("wall_ms_sequential", wall_seq_ms);
+        ex.metric("speedup_vs_seq", wall_seq_ms / wall_par_ms.max(1e-9));
+        ex.head_metric("mean_rounds_largest_n", rounds.mean);
+        ex.head_metric("msgs_per_node_largest_n", msgs.mean);
     }
+    ex.finish(None);
 }

@@ -12,88 +12,72 @@
 #![forbid(unsafe_code)]
 
 use gossip_baselines::registry;
-use gossip_bench::{cli, emit, ns_header, BenchJson};
-use gossip_core::algo::Scenario;
-use gossip_harness::{geometric_ns, run_trials, Table};
+use gossip_bench::{mean, ns_cols, Experiment, Spec};
+use gossip_core::algo::{Algorithm, Scenario};
+use gossip_harness::geometric_ns;
 
 fn main() {
-    let opts = cli::parse();
-    let ns = opts.ns_or(if opts.full {
-        geometric_ns(8, 17, 1)
-    } else {
-        geometric_ns(8, 14, 2)
+    let mut ex = Experiment::start(Spec {
+        name: "e2",
+        default: (geometric_ns(8, 14, 2), 8),
+        full: (geometric_ns(8, 17, 1), 20),
+        algos: registry::compared().to_vec(),
+        ..Spec::default()
     });
-    let trials = opts.trials_or(if opts.full { 20 } else { 8 });
-    let algos = opts.algos(registry::compared());
-    let mut bench = BenchJson::start("e2", &opts);
+    let ns = ex.sizes.clone();
+    // One label per algorithm across sizes, and a second seed stream
+    // for the payload count.
+    let cell = |algo: &dyn Algorithm, _: &usize| (algo.name().to_string(), ex.trials);
+    let run = |algo: &dyn Algorithm, n: usize, seed| {
+        algo.run(&ex.scenario(Scenario::broadcast(n).seed(seed)))
+    };
+    let totals = ex.sweep(
+        0xE2,
+        &ns,
+        cell,
+        |algo, &n, seed| run(algo, n, seed).messages_per_node(),
+        mean,
+    );
+    let payloads = ex.sweep(
+        0xE2B,
+        &ns,
+        cell,
+        |algo, &n, seed| run(algo, n, seed).payload_messages_per_node(),
+        mean,
+    );
+    let growth: Vec<Vec<f64>> = totals
+        .iter()
+        .zip(&payloads)
+        .map(|(t, p)| vec![t[t.len() - 1] / t[0], p[p.len() - 1] / p[0]])
+        .collect();
 
-    let header = ns_header(&["algorithm"], &ns);
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut total_tbl = Table::new("E2: total messages per node (requests included)", &cols);
-    let mut payload_tbl = Table::new(
+    let cols = ns_cols(&ns);
+    let one_place = |m: &f64| format!("{m:.1}");
+    ex.emit_rows(
+        "E2: total messages per node (requests included)",
+        &cols,
+        &totals,
+        one_place,
+    );
+    ex.emit_rows(
         "E2b: payload-bearing messages per node (rumor/ID transmissions)",
         &cols,
+        &payloads,
+        one_place,
     );
-    let mut growth_tbl = Table::new(
+    ex.emit_rows(
         "E2c: growth factor from smallest to largest n (flat ~ O(1))",
-        &["algorithm", "total growth", "payload growth"],
+        &["total growth".into(), "payload growth".into()],
+        &growth,
+        |g| format!("{g:.2}x"),
     );
 
-    // Headline record for --json: the first algorithm (Cluster2 by
+    // Headline record for --json: the headline algorithm (Cluster2 by
     // default) at the largest n.
-    let mut headline = (0.0f64, 0.0f64);
-    for &algo in &algos {
-        let mut totals = Vec::new();
-        let mut payloads = Vec::new();
-        for &n in &ns {
-            let t = run_trials(0xE2, algo.name(), trials, |seed| {
-                algo.run(&opts.apply_engine(opts.apply_topology(Scenario::broadcast(n).seed(seed))))
-                    .messages_per_node()
-            });
-            let p = run_trials(0xE2B, algo.name(), trials, |seed| {
-                algo.run(&opts.apply_engine(opts.apply_topology(Scenario::broadcast(n).seed(seed))))
-                    .payload_messages_per_node()
-            });
-            totals.push(t.mean);
-            payloads.push(p.mean);
-        }
-        if algo.name() == algos[0].name() {
-            headline = (*totals.last().unwrap(), *payloads.last().unwrap());
-        }
-        let mut row = vec![algo.name().to_string()];
-        row.extend(totals.iter().map(|m| format!("{m:.1}")));
-        total_tbl.push_row(row);
-        let mut row = vec![algo.name().to_string()];
-        row.extend(payloads.iter().map(|m| format!("{m:.1}")));
-        payload_tbl.push_row(row);
-        growth_tbl.push_row(vec![
-            algo.name().to_string(),
-            format!("{:.2}x", totals.last().unwrap() / totals.first().unwrap()),
-            format!(
-                "{:.2}x",
-                payloads.last().unwrap() / payloads.first().unwrap()
-            ),
-        ]);
-    }
-
-    bench.stop();
-    emit(&total_tbl, &opts);
-    println!();
-    emit(&payload_tbl, &opts);
-    println!();
-    emit(&growth_tbl, &opts);
-
-    if opts.json {
-        let head_key = algos[0].name().to_lowercase();
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(
-            format!("{head_key}_total_msgs_per_node_largest_n"),
-            headline.0,
-        );
-        bench.metric(
-            format!("{head_key}_payload_msgs_per_node_largest_n"),
-            headline.1,
-        );
-        bench.finish();
-    }
+    let total = *ex.head_row(&totals).last().expect("non-empty grid");
+    let payload = *ex.head_row(&payloads).last().expect("non-empty grid");
+    ex.metric("trials_per_cell", f64::from(ex.trials));
+    ex.head_metric("total_msgs_per_node_largest_n", total);
+    ex.head_metric("payload_msgs_per_node_largest_n", payload);
+    ex.finish(None);
 }

@@ -7,74 +7,56 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{algos_by_name, cli, emit, BenchJson};
+use gossip_bench::{algos_by_name, mean, ns_cols, table, Experiment, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{geometric_ns, run_trials, Table};
+use gossip_harness::geometric_ns;
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e3", &opts);
-    let ns = opts.ns_or(if opts.full {
-        geometric_ns(9, 16, 1)
-    } else {
-        geometric_ns(9, 14, 2)
+    let mut ex = Experiment::start(Spec {
+        name: "e3",
+        default: (geometric_ns(9, 14, 2), 5),
+        full: (geometric_ns(9, 16, 1), 10),
+        algos: algos_by_name(&["Cluster2", "AvinElsasser", "Karp", "Push"]),
+        ..Spec::default()
     });
-    let trials = opts.trials_or(if opts.full { 10 } else { 5 });
+    let ns = ex.sizes.clone();
     let bs: &[u64] = &[64, 512, 4096];
-    let algos = opts.algos(&algos_by_name(&[
-        "Cluster2",
-        "AvinElsasser",
-        "Karp",
-        "Push",
-    ]));
-
-    let mut header: Vec<String> = vec!["algorithm".into(), "b bits".into()];
-    header.extend(ns.iter().map(|n| format!("n=2^{}", n.trailing_zeros())));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut tbl = Table::new(
-        "E3: total bits / (n*b)  (bounded rows = O(nb) bit complexity)",
-        &cols,
+    // Columns run b-major, so each algorithm's row splits into one table
+    // row per b; one label per algorithm across every cell.
+    let cells: Vec<(u64, usize)> = bs
+        .iter()
+        .flat_map(|&b| ns.iter().map(move |&n| (b, n)))
+        .collect();
+    let rows = ex.sweep(
+        0xE3,
+        &cells,
+        |algo, _| (algo.name().to_string(), ex.trials),
+        |algo, &(b, n), seed| {
+            let r = algo.run(&ex.scenario(Scenario::broadcast(n).seed(seed).rumor_bits(b)));
+            r.bits as f64 / (n as f64 * b as f64)
+        },
+        mean,
     );
 
-    let mut headline = 0.0f64;
-    for &algo in &algos {
-        for &b in bs {
-            let mut row = vec![algo.name().to_string(), b.to_string()];
-            for &n in &ns {
-                let s = run_trials(0xE3, algo.name(), trials, |seed| {
-                    let r = algo.run(&opts.apply_engine(
-                        opts.apply_topology(Scenario::broadcast(n).seed(seed).rumor_bits(b)),
-                    ));
-                    r.bits as f64 / (n as f64 * b as f64)
-                });
-                if algo.name() == algos[0].name()
-                    && b == *bs.last().unwrap()
-                    && n == *ns.last().unwrap()
-                {
-                    headline = s.mean;
-                }
-                row.push(format!("{:.2}", s.mean));
-            }
-            tbl.push_row(row);
+    let mut tbl = table(
+        "E3: total bits / (n*b)  (bounded rows = O(nb) bit complexity)",
+        &["algorithm", "b bits"],
+        &ns_cols(&ns),
+    );
+    for (algo, row) in ex.algos.iter().zip(&rows) {
+        for (b, means) in bs.iter().zip(row.chunks(ns.len())) {
+            let mut cells = vec![algo.name().to_string(), b.to_string()];
+            cells.extend(means.iter().map(|m| format!("{m:.2}")));
+            tbl.push_row(cells);
         }
     }
-    bench.stop();
-    emit(&tbl, &opts);
-    if opts.json {
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(
-            format!(
-                "{}_bits_per_nb_largest_cell",
-                algos[0].name().to_lowercase()
-            ),
-            headline,
-        );
-        bench.finish();
-    }
-    println!();
-    println!(
+    ex.emit(&tbl);
+    let headline = *ex.head_row(&rows).last().expect("non-empty grid");
+    ex.metric("trials_per_cell", f64::from(ex.trials));
+    ex.head_metric("bits_per_nb_largest_cell", headline);
+    ex.finish(Some(
         "Reading: Cluster2 rows converge to a constant as b grows (O(nb));\n\
          Push grows with log n at every b; AvinElsasser's small-b rows show\n\
-         its n*log^1.5 n ID-traffic term."
-    );
+         its n*log^1.5 n ID-traffic term.",
+    ));
 }

@@ -10,49 +10,42 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{cli, emit, BenchJson};
-use gossip_harness::{par_map_on, Table};
+use gossip_bench::{pow2, table, Experiment, Grid, Spec};
+use gossip_harness::{default_threads, par_map_on, Table};
 use gossip_lowerbound::knowledge::rounds_to_complete;
 use gossip_lowerbound::theorem3::{estimate_success, paper_threshold};
 
 fn main() {
-    let opts = cli::parse();
     // The lower bound quantifies over *all* algorithms at once — there is
-    // no algorithm to select.
-    opts.warn_unused_topo("e4");
-    opts.warn_unused_engine("e4");
-    opts.warn_fixed_algos("e4", &[]);
-    let mut bench = BenchJson::start("e4", &opts);
-    let (ns, trials): (Vec<usize>, u32) = if opts.full {
-        (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18], 30)
-    } else {
-        (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16], 12)
-    };
-    let ns = opts.ns_or(ns);
-    let trials = opts.trials_or(trials);
+    // no algorithm to select, and no scenario to restrict or re-time.
+    let mut ex = Experiment::start(Spec {
+        name: "e4",
+        default: (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16], 12),
+        full: (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18], 30),
+        fixed: true,
+        ignore_topo: true,
+        ignore_engine: true,
+        ..Spec::default()
+    });
     let ts: Vec<u32> = (1..=8).collect();
-
-    let mut header: Vec<String> = vec!["n".into(), "0.99*loglog n".into()];
-    header.extend(ts.iter().map(|t| format!("T={t}")));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut tbl = Table::new("E4: P[diam(union of T sample graphs) <= 2^T]", &cols);
-
-    for &n in &ns {
-        let mut row = vec![
-            format!("2^{}", n.trailing_zeros()),
-            format!("{:.2}", paper_threshold(n)),
-        ];
+    let cols: Vec<String> = ts.iter().map(|t| format!("T={t}")).collect();
+    let mut tbl = table(
+        "E4: P[diam(union of T sample graphs) <= 2^T]",
+        &["n", "0.99*loglog n"],
+        &cols,
+    );
+    for &n in &ex.sizes {
+        let mut row = vec![pow2(n), format!("{:.2}", paper_threshold(n))];
         // Every cell builds its own RNGs from derive_seed(0xE4, trial) —
         // nothing is shared across cells — so fanning the T column out
         // across workers changes nothing.
-        let ps = par_map_on(gossip_harness::default_threads(), &ts, |&t| {
-            estimate_success(n, t, trials, 0xE4)
+        let ps = par_map_on(default_threads(), &ts, |&t| {
+            estimate_success(n, t, ex.trials, 0xE4)
         });
         row.extend(ps.iter().map(|p| format!("{p:.2}")));
         tbl.push_row(row);
     }
-    emit(&tbl, &opts);
-    println!();
+    ex.emit(&tbl);
 
     // Constructive side: the most powerful conceivable algorithm
     // (Lemma 14 dynamics — unbounded messages, unbounded fan-out, full
@@ -63,15 +56,15 @@ fn main() {
         &["n", "loglog n", "rounds (mean of 5 seeds)"],
     );
     // The knowledge matrix closure is ~O(n^3/64) when dense — keep n modest.
-    let kns: Vec<usize> = if opts.full {
-        vec![1 << 6, 1 << 8, 1 << 10, 1 << 12]
-    } else {
+    let kns: Vec<usize> = if ex.grid == Grid::Default {
         vec![1 << 6, 1 << 8, 1 << 10]
+    } else {
+        vec![1 << 6, 1 << 8, 1 << 10, 1 << 12]
     };
     let mut headline_rounds = 0.0f64;
     for &n in &kns {
         let seeds: Vec<u64> = (0..5).collect();
-        let mean: f64 = par_map_on(gossip_harness::default_threads(), &seeds, |&s| {
+        let mean: f64 = par_map_on(default_threads(), &seeds, |&s| {
             f64::from(rounds_to_complete(n, s, 30).expect("completes"))
         })
         .iter()
@@ -79,28 +72,21 @@ fn main() {
             / 5.0;
         headline_rounds = mean;
         k_tbl.push_row(vec![
-            format!("2^{}", n.trailing_zeros()),
+            pow2(n),
             format!("{:.2}", gossip_core::config::loglog2n(n)),
             format!("{mean:.1}"),
         ]);
     }
-    bench.stop();
-    emit(&k_tbl, &opts);
-    if opts.json {
-        bench.metric("diam_trials_per_cell", f64::from(trials));
-        bench.metric("lemma14_mean_rounds_largest_n", headline_rounds);
-        bench.metric(
-            "paper_threshold_largest_n",
-            paper_threshold(*ns.last().unwrap()),
-        );
-        bench.finish();
-    }
-    println!();
-    println!(
+    ex.emit(&k_tbl);
+    let largest_n = *ex.sizes.last().expect("non-empty grid");
+    ex.metric("diam_trials_per_cell", f64::from(ex.trials));
+    ex.metric("lemma14_mean_rounds_largest_n", headline_rounds);
+    ex.metric("paper_threshold_largest_n", paper_threshold(largest_n));
+    ex.finish(Some(
         "Reading: columns T at or below 0.99*loglog n are 0.00 (Theorem 3:\n\
          no algorithm — even with unbounded messages and fan-out — can\n\
          finish); success flips to 1.00 within ~2 rounds above the threshold,\n\
          and the omnipotent Lemma 14 dynamics (E4b) completes right there —\n\
-         the Theta(log log n) of Cluster1/Cluster2 is optimal."
-    );
+         the Theta(log log n) of Cluster1/Cluster2 is optimal.",
+    ));
 }

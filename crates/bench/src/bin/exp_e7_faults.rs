@@ -8,79 +8,54 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{algos_by_name, cli, emit, BenchJson};
+use gossip_bench::{algos_by_name, coverage_rounds, pow2, Experiment, Spec};
 use gossip_core::algo::Scenario;
-use gossip_harness::{par_map_trials, Summary, Table};
 use phonecall::FailurePlan;
 
 fn main() {
-    let opts = cli::parse();
-    let mut bench = BenchJson::start("e7", &opts);
-    let n: usize = opts.n.unwrap_or(if opts.full { 1 << 14 } else { 1 << 12 });
-    let trials = opts.trials_or(if opts.full { 15 } else { 6 });
+    let mut ex = Experiment::start(Spec {
+        name: "e7",
+        default: (vec![1 << 12], 6),
+        full: (vec![1 << 14], 15),
+        algos: algos_by_name(&["Cluster1", "Cluster2", "Karp", "Push"]),
+        // Headline metrics track Cluster2 in the default comparison, or
+        // the selected algorithm under --algo (so the BENCH record never
+        // carries zeros for an algorithm that did not run).
+        head: Some("Cluster2"),
+        ..Spec::default()
+    });
+    let n = ex.sizes[0];
     let fractions = [0.05f64, 0.1, 0.2, 0.3];
-    let algos = opts.algos(&algos_by_name(&["Cluster1", "Cluster2", "Karp", "Push"]));
-
-    let mut header: Vec<String> = vec!["algorithm".into()];
-    header.extend(fractions.iter().map(|f| format!("F/n={f}")));
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut tbl = Table::new(
-        format!(
-            "E7: uninformed survivors / F under oblivious failures (n = 2^{})",
-            n.trailing_zeros()
-        ),
-        &cols,
-    );
-    let mut rounds_tbl = Table::new("E7b: rounds under failures (guarantees preserved)", &cols);
-
-    // Headline metrics track Cluster2 in the default comparison, or the
-    // selected algorithm under --algo (so the BENCH record never carries
-    // zeros for an algorithm that did not run).
-    let head_name = opts.algo.map_or("Cluster2", |a| a.name());
-    let mut headline = (0.0f64, 0.0f64);
-    for &algo in &algos {
-        let mut row = vec![algo.name().to_string()];
-        let mut rrow = vec![algo.name().to_string()];
-        for &frac in &fractions {
+    let rows = ex.sweep(
+        0xE7,
+        &fractions,
+        |algo, frac| (format!("{}{frac}", algo.name()), ex.trials),
+        |algo, &frac, seed| {
             let f = (n as f64 * frac) as usize;
-            let reps = par_map_trials(0xE7, &format!("{}{frac}", algo.name()), trials, |seed| {
-                let r =
-                    algo.run(&opts.apply_engine(opts.apply_topology(failure_scenario(n, f, seed))));
-                (r.uninformed() as f64 / f as f64, r.rounds as f64)
-            });
-            let ratios: Vec<f64> = reps.iter().map(|&(u, _)| u).collect();
-            let rounds_acc: f64 = reps.iter().map(|&(_, r)| r).sum();
-            let s = Summary::from_samples(&ratios);
-            if algo.name() == head_name {
-                headline = (s.mean, rounds_acc / f64::from(trials));
-            }
-            row.push(format!("{:.4}", s.mean));
-            rrow.push(format!("{:.0}", rounds_acc / f64::from(trials)));
-        }
-        tbl.push_row(row);
-        rounds_tbl.push_row(rrow);
-    }
-
-    bench.stop();
-    emit(&tbl, &opts);
-    println!();
-    emit(&rounds_tbl, &opts);
-    println!();
-    println!(
+            let r = algo.run(&ex.scenario(failure_scenario(n, f, seed)));
+            (r.uninformed() as f64 / f as f64, r.rounds as f64)
+        },
+        coverage_rounds,
+    );
+    let cols: Vec<String> = fractions.iter().map(|f| format!("F/n={f}")).collect();
+    ex.emit_pair(
+        format!(
+            "E7: uninformed survivors / F under oblivious failures (n = {})",
+            pow2(n)
+        ),
+        "E7b: rounds under failures (guarantees preserved)",
+        &cols,
+        &rows,
+    );
+    let (ratio, rounds) = *ex.head_row(&rows).last().expect("non-empty grid");
+    ex.metric("trials_per_cell", f64::from(ex.trials));
+    ex.head_metric("uninformed_ratio_worst_frac", ratio);
+    ex.head_metric("mean_rounds_worst_frac", rounds);
+    ex.finish(Some(
         "Reading: the uninformed-survivors/F ratio stays far below 1 (the\n\
          o(F) guarantee of Theorem 19) and round counts match the fault-free\n\
-         runs of E1."
-    );
-    if opts.json {
-        let head_key = head_name.to_lowercase();
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric(
-            format!("{head_key}_uninformed_ratio_worst_frac"),
-            headline.0,
-        );
-        bench.metric(format!("{head_key}_mean_rounds_worst_frac"), headline.1);
-        bench.finish();
-    }
+         runs of E1.",
+    ));
 }
 
 /// A broadcast scenario with `f` random oblivious failures, re-sourced at

@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use gossip_bench::{cli, emit, BenchJson};
+use gossip_bench::{algos_by_name, pow2, Experiment, Spec};
 use gossip_core::primitives::{
     activate, merge_iteration, resize, sample_singletons, MergeOpts, MergeRule, Who,
 };
@@ -22,21 +22,22 @@ use gossip_core::{cluster2, Cluster2Config, ClusterSim, CommonConfig};
 use gossip_harness::{par_map_trials, run_trials, Summary, Table};
 
 fn main() {
-    let opts = cli::parse();
     // The ablations run Cluster2's internals against modified copies of
-    // themselves — there is no algorithm to select.
-    opts.warn_unused_topo("e8");
-    opts.warn_unused_engine("e8");
-    opts.warn_fixed_algos("e8", &["Cluster2"]);
-    let trials = opts.trials_or(if opts.full { 10 } else { 5 });
-    let mut bench = BenchJson::start("e8", &opts);
+    // themselves — there is no algorithm to select, and no scenario to
+    // restrict or re-time.
+    let mut ex = Experiment::start(Spec {
+        name: "e8",
+        default: (vec![1 << 8, 1 << 10, 1 << 12], 5),
+        full: (vec![1 << 8, 1 << 10, 1 << 12, 1 << 14], 10),
+        algos: algos_by_name(&["Cluster2"]),
+        fixed: true,
+        ignore_topo: true,
+        ignore_engine: true,
+        ..Spec::default()
+    });
+    let (ns, trials) = (ex.sizes.clone(), ex.trials);
 
     // --- A: squaring vs doubling -------------------------------------
-    let ns: Vec<usize> = opts.ns_or(if opts.full {
-        vec![1 << 8, 1 << 10, 1 << 12, 1 << 14]
-    } else {
-        vec![1 << 8, 1 << 10, 1 << 12]
-    });
     let mut a = Table::new(
         "E8-A: merge all singletons into one cluster — squaring vs doubling (iterations used)",
         &[
@@ -54,14 +55,13 @@ fn main() {
             f64::from(merge_to_one(n, seed, Schedule::Doubling))
         });
         a.push_row(vec![
-            format!("2^{}", n.trailing_zeros()),
+            pow2(n),
             format!("{:.1}", sq.mean),
             format!("{:.1}", db.mean),
             format!("{:.1}x", db.mean / sq.mean.max(1.0)),
         ]);
     }
-    emit(&a, &opts);
-    println!();
+    ex.emit(&a);
 
     // --- B: thin backbone on/off -------------------------------------
     let mut b = Table::new(
@@ -77,29 +77,25 @@ fn main() {
     );
     let mut headline_blowup = 0.0f64;
     for &n in &ns {
-        let fold = |reps: Vec<(f64, f64)>| {
+        let grow = |label: String, capped: bool| {
+            let reps = par_map_trials(0xE8B, &label, trials, |seed| grow_only(n, seed, capped));
             let msgs: Vec<f64> = reps.iter().map(|&(m, _)| m).collect();
             let frac: f64 = reps.iter().map(|&(_, f)| f).sum();
-            (Summary::from_samples(&msgs), frac)
+            (Summary::from_samples(&msgs), frac / f64::from(trials))
         };
-        let (capped, frac_c) = fold(par_map_trials(0xE8B, &format!("c{n}"), trials, |seed| {
-            grow_only(n, seed, true)
-        }));
-        let (uncapped, frac_u) = fold(par_map_trials(0xE8B, &format!("u{n}"), trials, |seed| {
-            grow_only(n, seed, false)
-        }));
+        let (capped, frac_c) = grow(format!("c{n}"), true);
+        let (uncapped, frac_u) = grow(format!("u{n}"), false);
         headline_blowup = uncapped.mean / capped.mean.max(0.1);
         b.push_row(vec![
-            format!("2^{}", n.trailing_zeros()),
+            pow2(n),
             format!("{:.1}", capped.mean),
             format!("{:.1}", uncapped.mean),
-            format!("{:.1}x", uncapped.mean / capped.mean.max(0.1)),
-            format!("{:.3}", frac_c / f64::from(trials)),
-            format!("{:.3}", frac_u / f64::from(trials)),
+            format!("{headline_blowup:.1}x"),
+            format!("{frac_c:.3}"),
+            format!("{frac_u:.3}"),
         ]);
     }
-    emit(&b, &opts);
-    println!();
+    ex.emit(&b);
 
     // --- C: one vs two recruit pushes per squaring iteration ----------
     let mut c = Table::new(
@@ -123,20 +119,15 @@ fn main() {
             format!("{:.0}", stragglers / f64::from(trials)),
         ]);
     }
-    bench.stop();
-    emit(&c, &opts);
-    println!();
-    println!(
+    ex.emit(&c);
+    ex.metric("trials_per_cell", f64::from(trials));
+    ex.metric("uncapped_backbone_blowup_largest_n", headline_blowup);
+    ex.finish(Some(
         "Reading: A shows the doubly-exponential growth of the squaring\n\
          schedule (the gap widens with n); B shows the thin backbone is\n\
          what buys O(1) msgs/node; C shows the second ClusterPUSH is what\n\
-         leaves no inactive cluster behind (paper, Lemma 6)."
-    );
-    if opts.json {
-        bench.metric("trials_per_cell", f64::from(trials));
-        bench.metric("uncapped_backbone_blowup_largest_n", headline_blowup);
-        bench.finish();
-    }
+         leaves no inactive cluster behind (paper, Lemma 6).",
+    ));
 }
 
 /// Runs only the controlled-growth phase; `capped = false` removes the
@@ -197,16 +188,7 @@ fn merge_to_one(n: usize, seed: u64, schedule: Schedule) -> u32 {
         };
         activate(&mut sim, p);
         for _ in 0..2 {
-            merge_iteration(
-                &mut sim,
-                MergeOpts {
-                    pushers: Who::ActiveOnly,
-                    inactive_merge_only: true,
-                    rule: MergeRule::Smallest,
-                    smaller_only: false,
-                    mark_merged_active: true,
-                },
-            );
+            recruit_push(&mut sim, MergeRule::Smallest);
         }
         gossip_core::primitives::flatten_round(&mut sim);
         s = match schedule {
@@ -233,20 +215,26 @@ fn one_square_iteration(n: usize, seed: u64, reps: u32) -> (usize, usize) {
     resize(&mut sim, s, Who::AllClustered);
     activate(&mut sim, 1.0 / s as f64);
     for _ in 0..reps {
-        merge_iteration(
-            &mut sim,
-            MergeOpts {
-                pushers: Who::ActiveOnly,
-                inactive_merge_only: true,
-                rule: MergeRule::Random,
-                smaller_only: false,
-                mark_merged_active: true,
-            },
-        );
+        recruit_push(&mut sim, MergeRule::Random);
     }
     gossip_core::primitives::flatten_round(&mut sim);
     let map = sim.cluster_map();
     let target = 2 * s as usize;
     let small = map.values().filter(|m| m.len() < target).count();
     (map.len(), small)
+}
+
+/// One recruiting ClusterPUSH of a squaring iteration: active clusters
+/// push, inactive ones merge into them.
+fn recruit_push(sim: &mut ClusterSim, rule: MergeRule) {
+    merge_iteration(
+        sim,
+        MergeOpts {
+            pushers: Who::ActiveOnly,
+            inactive_merge_only: true,
+            rule,
+            smaller_only: false,
+            mark_merged_active: true,
+        },
+    );
 }

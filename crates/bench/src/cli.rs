@@ -1,11 +1,13 @@
-//! The one flag parser all eleven `exp_e*` binaries share.
+//! The one flag parser all fourteen `exp_e*` binaries share (through
+//! [`crate::Experiment::start`], which resolves the flags against each
+//! experiment's [`crate::Spec`]).
 //!
 //! Flags:
 //!
 //! * `--full` — the larger grid recorded in EXPERIMENTS.md;
-//! * `--huge` — the million-node grid (E1/E10/E11: n up to 2^20 with
-//!   per-cell trial counts auto-scaled down so a sweep stays tractable;
-//!   other experiments treat it as `--full`);
+//! * `--huge` — the million-node grid (E1/E10/E11/E13/E14: n up to 2^20
+//!   with per-cell trial counts auto-scaled down so a sweep stays
+//!   tractable; the other experiments say so on stderr and run `--full`);
 //! * `--csv` — CSV tables instead of markdown;
 //! * `--json` — additionally write a `BENCH_eK.json` perf record;
 //! * `--algo <name>` — run a single algorithm from the registry
@@ -25,8 +27,9 @@
 //! * `--trials <k>` — override the per-cell trial count.
 //!
 //! Experiments that run a fixed construction (E4's lower bound, E5/E6's
-//! `Δ` machinery, E8's ablations) warn and ignore `--algo` via
-//! [`Options::warn_fixed_algos`].
+//! `Δ` machinery, E8's ablations) warn and ignore `--algo`, and those
+//! with no scenario to restrict or re-time warn and ignore `--topo` /
+//! `--engine` (see [`crate::Spec`]).
 
 use gossip_baselines::registry;
 use gossip_core::algo::Algorithm;
@@ -38,7 +41,7 @@ pub struct Options {
     /// Use the larger sweep recorded in EXPERIMENTS.md.
     pub full: bool,
     /// Use the million-node grid (n up to 2^20, trials auto-scaled via
-    /// [`Options::cell_trials`]). Implies the `--full` grid where an
+    /// [`crate::Experiment::trials_at`]). Runs the `--full` grid where an
     /// experiment has no dedicated huge grid.
     pub huge: bool,
     /// Emit CSV instead of markdown.
@@ -61,158 +64,33 @@ pub struct Options {
     pub trials: Option<u32>,
 }
 
-impl Options {
-    /// The algorithm list to run: the single `--algo` selection if given,
-    /// otherwise the experiment's default set.
-    #[must_use]
-    pub fn algos(&self, default: &[&'static dyn Algorithm]) -> Vec<&'static dyn Algorithm> {
-        match self.algo {
-            Some(a) => vec![a],
-            None => default.to_vec(),
-        }
-    }
-
-    /// The size grid: `[--n]` if given, otherwise the default grid.
-    #[must_use]
-    pub fn ns_or(&self, default: Vec<usize>) -> Vec<usize> {
-        match self.n {
-            Some(n) => vec![n],
-            None => default,
-        }
-    }
-
-    /// The trial count: `--trials` if given, otherwise the default.
-    #[must_use]
-    pub fn trials_or(&self, default: u32) -> u32 {
-        self.trials.unwrap_or(default)
-    }
-
-    /// Per-cell trial count for a sweep: `base` as-is on the normal
-    /// grids, scaled down `∝ 2^14/n` (never below 1, never above `base`)
-    /// under `--huge`, so a million-node cell costs about as much wall
-    /// time as a 2^14 cell at full trials.
-    #[must_use]
-    pub fn cell_trials(&self, base: u32, n: usize) -> u32 {
-        if !self.huge {
-            return base;
-        }
-        let scaled = (u64::from(base) << 14) / n.max(1) as u64;
-        scaled.clamp(1, u64::from(base)) as u32
-    }
-
-    /// Applies the `--topo` override (if any) onto a scenario; without
-    /// the flag the scenario — and with it every historical stdout — is
-    /// untouched.
-    #[must_use]
-    pub fn apply_topology(
-        &self,
-        scenario: gossip_core::algo::Scenario,
-    ) -> gossip_core::algo::Scenario {
-        match &self.topo {
-            Some(t) => scenario.topology(t.clone()),
-            None => scenario,
-        }
-    }
-
-    /// Applies the `--engine` override (if any) onto a scenario; without
-    /// the flag the scenario — and with it every historical stdout — is
-    /// untouched.
-    #[must_use]
-    pub fn apply_engine(
-        &self,
-        scenario: gossip_core::algo::Scenario,
-    ) -> gossip_core::algo::Scenario {
-        match &self.engine {
-            Some(e) => scenario.engine(e.clone()),
-            None => scenario,
-        }
-    }
-
-    /// For experiments with no scenario to run under another engine
-    /// (E4's union graphs, E5/E6's `Δ` constructions): warns (on
-    /// stderr) that `--engine` is ignored — silence would let a user
-    /// record synchronous results believing they came from the
-    /// requested schedule.
-    pub fn warn_unused_engine(&self, experiment: &str) {
-        if let Some(e) = &self.engine {
-            eprintln!(
-                "{experiment} does not run on a scenario engine; ignoring --engine {}",
-                e.spec()
-            );
-        }
-    }
-
-    /// For experiments whose algorithm set is fixed by construction:
-    /// warns (on stderr) that `--algo` is ignored unless it names one of
-    /// `runs` (an empty `runs` means the experiment has no algorithm
-    /// subject at all, e.g. E4's lower bound).
-    pub fn warn_fixed_algos(&self, experiment: &str, runs: &[&str]) {
-        if let Some(a) = self.algo {
-            if runs.is_empty() {
-                eprintln!(
-                    "{experiment} has no algorithm to select; ignoring --algo {}",
-                    a.name()
-                );
-            } else if !runs.contains(&a.name()) {
-                eprintln!(
-                    "{experiment} always runs {}; ignoring --algo {}",
-                    runs.join("+"),
-                    a.name()
-                );
-            }
-        }
-    }
-
-    /// For experiments with no scenario to restrict (E4 runs on its own
-    /// union graphs, E8's ablations pin the environment): warns (on
-    /// stderr) that `--topo` is ignored — silence would let a user
-    /// record complete-graph results believing they came from the
-    /// requested topology.
-    pub fn warn_unused_topo(&self, experiment: &str) {
-        if let Some(t) = &self.topo {
-            eprintln!(
-                "{experiment} does not run on a scenario topology; ignoring --topo {}",
-                t.describe()
-            );
-        }
-    }
-}
-
 /// Outcome of [`try_parse`]: options, or a terminal request/error the
 /// caller turns into an exit.
-#[derive(Clone, Copy, Debug)]
-enum Terminal {
-    ListAlgos,
-    ListTopos,
-    ListEngines,
+#[derive(Clone, Debug)]
+pub(crate) enum Terminal {
+    /// A `--list-*` flag: print this catalog listing and exit 0.
+    List(String),
+    /// A bad value, already reported on stderr: exit 2.
     Error,
 }
 
 /// Parses the standard experiment flags from `std::env::args`, handling
-/// `--list-algos` / `--list-topos` (prints the catalog, exits 0) and bad
-/// values (exits 2 with a message) in place. Unknown flags warn and are
-/// ignored, as they always were.
+/// `--list-algos` / `--list-topos` / `--list-engines` (prints the
+/// catalog, exits 0) and bad values (exits 2 with a message) in place.
+/// Unknown flags warn and are ignored, as they always were.
 #[must_use]
 pub fn parse() -> Options {
     match try_parse(std::env::args().skip(1)) {
         Ok(o) => o,
-        Err(Terminal::ListAlgos) => {
-            print!("{}", render_algo_list());
-            std::process::exit(0);
-        }
-        Err(Terminal::ListTopos) => {
-            print!("{}", render_topo_list());
-            std::process::exit(0);
-        }
-        Err(Terminal::ListEngines) => {
-            print!("{}", render_engine_list());
+        Err(Terminal::List(listing)) => {
+            print!("{listing}");
             std::process::exit(0);
         }
         Err(Terminal::Error) => std::process::exit(2),
     }
 }
 
-fn try_parse(args: impl Iterator<Item = String>) -> Result<Options, Terminal> {
+pub(crate) fn try_parse(args: impl Iterator<Item = String>) -> Result<Options, Terminal> {
     let mut o = Options::default();
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -221,9 +99,9 @@ fn try_parse(args: impl Iterator<Item = String>) -> Result<Options, Terminal> {
             Some((f, v)) => (f.to_string(), Some(v.to_string())),
             None => (a, None),
         };
-        let mut value = |name: &str| {
+        let mut value = || {
             inline.take().or_else(|| args.next()).ok_or_else(|| {
-                eprintln!("{name} needs a value");
+                eprintln!("{flag} needs a value");
                 Terminal::Error
             })
         };
@@ -232,58 +110,44 @@ fn try_parse(args: impl Iterator<Item = String>) -> Result<Options, Terminal> {
             "--huge" => o.huge = true,
             "--csv" => o.csv = true,
             "--json" => o.json = true,
-            "--list-algos" => return Err(Terminal::ListAlgos),
-            "--list-topos" => return Err(Terminal::ListTopos),
-            "--list-engines" => return Err(Terminal::ListEngines),
-            "--algo" => {
-                let name = value("--algo")?;
-                o.algo = Some(registry::by_name(&name).map_err(|e| {
-                    eprintln!("{e}");
-                    Terminal::Error
-                })?);
-            }
-            "--topo" => {
-                let spec = value("--topo")?;
-                o.topo = Some(Topology::parse_spec(&spec).map_err(|e| {
-                    eprintln!("{e}");
-                    Terminal::Error
-                })?);
-            }
-            "--engine" => {
-                let spec = value("--engine")?;
-                o.engine = Some(Engine::parse_spec(&spec).map_err(|e| {
-                    eprintln!("{e}");
-                    Terminal::Error
-                })?);
-            }
-            "--n" => {
-                let v = value("--n")?;
-                // Gossip needs at least two nodes; catching it here gives
-                // a clean exit instead of a simulator panic.
-                o.n = match v.parse() {
-                    Ok(n) if n >= 2 => Some(n),
-                    _ => {
-                        eprintln!("--n wants an integer >= 2, got {v:?}");
-                        return Err(Terminal::Error);
-                    }
-                };
-            }
-            "--trials" => {
-                let v = value("--trials")?;
-                // Zero trials would print all-zero summaries that look
-                // like measurements.
-                o.trials = match v.parse() {
-                    Ok(t) if t >= 1 => Some(t),
-                    _ => {
-                        eprintln!("--trials wants an integer >= 1, got {v:?}");
-                        return Err(Terminal::Error);
-                    }
-                };
-            }
+            "--list-algos" => return Err(Terminal::List(render_algo_list())),
+            "--list-topos" => return Err(Terminal::List(render_topo_list())),
+            "--list-engines" => return Err(Terminal::List(render_engine_list())),
+            "--algo" => o.algo = Some(reported(registry::by_name(&value()?))?),
+            "--topo" => o.topo = Some(reported(Topology::parse_spec(&value()?))?),
+            "--engine" => o.engine = Some(reported(Engine::parse_spec(&value()?))?),
+            // Gossip needs at least two nodes; catching it here gives a
+            // clean exit instead of a simulator panic.
+            "--n" => o.n = Some(at_least(&flag, value()?, 2)?),
+            // Zero trials would print all-zero summaries that look like
+            // measurements.
+            "--trials" => o.trials = Some(at_least(&flag, value()?, 1)?),
             other => eprintln!("ignoring unknown flag {other}"),
         }
     }
     Ok(o)
+}
+
+/// Reports a bad flag value's error on stderr.
+fn reported<T, E: std::fmt::Display>(parsed: Result<T, E>) -> Result<T, Terminal> {
+    parsed.map_err(|e| {
+        eprintln!("{e}");
+        Terminal::Error
+    })
+}
+
+/// Parses an integer flag value no smaller than `min`.
+fn at_least<T>(flag: &str, v: String, min: T) -> Result<T, Terminal>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match v.parse() {
+        Ok(x) if x >= min => Ok(x),
+        _ => {
+            eprintln!("{flag} wants an integer >= {min}, got {v:?}");
+            Err(Terminal::Error)
+        }
+    }
 }
 
 /// The `--list-algos` listing: one line per registry entry.
@@ -306,24 +170,22 @@ pub fn render_algo_list() -> String {
 /// The `--list-topos` listing: one line per topology catalog entry.
 #[must_use]
 pub fn render_topo_list() -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<32} description\n", "spec"));
-    for (spec, about) in Topology::catalog() {
-        out.push_str(&format!("{spec:<32} {about}\n"));
-    }
-    out.push_str("\nselect one with --topo <name[:param]> (case-insensitive)\n");
-    out
+    render_catalog(32, Topology::catalog(), "--topo <name[:param]>")
 }
 
 /// The `--list-engines` listing: one line per engine catalog entry.
 #[must_use]
 pub fn render_engine_list() -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<20} description\n", "spec"));
-    for (spec, about) in Engine::catalog() {
-        out.push_str(&format!("{spec:<20} {about}\n"));
+    render_catalog(20, Engine::catalog(), "--engine <sync|async[:profile]>")
+}
+
+/// A `(spec, description)` catalog as a `--list-*` listing.
+fn render_catalog(width: usize, catalog: &[(&str, &str)], select: &str) -> String {
+    let mut out = format!("{:<width$} description\n", "spec");
+    for (spec, about) in catalog {
+        out.push_str(&format!("{spec:<width$} {about}\n"));
     }
-    out.push_str("\nselect one with --engine <sync|async[:profile]> (case-insensitive)\n");
+    out.push_str(&format!("\nselect one with {select} (case-insensitive)\n"));
     out
 }
 
@@ -341,19 +203,6 @@ mod tests {
         assert!(!o.full && !o.huge && !o.csv && !o.json);
         assert!(o.algo.is_none() && o.n.is_none() && o.trials.is_none());
         assert!(o.topo.is_none());
-    }
-
-    #[test]
-    fn huge_scales_cell_trials_down_with_n() {
-        let o = parse_vec(&["--huge"]).unwrap();
-        assert!(o.huge);
-        assert_eq!(o.cell_trials(16, 1 << 10), 16, "small cells keep base");
-        assert_eq!(o.cell_trials(16, 1 << 14), 16);
-        assert_eq!(o.cell_trials(16, 1 << 17), 2);
-        assert_eq!(o.cell_trials(16, 1 << 20), 1, "never below one trial");
-        // Without --huge the base count passes through untouched.
-        let o = parse_vec(&[]).unwrap();
-        assert_eq!(o.cell_trials(16, 1 << 20), 16);
     }
 
     #[test]
@@ -406,7 +255,7 @@ mod tests {
         ));
         assert!(matches!(
             parse_vec(&["--list-topos"]),
-            Err(Terminal::ListTopos)
+            Err(Terminal::List(_))
         ));
         let listing = render_topo_list();
         for (spec, _) in Topology::catalog() {
@@ -436,40 +285,12 @@ mod tests {
         ));
         assert!(matches!(
             parse_vec(&["--list-engines"]),
-            Err(Terminal::ListEngines)
+            Err(Terminal::List(_))
         ));
         let listing = render_engine_list();
         for (spec, _) in Engine::catalog() {
             assert!(listing.contains(spec), "missing {spec}");
         }
-    }
-
-    #[test]
-    fn apply_engine_leaves_default_scenarios_untouched() {
-        use gossip_core::algo::Scenario;
-        let o = parse_vec(&[]).unwrap();
-        let s = Scenario::broadcast(64).seed(3);
-        assert_eq!(o.apply_engine(s.clone()), s);
-        let o = parse_vec(&["--engine", "async:fixed"]).unwrap();
-        assert!(o.apply_engine(s.clone()).common().engine.is_async());
-        assert_eq!(
-            s.common().engine,
-            Engine::Sync,
-            "builder copies, not mutates"
-        );
-    }
-
-    #[test]
-    fn apply_topology_leaves_default_scenarios_untouched() {
-        use gossip_core::algo::Scenario;
-        let o = parse_vec(&[]).unwrap();
-        let s = Scenario::broadcast(64).seed(3);
-        assert_eq!(o.apply_topology(s.clone()), s);
-        let o = parse_vec(&["--topo", "ring"]).unwrap();
-        assert_eq!(
-            o.apply_topology(s.clone()).common().topology,
-            Topology::Ring
-        );
     }
 
     #[test]
@@ -495,28 +316,11 @@ mod tests {
     fn list_algos_is_terminal_and_complete() {
         assert!(matches!(
             parse_vec(&["--list-algos"]),
-            Err(Terminal::ListAlgos)
+            Err(Terminal::List(_))
         ));
         let listing = render_algo_list();
         for algo in registry::all() {
             assert!(listing.contains(algo.name()), "missing {}", algo.name());
         }
-    }
-
-    #[test]
-    fn selection_helpers() {
-        let o = parse_vec(&["--algo", "push"]).unwrap();
-        let picked = o.algos(registry::compared());
-        assert_eq!(picked.len(), 1);
-        assert_eq!(picked[0].name(), "Push");
-
-        let o = parse_vec(&[]).unwrap();
-        assert_eq!(o.algos(registry::compared()).len(), 7);
-        assert_eq!(o.ns_or(vec![1, 2, 3]), vec![1, 2, 3]);
-        assert_eq!(o.trials_or(8), 8);
-
-        let o = parse_vec(&["--n", "99", "--trials", "2"]).unwrap();
-        assert_eq!(o.ns_or(vec![1, 2, 3]), vec![99]);
-        assert_eq!(o.trials_or(8), 2);
     }
 }

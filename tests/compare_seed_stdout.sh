@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Byte-compare every experiment binary's default-grid stdout against a
-# reference capture — the honest form of a golden re-pin.
+# Byte-compare every experiment binary's stdout and exit code, under six
+# flag sets and the three catalog listings, plus each default-grid
+# BENCH record, against a reference capture — the honest form of a
+# golden re-pin.
 #
 # Usage:
-#   tests/compare_seed_stdout.sh capture <ref-dir>   # record stdouts from this build
+#   tests/compare_seed_stdout.sh capture <ref-dir>   # record outputs from this build
 #   tests/compare_seed_stdout.sh compare <ref-dir>   # cmp this build against a capture
 #
 # Workflow for an engine refactor (how PR 6 used it): check out the
@@ -16,6 +18,15 @@
 # is thread-count invariant by the determinism contract (CI pins
 # GOSSIP_THREADS 1 and 4 over the digest suites), so captures taken at
 # different GOSSIP_THREADS still compare equal.
+#
+# The flag sets pin the shared flag handling, not just the default
+# grids: `--csv`, `--algo`, `--topo`, `--engine` and `--huge` each on a
+# small grid. The BENCH records are compared on `experiment`, `grid` and
+# the metrics, minus the wall-clock keys (`wall_ms`, `threads`, and E1's
+# `wall_ms_parallel`, `wall_ms_sequential`, `speedup_vs_seq`). A capture
+# taken before PR 25 differs on `huge` for the nine binaries without a
+# million-node grid: they ran their default grid there and run `--full`
+# since.
 
 set -euo pipefail
 
@@ -39,41 +50,80 @@ bins=(
     exp_e14_async
 )
 
+# name=flags, one run per binary each.
+runs=(
+    "default="
+    "csv=--csv"
+    "algo=--n 256 --trials 2 --algo push"
+    "topo=--n 256 --trials 2 --topo ring"
+    "engine=--n 256 --trials 2 --engine async:fixed"
+    "huge=--huge --n 1024 --trials 1"
+    "list-algos=--list-algos"
+    "list-topos=--list-topos"
+    "list-engines=--list-engines"
+)
+wall_keys='"(wall_ms|threads|wall_ms_parallel|wall_ms_sequential|speedup_vs_seq)":'
+
 cd "$(dirname "$0")/.."
 cargo build --release -q -p gossip-bench
+release="$PWD/target/release"
+
+# Writes every output of this build under $1: one file per (binary,
+# run) holding stdout then the exit code, and one per binary holding
+# its default-grid BENCH record minus the wall-clock keys.
+record() {
+    local out="$1" bin run name flags rc scratch
+    mkdir -p "$out"
+    scratch="$(mktemp -d)"
+    for bin in "${bins[@]}"; do
+        for run in "${runs[@]}"; do
+            name="${run%%=*}"
+            flags="${run#*=}"
+            rc=0
+            # shellcheck disable=SC2086 # flags are word lists
+            "$release/$bin" $flags > "$out/$bin.$name.txt" 2>/dev/null || rc=$?
+            echo "exit $rc" >> "$out/$bin.$name.txt"
+        done
+        (cd "$scratch" && "$release/$bin" --json > /dev/null 2>&1)
+        grep -v -E "$wall_keys" "$scratch"/BENCH_*.json | sed 's/,$//' > "$out/$bin.json.txt"
+        rm -f "$scratch"/BENCH_*.json
+        echo "recorded $bin"
+    done
+    rm -rf "$scratch"
+}
 
 case "$mode" in
 capture)
-    mkdir -p "$ref_dir"
-    for bin in "${bins[@]}"; do
-        "./target/release/$bin" > "$ref_dir/$bin.txt"
-        echo "captured $bin"
-    done
-    echo "reference stdouts written to $ref_dir"
+    record "$ref_dir"
+    echo "reference outputs written to $ref_dir"
     ;;
 compare)
+    fresh="$(mktemp -d)"
+    trap 'rm -rf "$fresh"' EXIT
+    record "$fresh"
     fail=0
-    for bin in "${bins[@]}"; do
-        ref="$ref_dir/$bin.txt"
+    count=0
+    for file in "$fresh"/*.txt; do
+        ref="$ref_dir/$(basename "$file")"
+        count=$((count + 1))
         if [[ ! -f "$ref" ]]; then
             echo "MISSING reference: $ref" >&2
             fail=1
-            continue
-        fi
-        if "./target/release/$bin" | cmp -s - "$ref"; then
-            echo "identical: $bin"
+        elif cmp -s "$file" "$ref"; then
+            echo "identical: $(basename "$file" .txt)"
         else
-            echo "DIVERGED:  $bin (vs $ref)" >&2
+            echo "DIVERGED:  $(basename "$file" .txt) (vs $ref)" >&2
+            diff "$ref" "$file" | head -20 >&2 || true
             fail=1
         fi
     done
     if [[ "$fail" -ne 0 ]]; then
-        echo "stdout diverged from the reference capture — either the" >&2
+        echo "output diverged from the reference capture — either the" >&2
         echo "refactor is not behavior-preserving, or a golden re-pin is" >&2
         echo "being made; cite this diff in the re-pin commit." >&2
         exit 1
     fi
-    echo "all ${#bins[@]} experiment stdouts byte-identical to $ref_dir"
+    echo "all $count experiment outputs byte-identical to $ref_dir"
     ;;
 *)
     echo "unknown mode: $mode (want capture|compare)" >&2
