@@ -23,6 +23,7 @@
 
 use std::cell::RefCell;
 
+use phonecall::knob::Choice;
 use phonecall::{Action, BitSet, Delivery, Metrics, Network, NodeId, NodeIdx, Target};
 use rand::Rng;
 use serde::Serialize;
@@ -63,6 +64,27 @@ pub enum Topology {
     /// A random graph: each node knows 2 uniformly random others plus its
     /// ring successor (weakly connected, low diameter).
     SparseRandom,
+}
+
+/// The `"topology"` parameter of the registry's NameDropper entry:
+/// `"ring"` or `"sparse-random"`.
+impl Choice for Topology {
+    fn label(&self) -> &'static str {
+        match self {
+            Topology::Ring => "ring",
+            Topology::SparseRandom => "sparse-random",
+        }
+    }
+
+    fn choose(&mut self, label: &str) -> Result<(), String> {
+        *self = [Topology::Ring, Topology::SparseRandom]
+            .into_iter()
+            .find(|t| t.label() == label)
+            .ok_or_else(|| {
+                format!("parameter \"topology\" wants \"ring\" or \"sparse-random\", got {label:?}")
+            })?;
+        Ok(())
+    }
 }
 
 /// Runs Name-Dropper until the knowledge graph is complete (or

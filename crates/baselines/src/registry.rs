@@ -23,25 +23,14 @@
 use std::fmt;
 
 use gossip_core::algo::{
-    resolve_delta, Algorithm, Law, Scenario, CLUSTER1, CLUSTER2, CLUSTER3, CLUSTER_PUSH_PULL,
+    Algorithm, DeltaParams, Law, Scenario, CLUSTER1, CLUSTER2, CLUSTER3, CLUSTER_PUSH_PULL,
 };
-use gossip_core::params::{ParamError, Value};
+use gossip_core::params::{overridden, ParamError, Params, Value};
 use gossip_core::report::RunReport;
+use phonecall::knob::{normalize, Knob, Knobs, Slot};
 
 use crate::name_dropper::{self, Topology};
 use crate::{avin_elsasser, karp, pull, push, push_pull, tree};
-
-/// Rejects any override for an algorithm without tunables (including
-/// non-object override documents, which would otherwise be silently
-/// ignored).
-fn no_params(name: &str, overrides: &Value) -> Result<(), ParamError> {
-    match overrides.expect_obj(&format!("{name} parameters"))? {
-        [] => Ok(()),
-        [(key, _), ..] => Err(ParamError(format!(
-            "unknown {name} parameter {key:?}; {name} has no tunable parameters"
-        ))),
-    }
-}
 
 macro_rules! simple_baseline {
     ($struct_name:ident, $static_name:ident, $name:literal, $law:expr, $about:literal, $module:ident) => {
@@ -65,7 +54,7 @@ macro_rules! simple_baseline {
             }
 
             fn default_params(&self) -> Value {
-                Value::empty()
+                ().params()
             }
 
             fn run_with_params(
@@ -73,7 +62,7 @@ macro_rules! simple_baseline {
                 scenario: &Scenario,
                 overrides: &Value,
             ) -> Result<RunReport, ParamError> {
-                no_params($name, overrides)?;
+                overridden($name, (), overrides)?;
                 Ok($module::run(scenario.n(), scenario.common()))
             }
         }
@@ -143,7 +132,7 @@ impl Algorithm for NameDropperAlgo {
     }
 
     fn default_params(&self) -> Value {
-        Value::obj([("topology", Value::Str("ring".into()))])
+        NameDropperParams(Topology::Ring).params()
     }
 
     fn run_with_params(
@@ -151,28 +140,8 @@ impl Algorithm for NameDropperAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        let mut topology = Topology::Ring;
-        for (key, v) in overrides.expect_obj("NameDropper parameters")? {
-            match key.as_str() {
-                "topology" => {
-                    topology = match v.as_str() {
-                        Some("ring") => Topology::Ring,
-                        Some("sparse-random") => Topology::SparseRandom,
-                        _ => {
-                            return Err(ParamError(format!(
-                            "parameter \"topology\" wants \"ring\" or \"sparse-random\", got {}",
-                            v.render()
-                        )))
-                        }
-                    }
-                }
-                _ => {
-                    return Err(ParamError(format!(
-                        "unknown NameDropper parameter {key:?}; valid keys: topology"
-                    )))
-                }
-            }
-        }
+        let NameDropperParams(topology) =
+            overridden(self.name(), NameDropperParams(Topology::Ring), overrides)?;
         let n = scenario.n();
         if n < 2 {
             return Err(ParamError(format!(
@@ -180,6 +149,16 @@ impl Algorithm for NameDropperAlgo {
             )));
         }
         Ok(name_dropper::run_report(n, topology, scenario.common()))
+    }
+}
+
+/// Name-Dropper's one knob: the initial knowledge graph.
+#[derive(Clone, Debug)]
+struct NameDropperParams(Topology);
+
+impl Knobs for NameDropperParams {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![("topology", Slot::Choice(&mut self.0))]
     }
 }
 
@@ -205,7 +184,7 @@ impl Algorithm for TreeAlgo {
     }
 
     fn default_params(&self) -> Value {
-        Value::obj([("delta", Value::Null)])
+        DeltaParams::new(tree::MIN_DELTA, ()).params()
     }
 
     fn run_with_params(
@@ -213,14 +192,12 @@ impl Algorithm for TreeAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        for (key, _) in overrides.expect_obj("Tree parameters")? {
-            if key != "delta" {
-                return Err(ParamError(format!(
-                    "unknown Tree parameter {key:?}; valid keys: delta"
-                )));
-            }
-        }
-        let delta = resolve_delta(overrides, scenario.n())?;
+        let p = overridden(
+            self.name(),
+            DeltaParams::new(tree::MIN_DELTA, ()),
+            overrides,
+        )?;
+        let delta = p.delta_for(scenario.n());
         Ok(tree::run(scenario.n(), delta, scenario.common()))
     }
 }
@@ -275,15 +252,6 @@ impl fmt::Display for UnknownAlgorithm {
 }
 
 impl std::error::Error for UnknownAlgorithm {}
-
-/// Case- and separator-insensitive key: `"push-pull"`, `"push_pull"` and
-/// `"PushPull"` all address the same algorithm.
-fn normalize(name: &str) -> String {
-    name.chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
-}
 
 /// Looks an algorithm up by name (case- and separator-insensitive).
 ///

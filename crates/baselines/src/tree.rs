@@ -21,6 +21,9 @@ use phonecall::{Action, Delivery, Target};
 
 use crate::common::{informed_count, report_from, rumor_network, BaselineMsg};
 
+/// The least fan-out the tree runs with.
+pub const MIN_DELTA: usize = 2;
+
 /// Rounds the oracle tree needs for `n` nodes and fan-in `delta`.
 #[must_use]
 pub fn predicted_rounds(n: usize, delta: usize) -> u64 {
@@ -55,7 +58,10 @@ pub fn predicted_rounds(n: usize, delta: usize) -> u64 {
 /// ```
 #[must_use]
 pub fn run(n: usize, delta: usize, cfg: &CommonConfig) -> RunReport {
-    assert!(delta >= 2, "a tree needs fan-out at least 2");
+    assert!(
+        delta >= MIN_DELTA,
+        "a tree needs fan-out at least {MIN_DELTA}"
+    );
     let mut root_cfg = cfg.clone();
     root_cfg.source = 0;
     let mut net = rumor_network(n, &root_cfg);

@@ -42,7 +42,7 @@ fn engines(opts: &Options) -> Vec<(String, Engine)> {
         // (mirrors what --topo does to E11's topology grid).
         Some(e) => vec![(e.spec(), e.clone())],
         None => Engine::catalog()
-            .iter()
+            .into_iter()
             .map(|&(spec, _)| {
                 let e = Engine::parse_spec(spec).expect("catalog specs parse");
                 (e.spec(), e)

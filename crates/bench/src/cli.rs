@@ -180,7 +180,7 @@ pub fn render_engine_list() -> String {
 }
 
 /// A `(spec, description)` catalog as a `--list-*` listing.
-fn render_catalog(width: usize, catalog: &[(&str, &str)], select: &str) -> String {
+fn render_catalog(width: usize, catalog: Vec<&(&str, &str)>, select: &str) -> String {
     let mut out = format!("{:<width$} description\n", "spec");
     for (spec, about) in catalog {
         out.push_str(&format!("{spec:<width$} {about}\n"));

@@ -22,10 +22,13 @@
 //! the trait impls here are thin wrappers over them, so every golden
 //! digest stays bit-identical whichever door a caller comes through.
 
-use phonecall::{ChurnConfig, DirectAddressing, Engine, FailurePlan, Topology, TrafficConfig};
+use phonecall::knob::{Knob, Slot};
+use phonecall::{
+    ChurnConfig, DirectAddressing, Engine, FailurePlan, Knobs, Topology, TrafficConfig,
+};
 
 use crate::config::{Cluster1Config, Cluster2Config, Cluster3Config, CommonConfig, PushPullConfig};
-use crate::params::{ParamError, Value};
+use crate::params::{overridden, ParamError, Params, Value};
 use crate::report::RunReport;
 use crate::{cluster1, cluster2, cluster3, cluster_push_pull};
 
@@ -106,37 +109,32 @@ impl Scenario {
 
     /// Sets the master seed for all randomness of the run.
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.common.seed = seed;
-        self
+    pub fn seed(self, seed: u64) -> Self {
+        self.with(|c| c.seed = seed)
     }
 
     /// Sets the rumor size `b` in bits.
     #[must_use]
-    pub fn rumor_bits(mut self, bits: u64) -> Self {
-        self.common.rumor_bits = bits;
-        self
+    pub fn rumor_bits(self, bits: u64) -> Self {
+        self.with(|c| c.rumor_bits = bits)
     }
 
     /// Sets the (dense index of the) node that initially knows the rumor.
     #[must_use]
-    pub fn source(mut self, source: u32) -> Self {
-        self.common.source = source;
-        self
+    pub fn source(self, source: u32) -> Self {
+        self.with(|c| c.source = source)
     }
 
     /// Adds additional initial rumor holders.
     #[must_use]
-    pub fn extra_sources(mut self, sources: impl IntoIterator<Item = u32>) -> Self {
-        self.common.extra_sources = sources.into_iter().collect();
-        self
+    pub fn extra_sources(self, sources: impl IntoIterator<Item = u32>) -> Self {
+        self.with(|c| c.extra_sources = sources.into_iter().collect())
     }
 
     /// Sets the oblivious time-0 failure plan.
     #[must_use]
-    pub fn failures(mut self, plan: FailurePlan) -> Self {
-        self.common.failures = plan;
-        self
+    pub fn failures(self, plan: FailurePlan) -> Self {
+        self.with(|c| c.failures = plan)
     }
 
     /// Sets the independent per-message loss probability.
@@ -147,11 +145,8 @@ impl Scenario {
     /// inside `Network::set_message_loss` if `p` is not in `[0, 1]`.
     #[must_use]
     pub fn message_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "scenario knob \"message_loss\" wants a probability in [0, 1], got {p}"
-        );
         self.common.message_loss = p;
+        self.common = valid(self.common);
         self
     }
 
@@ -166,12 +161,8 @@ impl Scenario {
     /// Panics at the builder if the config fails
     /// [`ChurnConfig::validate`], with the offending knob named.
     #[must_use]
-    pub fn churn(mut self, churn: ChurnConfig) -> Self {
-        if let Err(e) = churn.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        self.common.churn = churn;
-        self
+    pub fn churn(self, churn: ChurnConfig) -> Self {
+        self.with(|c| c.churn = valid(churn))
     }
 
     /// Sets the communication topology (see `phonecall::topology`): the
@@ -186,12 +177,8 @@ impl Scenario {
     /// Panics at the builder if the topology fails
     /// [`Topology::validate`], with the offending knob named.
     #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        if let Err(e) = topology.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        self.common.topology = topology;
-        self
+    pub fn topology(self, topology: Topology) -> Self {
+        self.with(|c| c.topology = valid(topology))
     }
 
     /// Sets the direct-addressing mode on a restricted topology:
@@ -199,9 +186,8 @@ impl Scenario {
     /// cross the graph, [`DirectAddressing::Restricted`] confines them
     /// to edges. Vacuous on the complete graph.
     #[must_use]
-    pub fn addressing(mut self, mode: DirectAddressing) -> Self {
-        self.common.addressing = mode;
-        self
+    pub fn addressing(self, mode: DirectAddressing) -> Self {
+        self.with(|c| c.addressing = mode)
     }
 
     /// Selects the execution engine (see `phonecall::events`):
@@ -218,12 +204,8 @@ impl Scenario {
     /// Panics if the config fails `Engine::validate` (the message names
     /// the offending knob).
     #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        if let Err(e) = engine.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        self.common.engine = engine;
-        self
+    pub fn engine(self, engine: Engine) -> Self {
+        self.with(|c| c.engine = valid(engine))
     }
 
     /// Attaches the multi-rumor workload: `k` extra rumors arriving at
@@ -241,15 +223,11 @@ impl Scenario {
     /// [`TrafficConfig::validate`], with the offending knob named.
     #[must_use]
     pub fn rumors(mut self, k: u32, arrival_rate: f64) -> Self {
-        let traffic = TrafficConfig {
+        self.common.traffic = valid(TrafficConfig {
             rumors: k,
             arrival_rate,
             ..self.common.traffic.clone()
-        };
-        if let Err(e) = traffic.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        self.common.traffic = traffic;
+        });
         self
     }
 
@@ -258,9 +236,8 @@ impl Scenario {
     /// round across all its messages (0 = unlimited). Inert without
     /// [`Scenario::rumors`].
     #[must_use]
-    pub fn bandwidth(mut self, budget: u32) -> Self {
-        self.common.traffic.bandwidth = budget;
-        self
+    pub fn bandwidth(self, budget: u32) -> Self {
+        self.with(|c| c.traffic.bandwidth = budget)
     }
 
     /// Network size.
@@ -274,6 +251,23 @@ impl Scenario {
     pub fn common(&self) -> &CommonConfig {
         &self.common
     }
+
+    /// This scenario with `set` applied to its environment (the body of
+    /// most builders).
+    fn with(mut self, set: impl FnOnce(&mut CommonConfig)) -> Self {
+        set(&mut self.common);
+        self
+    }
+}
+
+/// A builder's argument, checked by its type's [`Knobs::validate`]:
+/// bad knobs panic at the builder, named, rather than deep inside the
+/// engine.
+fn valid<T: Knobs>(cfg: T) -> T {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid scenario: {e}");
+    }
+    cfg
 }
 
 /// A gossip algorithm as a first-class object.
@@ -333,43 +327,56 @@ pub fn auto_delta(n: usize) -> usize {
     ((n as f64).sqrt().ceil() as usize).max(16)
 }
 
-/// Resolves the `"delta"` override (`null`/absent → [`auto_delta`]).
-/// Shared by every `Δ`-parameterized [`Algorithm`] impl, in-crate and in
-/// the baselines (the oracle tree).
-///
-/// # Errors
-///
-/// Rejects non-integer, non-null `"delta"` values.
-pub fn resolve_delta(overrides: &Value, n: usize) -> Result<usize, ParamError> {
-    match overrides.get("delta") {
-        None | Some(Value::Null) => Ok(auto_delta(n)),
-        Some(v) => v.as_u64().map(|d| d as usize).ok_or_else(|| {
-            ParamError(format!(
-                "parameter \"delta\" wants an integer or null, got {}",
-                v.render()
-            ))
-        }),
+/// A `Δ`-parameterized algorithm's tunables: the fan-in bound `"delta"`
+/// as a knob row ahead of its config's own. `null` (the default) picks
+/// [`auto_delta`]; a set `Δ` below `min` is rejected, naming the knob and
+/// the minimum. Shared by every `Δ`-parameterized [`Algorithm`] impl,
+/// in-crate and in the baselines (the oracle tree, whose config is
+/// `()`).
+#[derive(Clone, Debug)]
+pub struct DeltaParams<C> {
+    /// The least `Δ` the algorithm runs with.
+    pub min: usize,
+    /// The fan-in bound; `None` picks [`auto_delta`].
+    pub delta: Option<usize>,
+    /// The algorithm's own config.
+    pub cfg: C,
+}
+
+impl<C> DeltaParams<C> {
+    /// Defaults: `Δ` unset, `cfg` as given.
+    #[must_use]
+    pub fn new(min: usize, cfg: C) -> Self {
+        DeltaParams {
+            min,
+            delta: None,
+            cfg,
+        }
+    }
+
+    /// The `Δ` of an `n`-node run.
+    #[must_use]
+    pub fn delta_for(&self, n: usize) -> usize {
+        self.delta.unwrap_or_else(|| auto_delta(n))
     }
 }
 
-/// The `overrides` object without its `"delta"` entry (which the
-/// algorithm consumes itself rather than its config).
-fn without_delta(overrides: &Value) -> Value {
-    Value::Obj(
-        overrides
-            .entries()
-            .iter()
-            .filter(|(k, _)| k != "delta")
-            .cloned()
-            .collect(),
-    )
-}
+impl<C: Knobs> Knobs for DeltaParams<C> {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        let mut knobs = vec![("delta", Slot::OptUsize(&mut self.delta))];
+        knobs.extend(self.cfg.knobs());
+        knobs
+    }
 
-/// Prepends `("delta", null)` to a config's parameter object.
-fn with_delta_param(params: Value) -> Value {
-    let mut entries = vec![("delta".to_string(), Value::Null)];
-    entries.extend(params.entries().iter().cloned());
-    Value::Obj(entries)
+    fn validate(&self) -> Result<(), String> {
+        match self.delta {
+            Some(d) if d < self.min => Err(format!(
+                "parameter \"delta\" wants an integer >= {}, got {d}",
+                self.min
+            )),
+            _ => self.cfg.validate(),
+        }
+    }
 }
 
 /// Algorithm 1 (`Cluster1`) as a trait object — see [`crate::cluster1`].
@@ -400,8 +407,7 @@ impl Algorithm for Cluster1Algo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        let mut cfg = Cluster1Config::default();
-        cfg.apply_params(overrides)?;
+        let mut cfg = overridden(self.name(), Cluster1Config::default(), overrides)?;
         cfg.common = scenario.common().clone();
         Ok(cluster1::run(scenario.n(), &cfg))
     }
@@ -436,8 +442,7 @@ impl Algorithm for Cluster2Algo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        let mut cfg = Cluster2Config::default();
-        cfg.apply_params(overrides)?;
+        let mut cfg = overridden(self.name(), Cluster2Config::default(), overrides)?;
         cfg.common = scenario.common().clone();
         Ok(cluster2::run(scenario.n(), &cfg))
     }
@@ -469,7 +474,7 @@ impl Algorithm for Cluster3Algo {
     }
 
     fn default_params(&self) -> Value {
-        with_delta_param(Cluster3Config::default().params())
+        DeltaParams::new(cluster3::MIN_DELTA, Cluster3Config::default()).params()
     }
 
     fn run_with_params(
@@ -477,10 +482,10 @@ impl Algorithm for Cluster3Algo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        overrides.expect_obj("Cluster3 parameters")?;
-        let delta = resolve_delta(overrides, scenario.n())?;
-        let mut cfg = Cluster3Config::default();
-        cfg.apply_params(&without_delta(overrides))?;
+        let p = DeltaParams::new(cluster3::MIN_DELTA, Cluster3Config::default());
+        let p = overridden(self.name(), p, overrides)?;
+        let delta = p.delta_for(scenario.n());
+        let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
         cfg.c2.common = scenario.common().clone();
         let (mut sim, delta_report) = cluster3::build(scenario.n(), delta, &cfg);
@@ -513,7 +518,7 @@ impl Algorithm for ClusterPushPullAlgo {
     }
 
     fn default_params(&self) -> Value {
-        with_delta_param(PushPullConfig::default().params())
+        DeltaParams::new(cluster3::MIN_DELTA, PushPullConfig::default()).params()
     }
 
     fn run_with_params(
@@ -521,10 +526,10 @@ impl Algorithm for ClusterPushPullAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        overrides.expect_obj("ClusterPushPull parameters")?;
-        let delta = resolve_delta(overrides, scenario.n())?;
-        let mut cfg = PushPullConfig::default();
-        cfg.apply_params(&without_delta(overrides))?;
+        let p = DeltaParams::new(cluster3::MIN_DELTA, PushPullConfig::default());
+        let p = overridden(self.name(), p, overrides)?;
+        let delta = p.delta_for(scenario.n());
+        let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
         Ok(cluster_push_pull::run(scenario.n(), delta, &cfg))
     }

@@ -72,15 +72,19 @@ pub fn build(n: usize, delta: usize, cfg: &Cluster3Config) -> (ClusterSim, Delta
     (sim, report)
 }
 
+/// The least fan-in bound `Δ` the construction runs with (the paper asks
+/// for `Δ = log^{ω(1)} n`).
+pub const MIN_DELTA: usize = 8;
+
 /// Runs the `Δ`-clustering construction on an existing simulation.
 ///
 /// # Panics
 ///
-/// Panics if `delta < 8`.
+/// Panics if `delta < 8` ([`MIN_DELTA`]).
 pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> DeltaClusteringReport {
     assert!(
-        delta >= 8,
-        "delta-clusterings need delta >= 8 (paper: log^w(1) n)"
+        delta >= MIN_DELTA,
+        "delta-clusterings need delta >= {MIN_DELTA} (paper: log^w(1) n)"
     );
     let n = sim.n();
     let l = log2n(n);

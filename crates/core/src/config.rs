@@ -6,14 +6,22 @@
 //! place they live, so experiments and ablations can vary them. Defaults
 //! were validated across `n ∈ [2^8, 2^20]` (see the integration tests and
 //! EXPERIMENTS.md).
+//!
+//! **The knob rule.** A knob is one row: each config type's
+//! [`Knobs::knobs`] lists every tunable once, as a name and a typed slot
+//! for its field, and the JSON form ([`crate::params::Params`]), the
+//! override errors and the `--topo` spec knobs all follow from that list.
+//! A knob's range lives in that type's [`Knobs::validate`], which every
+//! apply runs. Here that is `"message_loss"` for [`CommonConfig`] and,
+//! for the four cluster configs, one rule: every `f64` constant finite
+//! and positive, every slack at most [`MAX_SLACK`] rounds.
 
+use phonecall::knob::{Knob, Slot};
 use phonecall::{
-    derive_seed, AsyncConfig, ChurnConfig, DirectAddressing, Engine, FailurePlan, Latency, Network,
-    NodeId, NodeIdx, Topology, TrafficConfig,
+    derive_seed, ChurnConfig, DirectAddressing, Engine, FailurePlan, Knobs, Network, NodeId,
+    NodeIdx, Topology, TrafficConfig,
 };
 use serde::{Deserialize, Serialize};
-
-use crate::params::{err, ParamError, Value};
 
 /// Parameters shared by every algorithm run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -84,20 +92,6 @@ impl Default for CommonConfig {
 }
 
 impl CommonConfig {
-    const PARAM_KEYS: &'static [&'static str] = &[
-        "seed",
-        "rumor_bits",
-        "source",
-        "extra_sources",
-        "failures",
-        "message_loss",
-        "churn",
-        "topology",
-        "addressing",
-        "traffic",
-        "engine",
-    ];
-
     /// Same configuration with a different seed (for multi-trial sweeps).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -136,596 +130,43 @@ impl CommonConfig {
         net.set_engine(self.engine.clone(), self.seed);
         net
     }
+}
 
-    /// The whole environment as a JSON object: the scalar knobs, the
-    /// failure plan as an index array, and the [`ChurnConfig`] nested
-    /// under `"churn"` — so a scenario travels through files and perf
-    /// records like any algorithm's tunables.
-    #[must_use]
-    pub fn params(&self) -> Value {
-        Value::obj([
-            ("seed", u64_value(self.seed)),
-            ("rumor_bits", u64_value(self.rumor_bits)),
-            ("source", Value::Num(f64::from(self.source))),
-            (
-                "extra_sources",
-                Value::Arr(
-                    self.extra_sources
-                        .iter()
-                        .map(|&s| Value::Num(f64::from(s)))
-                        .collect(),
-                ),
-            ),
-            (
-                "failures",
-                Value::Arr(
-                    self.failures
-                        .failed()
-                        .iter()
-                        .map(|i| Value::Num(f64::from(i.0)))
-                        .collect(),
-                ),
-            ),
-            ("message_loss", Value::Num(self.message_loss)),
-            ("churn", churn_params(&self.churn)),
-            ("topology", topology_params(&self.topology)),
-            (
-                "addressing",
-                Value::Str(self.addressing.label().to_string()),
-            ),
-            ("traffic", traffic_params(&self.traffic)),
-            ("engine", engine_params(&self.engine)),
-        ])
+impl Knobs for CommonConfig {
+    /// The whole environment: the scalar knobs, the failure plan as an
+    /// index array, and the churn, topology, traffic and engine configs
+    /// nested under their names — so a scenario travels through files
+    /// and perf records like any algorithm's tunables.
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("seed", Slot::U64(&mut self.seed)),
+            ("rumor_bits", Slot::U64(&mut self.rumor_bits)),
+            ("source", Slot::U32(&mut self.source)),
+            ("extra_sources", Slot::U32s(&mut self.extra_sources)),
+            ("failures", Slot::Failures(&mut self.failures)),
+            ("message_loss", Slot::F64(&mut self.message_loss)),
+            ("churn", Slot::Nested(&mut self.churn)),
+            ("topology", Slot::Nested(&mut self.topology)),
+            ("addressing", Slot::Choice(&mut self.addressing)),
+            ("traffic", Slot::Nested(&mut self.traffic)),
+            ("engine", Slot::Nested(&mut self.engine)),
+        ]
     }
 
-    /// Applies a JSON object of overrides onto this config, including a
-    /// nested `"churn"` object (see [`apply_churn_params`]).
+    /// Checks `"message_loss"` (the nested configs validate themselves).
     ///
     /// # Errors
     ///
-    /// Rejects unknown keys (listing the valid ones), wrongly typed
-    /// values, out-of-range probabilities (naming the offending knob),
-    /// and churn configs failing [`ChurnConfig::validate`].
-    pub fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
-        for (key, v) in overrides.expect_obj("scenario parameters")? {
-            match key.as_str() {
-                "seed" => self.seed = want_u64(key, v)?,
-                "rumor_bits" => self.rumor_bits = want_u64(key, v)?,
-                "source" => self.source = want_u32(key, v)?,
-                "extra_sources" => {
-                    self.extra_sources = want_u32_array(key, v)?;
-                }
-                "failures" => {
-                    self.failures = FailurePlan::explicit(
-                        want_u32_array(key, v)?.into_iter().map(NodeIdx).collect(),
-                    );
-                }
-                "message_loss" => {
-                    let p = v.as_f64().ok_or_else(|| {
-                        err(format!(
-                            "parameter \"message_loss\" wants a number, got {}",
-                            v.render()
-                        ))
-                    })?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(err(format!(
-                            "scenario knob \"message_loss\" wants a probability in [0, 1], got {p}"
-                        )));
-                    }
-                    self.message_loss = p;
-                }
-                "churn" => apply_churn_params(&mut self.churn, v)?,
-                "topology" => apply_topology_params(&mut self.topology, v)?,
-                "traffic" => apply_traffic_params(&mut self.traffic, v)?,
-                "engine" => apply_engine_params(&mut self.engine, v)?,
-                "addressing" => {
-                    let label = v.as_str().ok_or_else(|| {
-                        err(format!(
-                            "parameter \"addressing\" wants a string, got {}",
-                            v.render()
-                        ))
-                    })?;
-                    self.addressing = DirectAddressing::parse(label).map_err(ParamError)?;
-                }
-                _ => return Err(unknown_key("scenario", key, Self::PARAM_KEYS)),
-            }
+    /// Returns a message naming the knob when the loss probability is
+    /// outside `[0, 1]`.
+    fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.message_loss) {
+            return Err(format!(
+                "scenario knob \"message_loss\" wants a probability in [0, 1], got {}",
+                self.message_loss
+            ));
         }
         Ok(())
-    }
-}
-
-/// A [`ChurnConfig`] as a JSON object (the churn half of
-/// [`CommonConfig::params`]).
-#[must_use]
-pub fn churn_params(c: &ChurnConfig) -> Value {
-    Value::obj([
-        ("crash_rate", Value::Num(c.crash_rate)),
-        ("batch_size", Value::Num(f64::from(c.batch_size))),
-        ("recovery_rate", Value::Num(c.recovery_rate)),
-        ("burst_enter", Value::Num(c.burst_enter)),
-        ("burst_exit", Value::Num(c.burst_exit)),
-        ("burst_loss", Value::Num(c.burst_loss)),
-        ("start_round", u64_value(c.start_round)),
-        ("stop_round", c.stop_round.map_or(Value::Null, u64_value)),
-        (
-            "protected",
-            Value::Arr(
-                c.protected
-                    .iter()
-                    .map(|&p| Value::Num(f64::from(p)))
-                    .collect(),
-            ),
-        ),
-        ("max_crashed_frac", Value::Num(c.max_crashed_frac)),
-    ])
-}
-
-const CHURN_PARAM_KEYS: &[&str] = &[
-    "crash_rate",
-    "batch_size",
-    "recovery_rate",
-    "burst_enter",
-    "burst_exit",
-    "burst_loss",
-    "start_round",
-    "stop_round",
-    "protected",
-    "max_crashed_frac",
-];
-
-/// Applies a JSON object of overrides onto a [`ChurnConfig`] and
-/// validates the result.
-///
-/// # Errors
-///
-/// Rejects unknown keys (listing the valid ones), wrongly typed values,
-/// and any resulting config failing [`ChurnConfig::validate`] (the error
-/// names the offending knob).
-pub fn apply_churn_params(c: &mut ChurnConfig, overrides: &Value) -> Result<(), ParamError> {
-    for (key, v) in overrides.expect_obj("churn parameters")? {
-        match key.as_str() {
-            "crash_rate" => set_f64(&mut c.crash_rate, key, v)?,
-            "batch_size" => set_u32(&mut c.batch_size, key, v)?,
-            "recovery_rate" => set_f64(&mut c.recovery_rate, key, v)?,
-            "burst_enter" => set_f64(&mut c.burst_enter, key, v)?,
-            "burst_exit" => set_f64(&mut c.burst_exit, key, v)?,
-            "burst_loss" => set_f64(&mut c.burst_loss, key, v)?,
-            "start_round" => c.start_round = want_u64(key, v)?,
-            "stop_round" => {
-                c.stop_round = match v {
-                    Value::Null => None,
-                    _ => Some(want_u64(key, v)?),
-                }
-            }
-            "protected" => c.protected = want_u32_array(key, v)?,
-            "max_crashed_frac" => set_f64(&mut c.max_crashed_frac, key, v)?,
-            _ => return Err(unknown_key("churn", key, CHURN_PARAM_KEYS)),
-        }
-    }
-    c.validate().map_err(ParamError)
-}
-
-/// A [`TrafficConfig`] as a JSON object (the workload slice of
-/// [`CommonConfig::params`]).
-#[must_use]
-pub fn traffic_params(t: &TrafficConfig) -> Value {
-    Value::obj([
-        ("rumors", Value::Num(f64::from(t.rumors))),
-        ("arrival_rate", Value::Num(t.arrival_rate)),
-        ("bandwidth", Value::Num(f64::from(t.bandwidth))),
-        ("start_round", u64_value(t.start_round)),
-    ])
-}
-
-const TRAFFIC_PARAM_KEYS: &[&str] = &["rumors", "arrival_rate", "bandwidth", "start_round"];
-
-/// Applies a JSON object of overrides onto a [`TrafficConfig`] and
-/// validates the result.
-///
-/// # Errors
-///
-/// Rejects unknown keys (listing the valid ones), wrongly typed values,
-/// and any resulting config failing [`TrafficConfig::validate`] (the
-/// error names the offending knob).
-pub fn apply_traffic_params(t: &mut TrafficConfig, overrides: &Value) -> Result<(), ParamError> {
-    for (key, v) in overrides.expect_obj("traffic parameters")? {
-        match key.as_str() {
-            "rumors" => set_u32(&mut t.rumors, key, v)?,
-            "arrival_rate" => set_f64(&mut t.arrival_rate, key, v)?,
-            "bandwidth" => set_u32(&mut t.bandwidth, key, v)?,
-            "start_round" => t.start_round = want_u64(key, v)?,
-            _ => return Err(unknown_key("traffic", key, TRAFFIC_PARAM_KEYS)),
-        }
-    }
-    t.validate().map_err(ParamError)
-}
-
-/// An [`Engine`] as a JSON object (the engine slice of
-/// [`CommonConfig::params`]): a `"mode"` tag (`"sync"` / `"async"`),
-/// and for the async engine the clock rate plus a kind-tagged latency
-/// object — so the execution model travels through files and perf
-/// records like any other tunable.
-#[must_use]
-pub fn engine_params(e: &Engine) -> Value {
-    match e {
-        Engine::Sync => Value::obj([("mode", Value::Str("sync".into()))]),
-        Engine::Async(cfg) => {
-            let latency = match cfg.latency {
-                Latency::Fixed(v) => Value::obj([
-                    ("kind", Value::Str("fixed".into())),
-                    ("value", Value::Num(v)),
-                ]),
-                Latency::Uniform(lo, hi) => Value::obj([
-                    ("kind", Value::Str("uniform".into())),
-                    ("lo", Value::Num(lo)),
-                    ("hi", Value::Num(hi)),
-                ]),
-                Latency::Exponential(mean) => Value::obj([
-                    ("kind", Value::Str("exponential".into())),
-                    ("mean", Value::Num(mean)),
-                ]),
-            };
-            Value::obj([
-                ("mode", Value::Str("async".into())),
-                ("rate", Value::Num(cfg.rate)),
-                ("latency", latency),
-            ])
-        }
-    }
-}
-
-const ENGINE_PARAM_KEYS: &[&str] = &["mode", "rate", "latency"];
-const LATENCY_KINDS: &[&str] = &["fixed", "uniform", "exponential"];
-
-/// Replaces an [`Engine`] from a JSON object (the inverse of
-/// [`engine_params`]): the `"mode"` tag selects the engine, `"rate"`
-/// and the kind-tagged `"latency"` object tune the async one (both
-/// optional — omitted knobs keep the async defaults), and the result
-/// must pass [`Engine::validate`].
-///
-/// # Errors
-///
-/// Rejects a missing or unknown `"mode"`, knobs on the sync engine,
-/// wrongly typed values, an unknown latency `"kind"` (listing the valid
-/// ones), and out-of-range knobs (naming the offending one).
-pub fn apply_engine_params(e: &mut Engine, overrides: &Value) -> Result<(), ParamError> {
-    let entries = overrides.expect_obj("engine parameters")?;
-    let knob = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let mode = knob("mode")
-        .ok_or_else(|| err("engine parameters need a \"mode\" key".to_string()))?
-        .as_str()
-        .ok_or_else(|| err("parameter \"mode\" wants a string".to_string()))?;
-    let built = match mode {
-        "sync" => {
-            if let Some((key, _)) = entries.iter().find(|(k, _)| k != "mode") {
-                return Err(err(format!(
-                    "engine mode \"sync\" has no knobs, got {key:?}"
-                )));
-            }
-            Engine::Sync
-        }
-        "async" => {
-            let mut cfg = AsyncConfig::default();
-            for (key, v) in entries {
-                match key.as_str() {
-                    "mode" => {}
-                    "rate" => cfg.rate = want_f64(key, v)?,
-                    "latency" => cfg.latency = latency_from_params(v)?,
-                    _ => return Err(unknown_key("engine", key, ENGINE_PARAM_KEYS)),
-                }
-            }
-            Engine::Async(cfg)
-        }
-        other => {
-            return Err(err(format!(
-                "engine mode wants \"sync\" or \"async\", got {other:?}"
-            )))
-        }
-    };
-    built.validate().map_err(ParamError)?;
-    *e = built;
-    Ok(())
-}
-
-/// Parses a kind-tagged latency object (see [`engine_params`]).
-fn latency_from_params(v: &Value) -> Result<Latency, ParamError> {
-    let entries = v.expect_obj("latency parameters")?;
-    let knob = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let kind = knob("kind")
-        .ok_or_else(|| err("latency parameters need a \"kind\" key".to_string()))?
-        .as_str()
-        .ok_or_else(|| err("parameter \"kind\" wants a string".to_string()))?;
-    let (built, valid_knobs): (Latency, &[&str]) = match kind {
-        "fixed" => {
-            let value = match knob("value") {
-                Some(v) => want_f64("value", v)?,
-                None => return Err(err("latency kind \"fixed\" needs \"value\"".to_string())),
-            };
-            (Latency::Fixed(value), &["value"])
-        }
-        "uniform" => {
-            let (lo, hi) = match (knob("lo"), knob("hi")) {
-                (Some(lo), Some(hi)) => (want_f64("lo", lo)?, want_f64("hi", hi)?),
-                _ => {
-                    return Err(err(
-                        "latency kind \"uniform\" needs \"lo\" and \"hi\"".to_string()
-                    ))
-                }
-            };
-            (Latency::Uniform(lo, hi), &["lo", "hi"])
-        }
-        "exponential" => {
-            let mean = match knob("mean") {
-                Some(v) => want_f64("mean", v)?,
-                None => {
-                    return Err(err(
-                        "latency kind \"exponential\" needs \"mean\"".to_string()
-                    ))
-                }
-            };
-            (Latency::Exponential(mean), &["mean"])
-        }
-        other => {
-            return Err(err(format!(
-                "unknown latency kind {other:?}; valid kinds: {}",
-                LATENCY_KINDS.join(", ")
-            )))
-        }
-    };
-    for (key, _) in entries {
-        if key != "kind" && !valid_knobs.contains(&key.as_str()) {
-            return Err(err(format!(
-                "latency kind {kind:?} does not take knob {key:?}; valid knobs: {}",
-                valid_knobs.join(", ")
-            )));
-        }
-    }
-    Ok(built)
-}
-
-/// A [`Topology`] as a JSON object (the topology half of
-/// [`CommonConfig::params`]): a `"kind"` tag plus the family's knobs,
-/// so a scenario's contact graph travels through files and perf records
-/// like any other tunable.
-#[must_use]
-pub fn topology_params(t: &Topology) -> Value {
-    let kind = |k: &str| ("kind", Value::Str(k.to_string()));
-    match t {
-        Topology::Complete => Value::obj([kind("complete")]),
-        Topology::Ring => Value::obj([kind("ring")]),
-        Topology::Torus2D => Value::obj([kind("torus2d")]),
-        Topology::RandomRegular(d) => Value::obj([
-            kind("random_regular"),
-            ("degree", Value::Num(f64::from(*d))),
-        ]),
-        Topology::ErdosRenyi(p) => Value::obj([kind("erdos_renyi"), ("p", Value::Num(*p))]),
-        Topology::WattsStrogatz(k, beta) => Value::obj([
-            kind("watts_strogatz"),
-            ("k", Value::Num(f64::from(*k))),
-            ("beta", Value::Num(*beta)),
-        ]),
-        Topology::PreferentialAttachment(m) => Value::obj([
-            kind("preferential_attachment"),
-            ("m", Value::Num(f64::from(*m))),
-        ]),
-        Topology::FromAdjacency(lists) => Value::obj([
-            kind("from_adjacency"),
-            (
-                "adjacency",
-                Value::Arr(
-                    lists
-                        .iter()
-                        .map(|row| {
-                            Value::Arr(row.iter().map(|&v| Value::Num(f64::from(v))).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Topology::FromFile(path) => {
-            Value::obj([kind("from_file"), ("path", Value::Str(path.clone()))])
-        }
-    }
-}
-
-const TOPOLOGY_KINDS: &[&str] = &[
-    "complete",
-    "ring",
-    "torus2d",
-    "random_regular",
-    "erdos_renyi",
-    "watts_strogatz",
-    "preferential_attachment",
-    "from_adjacency",
-    "from_file",
-];
-
-/// Replaces a [`Topology`] from a JSON object (the inverse of
-/// [`topology_params`]): the `"kind"` tag selects the family, the
-/// remaining keys must be exactly that family's knobs, and the result
-/// must pass [`Topology::validate`].
-///
-/// # Errors
-///
-/// Rejects a missing or unknown `"kind"` (listing the valid ones),
-/// knobs that don't belong to the selected family, wrongly typed
-/// values, and out-of-range knobs (naming the offending one).
-pub fn apply_topology_params(t: &mut Topology, overrides: &Value) -> Result<(), ParamError> {
-    let entries = overrides.expect_obj("topology parameters")?;
-    let kind = entries
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .map(|(_, v)| v)
-        .ok_or_else(|| err("topology parameters need a \"kind\" key".to_string()))?;
-    let kind = kind.as_str().ok_or_else(|| {
-        err(format!(
-            "parameter \"kind\" wants a string, got {}",
-            kind.render()
-        ))
-    })?;
-    let knob = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let (built, valid_knobs): (Topology, &[&str]) = match kind {
-        "complete" => (Topology::Complete, &[]),
-        "ring" => (Topology::Ring, &[]),
-        "torus2d" => (Topology::Torus2D, &[]),
-        "random_regular" => {
-            let d = match knob("degree") {
-                Some(v) => want_u32("degree", v)?,
-                None => {
-                    return Err(err(
-                        "topology kind \"random_regular\" needs \"degree\"".to_string()
-                    ))
-                }
-            };
-            (Topology::RandomRegular(d), &["degree"])
-        }
-        "erdos_renyi" => {
-            let p = match knob("p") {
-                Some(v) => want_f64("p", v)?,
-                None => return Err(err("topology kind \"erdos_renyi\" needs \"p\"".to_string())),
-            };
-            (Topology::ErdosRenyi(p), &["p"])
-        }
-        "watts_strogatz" => {
-            let k = match knob("k") {
-                Some(v) => want_u32("k", v)?,
-                None => {
-                    return Err(err(
-                        "topology kind \"watts_strogatz\" needs \"k\"".to_string()
-                    ))
-                }
-            };
-            let beta = match knob("beta") {
-                Some(v) => want_f64("beta", v)?,
-                None => {
-                    return Err(err(
-                        "topology kind \"watts_strogatz\" needs \"beta\"".to_string()
-                    ))
-                }
-            };
-            (Topology::WattsStrogatz(k, beta), &["k", "beta"])
-        }
-        "preferential_attachment" => {
-            let m = match knob("m") {
-                Some(v) => want_u32("m", v)?,
-                None => {
-                    return Err(err(
-                        "topology kind \"preferential_attachment\" needs \"m\"".to_string()
-                    ))
-                }
-            };
-            (Topology::PreferentialAttachment(m), &["m"])
-        }
-        "from_adjacency" => {
-            let lists = match knob("adjacency") {
-                Some(Value::Arr(rows)) => rows
-                    .iter()
-                    .map(|row| want_u32_array("adjacency", row))
-                    .collect::<Result<Vec<_>, _>>()?,
-                Some(v) => {
-                    return Err(err(format!(
-                        "parameter \"adjacency\" wants an array of integer arrays, got {}",
-                        v.render()
-                    )))
-                }
-                None => {
-                    return Err(err(
-                        "topology kind \"from_adjacency\" needs \"adjacency\"".to_string()
-                    ))
-                }
-            };
-            (Topology::FromAdjacency(lists), &["adjacency"])
-        }
-        "from_file" => {
-            let path = match knob("path") {
-                Some(Value::Str(p)) => p.clone(),
-                Some(v) => {
-                    return Err(err(format!(
-                        "parameter \"path\" wants a string, got {}",
-                        v.render()
-                    )))
-                }
-                None => return Err(err("topology kind \"from_file\" needs \"path\"".to_string())),
-            };
-            (Topology::FromFile(path), &["path"])
-        }
-        other => {
-            return Err(err(format!(
-                "unknown topology kind {other:?}; valid kinds: {}",
-                TOPOLOGY_KINDS.join(", ")
-            )))
-        }
-    };
-    for (key, _) in entries {
-        if key != "kind" && !valid_knobs.contains(&key.as_str()) {
-            return Err(err(format!(
-                "topology knob {key:?} does not apply to kind {kind:?}; valid knobs: {}",
-                if valid_knobs.is_empty() {
-                    "(none)".to_string()
-                } else {
-                    valid_knobs.join(", ")
-                }
-            )));
-        }
-    }
-    built.validate().map_err(ParamError)?;
-    *t = built;
-    Ok(())
-}
-
-/// A `u64` as a JSON value: a plain number when exactly representable
-/// as `f64` (≤ 2^53), else a decimal string — JSON numbers are doubles,
-/// and silently rounding a 64-bit seed would break exact replay.
-fn u64_value(x: u64) -> Value {
-    if x <= (1u64 << 53) {
-        Value::Num(x as f64)
-    } else {
-        Value::Str(x.to_string())
-    }
-}
-
-/// Numeric view of an override value, reporting type errors by key.
-fn want_f64(key: &str, v: &Value) -> Result<f64, ParamError> {
-    v.as_f64().ok_or_else(|| {
-        err(format!(
-            "parameter {key:?} wants a number, got {}",
-            v.render()
-        ))
-    })
-}
-
-/// Integer view of an override value (a JSON number, or the decimal
-/// string [`u64_value`] emits for values above 2^53), reporting type
-/// errors by key.
-fn want_u64(key: &str, v: &Value) -> Result<u64, ParamError> {
-    match v {
-        Value::Str(s) => s.parse().map_err(|_| {
-            err(format!(
-                "parameter {key:?} wants an integer, got {}",
-                v.render()
-            ))
-        }),
-        _ => v.as_u64().ok_or_else(|| {
-            err(format!(
-                "parameter {key:?} wants an integer, got {}",
-                v.render()
-            ))
-        }),
-    }
-}
-
-fn want_u32(key: &str, v: &Value) -> Result<u32, ParamError> {
-    let x = want_u64(key, v)?;
-    u32::try_from(x).map_err(|_| err(format!("parameter {key:?} out of range: {x}")))
-}
-
-fn want_u32_array(key: &str, v: &Value) -> Result<Vec<u32>, ParamError> {
-    match v {
-        Value::Arr(items) => items.iter().map(|x| want_u32(key, x)).collect(),
-        _ => Err(err(format!(
-            "parameter {key:?} wants an array of integers, got {}",
-            v.render()
-        ))),
     }
 }
 
@@ -875,196 +316,104 @@ impl Default for PushPullConfig {
     }
 }
 
-/// Applies one numeric override, reporting type errors by key.
-fn set_f64(slot: &mut f64, key: &str, v: &Value) -> Result<(), ParamError> {
-    *slot = want_f64(key, v)?;
-    Ok(())
-}
+/// The largest slack any cluster config accepts, in rounds: far above
+/// any useful schedule, and far below where `budget + slack` could wrap
+/// a `u32` (every computed budget is a few hundred rounds at most).
+pub const MAX_SLACK: u32 = 1 << 20;
 
-/// Applies one integer override, reporting type errors by key.
-fn set_u32(slot: &mut u32, key: &str, v: &Value) -> Result<(), ParamError> {
-    *slot = want_u32(key, v)?;
-    Ok(())
-}
-
-fn unknown_key(config: &str, key: &str, valid: &[&str]) -> ParamError {
-    ParamError(format!(
-        "unknown {config} parameter {key:?}; valid keys: {}",
-        valid.join(", ")
-    ))
-}
-
-impl Cluster1Config {
-    const PARAM_KEYS: &'static [&'static str] = &[
-        "c_sample",
-        "c_min",
-        "grow_slack",
-        "square_safety",
-        "pull_slack",
-    ];
-
-    /// The tunables (everything except the shared [`CommonConfig`], which
-    /// the [`crate::algo::Scenario`] owns) as a JSON object.
-    #[must_use]
-    pub fn params(&self) -> Value {
-        Value::obj([
-            ("c_sample", Value::Num(self.c_sample)),
-            ("c_min", Value::Num(self.c_min)),
-            ("grow_slack", Value::Num(f64::from(self.grow_slack))),
-            ("square_safety", Value::Num(self.square_safety)),
-            ("pull_slack", Value::Num(f64::from(self.pull_slack))),
-        ])
-    }
-
-    /// Applies a JSON object of overrides onto this config.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys (listing the valid ones) and wrongly typed
-    /// values.
-    pub fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
-        for (key, v) in overrides.expect_obj("Cluster1 parameters")? {
-            match key.as_str() {
-                "c_sample" => set_f64(&mut self.c_sample, key, v)?,
-                "c_min" => set_f64(&mut self.c_min, key, v)?,
-                "grow_slack" => set_u32(&mut self.grow_slack, key, v)?,
-                "square_safety" => set_f64(&mut self.square_safety, key, v)?,
-                "pull_slack" => set_u32(&mut self.pull_slack, key, v)?,
-                _ => return Err(unknown_key("Cluster1", key, Self::PARAM_KEYS)),
+/// The cluster configs' range rule, read off their knob rows: every
+/// `f64` knob is an algorithm constant and must be finite and positive,
+/// every integer knob is a slack of at most [`MAX_SLACK`] rounds, and
+/// nested configs must pass their own rule.
+fn check_constants(what: &str, mut cfg: impl Knobs) -> Result<(), String> {
+    for (knob, slot) in cfg.knobs() {
+        let (wants, got) = match slot {
+            Slot::F64(x) if !(x.is_finite() && *x > 0.0) => ("a finite number > 0".into(), *x),
+            Slot::U32(s) if *s > MAX_SLACK => {
+                (format!("at most {MAX_SLACK} rounds"), f64::from(*s))
             }
-        }
-        Ok(())
+            Slot::Nested(inner) => {
+                inner.validate()?;
+                continue;
+            }
+            _ => continue,
+        };
+        return Err(format!("{what} knob {knob:?} wants {wants}, got {got}"));
+    }
+    Ok(())
+}
+
+/// The tunables (everything except the shared [`CommonConfig`], which
+/// the [`crate::algo::Scenario`] owns).
+impl Knobs for Cluster1Config {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("c_sample", Slot::F64(&mut self.c_sample)),
+            ("c_min", Slot::F64(&mut self.c_min)),
+            ("grow_slack", Slot::U32(&mut self.grow_slack)),
+            ("square_safety", Slot::F64(&mut self.square_safety)),
+            ("pull_slack", Slot::U32(&mut self.pull_slack)),
+        ]
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        check_constants("Cluster1", self.clone())
     }
 }
 
-impl Cluster2Config {
-    const PARAM_KEYS: &'static [&'static str] = &[
-        "c_sample",
-        "c_cap",
-        "grow_slack",
-        "square_safety",
-        "bounded_push_stall",
-        "bounded_push_slack",
-        "pull_slack",
-        "assumed_n",
-    ];
-
-    /// The tunables as a JSON object (see [`Cluster1Config::params`]).
-    #[must_use]
-    pub fn params(&self) -> Value {
-        Value::obj([
-            ("c_sample", Value::Num(self.c_sample)),
-            ("c_cap", Value::Num(self.c_cap)),
-            ("grow_slack", Value::Num(f64::from(self.grow_slack))),
-            ("square_safety", Value::Num(self.square_safety)),
-            ("bounded_push_stall", Value::Num(self.bounded_push_stall)),
+/// The tunables (see [`Cluster1Config`]'s); `"assumed_n"` is `null`
+/// when the true `n` is known.
+impl Knobs for Cluster2Config {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("c_sample", Slot::F64(&mut self.c_sample)),
+            ("c_cap", Slot::F64(&mut self.c_cap)),
+            ("grow_slack", Slot::U32(&mut self.grow_slack)),
+            ("square_safety", Slot::F64(&mut self.square_safety)),
+            (
+                "bounded_push_stall",
+                Slot::F64(&mut self.bounded_push_stall),
+            ),
             (
                 "bounded_push_slack",
-                Value::Num(f64::from(self.bounded_push_slack)),
+                Slot::U32(&mut self.bounded_push_slack),
             ),
-            ("pull_slack", Value::Num(f64::from(self.pull_slack))),
-            (
-                "assumed_n",
-                self.assumed_n.map_or(Value::Null, |n| Value::Num(n as f64)),
-            ),
-        ])
+            ("pull_slack", Slot::U32(&mut self.pull_slack)),
+            ("assumed_n", Slot::OptUsize(&mut self.assumed_n)),
+        ]
     }
 
-    /// Applies a JSON object of overrides onto this config.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys (listing the valid ones) and wrongly typed
-    /// values.
-    pub fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
-        for (key, v) in overrides.expect_obj("Cluster2 parameters")? {
-            match key.as_str() {
-                "c_sample" => set_f64(&mut self.c_sample, key, v)?,
-                "c_cap" => set_f64(&mut self.c_cap, key, v)?,
-                "grow_slack" => set_u32(&mut self.grow_slack, key, v)?,
-                "square_safety" => set_f64(&mut self.square_safety, key, v)?,
-                "bounded_push_stall" => set_f64(&mut self.bounded_push_stall, key, v)?,
-                "bounded_push_slack" => set_u32(&mut self.bounded_push_slack, key, v)?,
-                "pull_slack" => set_u32(&mut self.pull_slack, key, v)?,
-                "assumed_n" => {
-                    self.assumed_n = match v {
-                        Value::Null => None,
-                        _ => Some(v.as_u64().ok_or_else(|| {
-                            ParamError(format!(
-                                "parameter \"assumed_n\" wants an integer or null, got {}",
-                                v.render()
-                            ))
-                        })? as usize),
-                    }
-                }
-                _ => return Err(unknown_key("Cluster2", key, Self::PARAM_KEYS)),
-            }
-        }
-        Ok(())
+    fn validate(&self) -> Result<(), String> {
+        check_constants("Cluster2", self.clone())
     }
 }
 
-impl Cluster3Config {
-    const PARAM_KEYS: &'static [&'static str] = &["c_headroom", "merge_boost", "c2"];
-
-    /// The tunables as a JSON object; the underlying Cluster2 constants
-    /// nest under `"c2"`.
-    #[must_use]
-    pub fn params(&self) -> Value {
-        Value::obj([
-            ("c_headroom", Value::Num(self.c_headroom)),
-            ("merge_boost", Value::Num(self.merge_boost)),
-            ("c2", self.c2.params()),
-        ])
+/// The tunables; the underlying Cluster2 constants nest under `"c2"`.
+impl Knobs for Cluster3Config {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("c_headroom", Slot::F64(&mut self.c_headroom)),
+            ("merge_boost", Slot::F64(&mut self.merge_boost)),
+            ("c2", Slot::Nested(&mut self.c2)),
+        ]
     }
 
-    /// Applies a JSON object of overrides onto this config.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys (listing the valid ones) and wrongly typed
-    /// values, including inside the nested `"c2"` object.
-    pub fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
-        for (key, v) in overrides.expect_obj("Cluster3 parameters")? {
-            match key.as_str() {
-                "c_headroom" => set_f64(&mut self.c_headroom, key, v)?,
-                "merge_boost" => set_f64(&mut self.merge_boost, key, v)?,
-                "c2" => self.c2.apply_params(v)?,
-                _ => return Err(unknown_key("Cluster3", key, Self::PARAM_KEYS)),
-            }
-        }
-        Ok(())
+    fn validate(&self) -> Result<(), String> {
+        check_constants("Cluster3", self.clone())
     }
 }
 
-impl PushPullConfig {
-    const PARAM_KEYS: &'static [&'static str] = &["loop_slack", "cluster3"];
-
-    /// The tunables as a JSON object; the `Δ`-clustering constants nest
-    /// under `"cluster3"`.
-    #[must_use]
-    pub fn params(&self) -> Value {
-        Value::obj([
-            ("loop_slack", Value::Num(f64::from(self.loop_slack))),
-            ("cluster3", self.cluster3.params()),
-        ])
+/// The tunables; the `Δ`-clustering constants nest under `"cluster3"`.
+impl Knobs for PushPullConfig {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("loop_slack", Slot::U32(&mut self.loop_slack)),
+            ("cluster3", Slot::Nested(&mut self.cluster3)),
+        ]
     }
 
-    /// Applies a JSON object of overrides onto this config.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys (listing the valid ones) and wrongly typed
-    /// values, including inside the nested `"cluster3"` object.
-    pub fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
-        for (key, v) in overrides.expect_obj("ClusterPushPull parameters")? {
-            match key.as_str() {
-                "loop_slack" => set_u32(&mut self.loop_slack, key, v)?,
-                "cluster3" => self.cluster3.apply_params(v)?,
-                _ => return Err(unknown_key("ClusterPushPull", key, Self::PARAM_KEYS)),
-            }
-        }
-        Ok(())
+    fn validate(&self) -> Result<(), String> {
+        check_constants("ClusterPushPull", self.clone())
     }
 }
 
@@ -1083,6 +432,8 @@ pub fn loglog2n(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{Params, Value};
+    use phonecall::{AsyncConfig, Latency};
 
     #[test]
     fn defaults_are_sane() {
@@ -1203,28 +554,46 @@ mod tests {
             .apply_params(&Value::parse(&doc.render()).unwrap())
             .unwrap();
         assert_eq!(rebuilt, common, "no f64 rounding of 64-bit knobs");
+
+        // `assumed_n` rides the same path: 2^53 + 1 is the first integer
+        // a double cannot hold.
+        let c2 = Cluster2Config {
+            assumed_n: Some((1 << 53) + 1),
+            ..Cluster2Config::default()
+        };
+        let doc = c2.params();
+        assert_eq!(
+            doc.get("assumed_n"),
+            Some(&Value::Str("9007199254740993".into()))
+        );
+        let mut rebuilt = Cluster2Config::default();
+        rebuilt
+            .apply_params(&Value::parse(&doc.render()).unwrap())
+            .unwrap();
+        assert_eq!(rebuilt, c2, "assumed_n survives a round trip exactly");
     }
 
     #[test]
     fn churn_apply_rejects_bad_keys_and_values() {
         let mut c = ChurnConfig::default();
-        let e = apply_churn_params(&mut c, &Value::parse(r#"{"crash_rat": 0.5}"#).unwrap())
+        let e = c
+            .apply_params(&Value::parse(r#"{"crash_rat": 0.5}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("valid keys"), "{e}");
-        let e = apply_churn_params(&mut c, &Value::parse(r#"{"crash_rate": 1.5}"#).unwrap())
+        let e = c
+            .apply_params(&Value::parse(r#"{"crash_rate": 1.5}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("\"crash_rate\""), "{e}");
-        let e = apply_churn_params(&mut c, &Value::parse(r#"{"batch_size": 0.5}"#).unwrap())
+        let e = c
+            .apply_params(&Value::parse(r#"{"batch_size": 0.5}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("integer"), "{e}");
         // stop_round accepts null.
-        apply_churn_params(
-            &mut c,
-            &Value::parse(r#"{"stop_round": 12, "crash_rate": 0.5}"#).unwrap(),
-        )
-        .unwrap();
+        c.apply_params(&Value::parse(r#"{"stop_round": 12, "crash_rate": 0.5}"#).unwrap())
+            .unwrap();
         assert_eq!(c.stop_round, Some(12));
-        apply_churn_params(&mut c, &Value::parse(r#"{"stop_round": null}"#).unwrap()).unwrap();
+        c.apply_params(&Value::parse(r#"{"stop_round": null}"#).unwrap())
+            .unwrap();
         assert_eq!(c.stop_round, None);
     }
 
@@ -1241,10 +610,10 @@ mod tests {
             Topology::FromAdjacency(vec![vec![1], vec![0, 2], vec![1]]),
             Topology::FromFile("tests/data/pa_2k.txt".to_string()),
         ] {
-            let doc = topology_params(&topo);
+            let doc = topo.params();
             assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
             let mut rebuilt = Topology::Complete;
-            apply_topology_params(&mut rebuilt, &doc).unwrap();
+            rebuilt.apply_params(&doc).unwrap();
             assert_eq!(rebuilt, topo, "apply(params()) is the identity");
         }
     }
@@ -1252,44 +621,37 @@ mod tests {
     #[test]
     fn topology_apply_rejects_bad_kinds_knobs_and_values() {
         let mut t = Topology::Complete;
-        let e = apply_topology_params(&mut t, &Value::parse(r#"{"kind": "moebius"}"#).unwrap())
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "moebius"}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("valid kinds"), "{e}");
-        let e =
-            apply_topology_params(&mut t, &Value::parse(r#"{"degree": 4}"#).unwrap()).unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"degree": 4}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("\"kind\""), "{e}");
-        let e = apply_topology_params(
-            &mut t,
-            &Value::parse(r#"{"kind": "ring", "degree": 4}"#).unwrap(),
-        )
-        .unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "ring", "degree": 4}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("does not apply"), "{e}");
-        let e = apply_topology_params(
-            &mut t,
-            &Value::parse(r#"{"kind": "random_regular"}"#).unwrap(),
-        )
-        .unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "random_regular"}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("needs \"degree\""), "{e}");
-        let e = apply_topology_params(
-            &mut t,
-            &Value::parse(r#"{"kind": "erdos_renyi", "p": 7}"#).unwrap(),
-        )
-        .unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "erdos_renyi", "p": 7}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("\"p\""), "{e}");
-        let e = apply_topology_params(&mut t, &Value::parse(r#"{"kind": "from_file"}"#).unwrap())
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "from_file"}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("needs \"path\""), "{e}");
-        let e = apply_topology_params(
-            &mut t,
-            &Value::parse(r#"{"kind": "from_file", "path": 7}"#).unwrap(),
-        )
-        .unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "from_file", "path": 7}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("wants a string"), "{e}");
-        let e = apply_topology_params(
-            &mut t,
-            &Value::parse(r#"{"kind": "from_file", "path": ""}"#).unwrap(),
-        )
-        .unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"kind": "from_file", "path": ""}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("\"path\""), "{e}");
         assert_eq!(t, Topology::Complete, "failed applies leave the value");
     }
@@ -1312,10 +674,10 @@ mod tests {
                 latency: Latency::Exponential(0.75),
             }),
         ] {
-            let doc = engine_params(&engine);
+            let doc = engine.params();
             assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
             let mut rebuilt = Engine::Sync;
-            apply_engine_params(&mut rebuilt, &doc).unwrap();
+            rebuilt.apply_params(&doc).unwrap();
             assert_eq!(rebuilt, engine, "apply(params()) is the identity");
         }
     }
@@ -1323,71 +685,68 @@ mod tests {
     #[test]
     fn engine_apply_rejects_bad_modes_knobs_and_values() {
         let mut e = Engine::Sync;
-        let err =
-            apply_engine_params(&mut e, &Value::parse(r#"{"rate": 1.0}"#).unwrap()).unwrap_err();
+        let err = e
+            .apply_params(&Value::parse(r#"{"rate": 1.0}"#).unwrap())
+            .unwrap_err();
         assert!(err.0.contains("\"mode\""), "{err}");
-        let err = apply_engine_params(&mut e, &Value::parse(r#"{"mode": "turbo"}"#).unwrap())
+        let err = e
+            .apply_params(&Value::parse(r#"{"mode": "turbo"}"#).unwrap())
             .unwrap_err();
         assert!(err.0.contains("\"sync\" or \"async\""), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "sync", "rate": 1.0}"#).unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(&Value::parse(r#"{"mode": "sync", "rate": 1.0}"#).unwrap())
+            .unwrap_err();
         assert!(err.0.contains("no knobs"), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "async", "clock": 1.0}"#).unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(&Value::parse(r#"{"mode": "async", "clock": 1.0}"#).unwrap())
+            .unwrap_err();
         assert!(err.0.contains("valid keys"), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "async", "rate": -1.0}"#).unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(&Value::parse(r#"{"mode": "async", "rate": -1.0}"#).unwrap())
+            .unwrap_err();
         assert!(err.0.contains("rate"), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "async", "latency": {"kind": "gamma"}}"#).unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(
+                &Value::parse(r#"{"mode": "async", "latency": {"kind": "gamma"}}"#).unwrap(),
+            )
+            .unwrap_err();
         assert!(err.0.contains("valid kinds"), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "async", "latency": {"kind": "fixed"}}"#).unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(
+                &Value::parse(r#"{"mode": "async", "latency": {"kind": "fixed"}}"#).unwrap(),
+            )
+            .unwrap_err();
         assert!(err.0.contains("needs \"value\""), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 0.5}}"#)
-                .unwrap(),
-        )
-        .unwrap_err();
+        let err = e
+            .apply_params(
+                &Value::parse(r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 0.5}}"#)
+                    .unwrap(),
+            )
+            .unwrap_err();
         assert!(err.0.contains("\"lo\" and \"hi\""), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(
-                r#"{"mode": "async", "latency": {"kind": "fixed", "value": 0.5, "mean": 1.0}}"#,
+        let err = e
+            .apply_params(
+                &Value::parse(
+                    r#"{"mode": "async", "latency": {"kind": "fixed", "value": 0.5, "mean": 1.0}}"#,
+                )
+                .unwrap(),
             )
-            .unwrap(),
-        )
-        .unwrap_err();
+            .unwrap_err();
         assert!(err.0.contains("does not take knob"), "{err}");
-        let err = apply_engine_params(
-            &mut e,
-            &Value::parse(
-                r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 2.0, "hi": 1.0}}"#,
+        let err = e
+            .apply_params(
+                &Value::parse(
+                    r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 2.0, "hi": 1.0}}"#,
+                )
+                .unwrap(),
             )
-            .unwrap(),
-        )
-        .unwrap_err();
+            .unwrap_err();
         assert!(err.0.contains("lo"), "{err}");
         assert_eq!(e, Engine::Sync, "failed applies leave the value");
 
         // Omitted knobs keep the async defaults.
-        apply_engine_params(&mut e, &Value::parse(r#"{"mode": "async"}"#).unwrap()).unwrap();
+        e.apply_params(&Value::parse(r#"{"mode": "async"}"#).unwrap())
+            .unwrap();
         assert_eq!(e, Engine::Async(AsyncConfig::default()));
     }
 
@@ -1405,7 +764,7 @@ mod tests {
             .unwrap();
         assert_eq!(rebuilt, common, "apply(params()) is the identity");
         assert!(
-            CommonConfig::PARAM_KEYS.contains(&"engine"),
+            common.params().get("engine").is_some(),
             "the engine must be addressable as a named override"
         );
     }
@@ -1449,21 +808,21 @@ mod tests {
     #[test]
     fn traffic_apply_rejects_bad_keys_and_values() {
         let mut t = TrafficConfig::default();
-        let e =
-            apply_traffic_params(&mut t, &Value::parse(r#"{"rumor": 5}"#).unwrap()).unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"rumor": 5}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("valid keys"), "{e}");
-        let e = apply_traffic_params(&mut t, &Value::parse(r#"{"arrival_rate": 0}"#).unwrap())
+        let e = t
+            .apply_params(&Value::parse(r#"{"arrival_rate": 0}"#).unwrap())
             .unwrap_err();
         assert!(e.0.contains("\"arrival_rate\""), "{e}");
-        let e =
-            apply_traffic_params(&mut t, &Value::parse(r#"{"rumors": 1.5}"#).unwrap()).unwrap_err();
+        let e = t
+            .apply_params(&Value::parse(r#"{"rumors": 1.5}"#).unwrap())
+            .unwrap_err();
         assert!(e.0.contains("integer"), "{e}");
         let mut t = TrafficConfig::default();
-        apply_traffic_params(
-            &mut t,
-            &Value::parse(r#"{"rumors": 8, "bandwidth": 2}"#).unwrap(),
-        )
-        .unwrap();
+        t.apply_params(&Value::parse(r#"{"rumors": 8, "bandwidth": 2}"#).unwrap())
+            .unwrap();
         assert_eq!(t.rumors, 8);
         assert_eq!(t.bandwidth, 2);
     }

@@ -61,6 +61,6 @@ pub use estimate::{broadcast_success_test, run_unknown_n, SuccessTest, UnknownNR
 pub use follow::Follow;
 pub use msg::{Msg, MsgKind};
 pub use node::ClusterNode;
-pub use params::{ParamError, Value};
+pub use params::{ParamError, Params, Value};
 pub use report::{ClusteringStats, PhaseReport, RunReport};
 pub use sim::ClusterSim;

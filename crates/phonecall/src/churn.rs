@@ -41,6 +41,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
+use crate::knob::{Knob, Knobs, Slot};
 use crate::rng::{derive_seed, rng_from_seed};
 use rand::Rng;
 
@@ -108,6 +109,23 @@ impl ChurnConfig {
     pub fn is_active(&self) -> bool {
         self.crash_rate > 0.0 || self.recovery_rate > 0.0 || self.burst_enter > 0.0
     }
+}
+
+impl Knobs for ChurnConfig {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        vec![
+            ("crash_rate", Slot::F64(&mut self.crash_rate)),
+            ("batch_size", Slot::U32(&mut self.batch_size)),
+            ("recovery_rate", Slot::F64(&mut self.recovery_rate)),
+            ("burst_enter", Slot::F64(&mut self.burst_enter)),
+            ("burst_exit", Slot::F64(&mut self.burst_exit)),
+            ("burst_loss", Slot::F64(&mut self.burst_loss)),
+            ("start_round", Slot::U64(&mut self.start_round)),
+            ("stop_round", Slot::OptU64(&mut self.stop_round)),
+            ("protected", Slot::U32s(&mut self.protected)),
+            ("max_crashed_frac", Slot::F64(&mut self.max_crashed_frac)),
+        ]
+    }
 
     /// Validates every knob, naming the offending one in the error.
     ///
@@ -116,7 +134,7 @@ impl ChurnConfig {
     /// Returns a message like
     /// `churn knob "crash_rate" wants a probability in [0, 1], got 1.5`
     /// for the first invalid knob.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         for (knob, value) in [
             ("crash_rate", self.crash_rate),
             ("recovery_rate", self.recovery_rate),

@@ -63,6 +63,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::action::{Action, Delivery};
 use crate::id::NodeIdx;
+use crate::knob::{self, Kind, Knob, Knobs, Slot, Tag};
 use crate::metrics::RoundStats;
 use crate::network::{Network, NodeCtx};
 use crate::rng::{
@@ -100,10 +101,7 @@ pub struct AsyncConfig {
 
 impl Default for AsyncConfig {
     fn default() -> Self {
-        AsyncConfig {
-            rate: 1.0,
-            latency: Latency::default(),
-        }
+        unit_rate(Latency::default())
     }
 }
 
@@ -147,39 +145,24 @@ pub enum Latency {
 
 impl Default for Latency {
     fn default() -> Self {
-        Latency::Fixed(0.5)
+        LATENCIES[0].default
     }
 }
 
-impl Latency {
-    /// Validates the distribution parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending knob.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            Latency::Fixed(v) if !(0.0..=MAX_SPAN).contains(&v) => Err(format!(
-                "fixed latency must be in [0, {MAX_SPAN:e}], got {v}"
-            )),
-            Latency::Uniform(lo, hi) if !(0.0 <= lo && lo < hi && hi <= MAX_SPAN) => Err(format!(
-                "uniform latency wants 0 <= lo < hi <= {MAX_SPAN:e}, got [{lo}, {hi})"
-            )),
-            Latency::Exponential(mean) if !(0.0 < mean && mean <= MAX_SPAN) => Err(format!(
-                "exponential latency mean must be in (0, {MAX_SPAN:e}], got {mean}"
-            )),
-            _ => Ok(()),
-        }
-    }
+/// The latency families, once: each kind's JSON name and the value a
+/// bare kind builds.
+#[rustfmt::skip]
+static LATENCIES: [Kind<Latency>; 3] = [
+    Kind { name: "fixed", default: Latency::Fixed(0.5), catalog: ("", "") },
+    Kind { name: "uniform", default: Latency::Uniform(0.1, 1.0), catalog: ("", "") },
+    Kind { name: "exponential", default: Latency::Exponential(0.5), catalog: ("", "") },
+];
 
+impl Latency {
     /// Stable lowercase family label (the JSON `"kind"` value).
     #[must_use]
     pub fn label(&self) -> &'static str {
-        match self {
-            Latency::Fixed(_) => "fixed",
-            Latency::Uniform(..) => "uniform",
-            Latency::Exponential(_) => "exponential",
-        }
+        LATENCIES[knob::kind_index(&LATENCIES, self)].name
     }
 
     /// Draws one latency.
@@ -202,18 +185,6 @@ impl Engine {
         matches!(self, Engine::Async(_))
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending knob.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            Engine::Sync => Ok(()),
-            Engine::Async(cfg) => cfg.validate(),
-        }
-    }
-
     /// Stable spec string: `"sync"`, or `"async:<profile>"` for the
     /// named latency profiles (the `--engine` CLI syntax).
     #[must_use]
@@ -227,25 +198,8 @@ impl Engine {
     /// The named engine specs with one-line descriptions (the
     /// `--list-engines` catalog).
     #[must_use]
-    pub fn catalog() -> &'static [(&'static str, &'static str)] {
-        &[
-            (
-                "sync",
-                "lockstep synchronous rounds (the paper's model; default)",
-            ),
-            (
-                "async:fixed",
-                "event-driven, exponential clocks (rate 1), fixed latency 0.5",
-            ),
-            (
-                "async:uniform",
-                "event-driven, exponential clocks (rate 1), uniform latency [0.1, 1.0)",
-            ),
-            (
-                "async:exp",
-                "event-driven, exponential clocks (rate 1), exponential latency (mean 0.5)",
-            ),
-        ]
+    pub fn catalog() -> Vec<&'static (&'static str, &'static str)> {
+        ENGINES.iter().map(|e| &e.catalog).collect()
     }
 
     /// The [`AsyncConfig`] behind a named latency profile
@@ -253,19 +207,8 @@ impl Engine {
     /// separator-insensitive. `None` for unknown names.
     #[must_use]
     pub fn profile(name: &str) -> Option<AsyncConfig> {
-        match normalize(name).as_str() {
-            "fixed" => Some(AsyncConfig {
-                rate: 1.0,
-                latency: Latency::Fixed(0.5),
-            }),
-            "uniform" => Some(AsyncConfig {
-                rate: 1.0,
-                latency: Latency::Uniform(0.1, 1.0),
-            }),
-            "exp" | "exponential" => Some(AsyncConfig {
-                rate: 1.0,
-                latency: Latency::Exponential(0.5),
-            }),
+        match Engine::parse_spec(&format!("async:{name}")) {
+            Ok(Engine::Async(cfg)) => Some(cfg),
             _ => None,
         }
     }
@@ -278,33 +221,121 @@ impl Engine {
     ///
     /// Returns a message listing every valid spec for anything else.
     pub fn parse_spec(spec: &str) -> Result<Self, String> {
-        let (head, profile) = match spec.split_once(':') {
-            Some((h, p)) => (h, Some(p)),
-            None => (spec, None),
-        };
-        let invalid = || {
-            let specs: Vec<&str> = Self::catalog().iter().map(|&(s, _)| s).collect();
-            format!(
-                "unknown engine {spec:?}; valid specs (case-insensitive): {}",
-                specs.join(", ")
-            )
-        };
-        match (normalize(head).as_str(), profile) {
-            ("sync", None) => Ok(Engine::Sync),
-            ("async", None) => Ok(Engine::Async(AsyncConfig::default())),
-            ("async", Some(p)) => Engine::profile(p).map(Engine::Async).ok_or_else(invalid),
-            _ => Err(invalid()),
-        }
+        let key = knob::normalize(spec);
+        // A bare mode picks its first row (bare `async` the default
+        // profile), and a profile also answers to its latency family's
+        // full name (`async:exponential` for `async:exp`), the form
+        // `spec` prints.
+        ENGINES
+            .iter()
+            .find(|e| {
+                [e.name, e.catalog.0, &e.default.spec()]
+                    .map(knob::normalize)
+                    .contains(&key)
+            })
+            .map(|e| e.default.clone())
+            .ok_or_else(|| {
+                let specs: Vec<&str> = Self::catalog().iter().map(|(s, _)| *s).collect();
+                format!(
+                    "unknown engine {spec:?}; valid specs (case-insensitive): {}",
+                    specs.join(", ")
+                )
+            })
     }
 }
 
-/// Case- and separator-insensitive key, matching the algorithm and
-/// topology registries.
-fn normalize(name: &str) -> String {
-    name.chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
+/// The engine schedules, once: each row's JSON mode, the engine it
+/// builds, and its `--list-engines` line. A bare `"mode": "async"` (and
+/// the spec `async`) builds the first async row, the default
+/// [`AsyncConfig`].
+#[rustfmt::skip]
+static ENGINES: [Kind<Engine>; 4] = [
+    Kind { name: "sync", default: Engine::Sync,
+        catalog: ("sync", "lockstep synchronous rounds (the paper's model; default)") },
+    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Fixed(0.5))),
+        catalog: ("async:fixed", "event-driven, exponential clocks (rate 1), fixed latency 0.5") },
+    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Uniform(0.1, 1.0))),
+        catalog: ("async:uniform",
+            "event-driven, exponential clocks (rate 1), uniform latency [0.1, 1.0)") },
+    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Exponential(0.5))),
+        catalog: ("async:exp",
+            "event-driven, exponential clocks (rate 1), exponential latency (mean 0.5)") },
+];
+
+/// The async engine's knobs at clock rate 1 with the given latency
+/// (every catalog profile, and the default).
+const fn unit_rate(latency: Latency) -> AsyncConfig {
+    AsyncConfig { rate: 1.0, latency }
+}
+
+impl Knobs for Engine {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        match self {
+            Engine::Sync => Vec::new(),
+            Engine::Async(cfg) => vec![
+                ("rate", Slot::F64(&mut cfg.rate)),
+                ("latency", Slot::Nested(&mut cfg.latency)),
+            ],
+        }
+    }
+
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob.
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            Engine::Sync => Ok(()),
+            Engine::Async(cfg) => cfg.validate(),
+        }
+    }
+
+    fn tag(&self) -> Option<Tag> {
+        Some(Tag::of("mode", &ENGINES, self, false))
+    }
+
+    fn set_kind(&mut self, i: usize) {
+        *self = ENGINES[i].default.clone();
+    }
+}
+
+impl Knobs for Latency {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        match self {
+            Latency::Fixed(value) => vec![("value", Slot::F64(value))],
+            Latency::Uniform(lo, hi) => vec![("lo", Slot::F64(lo)), ("hi", Slot::F64(hi))],
+            Latency::Exponential(mean) => vec![("mean", Slot::F64(mean))],
+        }
+    }
+
+    /// Validates the distribution parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob.
+    fn validate(&self) -> Result<(), String> {
+        match *self {
+            Latency::Fixed(v) if !(0.0..=MAX_SPAN).contains(&v) => Err(format!(
+                "fixed latency must be in [0, {MAX_SPAN:e}], got {v}"
+            )),
+            Latency::Uniform(lo, hi) if !(0.0 <= lo && lo < hi && hi <= MAX_SPAN) => Err(format!(
+                "uniform latency wants 0 <= lo < hi <= {MAX_SPAN:e}, got [{lo}, {hi})"
+            )),
+            Latency::Exponential(mean) if !(0.0 < mean && mean <= MAX_SPAN) => Err(format!(
+                "exponential latency mean must be in (0, {MAX_SPAN:e}], got {mean}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn tag(&self) -> Option<Tag> {
+        Some(Tag::of("kind", &LATENCIES, self, true))
+    }
+
+    fn set_kind(&mut self, i: usize) {
+        *self = LATENCIES[i].default;
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -125,6 +125,7 @@ mod error;
 pub mod events;
 mod failure;
 mod id;
+pub mod knob;
 mod metrics;
 mod network;
 mod rng;
@@ -141,6 +142,7 @@ pub use error::PhoneCallError;
 pub use events::{AsyncConfig, Engine, EventKey, Latency};
 pub use failure::FailurePlan;
 pub use id::{IdSpace, NodeId, NodeIdx};
+pub use knob::Knobs;
 pub use metrics::{Metrics, RoundStats};
 pub use network::{Network, NodeCtx};
 pub use rng::{

@@ -290,7 +290,7 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`Engine::validate`].
+    /// Panics if the config fails [`Engine::validate`](crate::Knobs::validate).
     pub fn set_engine(&mut self, engine: Engine, seed: u64) {
         self.async_state = match engine {
             Engine::Sync => None,
@@ -350,7 +350,7 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`ChurnConfig::validate`] or protects
+    /// Panics if the config fails [`ChurnConfig::validate`](crate::Knobs::validate) or protects
     /// a node outside this network.
     pub fn set_churn(&mut self, cfg: ChurnConfig, seed: u64) {
         self.churn = cfg
@@ -377,7 +377,7 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the topology fails [`Topology::validate`], does not fit
+    /// Panics if the topology fails [`Topology::validate`](crate::Knobs::validate), does not fit
     /// this network's size, or cannot produce a connected instance (see
     /// [`Topology::build`]).
     pub fn set_topology(&mut self, topology: Topology, mode: DirectAddressing, seed: u64) {
@@ -416,7 +416,7 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`TrafficConfig::validate`].
+    /// Panics if the config fails [`TrafficConfig::validate`](crate::Knobs::validate).
     pub fn set_traffic(&mut self, cfg: TrafficConfig, rumor_bits: u64, seed: u64) {
         self.traffic = cfg
             .is_active()

@@ -42,6 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
 use crate::id::NodeIdx;
+use crate::knob::{self, Choice, Kind, Knob, Knobs, Slot, Tag};
 use crate::rng::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -89,6 +90,17 @@ impl DirectAddressing {
                 "addressing mode wants \"overlay\" or \"restricted\", got {other:?}"
             )),
         }
+    }
+}
+
+impl Choice for DirectAddressing {
+    fn label(&self) -> &'static str {
+        DirectAddressing::label(*self)
+    }
+
+    fn choose(&mut self, label: &str) -> Result<(), String> {
+        *self = DirectAddressing::parse(label)?;
+        Ok(())
     }
 }
 
@@ -176,75 +188,6 @@ impl Topology {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         matches!(self, Topology::Complete)
-    }
-
-    /// Validates every knob, naming the offending one in the error
-    /// (the [`crate::ChurnConfig::validate`] convention).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message like
-    /// `topology knob "degree" wants an integer >= 2, got 1` for the
-    /// first invalid knob. Knobs that depend on `n` (e.g. `degree < n`)
-    /// are checked by [`Topology::build`] instead.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            Topology::Complete | Topology::Ring | Topology::Torus2D => Ok(()),
-            Topology::RandomRegular(d) => {
-                if *d < 2 {
-                    return Err(format!(
-                        "topology knob \"degree\" wants an integer >= 2 (degree-1 graphs are disconnected matchings), got {d}"
-                    ));
-                }
-                Ok(())
-            }
-            Topology::ErdosRenyi(p) => {
-                if !(*p > 0.0 && *p <= 1.0) {
-                    return Err(format!(
-                        "topology knob \"p\" wants a probability in (0, 1], got {p}"
-                    ));
-                }
-                Ok(())
-            }
-            Topology::WattsStrogatz(k, beta) => {
-                if *k < 2 || *k % 2 != 0 {
-                    return Err(format!(
-                        "topology knob \"k\" wants an even integer >= 2, got {k}"
-                    ));
-                }
-                if !(0.0..=1.0).contains(beta) {
-                    return Err(format!(
-                        "topology knob \"beta\" wants a probability in [0, 1], got {beta}"
-                    ));
-                }
-                Ok(())
-            }
-            Topology::PreferentialAttachment(m) => {
-                if *m < 1 {
-                    return Err(format!(
-                        "topology knob \"m\" wants an integer >= 1, got {m}"
-                    ));
-                }
-                Ok(())
-            }
-            Topology::FromAdjacency(lists) => {
-                if lists.is_empty() {
-                    return Err(
-                        "topology knob \"adjacency\" wants at least one node's neighbor list"
-                            .to_string(),
-                    );
-                }
-                Ok(())
-            }
-            Topology::FromFile(path) => {
-                if path.trim().is_empty() {
-                    return Err(
-                        "topology knob \"path\" wants a non-empty edge-list file path".to_string(),
-                    );
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Materializes the topology for `n` nodes as a CSR [`Adjacency`],
@@ -338,31 +281,16 @@ impl Topology {
 
     /// `n`-dependent knob checks shared by [`Topology::build`].
     fn check_against_n(&self, n: usize) {
-        match self {
-            Topology::RandomRegular(d) => {
-                assert!(
-                    (*d as usize) < n,
-                    "topology knob \"degree\" wants degree < n, got degree {d} on n = {n}"
-                );
-                assert!(
-                    (n * (*d as usize)).is_multiple_of(2),
-                    "topology knob \"degree\" wants n * degree even (stubs must pair up), got degree {d} on n = {n}"
-                );
+        let (knob, wants, got) = match *self {
+            Topology::RandomRegular(d) if d as usize >= n => ("degree", "degree < n", d),
+            Topology::RandomRegular(d) if !(n * d as usize).is_multiple_of(2) => {
+                ("degree", "n * degree even (stubs must pair up)", d)
             }
-            Topology::WattsStrogatz(k, _) => {
-                assert!(
-                    (*k as usize) < n,
-                    "topology knob \"k\" wants k < n, got k {k} on n = {n}"
-                );
-            }
-            Topology::PreferentialAttachment(m) => {
-                assert!(
-                    (*m as usize) < n,
-                    "topology knob \"m\" wants m < n, got m {m} on n = {n}"
-                );
-            }
-            _ => {}
-        }
+            Topology::WattsStrogatz(k, _) if k as usize >= n => ("k", "k < n", k),
+            Topology::PreferentialAttachment(m) if m as usize >= n => ("m", "m < n", m),
+            _ => return,
+        };
+        panic!("topology knob {knob:?} wants {wants}, got {knob} {got} on n = {n}");
     }
 
     /// Human-readable name with knob values, e.g. `RandomRegular(d=8)`.
@@ -383,32 +311,12 @@ impl Topology {
     /// listing order. [`Topology::FromAdjacency`] is programmatic-only
     /// and deliberately absent.
     #[must_use]
-    pub fn catalog() -> &'static [(&'static str, &'static str)] {
-        &[
-            ("complete", "the base model: every pair is an edge"),
-            ("ring", "cycle, degree 2, diameter n/2"),
-            ("torus2d", "2-D torus grid, degree <= 4, diameter ~sqrt(n)"),
-            (
-                "random-regular[:d]",
-                "random simple d-regular graph (default d = 8)",
-            ),
-            (
-                "erdos-renyi[:p]",
-                "G(n, p) random graph (default p = 0.05; needs p >~ ln n / n)",
-            ),
-            (
-                "watts-strogatz[:k,beta]",
-                "small world: k-lattice, beta rewiring (default 6, 0.2)",
-            ),
-            (
-                "preferential-attachment[:m]",
-                "Barabasi-Albert scale-free, m links per arrival (default m = 4)",
-            ),
-            (
-                "file:<path>",
-                "SNAP-style edge list loaded from <path> (cached as <path>.csrcache)",
-            ),
-        ]
+    pub fn catalog() -> Vec<&'static (&'static str, &'static str)> {
+        FAMILIES
+            .iter()
+            .map(|f| &f.catalog)
+            .filter(|c| !c.0.is_empty())
+            .collect()
     }
 
     /// Parses a `--topo` spec: a catalog name, optionally followed by
@@ -425,75 +333,146 @@ impl Topology {
     /// unknown family, and a knob-shaped message (via
     /// [`Topology::validate`]) for unparsable or out-of-range knobs.
     pub fn parse_spec(spec: &str) -> Result<Topology, String> {
-        let (name, params) = match spec.split_once(':') {
-            Some((n, p)) => (n, Some(p)),
-            None => (spec, None),
-        };
+        let (name, params) = spec.split_once(':').unwrap_or((spec, ""));
         // `file:` keeps its payload verbatim — a path is case- and
         // separator-sensitive, unlike the family names (and may itself
         // contain `:` or `,`), so it bypasses the knob machinery.
         if name.eq_ignore_ascii_case("file") {
-            let topo = Topology::FromFile(params.unwrap_or("").trim().to_string());
+            let topo = Topology::FromFile(params.trim().to_string());
             topo.validate()?;
             return Ok(topo);
         }
-        let key: String = name
-            .chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .map(|c| c.to_ascii_lowercase())
-            .collect();
-        let knobs: Vec<&str> = params
-            .unwrap_or("")
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut used = 0usize;
-        let mut knob = |what: &str, default: f64| -> Result<f64, String> {
-            match knobs.get(used) {
-                None => Ok(default),
-                Some(raw) => {
-                    used += 1;
-                    raw.parse::<f64>()
-                        .map_err(|_| format!("topology knob {what:?} wants a number, got {raw:?}"))
-                }
-            }
-        };
-        // Integer knobs parse exactly, not via an `as` cast: `8.9` must
-        // not silently run a different graph, and `-3` must not saturate
-        // into a misleading range error.
-        let int = |what: &str, v: f64| -> Result<u32, String> {
-            if v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) {
-                Ok(v as u32)
-            } else {
-                Err(format!("topology knob {what:?} wants an integer, got {v}"))
-            }
-        };
-        let topo = match key.as_str() {
-            "complete" => Topology::Complete,
-            "ring" => Topology::Ring,
-            "torus2d" | "torus" => Topology::Torus2D,
-            "randomregular" => Topology::RandomRegular(int("degree", knob("degree", 8.0)?)?),
-            "erdosrenyi" => Topology::ErdosRenyi(knob("p", 0.05)?),
-            "wattsstrogatz" => {
-                Topology::WattsStrogatz(int("k", knob("k", 6.0)?)?, knob("beta", 0.2)?)
-            }
-            "preferentialattachment" => {
-                Topology::PreferentialAttachment(int("m", knob("m", 4.0)?)?)
-            }
-            _ => {
-                let names: Vec<&str> = Self::catalog().iter().map(|(s, _)| *s).collect();
-                return Err(format!(
+        // `torus` is short for `torus2d`.
+        let key = knob::normalize(name);
+        let key = if key == "torus" { key + "2d" } else { key };
+        let family = FAMILIES
+            .iter()
+            .find(|f| knob::normalize(f.catalog.0.split([':', '[']).next().unwrap_or("")) == key)
+            .ok_or_else(|| {
+                let specs: Vec<&str> = Self::catalog().iter().map(|(s, _)| *s).collect();
+                format!(
                     "unknown topology {name:?}; valid specs (case-insensitive): {}",
-                    names.join(", ")
-                ));
+                    specs.join(", ")
+                )
+            })?;
+        let mut topo = family.default.clone();
+        let mut given = params.split(',').map(str::trim).filter(|s| !s.is_empty());
+        for (knob, slot) in topo.knobs() {
+            let Some(raw) = given.next() else { break };
+            let v: f64 = raw
+                .parse()
+                .map_err(|_| format!("topology knob {knob:?} wants a number, got {raw:?}"))?;
+            match slot {
+                Slot::F64(x) => *x = v,
+                // Integer knobs parse exactly, not via an `as` cast: `8.9`
+                // must not silently run a different graph, and `-3` must
+                // not saturate into a misleading range error.
+                Slot::U32(x) if f64::from(v as u32) == v => *x = v as u32,
+                _ => return Err(format!("topology knob {knob:?} wants an integer, got {v}")),
             }
-        };
-        if let Some(extra) = knobs.get(used) {
+        }
+        if let Some(extra) = given.next() {
             return Err(format!("topology {name:?} got an extra knob {extra:?}"));
         }
         topo.validate()?;
         Ok(topo)
+    }
+}
+
+/// The topology families, once: each kind's JSON name, the value a bare
+/// kind builds (its knobs are the `--topo` defaults), and its
+/// `--list-topos` line. [`Topology::FromAdjacency`] is programmatic-only
+/// and has no catalog line.
+#[rustfmt::skip]
+static FAMILIES: [Kind<Topology>; 9] = [
+    Kind { name: "complete", default: Topology::Complete,
+        catalog: ("complete", "the base model: every pair is an edge") },
+    Kind { name: "ring", default: Topology::Ring,
+        catalog: ("ring", "cycle, degree 2, diameter n/2") },
+    Kind { name: "torus2d", default: Topology::Torus2D,
+        catalog: ("torus2d", "2-D torus grid, degree <= 4, diameter ~sqrt(n)") },
+    Kind { name: "random_regular", default: Topology::RandomRegular(8),
+        catalog: ("random-regular[:d]", "random simple d-regular graph (default d = 8)") },
+    Kind { name: "erdos_renyi", default: Topology::ErdosRenyi(0.05),
+        catalog: ("erdos-renyi[:p]",
+            "G(n, p) random graph (default p = 0.05; needs p >~ ln n / n)") },
+    Kind { name: "watts_strogatz", default: Topology::WattsStrogatz(6, 0.2),
+        catalog: ("watts-strogatz[:k,beta]",
+            "small world: k-lattice, beta rewiring (default 6, 0.2)") },
+    Kind { name: "preferential_attachment", default: Topology::PreferentialAttachment(4),
+        catalog: ("preferential-attachment[:m]",
+            "Barabasi-Albert scale-free, m links per arrival (default m = 4)") },
+    Kind { name: "from_adjacency", default: Topology::FromAdjacency(Vec::new()),
+        catalog: ("", "") },
+    Kind { name: "from_file", default: Topology::FromFile(String::new()),
+        catalog: ("file:<path>",
+            "SNAP-style edge list loaded from <path> (cached as <path>.csrcache)") },
+];
+
+impl Knobs for Topology {
+    fn knobs(&mut self) -> Vec<Knob<'_>> {
+        match self {
+            Topology::Complete | Topology::Ring | Topology::Torus2D => Vec::new(),
+            Topology::RandomRegular(d) => vec![("degree", Slot::U32(d))],
+            Topology::ErdosRenyi(p) => vec![("p", Slot::F64(p))],
+            Topology::WattsStrogatz(k, beta) => {
+                vec![("k", Slot::U32(k)), ("beta", Slot::F64(beta))]
+            }
+            Topology::PreferentialAttachment(m) => vec![("m", Slot::U32(m))],
+            Topology::FromAdjacency(lists) => vec![("adjacency", Slot::Rows(lists))],
+            Topology::FromFile(path) => vec![("path", Slot::Str(path))],
+        }
+    }
+
+    /// Validates every knob, naming the offending one in the error
+    /// (the [`crate::ChurnConfig::validate`] convention).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message like
+    /// `topology knob "degree" wants an integer >= 2, got 1` for the
+    /// first invalid knob. Knobs that depend on `n` (e.g. `degree < n`)
+    /// are checked by [`Topology::build`] instead.
+    fn validate(&self) -> Result<(), String> {
+        let (knob, wants, got) = match self {
+            Topology::RandomRegular(d) if *d < 2 => (
+                "degree",
+                "an integer >= 2 (degree-1 graphs are disconnected matchings)",
+                d.to_string(),
+            ),
+            Topology::ErdosRenyi(p) if !(*p > 0.0 && *p <= 1.0) => {
+                ("p", "a probability in (0, 1]", p.to_string())
+            }
+            Topology::WattsStrogatz(k, _) if *k < 2 || *k % 2 != 0 => {
+                ("k", "an even integer >= 2", k.to_string())
+            }
+            Topology::WattsStrogatz(_, beta) if !(0.0..=1.0).contains(beta) => {
+                ("beta", "a probability in [0, 1]", beta.to_string())
+            }
+            Topology::PreferentialAttachment(m) if *m < 1 => {
+                ("m", "an integer >= 1", m.to_string())
+            }
+            Topology::FromAdjacency(lists) if lists.is_empty() => (
+                "adjacency",
+                "at least one node's neighbor list",
+                "none".into(),
+            ),
+            Topology::FromFile(path) if path.trim().is_empty() => (
+                "path",
+                "a non-empty edge-list file path",
+                format!("{path:?}"),
+            ),
+            _ => return Ok(()),
+        };
+        Err(format!("topology knob {knob:?} wants {wants}, got {got}"))
+    }
+
+    fn tag(&self) -> Option<Tag> {
+        Some(Tag::of("kind", &FAMILIES, self, true))
+    }
+
+    fn set_kind(&mut self, i: usize) {
+        *self = FAMILIES[i].default.clone();
     }
 }
 

@@ -90,7 +90,8 @@ pub mod prelude {
     pub use gossip_core::{
         broadcast_success_test, cluster1, cluster2, cluster3, cluster_push_pull, estimate,
         run_unknown_n, tasks, Algorithm, Cluster1Config, Cluster2Config, Cluster3Config,
-        ClusterSim, CommonConfig, Law, ParamError, PushPullConfig, RunReport, Scenario, Value,
+        ClusterSim, CommonConfig, Law, ParamError, Params, PushPullConfig, RunReport, Scenario,
+        Value,
     };
     pub use gossip_harness::{run_algorithm_trials, Summary, Table};
     pub use gossip_lowerbound::estimate_success;

@@ -140,17 +140,15 @@ fn async_composes_with_adversary_and_workload() {
 /// the run bit-exactly.
 #[test]
 fn engine_round_trips_through_json_params() {
-    use optimal_gossip::core::config::{apply_engine_params, engine_params};
-
     for engine in [
         Engine::Sync,
         Engine::Async(AsyncConfig::default()),
         Engine::Async(Engine::profile("uniform").unwrap()),
         Engine::Async(Engine::profile("exp").unwrap()),
     ] {
-        let doc = Value::parse(&engine_params(&engine).render()).unwrap();
+        let doc = Value::parse(&engine.params().render()).unwrap();
         let mut back = Engine::Sync;
-        apply_engine_params(&mut back, &doc).unwrap();
+        back.apply_params(&doc).unwrap();
         assert_eq!(back, engine, "engine lost in the JSON round trip");
     }
 }

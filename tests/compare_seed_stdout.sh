@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare every experiment binary's stdout and exit code, under six
+# Byte-compare every experiment binary's stdout and exit code, under seven
 # flag sets and the three catalog listings, plus each default-grid
 # BENCH record, against a reference capture — the honest form of a
 # golden re-pin.
@@ -21,7 +21,8 @@
 #
 # The flag sets pin the shared flag handling, not just the default
 # grids: `--csv`, `--algo`, `--topo`, `--engine` and `--huge` each on a
-# small grid. The BENCH records are compared on `experiment`, `grid` and
+# small grid, and one run passing two positional `--topo` knobs with a
+# non-default `--engine` profile. The BENCH records are compared on `experiment`, `grid` and
 # the metrics, minus the wall-clock keys (`wall_ms`, `threads`, and E1's
 # `wall_ms_parallel`, `wall_ms_sequential`, `speedup_vs_seq`). A capture
 # taken before PR 25 differs on `huge` for the nine binaries without a
@@ -57,6 +58,7 @@ runs=(
     "algo=--n 256 --trials 2 --algo push"
     "topo=--n 256 --trials 2 --topo ring"
     "engine=--n 256 --trials 2 --engine async:fixed"
+    "specs=--n 256 --trials 2 --topo watts-strogatz:4,0.1 --engine async:exp"
     "huge=--huge --n 1024 --trials 1"
     "list-algos=--list-algos"
     "list-topos=--list-topos"

@@ -457,3 +457,76 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// The knob tables round-trip every shape they describe: a random
+    /// scenario of every topology kind and every latency kind (and the
+    /// sync engine), with a full-width seed, renders to a document that
+    /// re-parses to itself (`parse(render(v)) == v`) and applies back to
+    /// the same config (`apply(params(c)) == c`).
+    #[test]
+    fn knob_tables_round_trip_every_kind(
+        kind in 0u32..9,
+        latency in 0u32..4,
+        seed in any::<u64>(),
+        a in 1u32..1000,
+        b in 1u32..1000,
+        c in 0u32..1000,
+    ) {
+        let frac = |x: u32| f64::from(x) / 1000.0;
+        let topology = match kind {
+            0 => Topology::Complete,
+            1 => Topology::Ring,
+            2 => Topology::Torus2D,
+            3 => Topology::RandomRegular(2 + a),
+            4 => Topology::ErdosRenyi(frac(a)),
+            5 => Topology::WattsStrogatz(2 * (1 + a % 8), frac(c)),
+            6 => Topology::PreferentialAttachment(a),
+            7 => Topology::FromAdjacency(vec![vec![a, b], vec![c]]),
+            _ => Topology::FromFile(format!("graphs/g{a}.txt")),
+        };
+        let latency = match latency {
+            0 => Some(Latency::Fixed(frac(c))),
+            1 => Some(Latency::Uniform(frac(a) / 2.0, 0.5 + frac(b) / 2.0)),
+            2 => Some(Latency::Exponential(frac(a))),
+            _ => None,
+        };
+        let mut common = CommonConfig::default().with_seed(seed);
+        common.rumor_bits = u64::from(a) * 8;
+        common.source = b;
+        common.extra_sources = vec![a, c];
+        common.failures = FailurePlan::explicit(vec![NodeIdx(a), NodeIdx(c)]);
+        common.message_loss = frac(c);
+        common.churn = ChurnConfig {
+            crash_rate: frac(c),
+            batch_size: a,
+            recovery_rate: frac(b),
+            burst_enter: frac(a),
+            burst_exit: frac(b),
+            burst_loss: frac(c),
+            start_round: seed >> 12,
+            stop_round: (b % 2 == 0).then_some((seed >> 12) + u64::from(b)),
+            protected: vec![c],
+            max_crashed_frac: frac(b),
+        };
+        common.topology = topology;
+        common.addressing = if c % 2 == 0 { DirectAddressing::Overlay } else { DirectAddressing::Restricted };
+        common.traffic = TrafficConfig {
+            rumors: c,
+            arrival_rate: f64::from(a) / 3.0,
+            bandwidth: b,
+            start_round: seed % 1000,
+        };
+        common.engine = latency.map_or(Engine::Sync, |latency| {
+            Engine::Async(AsyncConfig { rate: f64::from(a) / 7.0, latency })
+        });
+
+        let doc = common.params();
+        prop_assert_eq!(Value::parse(&doc.render()).unwrap(), doc.clone());
+        let mut back = CommonConfig::default();
+        back.apply_params(&doc).unwrap();
+        prop_assert_eq!(back, common);
+    }
+}
