@@ -46,27 +46,26 @@ use phonecall::Topology;
 /// The topology grid: named points across the density spectrum, from
 /// the complete base model down to the ring. `G(n,p)` keeps its
 /// expected degree at `2 ln n` so instances stay connected whp at
-/// every sweep size; families whose knobs need more nodes than `--n`
-/// provides (degree/k/m < n) are skipped with a note rather than
-/// panicking mid-grid.
+/// every sweep size; families whose knobs do not fit `--n`
+/// ([`Topology::check`]) are skipped with a note rather than panicking
+/// mid-grid.
 fn topologies(n: usize) -> Vec<(&'static str, Topology)> {
     let p = (2.0 * (n as f64).ln() / n as f64).min(1.0);
     let all = vec![
-        ("complete", Topology::Complete, 2),
-        ("pref-attach:4", Topology::PreferentialAttachment(4), 5),
-        ("erdos-renyi", Topology::ErdosRenyi(p), 2),
-        ("random-reg:8", Topology::RandomRegular(8), 9),
-        ("watts-strog:6", Topology::WattsStrogatz(6, 0.1), 7),
-        ("torus2d", Topology::Torus2D, 2),
-        ("ring", Topology::Ring, 2),
+        ("complete", Topology::Complete),
+        ("pref-attach:4", Topology::PreferentialAttachment(4)),
+        ("erdos-renyi", Topology::ErdosRenyi(p)),
+        ("random-reg:8", Topology::RandomRegular(8)),
+        ("watts-strog:6", Topology::WattsStrogatz(6, 0.1)),
+        ("torus2d", Topology::Torus2D),
+        ("ring", Topology::Ring),
     ];
     all.into_iter()
-        .filter_map(|(name, topo, min_n)| {
-            if n >= min_n {
-                Some((name, topo))
-            } else {
-                eprintln!("skipping {name}: its knobs need n >= {min_n}, got {n}");
-                None
+        .filter(|(name, topo)| match topo.check(n) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("skipping {name}: {e}");
+                false
             }
         })
         .collect()

@@ -38,7 +38,7 @@ use gossip_baselines::registry;
 use gossip_core::algo::{Algorithm, Scenario};
 use gossip_core::report::RunReport;
 use gossip_harness::{par_map_trials, Summary, Table};
-use phonecall::DirectAddressing;
+use phonecall::{DirectAddressing, Topology};
 
 /// Resolves a list of registry names into algorithm handles; the
 /// experiment binaries use this for their fixed default sets.
@@ -107,6 +107,12 @@ pub struct Spec {
     /// The experiment runs no scenario engine: `--engine` warns and is
     /// dropped.
     pub ignore_engine: bool,
+}
+
+/// Whether a `--topo` override fits every size of the resolved grid (a
+/// knob error [`Topology::parse_spec`] cannot see without `n`).
+fn topo_fits(topo: Option<&Topology>, sizes: &[usize]) -> Result<(), String> {
+    topo.map_or(Ok(()), |t| sizes.iter().try_for_each(|&n| t.check(n)))
 }
 
 /// One experiment run: the resolved grid, the output stream and the
@@ -192,6 +198,10 @@ impl Experiment {
             Some(n) => vec![n],
             None => sizes,
         };
+        if let Err(e) = topo_fits(opts.topo.as_ref(), &sizes) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
         Experiment {
             name,
             grid,
@@ -532,7 +542,7 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     use gossip_harness::trial_seeds;
-    use phonecall::{Engine, Topology};
+    use phonecall::Engine;
 
     /// An output stream the test can read back.
     #[derive(Clone, Default)]
@@ -782,6 +792,24 @@ mod tests {
         let (ex, _) = experiment(pinned, &["--engine", "async", "--topo", "ring"]);
         assert!(ex.opts.topo.is_none() && ex.opts.engine.is_none());
         assert_eq!(ex.scenario(s.clone()), s);
+    }
+
+    #[test]
+    fn a_topo_that_does_not_fit_the_grid_is_a_knob_error() {
+        for (topo, sizes) in [
+            ("random-regular:3", &[9][..]),
+            ("random-regular:64", &[32]),
+            ("watts-strogatz:40,0.1", &[16]),
+            ("preferential-attachment:4", &[256, 4]),
+        ] {
+            let o = opts(&["--topo", topo]);
+            let err = topo_fits(o.topo.as_ref(), sizes).unwrap_err();
+            assert!(err.contains("topology knob"), "{topo}: {err}");
+        }
+        // Fits every size of the grid, or there is no override at all.
+        let o = opts(&["--topo", "random-regular:8"]);
+        assert_eq!(topo_fits(o.topo.as_ref(), &[1 << 8, 1 << 10]), Ok(()));
+        assert_eq!(topo_fits(None, &[3]), Ok(()));
     }
 
     fn emitted(args: &[&str], reading: Option<&str>) -> String {

@@ -20,10 +20,13 @@
 //!   `O(log log n)` — a constant factor over the known-`n` run (doubling
 //!   `m` itself would cost a `log n` factor).
 
+use std::cell::Cell;
+
 use phonecall::{Action, Delivery, Target};
 
 use crate::config::Cluster2Config;
 use crate::msg::{Msg, MsgKind};
+use crate::node::ClusterNode;
 use crate::report::RunReport;
 use crate::sim::ClusterSim;
 
@@ -49,18 +52,21 @@ pub struct SuccessTest {
 pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let (arena, replies) = (&sim.arena, &mut sim.replies);
+    let replies = &mut sim.replies;
     let r0 = sim.net.metrics().rounds;
+    // Each node's failure flag, shared by the three rounds. A `Cell`, so a
+    // relayed flag is live within its round: under `Engine::Async` it can
+    // land before the receiver's own activation reads it.
+    let failed = vec![Cell::new(false); sim.net.len()];
+    let flag = |s: &ClusterNode| &failed[s.idx.as_usize()];
 
-    // Round 1: probe. Uses the recruit inbox as the "saw uninformed" flag
-    // carrier: an empty reply cannot happen (respond always answers), so
-    // the flag is exactly Coin(false) replies.
-    for s in sim.net.states_mut() {
+    // Round 1: probe. An empty reply cannot happen (respond always
+    // answers), so the flag is raised exactly by Coin(false) replies.
+    for s in sim.net.states() {
         replies.set(
             s.idx,
             Msg::new(MsgKind::Coin(s.informed), id_bits, rumor_bits),
         );
-        arena.clear(&mut s.inbox);
     }
     sim.net.round(
         |ctx, _rng| {
@@ -74,8 +80,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
                 if msg.kind == MsgKind::Coin(false) {
-                    // Mark "saw an uninformed node" with a sentinel entry.
-                    arena.push(&mut s.inbox, s.id);
+                    flag(s).set(true);
                 }
             }
         },
@@ -85,7 +90,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
-            if s.is_follower() && !s.inbox.is_empty() {
+            if s.is_follower() && flag(s).get() {
                 Action::Push {
                     to: Target::Direct(s.leader().expect("follower has leader")),
                     msg: Msg::new(MsgKind::Coin(false), id_bits, rumor_bits),
@@ -98,7 +103,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if msg.kind == MsgKind::Coin(false) {
-                    arena.push(&mut s.inbox, s.id);
+                    flag(s).set(true);
                 }
             }
         },
@@ -109,7 +114,7 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
     replies.clear();
     for s in sim.net.states() {
         if s.is_leader() {
-            let ok = s.inbox.is_empty();
+            let ok = !flag(s).get();
             replies.set(s.idx, Msg::new(MsgKind::Coin(ok), id_bits, rumor_bits));
         }
     }
@@ -126,11 +131,10 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
         |s| replies.get(s.idx),
         |s, d| {
             if let Delivery::PullReply { msg, .. } = d {
+                // Overwrites: the readout below may key on a stale-pointer
+                // follower, which must hold its leader's verdict.
                 if let MsgKind::Coin(ok) = msg.kind {
-                    arena.clear(&mut s.inbox);
-                    if !ok {
-                        arena.push(&mut s.inbox, s.id);
-                    }
+                    flag(s).set(!ok);
                 }
             }
         },
@@ -143,11 +147,8 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
         .into_iter()
         .max_by_key(|(_, members)| members.len())
         .and_then(|(leader, _)| sim.net.resolve(leader))
-        .map(|idx| sim.net.states()[idx.as_usize()].inbox.is_empty())
+        .map(|idx| !failed[idx.as_usize()].get())
         .unwrap_or(false);
-    for s in sim.net.states_mut() {
-        arena.clear(&mut s.inbox);
-    }
     SuccessTest {
         verdict,
         rounds: sim.net.metrics().rounds - r0,

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod arena;
 pub mod cluster1;
 pub mod cluster2;
 pub mod cluster3;
@@ -55,7 +54,6 @@ pub mod tasks;
 pub mod verify;
 
 pub use algo::{Algorithm, Law, Scenario};
-pub use arena::{Arena, List};
 pub use config::{Cluster1Config, Cluster2Config, Cluster3Config, CommonConfig, PushPullConfig};
 pub use estimate::{broadcast_success_test, run_unknown_n, SuccessTest, UnknownNReport};
 pub use follow::Follow;

@@ -1,4 +1,4 @@
-//! Per-node algorithm state: one cache line of protocol state per node.
+//! Per-node algorithm state: 48 bytes of protocol state per node.
 //!
 //! [`Network::round`](phonecall::Network::round) activates every alive
 //! node every round, and in most rounds most nodes send nothing (three
@@ -6,21 +6,23 @@
 //! drags through the cache per idle node are a first-order cost. A
 //! [`ClusterNode`] therefore holds only what the paper's protocol reads
 //! and writes — `follow`, activation, informedness, the cluster size —
-//! plus the node's own index and the 12-byte recruit inbox handle: 64
-//! bytes, the size of a cache line, so an activation touches at most two
-//! lines. (The size of a line, deliberately not `#[repr(align(64))]`:
-//! glibc serves an over-aligned megabyte from the heap rather than by
-//! `mmap`, and a process that builds and drops many simulations then
-//! fragments — 3× the peak RSS on the benchmark's `async_latency`.)
+//! plus the node's own index: 48 bytes, under a cache line. (Deliberately
+//! not `#[repr(align(64))]`: glibc serves an over-aligned megabyte from
+//! the heap rather than by `mmap`, and a process that builds and drops
+//! many simulations then fragments — 3× the peak RSS on the benchmark's
+//! `async_latency`.)
 //!
-//! What a *primitive* needs only while it runs — leader member lists,
-//! merge candidates, the prepared pull response — is not here. It lives
-//! in [`ClusterSim`](crate::sim::ClusterSim)-owned storage keyed by
+//! Nor does a node queue what it receives. Each reader folds its
+//! messages where it needs them: the cluster IDs a push round delivers go
+//! to the [`ClusterSim`](crate::sim::ClusterSim)'s arrival log until the
+//! primitive that sent them clears it; member and candidate lists go to
+//! the leader's row; the success test's failure flag is a column local to
+//! [`crate::estimate::broadcast_success_test`]. Like the prepared pull
+//! response, all of it lives in `ClusterSim`-owned storage keyed by
 //! [`ClusterNode::idx`] (see [`crate::sim`]).
 
 use phonecall::{NodeId, NodeIdx};
 
-use crate::arena::List;
 use crate::follow::Follow;
 
 /// The state a node carries through any of the cluster algorithms.
@@ -55,10 +57,6 @@ pub struct ClusterNode {
     /// Iteration at which this node's cluster became informed
     /// (ClusterPushPull's "newly informed" tracking).
     pub informed_at: Option<u32>,
-    /// Recruit/candidate IDs received via random pushes this iteration.
-    /// A 12-byte handle into the [`ClusterSim`](crate::sim::ClusterSim)'s
-    /// shared ID arena, not a per-node `Vec`.
-    pub inbox: List,
 }
 
 impl ClusterNode {
@@ -75,7 +73,6 @@ impl ClusterNode {
             size: 1,
             prev_size: 1,
             informed_at: None,
-            inbox: List::default(),
         }
     }
 
@@ -122,13 +119,13 @@ mod tests {
     #[test]
     fn a_node_is_one_cache_line() {
         // The idle-activation budget: a round streams this struct once
-        // per alive node, so leader working memory and prepared responses
-        // stay out of it (they are `ClusterSim` scratch keyed by `idx`).
+        // per alive node, so leader working memory, prepared responses and
+        // received IDs stay out of it (they are `ClusterSim` scratch keyed
+        // by `idx`).
         // A regression back to inline scratch shows up here before it
         // shows up as a slower round at n = 2^19.
-        assert_eq!(std::mem::size_of::<List>(), 12);
         assert!(
-            std::mem::size_of::<ClusterNode>() <= 64,
+            std::mem::size_of::<ClusterNode>() <= 48,
             "ClusterNode grew to {} bytes — keep per-primitive scratch in \
              ClusterSim, not inline",
             std::mem::size_of::<ClusterNode>()

@@ -22,13 +22,13 @@ pub struct GrowControl {
 /// follower (of a cluster selected by `who`) pushes its ID to its leader;
 /// leaders collect the membership (including themselves). One round.
 pub fn collect_members(sim: &mut ClusterSim, who: Who) {
-    let (arena, leaders) = (&sim.arena, &mut sim.leaders);
+    let leaders = &mut sim.leaders;
     // Leaders reset their member list and count themselves.
     for s in sim.net.states_mut() {
         if s.is_leader() && who.selects(true, s.active) {
             let members = &mut leaders.row(s.idx).members;
-            arena.clear(members);
-            arena.push(members, s.id);
+            members.clear();
+            members.push(s.id);
         }
     }
     let id_bits = sim.id_bits;
@@ -49,7 +49,7 @@ pub fn collect_members(sim: &mut ClusterSim, who: Who) {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::MemberId(m) = msg.kind {
-                    arena.push(&mut leaders.row(s.idx).members, m);
+                    leaders.row(s.idx).members.push(m);
                 }
             }
         },

@@ -59,7 +59,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
     let n = sim.n();
-    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
+    let (arrivals, leaders, replies) = (&mut sim.arrivals, &mut sim.leaders, &mut sim.replies);
 
     // Round 1: pushing clusters PUSH their cluster ID to random nodes.
     sim.net.round(
@@ -79,33 +79,33 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Recruit(cid) = msg.kind {
-                    arena.push(&mut s.inbox, cid);
+                    arrivals.push(s.idx, cid);
                 }
             }
         },
     );
 
-    // Round 2: members of merge-eligible clusters relay received candidates
-    // to their leader; leaders fold their own inbox in locally.
+    // Round 2: members of merge-eligible clusters relay what they received
+    // (arrival order and length intact: `Candidates` is charged per listed
+    // ID) to their leader; leaders take their own arrivals locally.
+    arrivals.group(n);
     let eligible = move |s: &crate::node::ClusterNode| -> bool {
         s.is_clustered() && (!opts.inactive_merge_only || !s.active)
     };
-    for s in sim.net.states_mut() {
-        if s.is_leader() && eligible(s) {
-            arena.append(&mut leaders.row(s.idx).candidates, &mut s.inbox);
+    for s in sim.net.states() {
+        let got = arrivals.of(s.idx);
+        if s.is_leader() && eligible(s) && !got.is_empty() {
+            leaders.row(s.idx).candidates.extend_from_slice(got);
         }
     }
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
-            if s.is_follower() && eligible(s) && !s.inbox.is_empty() {
+            let got = arrivals.of(s.idx);
+            if s.is_follower() && eligible(s) && !got.is_empty() {
                 Action::Push {
                     to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(
-                        MsgKind::Candidates(arena.to_vec(&s.inbox).into()),
-                        id_bits,
-                        rumor_bits,
-                    ),
+                    msg: Msg::new(MsgKind::Candidates(got.into()), id_bits, rumor_bits),
                 }
             } else {
                 Action::Idle
@@ -115,29 +115,25 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Candidates(v) = msg.kind {
-                    arena.extend(&mut leaders.row(s.idx).candidates, v.iter().copied());
+                    leaders.row(s.idx).candidates.extend_from_slice(&v);
                 }
             }
         },
     );
+    // Relayed or not, this iteration's arrivals are spent.
+    arrivals.clear();
 
     // Round 3: merge-eligible leaders decide and everyone pulls the verdict.
     for i in 0..n {
         // (split borrow: draw randomness before touching the state)
         let pick_random: f64 = sim.rng.gen();
         let s = &mut sim.net.states_mut()[i];
-        // Relayed or not, this iteration's inbox is spent.
-        if !s.inbox.is_empty() {
-            arena.clear(&mut s.inbox);
-        }
         if !s.is_leader() {
             continue;
         }
         let mut target = None;
-        let candidates = &leaders.row(s.idx).candidates;
-        if eligible(s) && !candidates.is_empty() {
-            let own = s.id;
-            let mut cands = arena.to_vec(candidates);
+        if let Some(row) = leaders.get_mut(s.idx).filter(|_| eligible(s)) {
+            let (own, cands) = (s.id, &mut row.candidates);
             cands.retain(|c| *c != own && (!opts.smaller_only || *c < own));
             match opts.rule {
                 MergeRule::Smallest => target = cands.iter().copied().min(),
@@ -166,7 +162,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     // Whatever was relayed is spent — including what stale pointers sent
     // to nodes that lead nothing.
     for row in leaders.rows_mut() {
-        arena.clear(&mut row.candidates);
+        row.candidates.clear();
     }
     let mark_active = opts.mark_merged_active;
     sim.net.round(
@@ -235,6 +231,7 @@ mod tests {
     use crate::config::CommonConfig;
     use crate::primitives::sample_singletons;
     use crate::verify::check_clustering;
+    use phonecall::NodeIdx;
 
     /// Everyone a singleton leader.
     fn all_singletons(n: usize, seed: u64) -> ClusterSim {
@@ -320,6 +317,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_follower_relays_every_arrival_duplicates_included() {
+        // Cluster A (leader node 0, active) pushes into cluster B (leader
+        // node 32, inactive, so merge-eligible): every arrival is A's ID.
+        let n = 64;
+        let mut s = ClusterSim::new(n, &CommonConfig::default());
+        for i in 0..n {
+            let leader = s.net.id_of(NodeIdx(if i < 32 { 0 } else { 32 }));
+            s.net.states_mut()[i].follow = Follow::Of(leader);
+            s.net.states_mut()[i].active = i < 32;
+        }
+        s.net.enable_trace(1024);
+        merge_iteration(
+            &mut s,
+            MergeOpts {
+                pushers: Who::ActiveOnly,
+                inactive_merge_only: true,
+                rule: MergeRule::Random,
+                smaller_only: false,
+                mark_merged_active: true,
+            },
+        );
+        let events = s.net.trace().events();
+        let mut heard = vec![0u64; n];
+        for e in events.iter().filter(|e| e.round == events[0].round) {
+            heard[e.to.as_usize()] += 1;
+        }
+        // B's followers relay what they heard, one `Candidates` each,
+        // charged per listed ID.
+        let relayed: Vec<u64> = heard[33..].iter().copied().filter(|&k| k > 0).collect();
+        assert!(relayed.contains(&2), "a follower heard A twice: {heard:?}");
+        let round2 = &s.net.metrics().per_round[1];
+        assert_eq!(round2.messages, relayed.len() as u64);
+        let header = phonecall::header_bits(n);
+        let charged: u64 = relayed.iter().map(|k| header + 16 + k * s.id_bits).sum();
+        assert_eq!(round2.bits, charged);
     }
 
     #[test]

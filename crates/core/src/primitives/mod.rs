@@ -78,8 +78,9 @@ pub(crate) fn smallest_geq(candidates: &[NodeId], own: NodeId) -> Option<NodeId>
 
 /// The `ClusterResize` grouping rule: `members` split into `k` contiguous
 /// groups by ascending ID (sizes differing by at most one); the largest ID
-/// of each group leads it. Returns the new leader IDs, ascending.
-pub(crate) fn group_leaders(mut members: Vec<NodeId>, k: usize) -> Rc<[NodeId]> {
+/// of each group leads it. Returns the new leader IDs, ascending, and
+/// leaves `members` sorted.
+pub(crate) fn group_leaders(members: &mut [NodeId], k: usize) -> Rc<[NodeId]> {
     members.sort_unstable();
     let (base, extra) = (members.len() / k, members.len() % k);
     let mut at = 0usize;
@@ -113,13 +114,11 @@ mod tests {
 
     #[test]
     fn group_leaders_are_the_largest_of_contiguous_groups() {
-        let members: Vec<_> = [70, 10, 40, 20, 60, 30, 50].map(id).into();
+        let mut members = [70, 10, 40, 20, 60, 30, 50].map(id);
         // 7 into 3: sizes 3, 2, 2 over the ascending IDs.
-        assert_eq!(
-            &*group_leaders(members.clone(), 3),
-            [id(30), id(50), id(70)]
-        );
-        assert_eq!(&*group_leaders(members, 1), [id(70)]);
+        assert_eq!(&*group_leaders(&mut members, 3), [id(30), id(50), id(70)]);
+        assert!(members.is_sorted(), "sorted in place");
+        assert_eq!(&*group_leaders(&mut members, 1), [id(70)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use super::{collect_members, group_leaders, size_round, smallest_geq, GrowContro
 pub fn grow_push_round(sim: &mut ClusterSim, pushers: Who) -> usize {
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let arena = &sim.arena;
+    let arrivals = &mut sim.arrivals;
     sim.net.round(
         |ctx, _rng| {
             let s = ctx.state;
@@ -34,24 +34,24 @@ pub fn grow_push_round(sim: &mut ClusterSim, pushers: Who) -> usize {
         |s, d| {
             if let Delivery::Push { msg, .. } = d {
                 if let MsgKind::Recruit(cid) = msg.kind {
-                    arena.push(&mut s.inbox, cid);
+                    arrivals.push(s.idx, cid);
                 }
             }
         },
     );
-    // Local adoption: unclustered nodes join the first received cluster.
+    // Local adoption: unclustered nodes join the first received cluster,
+    // which clusters them, so their later arrivals skip.
     let mut joined = 0;
-    for s in sim.net.states_mut() {
-        let Some(cid) = arena.first(&s.inbox) else {
-            continue;
-        };
+    let states = sim.net.states_mut();
+    for (to, cid) in arrivals.iter() {
+        let s = &mut states[to.as_usize()];
         if !s.is_clustered() {
             s.follow = Follow::Of(cid);
             s.active = true;
             joined += 1;
         }
-        arena.clear(&mut s.inbox);
     }
+    arrivals.clear();
     joined
 }
 
@@ -80,13 +80,13 @@ pub fn grow_control_iteration(
     // Size verdicts + inline resize announcements.
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
+    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     let mut deactivated = 0;
     for s in sim.net.states_mut() {
         if !(s.is_leader() && s.active) {
             continue;
         }
-        let members = &leaders.row(s.idx).members;
+        let members = &mut leaders.row(s.idx).members;
         let size = members.len() as u32;
         let growth = f64::from(size) / f64::from(s.prev_size.max(1));
         let kind = if u64::from(size) >= cap && growth < stall_factor {
@@ -103,7 +103,7 @@ pub fn grow_control_iteration(
             // (inline ClusterResize(cap); same grouping rule as
             // `primitives::resize`).
             let k = (u64::from(size) / cap) as u32;
-            let ids = group_leaders(arena.to_vec(members), k as usize);
+            let ids = group_leaders(members, k as usize);
             s.follow = Follow::Of(smallest_geq(&ids, s.id).expect("non-empty"));
             s.size = size / k;
             MsgKind::Leaders {
@@ -184,6 +184,7 @@ mod tests {
     use crate::config::CommonConfig;
     use crate::primitives::sample_singletons;
     use crate::verify::check_clustering;
+    use phonecall::EventKind;
 
     fn sim_with(n: usize, seed: u64, p: f64) -> ClusterSim {
         let mut common = CommonConfig::default();
@@ -204,6 +205,34 @@ mod tests {
             "{c0} -> {c1} should nearly double"
         );
         check_clustering(&s).expect("well-formed");
+    }
+
+    #[test]
+    fn a_node_recruited_twice_joins_the_cluster_delivered_first() {
+        let mut s = sim_with(256, 11, 0.5);
+        let before: Vec<_> = s.net.states().iter().map(|x| x.leader()).collect();
+        s.net.enable_trace(1024);
+        grow_push_round(&mut s, Who::AllClustered);
+        // What each node heard, in the order the engine delivered it.
+        let mut heard = vec![Vec::new(); 256];
+        for e in s.net.trace().events() {
+            if e.kind == EventKind::Push {
+                heard[e.to.as_usize()].push(before[e.from.as_usize()].expect("a pusher leads"));
+            }
+        }
+        let mut contested = 0;
+        for (i, ids) in heard.iter().enumerate() {
+            if before[i].is_none() && !ids.is_empty() {
+                let first = ids[0];
+                assert_eq!(
+                    s.net.states()[i].leader(),
+                    Some(first),
+                    "node {i} heard {ids:?}"
+                );
+                contested += usize::from(ids.iter().any(|id| *id != first));
+            }
+        }
+        assert!(contested > 0, "some unclustered node heard two clusters");
     }
 
     #[test]

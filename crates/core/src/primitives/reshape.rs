@@ -83,18 +83,18 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
     collect_members(sim, who);
     let id_bits = sim.id_bits;
     let rumor_bits = sim.rumor_bits;
-    let (arena, leaders, replies) = (&sim.arena, &mut sim.leaders, &mut sim.replies);
+    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
             continue;
         }
-        let members = &leaders.row(st.idx).members;
+        let members = &mut leaders.row(st.idx).members;
         let size = members.len() as u32;
         let k = (u64::from(size) / s).max(1) as u32;
         let ids = if k == 1 {
             [st.id].into()
         } else {
-            group_leaders(arena.to_vec(members), k as usize)
+            group_leaders(members, k as usize)
         };
         let new_leader = smallest_geq(&ids, st.id).expect("announcement is non-empty");
         st.follow = Follow::Of(new_leader);

@@ -11,14 +11,23 @@
 //!
 //! # Scratch
 //!
-//! A [`ClusterNode`] is one cache line of protocol state. What a primitive
-//! needs only while it runs is **owned here and indexed by node index**
-//! ([`ClusterNode::idx`]): [`Replies`] (the prepared pull response of each
-//! node) and [`LeaderTable`] (member and merge-candidate lists, one row per
-//! node that ever led). Primitives capture these fields next to
-//! `&mut sim.net` and `&sim.arena` as disjoint borrows, so the `decide` /
-//! `respond` / `deliver` closures reach a node's scratch through its `idx`.
-//! Nothing here is visible to another node except through a message.
+//! A [`ClusterNode`] holds protocol state only; no received message is
+//! queued in it. What a primitive needs only while it runs is **owned here
+//! and indexed by node index** ([`ClusterNode::idx`]):
+//!
+//! * [`Replies`] — the prepared pull response of each node;
+//! * [`LeaderTable`] — member and merge-candidate lists, one row per node
+//!   that ever led;
+//! * `Arrivals` — the cluster IDs a push round delivered, as one log of
+//!   `(receiver, ID)` pairs. The invariant: entries are appended in
+//!   delivery order (under either engine), and the primitive that filled
+//!   the log clears it before it returns, so the log is empty between
+//!   primitives.
+//!
+//! Primitives capture these fields next to `&mut sim.net` as disjoint
+//! borrows, so the `decide` / `respond` / `deliver` closures reach a node's
+//! scratch through its `idx`. Nothing here is visible to another node
+//! except through a message.
 //!
 //! A prepared response is a **pre-round snapshot**: it is written before
 //! the round from the responder's state and `respond` only ever clones it.
@@ -31,7 +40,6 @@ use std::collections::BTreeMap;
 use phonecall::{FailurePlan, Network, NodeId, NodeIdx};
 use rand::rngs::SmallRng;
 
-use crate::arena::{Arena, List};
 use crate::config::CommonConfig;
 use crate::msg::{Msg, MsgKind};
 use crate::node::ClusterNode;
@@ -78,21 +86,21 @@ impl Replies {
     }
 }
 
-/// A leader's working memory: arena-backed ID lists, like the node's
-/// `inbox`.
+/// A leader's working memory. A row lives for the run, so clearing its
+/// lists keeps their capacity.
 #[derive(Debug, Default)]
 pub struct LeaderRow {
     /// Member IDs collected in the latest collect round (includes the
     /// leader itself).
-    pub members: List,
+    pub members: Vec<NodeId>,
     /// Merge candidates relayed by members this iteration.
-    pub candidates: List,
+    pub candidates: Vec<NodeId>,
 }
 
 /// [`LeaderRow`]s by node index, for the few nodes that need one: a row is
-/// opened the first time a node is addressed as a leader and kept for the
-/// run, so the table costs four bytes per node plus a row per leader
-/// instead of two list handles in every follower.
+/// opened the first time something is written to a node as a leader and
+/// kept for the run, so the table costs four bytes per node plus a row per
+/// leader instead of two lists in every follower.
 #[derive(Debug)]
 pub struct LeaderTable {
     row_of: Vec<u32>,
@@ -120,9 +128,81 @@ impl LeaderTable {
         &mut self.rows[*slot as usize]
     }
 
+    /// The row of the node at `idx`, if one is open; never opens one.
+    pub fn get_mut(&mut self, idx: NodeIdx) -> Option<&mut LeaderRow> {
+        // `NO_ROW` lies past every row.
+        self.rows.get_mut(self.row_of[idx.as_usize()] as usize)
+    }
+
     /// Every open row (in no meaningful order).
     pub fn rows_mut(&mut self) -> &mut [LeaderRow] {
         &mut self.rows
+    }
+}
+
+/// The `(receiver, cluster ID)` pairs delivered by a push round, in
+/// delivery order (see the module docs for who fills and clears it).
+///
+/// [`Self::group`] buckets the log by receiver once, with a stable
+/// counting pass, after which [`Self::of`] reads one node's arrivals in
+/// O(1). All three columns keep their capacity across [`Self::clear`].
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    log: Vec<(NodeIdx, NodeId)>,
+    /// After `group`: the logged IDs bucketed by receiver, each bucket in
+    /// delivery order.
+    grouped: Vec<NodeId>,
+    /// After `group`: node `i`'s bucket is `grouped[start[i]..start[i + 1]]`.
+    start: Vec<u32>,
+}
+
+impl Arrivals {
+    /// Logs that the node at `to` received `id`.
+    pub(crate) fn push(&mut self, to: NodeIdx, id: NodeId) {
+        self.log.push((to, id));
+    }
+
+    /// The log in delivery order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeIdx, NodeId)> + '_ {
+        self.log.iter().copied()
+    }
+
+    /// Buckets the log by receiver over `n` nodes, for [`Self::of`].
+    pub(crate) fn group(&mut self, n: usize) {
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for (to, _) in &self.log {
+            self.start[to.as_usize()] += 1;
+        }
+        // Running ends; filling from the back then walks each end down to
+        // its bucket's start and keeps every bucket in delivery order.
+        let mut end = 0;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        self.grouped.clear();
+        self.grouped.resize(self.log.len(), NodeId::from_raw(0));
+        for &(to, id) in self.log.iter().rev() {
+            let s = &mut self.start[to.as_usize()];
+            *s -= 1;
+            self.grouped[*s as usize] = id;
+        }
+    }
+
+    /// What the node at `idx` received, in delivery order. Valid between
+    /// [`Self::group`] and [`Self::clear`].
+    #[must_use]
+    pub(crate) fn of(&self, idx: NodeIdx) -> &[NodeId] {
+        let i = idx.as_usize();
+        &self.grouped[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Empties the log and its grouping.
+    pub(crate) fn clear(&mut self) {
+        self.log.clear();
+        self.grouped.clear();
+        self.start.clear();
     }
 }
 
@@ -131,15 +211,12 @@ impl LeaderTable {
 pub struct ClusterSim {
     /// The underlying phone-call network.
     pub net: Network<ClusterNode>,
-    /// Shared backing store for every `inbox`/`members`/`candidates`
-    /// list (see [`crate::arena`]). Primitives capture `&sim.arena`
-    /// alongside `&mut sim.net` (disjoint fields) so the simulation
-    /// closures can grow lists without per-node `Vec`s.
-    pub arena: Arena<NodeId>,
     /// The prepared pull responses (see the module docs).
     pub replies: Replies,
     /// Leader working memory (see the module docs).
     pub leaders: LeaderTable,
+    /// The push round's arrival log (see the module docs).
+    pub(crate) arrivals: Arrivals,
     /// Width of a node ID on the wire: `2·⌈log₂ n⌉` bits (polynomial ID
     /// space).
     pub id_bits: u64,
@@ -165,9 +242,9 @@ impl ClusterSim {
         assert!((common.source as usize) < n, "source index out of range");
         let mut sim = ClusterSim {
             net: common.network(n, ClusterNode::new),
-            arena: Arena::new(NodeId::from_raw(0)),
             replies: Replies::new(n),
             leaders: LeaderTable::new(n),
+            arrivals: Arrivals::default(),
             id_bits: phonecall::id_bits(n),
             rumor_bits: common.rumor_bits,
             // Stream 3 of the scenario seed; the environment's streams
@@ -362,6 +439,32 @@ mod tests {
         assert_eq!(stats.clustered, 3);
         assert_eq!(stats.unclustered, 5);
         assert_eq!(stats.max_size, 3);
+    }
+
+    #[test]
+    fn arrivals_group_by_receiver_in_delivery_order() {
+        let id = NodeId::from_raw;
+        let mut a = Arrivals::default();
+        for (to, raw) in [(3, 30), (0, 1), (3, 31), (3, 30), (0, 2)] {
+            a.push(NodeIdx(to), id(raw));
+        }
+        a.group(4);
+        assert_eq!(a.of(NodeIdx(0)), [id(1), id(2)]);
+        assert!(a.of(NodeIdx(1)).is_empty() && a.of(NodeIdx(2)).is_empty());
+        assert_eq!(a.of(NodeIdx(3)), [id(30), id(31), id(30)]);
+        assert_eq!(a.iter().next(), Some((NodeIdx(3), id(30))));
+        a.clear();
+        assert_eq!(a.iter().count(), 0);
+    }
+
+    #[test]
+    fn leader_rows_open_on_write_only() {
+        let mut t = LeaderTable::new(4);
+        assert!(t.get_mut(NodeIdx(2)).is_none());
+        t.row(NodeIdx(2)).members.push(NodeId::from_raw(7));
+        assert_eq!(t.get_mut(NodeIdx(2)).map(|r| r.members.len()), Some(1));
+        assert!(t.get_mut(NodeIdx(1)).is_none());
+        assert_eq!(t.rows_mut().len(), 1);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! reply round allocates must scale with the number of **leaders** and
 //! not move with the number of pullers. This test wraps the global
 //! allocator in a counter and pins that, per primitive and for a whole
-//! Cluster3 run.
+//! Cluster3 run. It pins the push rounds the same way: once the arrival
+//! log and the leader rows are warm, a recruit round allocates nothing
+//! and a merge iteration one box per relayed candidate list.
 //!
 //! Same shim and the same single-`#[test]` binary as the engine's own
 //! `crates/phonecall/tests/alloc_steady_state.rs`, for the same reasons:
@@ -19,7 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gossip_core::algo::{Algorithm, Scenario, CLUSTER3};
-use gossip_core::primitives::{collect_members, resize, size_round, Who};
+use gossip_core::primitives::{
+    collect_members, grow_push_round, merge_all, merge_iteration, resize, sample_singletons,
+    size_round, MergeOpts, MergeRule, Who,
+};
 use gossip_core::{ClusterSim, CommonConfig, Follow};
 use phonecall::NodeIdx;
 
@@ -71,8 +76,8 @@ const LEADERS: usize = 16;
 
 /// `LEADERS` clusters over the first `LEADERS * per_cluster` of `N` nodes
 /// (node `c * per_cluster` leads cluster `c`), warmed up by one
-/// `ClusterSize` so the engine's columns, the arena and the leader rows
-/// have reached their working size.
+/// `ClusterSize` so the engine's columns and the leader rows have reached
+/// their working size.
 fn clustering(per_cluster: usize) -> ClusterSim {
     let mut sim = ClusterSim::new(N, &CommonConfig::default());
     for i in 0..LEADERS * per_cluster {
@@ -102,13 +107,13 @@ fn reply_rounds_allocate_per_leader_not_per_puller() {
             "{per_cluster} per cluster: ClusterSize allocated"
         );
 
-        // ClusterResize into 4 pieces each: per leader one sorted member
-        // list and one shared leader list, whoever pulls it.
+        // ClusterResize into 4 pieces each: per leader one shared leader
+        // list, whoever pulls it (the member list is sorted in place).
         let resizing = allocations_during(|| {
             resize(&mut sim, (per_cluster / 4) as u64, Who::AllClustered);
         });
         assert!(
-            resizing <= 2 * LEADERS as u64,
+            resizing <= LEADERS as u64,
             "{per_cluster} per cluster: resize allocated {resizing} times for {LEADERS} leaders"
         );
 
@@ -120,6 +125,40 @@ fn reply_rounds_allocate_per_leader_not_per_puller() {
         );
         assert_eq!(sim.clustering_stats().clusters, 4 * LEADERS);
     }
+
+    // The push rounds' arrival log keeps its capacity. A recruit round
+    // after one that pushed more IDs allocates nothing ...
+    let mut sim = clustering(64);
+    grow_push_round(&mut sim, Who::AllClustered);
+    let mut joined = 0;
+    let recruiting = allocations_during(|| joined = grow_push_round(&mut sim, Who::ActiveOnly));
+    assert!(joined > 0, "the recruits of the first round recruited");
+    assert_eq!(recruiting, 0, "grow_push_round allocated");
+
+    // ... and a merge iteration allocates only the `Candidates` boxes it
+    // relays. One converged cluster is the steady state: every iteration
+    // pushes the same n IDs, relays them and merges nothing.
+    let mut sim = ClusterSim::new(256, &CommonConfig::default());
+    sample_singletons(&mut sim, 1.0);
+    merge_all(&mut sim, 8);
+    assert_eq!(sim.clustering_stats().clusters, 1);
+    sim.net.reserve_rounds(16);
+    let opts = MergeOpts {
+        pushers: Who::AllClustered,
+        inactive_merge_only: false,
+        rule: MergeRule::Smallest,
+        smaller_only: true,
+        mark_merged_active: false,
+    };
+    merge_iteration(&mut sim, opts);
+    let round = sim.net.metrics().per_round.len();
+    let merging = allocations_during(|| merge_iteration(&mut sim, opts));
+    let relays = sim.net.metrics().per_round[round + 1].messages;
+    assert!(relays > 0, "followers relayed");
+    assert!(
+        merging <= relays,
+        "merge_iteration allocated {merging} times for {relays} relayed lists"
+    );
 
     // A whole Δ-clustering at 2^12 — resizes after every pull round —
     // used to allocate 85 770 times (21 per node, one per `Leaders`

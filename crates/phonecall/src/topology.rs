@@ -205,11 +205,10 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`Topology::validate`], if an
-    /// `n`-dependent constraint fails (`degree < n`, `n·degree` even,
-    /// `k < n`, `m < n`, adjacency length/indices), or if no connected
-    /// instance emerges within the regeneration budget — all with the
-    /// offending knob named.
+    /// Panics if the config fails [`Topology::validate`] or
+    /// [`Topology::check`], if an adjacency's length or indices do not fit
+    /// `n`, or if no connected instance emerges within the regeneration
+    /// budget — all with the offending knob named.
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Option<Adjacency> {
         if let Err(e) = self.validate() {
@@ -218,8 +217,9 @@ impl Topology {
         if self.is_complete() {
             return None;
         }
-        assert!(n >= 2, "a contact graph needs at least two nodes, got {n}");
-        self.check_against_n(n);
+        if let Err(e) = self.check(n) {
+            panic!("invalid topology: {e}");
+        }
         if let Topology::FromAdjacency(lists) = self {
             assert_eq!(
                 lists.len(),
@@ -279,8 +279,19 @@ impl Topology {
         );
     }
 
-    /// `n`-dependent knob checks shared by [`Topology::build`].
-    fn check_against_n(&self, n: usize) {
+    /// Whether the knobs fit a network of `n` nodes: the `n`-dependent
+    /// rules [`Topology::validate`] cannot check (`degree < n`, `n·degree`
+    /// even, `k < n`, `m < n`) and `n ≥ 2`. [`Topology::build`] panics
+    /// where this fails; a front end calls it first to report the error
+    /// instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob (or `n`).
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        if n < 2 {
+            return Err(format!("gossip needs at least two nodes, got n = {n}"));
+        }
         let (knob, wants, got) = match *self {
             Topology::RandomRegular(d) if d as usize >= n => ("degree", "degree < n", d),
             Topology::RandomRegular(d) if !(n * d as usize).is_multiple_of(2) => {
@@ -288,9 +299,11 @@ impl Topology {
             }
             Topology::WattsStrogatz(k, _) if k as usize >= n => ("k", "k < n", k),
             Topology::PreferentialAttachment(m) if m as usize >= n => ("m", "m < n", m),
-            _ => return,
+            _ => return Ok(()),
         };
-        panic!("topology knob {knob:?} wants {wants}, got {knob} {got} on n = {n}");
+        Err(format!(
+            "topology knob {knob:?} wants {wants}, got {knob} {got} on n = {n}"
+        ))
     }
 
     /// Human-readable name with knob values, e.g. `RandomRegular(d=8)`.
@@ -432,7 +445,7 @@ impl Knobs for Topology {
     /// Returns a message like
     /// `topology knob "degree" wants an integer >= 2, got 1` for the
     /// first invalid knob. Knobs that depend on `n` (e.g. `degree < n`)
-    /// are checked by [`Topology::build`] instead.
+    /// are checked by [`Topology::check`] instead.
     fn validate(&self) -> Result<(), String> {
         let (knob, wants, got) = match self {
             Topology::RandomRegular(d) if *d < 2 => (
@@ -1077,6 +1090,31 @@ mod tests {
         ] {
             let err = t.validate().unwrap_err();
             assert!(err.contains(knob), "{}: {err}", t.name());
+        }
+    }
+
+    #[test]
+    fn check_names_each_n_dependent_rule() {
+        for (t, n, wants) in [
+            (Topology::RandomRegular(64), 32, "degree < n"),
+            (Topology::RandomRegular(3), 9, "n * degree even"),
+            (Topology::WattsStrogatz(40, 0.1), 16, "k < n"),
+            (Topology::PreferentialAttachment(4), 4, "m < n"),
+            (Topology::Ring, 1, "at least two nodes"),
+            (Topology::Complete, 0, "at least two nodes"),
+        ] {
+            let err = t.check(n).unwrap_err();
+            assert!(err.contains(wants), "{} on n = {n}: {err}", t.name());
+        }
+        // One node more (or an even stub count) and each fits.
+        for (t, n) in [
+            (Topology::RandomRegular(64), 65),
+            (Topology::RandomRegular(3), 10),
+            (Topology::WattsStrogatz(40, 0.1), 41),
+            (Topology::PreferentialAttachment(4), 5),
+            (Topology::Ring, 2),
+        ] {
+            assert_eq!(t.check(n), Ok(()), "{} on n = {n}", t.name());
         }
     }
 

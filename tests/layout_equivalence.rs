@@ -1,17 +1,18 @@
 //! Layout-equivalence at the report level: the PR-6 struct-of-arrays
-//! engine (packed bitset flags, u32 id plumbing, arena-backed node
+//! engine (packed bitset flags, u32 id plumbing, simulation-owned node
 //! scratch, batched contact resolution) must be *behaviorally invisible*.
 //!
 //! The golden tables in `golden_reports.rs` pin fixed grid points; this
 //! file covers the space *between* them. A proptest draws random
 //! `(n, seed, churn, topology, addressing)` corners and asserts two runs
 //! produce **bit-identical** `RunReport`s — any hidden state in the
-//! shared arena, scratch columns or bitsets that leaks across runs, and
+//! arrival log, leader rows, scratch columns or bitsets that leaks across
+//! runs, and
 //! any draw-order drift that depends on layout, fails here on corners no
 //! pinned table thought to cover. A second test re-proves the
 //! thread-count invariance contract at `n = 2^17`, where the bitset
-//! word count and arena chunk count are large enough that a
-//! false-sharing or reuse bug would actually bite.
+//! word count and scratch columns are large enough that a false-sharing
+//! or reuse bug would actually bite.
 
 use optimal_gossip::prelude::*;
 use proptest::prelude::*;
@@ -52,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     /// Two runs of the same drawn corner are bit-identical — across the
-    /// clustered algorithm (arena-heavy path) and the engine baseline
+    /// clustered algorithm (node-scratch-heavy path) and the engine baseline
     /// (bitset/scratch path), under every knob combination the draw
     /// lands on.
     #[test]
@@ -73,8 +74,8 @@ proptest! {
 }
 
 /// The runner's thread-count invariance, at a size where the packed
-/// columns are real (2^17 bits = 2 KiB of alive words per network, a
-/// multi-chunk arena per trial): summaries at 1/2/4/7 worker threads are
+/// columns are real (2^17 bits = 2 KiB of alive words per network):
+/// summaries at 1/2/4/7 worker threads are
 /// bit-identical to the sequential runner, on a float-sensitive metric.
 #[test]
 fn thread_counts_agree_at_2_pow_17() {
