@@ -110,9 +110,24 @@ pub struct Spec {
 }
 
 /// Whether a `--topo` override fits every size of the resolved grid (a
-/// knob error [`Topology::parse_spec`] cannot see without `n`).
+/// knob error [`Topology::parse_spec`] cannot see without `n`). A
+/// file-loaded graph is loaded once here, so a missing file or a node
+/// count off the grid is reported before any trial builds it.
 fn topo_fits(topo: Option<&Topology>, sizes: &[usize]) -> Result<(), String> {
-    topo.map_or(Ok(()), |t| sizes.iter().try_for_each(|&n| t.check(n)))
+    let Some(t) = topo else { return Ok(()) };
+    sizes.iter().try_for_each(|&n| t.check(n))?;
+    let Topology::FromFile(path) = t else {
+        return Ok(());
+    };
+    let nodes = phonecall::dataset::load(path)
+        .map_err(|e| format!("topology knob \"path\": {e}"))?
+        .len();
+    match sizes.iter().find(|&&n| n != nodes) {
+        Some(n) => Err(format!(
+            "topology knob \"path\": {path:?} describes {nodes} nodes but the network has {n}"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// One experiment run: the resolved grid, the output stream and the
@@ -810,6 +825,27 @@ mod tests {
         let o = opts(&["--topo", "random-regular:8"]);
         assert_eq!(topo_fits(o.topo.as_ref(), &[1 << 8, 1 << 10]), Ok(()));
         assert_eq!(topo_fits(None, &[3]), Ok(()));
+
+        // A file-loaded graph: a missing file, and a node count that fits
+        // one grid size but not the other. The edge list lives in a temp
+        // dir because loading writes a `.csrcache` next to it.
+        let missing = Topology::FromFile("/nonexistent/edges.txt".into());
+        let err = topo_fits(Some(&missing), &[4]).unwrap_err();
+        assert!(err.contains("topology knob \"path\""), "{err}");
+        let dir = std::env::temp_dir().join(format!("topo-fits-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("triangle.txt");
+        std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
+        let file = Topology::FromFile(path.to_string_lossy().into_owned());
+        assert_eq!(topo_fits(Some(&file), &[3]), Ok(()));
+        let err = topo_fits(Some(&file), &[3, 4]).unwrap_err();
+        assert!(
+            err.contains("topology knob \"path\"")
+                && err.contains("3 nodes")
+                && err.contains("has 4"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn emitted(args: &[&str], reading: Option<&str>) -> String {

@@ -17,11 +17,12 @@
 //!    are reported separately — see EXPERIMENTS.md E6).
 
 use crate::config::{log2n, PushPullConfig};
-use crate::msg::{Msg, MsgKind};
+use crate::msg::MsgKind;
+use crate::node::ClusterNode;
 use crate::primitives::share_rumor;
 use crate::report::RunReport;
-use crate::sim::ClusterSim;
-use phonecall::{Action, Delivery, Target};
+use crate::sim::{pull_round, push_round, ClusterSim};
+use phonecall::Target;
 
 /// Builds a `Δ`-clustering with [`crate::cluster3`] and broadcasts the
 /// rumor over it.
@@ -74,28 +75,13 @@ pub fn broadcast_on(sim: &mut ClusterSim, delta: usize, cfg: &PushPullConfig) ->
 
 /// Members of clusters informed at `epoch` push the rumor to random nodes.
 fn newly_informed_push_round(sim: &mut ClusterSim, epoch: u32) {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.informed && s.informed_at == Some(epoch) {
-                Action::Push {
-                    to: Target::Random,
-                    msg: Msg::new(MsgKind::Rumor, id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
+            (s.informed && s.informed_at == Some(epoch)).then_some((Target::Random, MsgKind::Rumor))
         },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if msg.kind == MsgKind::Rumor {
-                    s.informed = true;
-                }
-            }
-        },
+        |s, kind| s.informed |= kind == MsgKind::Rumor,
     );
 }
 
@@ -124,32 +110,15 @@ fn share_with_epoch(sim: &mut ClusterSim, epoch: u32) {
 /// Uninformed nodes PULL from a random node; informed responders reply
 /// with the rumor.
 fn uninformed_pull_round(sim: &mut ClusterSim, epoch: u32) {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    let replies = &mut sim.replies;
     for s in sim.net.states() {
         if s.informed {
-            replies.set(s.idx, Msg::new(MsgKind::Rumor, id_bits, rumor_bits));
+            sim.replies.set(s.idx, sim.wire.msg(MsgKind::Rumor));
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.informed {
-                Action::<Msg>::Idle
-            } else {
-                Action::Pull { to: Target::Random }
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if msg.kind == MsgKind::Rumor {
-                    s.informed = true;
-                }
-            }
-        },
-    );
-    replies.clear();
+    let ask = |s: &ClusterNode| (!s.informed).then_some(Target::Random);
+    pull_round(&mut sim.net, &mut sim.replies, ask, |s, kind| {
+        s.informed |= kind == MsgKind::Rumor;
+    });
     for s in sim.net.states_mut() {
         if s.informed && s.informed_at.is_none() {
             s.informed_at = Some(epoch);

@@ -22,13 +22,13 @@
 
 use std::cell::Cell;
 
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
 use crate::config::Cluster2Config;
-use crate::msg::{Msg, MsgKind};
+use crate::msg::MsgKind;
 use crate::node::ClusterNode;
 use crate::report::RunReport;
-use crate::sim::ClusterSim;
+use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
 /// Outcome of a whp broadcast-success test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,8 +50,6 @@ pub struct SuccessTest {
 /// cluster (which the algorithms establish); the engine-side return value
 /// reports the leader's verdict for convenience.
 pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     let replies = &mut sim.replies;
     let r0 = sim.net.metrics().rounds;
     // Each node's failure flag, shared by the three rounds. A `Cell`, so a
@@ -63,83 +61,46 @@ pub fn broadcast_success_test(sim: &mut ClusterSim) -> SuccessTest {
     // Round 1: probe. An empty reply cannot happen (respond always
     // answers), so the flag is raised exactly by Coin(false) replies.
     for s in sim.net.states() {
-        replies.set(
-            s.idx,
-            Msg::new(MsgKind::Coin(s.informed), id_bits, rumor_bits),
-        );
+        replies.set(s.idx, sim.wire.msg(MsgKind::Coin(s.informed)));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.informed {
-                Action::<Msg>::Pull { to: Target::Random }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if msg.kind == MsgKind::Coin(false) {
-                    flag(s).set(true);
-                }
-            }
-        },
-    );
+    let ask = |s: &ClusterNode| s.informed.then_some(Target::Random);
+    pull_round(&mut sim.net, replies, ask, |s, kind| {
+        if kind == MsgKind::Coin(false) {
+            flag(s).set(true);
+        }
+    });
 
     // Round 2: flag relays to the leader.
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && flag(s).get() {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::Coin(false), id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
+            to_leader(s)
+                .filter(|_| flag(s).get())
+                .map(|to| (to, MsgKind::Coin(false)))
         },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if msg.kind == MsgKind::Coin(false) {
-                    flag(s).set(true);
-                }
+        |s, kind| {
+            if kind == MsgKind::Coin(false) {
+                flag(s).set(true);
             }
         },
     );
 
     // Round 3: verdict down. A leader that saw any flag (its own probe or
     // a relayed one) declares failure.
-    replies.clear();
     for s in sim.net.states() {
         if s.is_leader() {
             let ok = !flag(s).get();
-            replies.set(s.idx, Msg::new(MsgKind::Coin(ok), id_bits, rumor_bits));
+            replies.set(s.idx, sim.wire.msg(MsgKind::Coin(ok)));
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_follower() {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(ctx.state.leader().expect("has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                // Overwrites: the readout below may key on a stale-pointer
-                // follower, which must hold its leader's verdict.
-                if let MsgKind::Coin(ok) = msg.kind {
-                    flag(s).set(!ok);
-                }
-            }
-        },
-    );
-    replies.clear();
+    pull_round(&mut sim.net, replies, to_leader, |s, kind| {
+        // Overwrites: the readout below may key on a stale-pointer
+        // follower, which must hold its leader's verdict.
+        if let MsgKind::Coin(ok) = kind {
+            flag(s).set(!ok);
+        }
+    });
 
     // Engine-side readout: the verdict at the largest cluster's leader.
     let verdict = sim

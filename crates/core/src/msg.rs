@@ -7,8 +7,9 @@
 //! `⌊s'/s⌋` IDs, and rumor shares carry the `b`-bit rumor.
 //!
 //! Message sizes depend on the run (ID width scales with `log n`, the rumor
-//! is `b` bits), so messages are built by [`crate::sim::ClusterSim`], which
-//! stamps each [`MsgKind`] with its exact size at construction.
+//! is `b` bits), so messages are built by the run's [`WireSizes`] (held by
+//! [`crate::sim::ClusterSim`]), which stamps each [`MsgKind`] with its
+//! exact size at construction.
 //!
 //! # Layout
 //!
@@ -64,8 +65,6 @@ pub enum MsgKind {
     Count(u64),
     /// The rumor payload (`b` bits).
     Rumor,
-    /// Rumor plus the sending cluster's ID (ClusterPushPull's recruit).
-    RumorRecruit(NodeId),
     /// A cluster advertisement: leader ID plus (approximate) cluster size.
     /// Used as the pull response during join and consolidation phases.
     ClusterAd {
@@ -91,7 +90,6 @@ impl MsgKind {
             MsgKind::Coin(_) => 1,
             MsgKind::Count(_) => id_bits,
             MsgKind::Rumor => rumor_bits,
-            MsgKind::RumorRecruit(_) => rumor_bits + id_bits,
             MsgKind::ClusterAd { .. } => 2 * id_bits,
             MsgKind::Ads(v) => 16 + v.len() as u64 * 2 * id_bits,
         }
@@ -109,12 +107,30 @@ pub struct Msg {
 impl Msg {
     /// Builds a message, computing its size from the run parameters.
     ///
-    /// Algorithms normally call [`crate::sim::ClusterSim::msg`] instead,
-    /// which fills in the run's ID width and rumor size.
+    /// Algorithms build messages through [`WireSizes::msg`] instead, which
+    /// fills in the run's ID width and rumor size.
     #[must_use]
     pub fn new(kind: MsgKind, id_bits: u64, rumor_bits: u64) -> Self {
         let bits = kind.size_bits(id_bits, rumor_bits);
         Msg { kind, bits }
+    }
+}
+
+/// A run's wire sizes, and the one place a [`Msg`] is stamped with them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WireSizes {
+    /// Width of a node ID on the wire: `2·⌈log₂ n⌉` bits (polynomial ID
+    /// space).
+    pub id_bits: u64,
+    /// Rumor size `b` in bits.
+    pub rumor_bits: u64,
+}
+
+impl WireSizes {
+    /// A message of `kind`, sized for this run.
+    #[must_use]
+    pub fn msg(self, kind: MsgKind) -> Msg {
+        Msg::new(kind, self.id_bits, self.rumor_bits)
     }
 }
 
@@ -201,7 +217,6 @@ mod tests {
     #[test]
     fn rumor_costs_b_bits() {
         assert_eq!(bits(MsgKind::Rumor), B);
-        assert_eq!(bits(MsgKind::RumorRecruit(NodeId::from_raw(1))), B + ID);
         assert_eq!(bits(MsgKind::Coin(true)), 1);
     }
 }

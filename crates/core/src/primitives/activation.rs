@@ -1,10 +1,10 @@
 //! `ClusterActivate(p)` and the initial singleton sampling.
 
-use phonecall::{Action, Delivery, NodeIdx, Target};
+use phonecall::NodeIdx;
 use rand::Rng;
 
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::sim::{pull_round, to_leader, ClusterSim};
 
 /// Initial sampling: every alive node independently becomes the leader of a
 /// fresh singleton cluster with probability `p` (Algorithms 1 and 2, first
@@ -72,8 +72,6 @@ pub fn activate(sim: &mut ClusterSim, p: f64) {
     }
 
     // Leaders flip and prepare the address-oblivious response.
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     for i in 0..sim.n() {
         if !sim.net.is_alive(NodeIdx(i as u32)) {
             continue;
@@ -82,35 +80,18 @@ pub fn activate(sim: &mut ClusterSim, p: f64) {
         let s = &mut sim.net.states_mut()[i];
         if s.is_leader() {
             s.active = coin;
-            sim.replies
-                .set(s.idx, Msg::new(MsgKind::Coin(coin), id_bits, rumor_bits));
+            sim.replies.set(s.idx, sim.wire.msg(MsgKind::Coin(coin)));
         } else if !s.is_clustered() {
             s.active = false;
         }
     }
 
     // Followers pull the coin from their leader.
-    let replies = &sim.replies;
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_follower() {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(ctx.state.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::Coin(b) = msg.kind {
-                    s.active = b;
-                }
-            }
-        },
-    );
-    sim.replies.clear();
+    pull_round(&mut sim.net, &mut sim.replies, to_leader, |s, kind| {
+        if let MsgKind::Coin(b) = kind {
+            s.active = b;
+        }
+    });
 }
 
 #[cfg(test)]

@@ -19,11 +19,12 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use phonecall::{Action, Delivery, NodeId, NodeIdx, Target};
+use phonecall::{NodeId, NodeIdx, Target};
 
 use crate::follow::Follow;
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::node::ClusterNode;
+use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
 use super::{collect_members, size_round, Who};
 
@@ -41,8 +42,6 @@ fn beats(cand: Ad, own: Ad) -> bool {
 /// best advertised cluster, and flatten the affected pointers.
 pub fn consolidate(sim: &mut ClusterSim) {
     let n = sim.n() as u64;
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
 
     // ClusterSize: make every member's `size` consistent (2 rounds). The
     // consistency is what rules out merge cycles below.
@@ -51,8 +50,8 @@ pub fn consolidate(sim: &mut ClusterSim) {
 
     // The advertisements each node holds, by node index. Only members of
     // minority clusters ever gather or receive any, so the map stays
-    // small; the `RefCell` lets the relay round's `decide` read a node's
-    // own ads while `deliver` files the relayed ones.
+    // small; the `RefCell` lets the relay round's `send` read a node's
+    // own ads while its `fold` files the relayed ones.
     let ads: RefCell<BTreeMap<NodeIdx, Vec<Ad>>> = RefCell::default();
     let file = |idx, new: &[Ad]| {
         let mut ads = ads.borrow_mut();
@@ -69,52 +68,28 @@ pub fn consolidate(sim: &mut ClusterSim) {
                 leader,
                 size: s.size,
             };
-            replies.set(s.idx, Msg::new(ad, id_bits, rumor_bits));
+            replies.set(s.idx, sim.wire.msg(ad));
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_clustered() && minority(s.size) {
-                Action::<Msg>::Pull { to: Target::Random }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::ClusterAd { leader, size } = msg.kind {
-                    file(s.idx, &[(leader, size)]);
-                }
-            }
-        },
-    );
-    replies.clear();
+    let ask = |s: &ClusterNode| (s.is_clustered() && minority(s.size)).then_some(Target::Random);
+    pull_round(&mut sim.net, replies, ask, |s, kind| {
+        if let MsgKind::ClusterAd { leader, size } = kind {
+            file(s.idx, &[(leader, size)]);
+        }
+    });
 
     // Round 4: relay gathered ads to the leader.
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            let own = if s.is_follower() {
-                ads.borrow().get(&s.idx).map(|own| own.as_slice().into())
-            } else {
-                None
-            };
-            match own {
-                Some(own) => Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::Ads(own), id_bits, rumor_bits),
-                },
-                None => Action::Idle,
-            }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
+            let to = to_leader(s)?;
+            let own = ads.borrow().get(&s.idx).map(|own| own.as_slice().into())?;
+            Some((to, MsgKind::Ads(own)))
         },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::Ads(v) = msg.kind {
-                    file(s.idx, &v);
-                }
+        |s, kind| {
+            if let MsgKind::Ads(v) = kind {
+                file(s.idx, &v);
             }
         },
     );
@@ -144,66 +119,31 @@ pub fn consolidate(sim: &mut ClusterSim) {
                 s.needs_flatten = true;
             }
         }
-        replies.set(
-            s.idx,
-            Msg::new(MsgKind::FollowVal(Some(verdict)), id_bits, rumor_bits),
-        );
+        replies.set(s.idx, sim.wire.msg(MsgKind::FollowVal(Some(verdict))));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            // Only minority-cluster followers need the verdict.
-            if s.is_follower() && minority(s.size) {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
+    // Only minority-cluster followers need the verdict.
+    let ask = |s: &ClusterNode| to_leader(s).filter(|_| minority(s.size));
+    pull_round(&mut sim.net, replies, ask, |s, kind| {
+        if let MsgKind::FollowVal(Some(v)) = kind {
+            if s.follow != Follow::Of(v) {
+                s.follow = Follow::Of(v);
+                s.needs_flatten = true;
             }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(Some(v)) = msg.kind {
-                    if s.follow != Follow::Of(v) {
-                        s.follow = Follow::Of(v);
-                        s.needs_flatten = true;
-                    }
-                }
-            }
-        },
-    );
-    replies.clear();
+        }
+    });
 
     // Round 6: flatten, restricted to pointers that actually moved (chains
     // arise when the merge target itself merged in the same sweep).
     for s in sim.net.states() {
-        replies.set(
-            s.idx,
-            Msg::new(MsgKind::FollowVal(s.follow.leader()), id_bits, rumor_bits),
-        );
+        let follow = MsgKind::FollowVal(s.follow.leader());
+        replies.set(s.idx, sim.wire.msg(follow));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && s.needs_flatten {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(v) = msg.kind {
-                    s.follow = v.into();
-                }
-            }
-        },
-    );
-    replies.clear();
+    let ask = |s: &ClusterNode| to_leader(s).filter(|_| s.needs_flatten);
+    pull_round(&mut sim.net, replies, ask, |s, kind| {
+        if let MsgKind::FollowVal(v) = kind {
+            s.follow = v.into();
+        }
+    });
     for s in sim.net.states_mut() {
         s.needs_flatten = false;
     }

@@ -1,9 +1,7 @@
 //! Membership collection and `ClusterSize` (with optional growth control).
 
-use phonecall::{Action, Delivery, Target};
-
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::sim::{pull_round, push_round, ClusterSim};
 
 use super::Who;
 
@@ -31,26 +29,13 @@ pub fn collect_members(sim: &mut ClusterSim, who: Who) {
             members.push(s.id);
         }
     }
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && who.selects(true, s.active) {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::MemberId(s.id), id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::MemberId(m) = msg.kind {
-                    leaders.row(s.idx).members.push(m);
-                }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| who.to_leader(s).map(|to| (to, MsgKind::MemberId(s.id))),
+        |s, kind| {
+            if let MsgKind::MemberId(m) = kind {
+                leaders.row(s.idx).members.push(m);
             }
         },
     );
@@ -62,8 +47,6 @@ pub fn collect_members(sim: &mut ClusterSim, who: Who) {
 ///
 /// Returns the number of clusters that went inactive by the stall rule.
 pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) -> usize {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     let mut deactivated = 0;
     let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for s in sim.net.states_mut() {
@@ -82,41 +65,24 @@ pub fn size_round(sim: &mut ClusterSim, who: Who, control: Option<GrowControl>) 
         s.prev_size = size;
         s.size = size;
         s.active = stay_active;
-        replies.set(
-            s.idx,
-            Msg::new(
-                MsgKind::SizeReport {
-                    size,
-                    active: stay_active,
-                },
-                id_bits,
-                rumor_bits,
-            ),
-        );
+        let report = MsgKind::SizeReport {
+            size,
+            active: stay_active,
+        };
+        replies.set(s.idx, sim.wire.msg(report));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && who.selects(true, s.active) {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::SizeReport { size, active } = msg.kind {
-                    s.prev_size = size;
-                    s.size = size;
-                    s.active = active;
-                }
+    pull_round(
+        &mut sim.net,
+        replies,
+        |s| who.to_leader(s),
+        |s, kind| {
+            if let MsgKind::SizeReport { size, active } = kind {
+                s.prev_size = size;
+                s.size = size;
+                s.active = active;
             }
         },
     );
-    replies.clear();
     deactivated
 }
 

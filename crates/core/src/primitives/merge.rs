@@ -15,14 +15,14 @@
 //! Simultaneous merges can leave one-hop stale pointers; callers follow up
 //! with [`super::flatten_round`] (see DESIGN.md §2).
 
-use phonecall::{Action, Delivery, Target};
 use rand::Rng;
 
 use crate::follow::Follow;
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::node::ClusterNode;
+use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
-use super::{flatten_round, Who};
+use super::{flatten_round, recruit::push_recruits, Who};
 
 /// How a merging leader picks among relayed candidates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,40 +56,16 @@ pub struct MergeOpts {
 
 /// Runs one push → relay → merge iteration (three rounds).
 pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
+    // Round 1: pushing clusters PUSH their cluster ID to random nodes.
+    push_recruits(sim, opts.pushers);
     let n = sim.n();
     let (arrivals, leaders, replies) = (&mut sim.arrivals, &mut sim.leaders, &mut sim.replies);
-
-    // Round 1: pushing clusters PUSH their cluster ID to random nodes.
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if opts.pushers.selects(s.is_clustered(), s.active) {
-                let cid = s.leader().expect("clustered node has leader");
-                Action::Push {
-                    to: Target::Random,
-                    msg: Msg::new(MsgKind::Recruit(cid), id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::Recruit(cid) = msg.kind {
-                    arrivals.push(s.idx, cid);
-                }
-            }
-        },
-    );
 
     // Round 2: members of merge-eligible clusters relay what they received
     // (arrival order and length intact: `Candidates` is charged per listed
     // ID) to their leader; leaders take their own arrivals locally.
     arrivals.group(n);
-    let eligible = move |s: &crate::node::ClusterNode| -> bool {
+    let eligible = move |s: &ClusterNode| -> bool {
         s.is_clustered() && (!opts.inactive_merge_only || !s.active)
     };
     for s in sim.net.states() {
@@ -98,25 +74,17 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
             leaders.row(s.idx).candidates.extend_from_slice(got);
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
             let got = arrivals.of(s.idx);
-            if s.is_follower() && eligible(s) && !got.is_empty() {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::Candidates(got.into()), id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
+            let to = to_leader(s).filter(|_| eligible(s) && !got.is_empty())?;
+            Some((to, MsgKind::Candidates(got.into())))
         },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::Candidates(v) = msg.kind {
-                    leaders.row(s.idx).candidates.extend_from_slice(&v);
-                }
+        |s, kind| {
+            if let MsgKind::Candidates(v) = kind {
+                leaders.row(s.idx).candidates.extend_from_slice(&v);
             }
         },
     );
@@ -148,10 +116,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
             }
         }
         let verdict = target.unwrap_or(s.id);
-        replies.set(
-            s.idx,
-            Msg::new(MsgKind::FollowVal(Some(verdict)), id_bits, rumor_bits),
-        );
+        replies.set(s.idx, sim.wire.msg(MsgKind::FollowVal(Some(verdict))));
         if target.is_some() {
             s.follow = Follow::Of(verdict);
             if opts.mark_merged_active {
@@ -164,32 +129,16 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     for row in leaders.rows_mut() {
         row.candidates.clear();
     }
-    let mark_active = opts.mark_merged_active;
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_follower() {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(ctx.state.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(Some(v)) = msg.kind {
-                    if Follow::Of(v) != s.follow {
-                        s.follow = Follow::Of(v);
-                        if mark_active {
-                            s.active = true;
-                        }
-                    }
+    pull_round(&mut sim.net, replies, to_leader, |s, kind| {
+        if let MsgKind::FollowVal(Some(v)) = kind {
+            if Follow::Of(v) != s.follow {
+                s.follow = Follow::Of(v);
+                if opts.mark_merged_active {
+                    s.active = true;
                 }
             }
-        },
-    );
-    replies.clear();
+        }
+    });
 }
 
 /// `MergeAllClusters`: repeatedly merge every cluster into the smallest
@@ -353,7 +302,10 @@ mod tests {
         let round2 = &s.net.metrics().per_round[1];
         assert_eq!(round2.messages, relayed.len() as u64);
         let header = phonecall::header_bits(n);
-        let charged: u64 = relayed.iter().map(|k| header + 16 + k * s.id_bits).sum();
+        let charged: u64 = relayed
+            .iter()
+            .map(|k| header + 16 + k * s.wire.id_bits)
+            .sum();
         assert_eq!(round2.bits, charged);
     }
 

@@ -4,17 +4,23 @@
 //! constant number of messages per participating node. They are composed by
 //! the algorithm modules into the phases of Algorithms 1–4.
 //!
-//! | paper primitive      | here                                         |
-//! |----------------------|----------------------------------------------|
-//! | `ClusterActivate(p)` | [`activate`]                                 |
-//! | `ClusterSize`        | [`collect_members`] + [`size_round`]         |
-//! | `ClusterDissolve(s)` | [`dissolve`]                                 |
-//! | `ClusterResize(s)`   | [`resize`]                                   |
-//! | `ClusterPUSH` + `ClusterMerge` | [`merge_iteration`] (push, relay, merge) |
-//! | `ClusterPUSH` onto unclustered nodes | [`grow_push_round`]          |
-//! | `ClusterShare(msg)`  | [`share_rumor`]                              |
-//! | (chain flattening)   | [`flatten_round`] — see DESIGN.md §2         |
-//! | final PULL joins     | [`unclustered_pull_round`]                   |
+//! Every round is one of two shapes, each written once in [`crate::sim`]:
+//! a **push** round or a **pull** round, addressed either to a random node
+//! or — by direct addressing — from a follower to its leader.
+//!
+//! | paper primitive      | here                                 | rounds |
+//! |----------------------|--------------------------------------|--------|
+//! | `ClusterActivate(p)` | [`activate`]                         | pull from leader |
+//! | `ClusterSize`        | [`collect_members`] + [`size_round`] | push to leader + pull from leader |
+//! | `ClusterDissolve(s)` | [`dissolve`]                         | push to leader + pull from leader |
+//! | `ClusterResize(s)`   | [`resize`]                           | push to leader + pull from leader |
+//! | `ClusterPUSH` + `ClusterMerge` | [`merge_iteration`] (push, relay, merge) | random push + push to leader + pull from leader |
+//! | `ClusterPUSH` onto unclustered nodes | [`grow_push_round`]  | random push |
+//! | growth-controlled recruiting | [`grow_control_iteration`]   | random push + push to leader + pull from leader |
+//! | `ClusterShare(msg)`  | [`share_rumor`]                      | push to leader + pull from leader |
+//! | (chain flattening)   | [`flatten_round`] — see DESIGN.md §2 | pull from leader |
+//! | final PULL joins     | [`unclustered_pull_round`]           | random pull |
+//! | (minority merge)     | [`consolidate`]                      | `ClusterSize` + random pull + push to leader + 2 × pull from leader |
 //!
 //! Two deviations from a literal pseudocode reading, both documented in
 //! DESIGN.md: the `ClusterResize` follower rule uses the *smallest* new
@@ -43,7 +49,10 @@ pub use share::{flatten_round, share_rumor, unclustered_pull_round};
 
 use std::rc::Rc;
 
-use phonecall::NodeId;
+use phonecall::{NodeId, Target};
+
+use crate::node::ClusterNode;
+use crate::sim::to_leader;
 
 /// Which clustered nodes participate in a push.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,6 +69,11 @@ impl Who {
             Who::AllClustered => clustered,
             Who::ActiveOnly => clustered && active,
         }
+    }
+
+    /// The leader's address for a selected follower ([`to_leader`]).
+    pub(crate) fn to_leader(self, s: &ClusterNode) -> Option<Target> {
+        to_leader(s).filter(|_| self.selects(true, s.active))
     }
 }
 

@@ -1,11 +1,11 @@
 //! Recruiting unclustered nodes: the `GrowInitialClusters` push rounds and
 //! the growth-controlled variants used by Cluster2/Cluster3.
 
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
 use crate::follow::Follow;
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::sim::{pull_round, push_round, ClusterSim};
 
 use super::{collect_members, group_leaders, size_round, smallest_geq, GrowControl, Who};
 
@@ -14,36 +14,12 @@ use super::{collect_members, group_leaders, size_round, smallest_geq, GrowContro
 /// node; unclustered recipients join the first cluster they hear of (and
 /// inherit its activation). Returns how many nodes joined.
 pub fn grow_push_round(sim: &mut ClusterSim, pushers: Who) -> usize {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    let arrivals = &mut sim.arrivals;
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if pushers.selects(s.is_clustered(), s.active) {
-                let cid = s.leader().expect("clustered node has leader");
-                Action::Push {
-                    to: Target::Random,
-                    msg: Msg::new(MsgKind::Recruit(cid), id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::Recruit(cid) = msg.kind {
-                    arrivals.push(s.idx, cid);
-                }
-            }
-        },
-    );
+    push_recruits(sim, pushers);
     // Local adoption: unclustered nodes join the first received cluster,
     // which clusters them, so their later arrivals skip.
     let mut joined = 0;
     let states = sim.net.states_mut();
-    for (to, cid) in arrivals.iter() {
+    for (to, cid) in sim.arrivals.iter() {
         let s = &mut states[to.as_usize()];
         if !s.is_clustered() {
             s.follow = Follow::Of(cid);
@@ -51,8 +27,28 @@ pub fn grow_push_round(sim: &mut ClusterSim, pushers: Who) -> usize {
             joined += 1;
         }
     }
-    arrivals.clear();
+    sim.arrivals.clear();
     joined
+}
+
+/// The `ClusterPUSH` round: every member of a pushing cluster PUSHes its
+/// cluster ID to a random node, and each arrival is appended to
+/// `sim.arrivals` for the caller to read and clear.
+pub(crate) fn push_recruits(sim: &mut ClusterSim, pushers: Who) {
+    let arrivals = &mut sim.arrivals;
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
+            let cid = s.leader().filter(|_| pushers.selects(true, s.active))?;
+            Some((Target::Random, MsgKind::Recruit(cid)))
+        },
+        |s, kind| {
+            if let MsgKind::Recruit(cid) = kind {
+                arrivals.push(s.idx, cid);
+            }
+        },
+    );
 }
 
 /// Outcome of one growth-controlled recruit iteration.
@@ -78,8 +74,6 @@ pub fn grow_control_iteration(
     collect_members(sim, Who::ActiveOnly);
 
     // Size verdicts + inline resize announcements.
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     let mut deactivated = 0;
     for s in sim.net.states_mut() {
@@ -115,41 +109,28 @@ pub fn grow_control_iteration(
             MsgKind::SizeReport { size, active: true }
         };
         s.prev_size = s.size;
-        replies.set(s.idx, Msg::new(kind, id_bits, rumor_bits));
+        replies.set(s.idx, sim.wire.msg(kind));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && s.active {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
+    pull_round(
+        &mut sim.net,
+        replies,
+        |s| Who::ActiveOnly.to_leader(s),
+        |s, kind| match kind {
+            MsgKind::SizeReport { size, active } => {
+                s.size = size;
+                s.prev_size = size;
+                s.active = active;
             }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                match msg.kind {
-                    MsgKind::SizeReport { size, active } => {
-                        s.size = size;
-                        s.prev_size = size;
-                        s.active = active;
-                    }
-                    MsgKind::Leaders { ids, piece_size } => {
-                        if let Some(l) = smallest_geq(&ids, s.id) {
-                            s.follow = Follow::Of(l);
-                            s.size = piece_size;
-                            s.prev_size = piece_size;
-                        }
-                    }
-                    _ => {}
+            MsgKind::Leaders { ids, piece_size } => {
+                if let Some(l) = smallest_geq(&ids, s.id) {
+                    s.follow = Follow::Of(l);
+                    s.size = piece_size;
+                    s.prev_size = piece_size;
                 }
             }
+            _ => {}
         },
     );
-    replies.clear();
     BoundedRecruitOutcome {
         joined,
         deactivated,

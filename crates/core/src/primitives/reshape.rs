@@ -1,10 +1,8 @@
 //! `ClusterDissolve(s)` and `ClusterResize(s)`.
 
-use phonecall::{Action, Delivery, Target};
-
 use crate::follow::Follow;
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::sim::{pull_round, ClusterSim};
 
 use super::{collect_members, group_leaders, smallest_geq, Who};
 
@@ -13,8 +11,6 @@ use super::{collect_members, group_leaders, smallest_geq, Who};
 /// collection, then followers pull the verdict.
 pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
     collect_members(sim, who);
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
@@ -26,10 +22,7 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
         } else {
             None
         };
-        replies.set(
-            st.idx,
-            Msg::new(MsgKind::FollowVal(verdict), id_bits, rumor_bits),
-        );
+        replies.set(st.idx, sim.wire.msg(MsgKind::FollowVal(verdict)));
         if verdict.is_none() {
             st.follow = Follow::Unclustered;
             st.active = false;
@@ -40,32 +33,21 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
             st.prev_size = size;
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let st = ctx.state;
-            if st.is_follower() && who.selects(true, st.active) {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(st.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |st| replies.get(st.idx),
-        |st, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(v) = msg.kind {
-                    st.follow = v.into();
-                    if v.is_none() {
-                        st.active = false;
-                        st.size = 1;
-                        st.prev_size = 1;
-                    }
+    pull_round(
+        &mut sim.net,
+        replies,
+        |st| who.to_leader(st),
+        |st, kind| {
+            if let MsgKind::FollowVal(v) = kind {
+                st.follow = v.into();
+                if v.is_none() {
+                    st.active = false;
+                    st.size = 1;
+                    st.prev_size = 1;
                 }
             }
         },
     );
-    replies.clear();
 }
 
 /// `ClusterResize(s)`: every cluster of size `s' ≥ 2s` splits into
@@ -81,8 +63,6 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
 pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
     assert!(s >= 1, "resize target must be positive");
     collect_members(sim, who);
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
@@ -100,43 +80,26 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
         st.follow = Follow::Of(new_leader);
         st.size = size / k;
         st.prev_size = size / k;
-        replies.set(
-            st.idx,
-            Msg::new(
-                MsgKind::Leaders {
-                    ids,
-                    piece_size: size / k,
-                },
-                id_bits,
-                rumor_bits,
-            ),
-        );
+        let announcement = MsgKind::Leaders {
+            ids,
+            piece_size: size / k,
+        };
+        replies.set(st.idx, sim.wire.msg(announcement));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let st = ctx.state;
-            if st.is_follower() && who.selects(true, st.active) {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(st.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |st| replies.get(st.idx),
-        |st, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::Leaders { ids, piece_size } = msg.kind {
-                    if let Some(l) = smallest_geq(&ids, st.id) {
-                        st.follow = Follow::Of(l);
-                        st.size = piece_size;
-                        st.prev_size = piece_size;
-                    }
+    pull_round(
+        &mut sim.net,
+        replies,
+        |st| who.to_leader(st),
+        |st, kind| {
+            if let MsgKind::Leaders { ids, piece_size } = kind {
+                if let Some(l) = smallest_geq(&ids, st.id) {
+                    st.follow = Follow::Of(l);
+                    st.size = piece_size;
+                    st.prev_size = piece_size;
                 }
             }
         },
     );
-    replies.clear();
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! `ClusterShare`, pointer flattening, and the final PULL joins.
 
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
 use crate::follow::Follow;
-use crate::msg::{Msg, MsgKind};
-use crate::sim::ClusterSim;
+use crate::msg::MsgKind;
+use crate::node::ClusterNode;
+use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
 /// `ClusterShare(rumor)`: informed members push the rumor to their leader,
 /// then every follower pulls it back. Two rounds; after it, a cluster with
@@ -21,58 +22,27 @@ use crate::sim::ClusterSim;
 /// assert_eq!(sim.informed_count(), 8, "two rounds inform the cluster");
 /// ```
 pub fn share_rumor(sim: &mut ClusterSim) {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
     // Round 1: informed followers push the rumor up.
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && s.informed {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(MsgKind::Rumor, id_bits, rumor_bits),
-                }
-            } else {
-                Action::Idle
-            }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| {
+            to_leader(s)
+                .filter(|_| s.informed)
+                .map(|to| (to, MsgKind::Rumor))
         },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if msg.kind == MsgKind::Rumor {
-                    s.informed = true;
-                }
-            }
-        },
+        |s, kind| s.informed |= kind == MsgKind::Rumor,
     );
     // Round 2: followers pull; informed leaders respond with the rumor.
-    let replies = &mut sim.replies;
     for s in sim.net.states() {
         if s.is_leader() && s.informed {
-            replies.set(s.idx, Msg::new(MsgKind::Rumor, id_bits, rumor_bits));
+            sim.replies.set(s.idx, sim.wire.msg(MsgKind::Rumor));
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() && !s.informed {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if msg.kind == MsgKind::Rumor {
-                    s.informed = true;
-                }
-            }
-        },
-    );
-    replies.clear();
+    let ask = |s: &ClusterNode| to_leader(s).filter(|_| !s.informed);
+    pull_round(&mut sim.net, &mut sim.replies, ask, |s, kind| {
+        s.informed |= kind == MsgKind::Rumor;
+    });
 }
 
 /// One pointer-jumping round: every follower pulls its current `follow`
@@ -80,38 +50,18 @@ pub fn share_rumor(sim: &mut ClusterSim) {
 /// by simultaneous merges collapse by one level per call; a node whose
 /// "leader" turns out to be unclustered becomes unclustered itself.
 pub fn flatten_round(sim: &mut ClusterSim) {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    let replies = &mut sim.replies;
     for s in sim.net.states() {
-        replies.set(
-            s.idx,
-            Msg::new(MsgKind::FollowVal(s.follow.leader()), id_bits, rumor_bits),
-        );
+        let follow = MsgKind::FollowVal(s.follow.leader());
+        sim.replies.set(s.idx, sim.wire.msg(follow));
     }
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_follower() {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(ctx.state.leader().expect("follower has leader")),
-                }
-            } else {
-                Action::Idle
+    pull_round(&mut sim.net, &mut sim.replies, to_leader, |s, kind| {
+        if let MsgKind::FollowVal(v) = kind {
+            s.follow = v.into();
+            if v.is_none() {
+                s.active = false;
             }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(v) = msg.kind {
-                    s.follow = v.into();
-                    if v.is_none() {
-                        s.active = false;
-                    }
-                }
-            }
-        },
-    );
-    replies.clear();
+        }
+    });
 }
 
 /// One round of `UnclusteredNodesPull`: every unclustered node pulls a
@@ -119,39 +69,22 @@ pub fn flatten_round(sim: &mut ClusterSim) {
 /// and the puller joins that cluster. Returns the number of nodes that
 /// joined.
 pub fn unclustered_pull_round(sim: &mut ClusterSim) -> usize {
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
-    let replies = &mut sim.replies;
     for s in sim.net.states() {
         if s.is_clustered() {
-            replies.set(
-                s.idx,
-                Msg::new(MsgKind::FollowVal(s.leader()), id_bits, rumor_bits),
-            );
+            sim.replies
+                .set(s.idx, sim.wire.msg(MsgKind::FollowVal(s.leader())));
         }
     }
     let mut joined = 0;
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_clustered() {
-                Action::<Msg>::Idle
-            } else {
-                Action::Pull { to: Target::Random }
+    let ask = |s: &ClusterNode| (!s.is_clustered()).then_some(Target::Random);
+    pull_round(&mut sim.net, &mut sim.replies, ask, |s, kind| {
+        if let MsgKind::FollowVal(Some(l)) = kind {
+            if !s.is_clustered() {
+                s.follow = Follow::Of(l);
+                joined += 1;
             }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::FollowVal(Some(l)) = msg.kind {
-                    if !s.is_clustered() {
-                        s.follow = Follow::Of(l);
-                        joined += 1;
-                    }
-                }
-            }
-        },
-    );
-    replies.clear();
+        }
+    });
     joined
 }
 

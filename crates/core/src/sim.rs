@@ -1,6 +1,6 @@
 //! [`ClusterSim`]: a phone-call network of [`ClusterNode`]s plus the
-//! run-level bookkeeping (message factory, algorithm RNG, phase capture)
-//! and the primitives' working memory.
+//! run-level bookkeeping (wire sizes, algorithm RNG, phase capture), the
+//! primitives' working memory, and the two round shapes they are built of.
 //!
 //! The struct is deliberately thin: all protocol behaviour lives in
 //! [`crate::primitives`] and the algorithm modules; `ClusterSim` provides
@@ -25,8 +25,8 @@
 //!   primitives.
 //!
 //! Primitives capture these fields next to `&mut sim.net` as disjoint
-//! borrows, so the `decide` / `respond` / `deliver` closures reach a node's
-//! scratch through its `idx`. Nothing here is visible to another node
+//! borrows, so the round closures (see below) reach a node's scratch
+//! through its `idx`. Nothing here is visible to another node
 //! except through a message.
 //!
 //! A prepared response is a **pre-round snapshot**: it is written before
@@ -34,14 +34,25 @@
 //! Under `Engine::Async` a request lands in the middle of a step, after
 //! other deliveries may have changed the responder, so recomputing the
 //! answer from live state at that moment would change what pullers see.
+//!
+//! # Rounds
+//!
+//! Every cluster round is one of two shapes, each written once here:
+//! `push_round` (senders name a target and a message kind, recipients
+//! fold what arrives) and `pull_round` (pullers name a target, responders
+//! answer from the prepared [`Replies`]). `to_leader` is the one spelling
+//! of the intra-cluster address. The reply lifecycle is `pull_round`'s
+//! invariant: a primitive fills [`Replies`] right before the pull round
+//! that reads them, and `pull_round` clears them before it returns, so
+//! no reply outlives its round and none is left between primitives.
 
 use std::collections::BTreeMap;
 
-use phonecall::{FailurePlan, Network, NodeId, NodeIdx};
+use phonecall::{Action, Delivery, FailurePlan, Network, NodeId, NodeIdx, Target};
 use rand::rngs::SmallRng;
 
 use crate::config::CommonConfig;
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, WireSizes};
 use crate::node::ClusterNode;
 use crate::report::{ClusteringStats, PhaseReport};
 
@@ -77,13 +88,73 @@ impl Replies {
         self.slots[idx.as_usize()].clone()
     }
 
-    /// Drops every prepared response, so a stale one can never leak into
-    /// a later primitive.
-    pub fn clear(&mut self) {
+    /// Whether no response is prepared (true between primitives).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// Drops every prepared response; only [`pull_round`] calls it.
+    fn clear(&mut self) {
         for i in self.set.drain(..) {
             self.slots[i as usize] = None;
         }
     }
+}
+
+/// The intra-cluster address: a follower reaches its leader by direct
+/// addressing; leaders and unclustered nodes have no one to reach.
+pub(crate) fn to_leader(s: &ClusterNode) -> Option<Target> {
+    s.leader().filter(|&l| l != s.id).map(Target::Direct)
+}
+
+/// One PUSH round: every alive node for which `send` names a target
+/// pushes that message kind there, and `fold` receives each pushed kind
+/// at its recipient. Nobody responds.
+#[inline]
+pub(crate) fn push_round(
+    net: &mut Network<ClusterNode>,
+    wire: WireSizes,
+    mut send: impl FnMut(&ClusterNode) -> Option<(Target, MsgKind)>,
+    mut fold: impl FnMut(&mut ClusterNode, MsgKind),
+) {
+    net.round(
+        |ctx, _rng| match send(ctx.state) {
+            Some((to, kind)) => Action::Push {
+                to,
+                msg: wire.msg(kind),
+            },
+            None => Action::Idle,
+        },
+        |_s| None,
+        |s, d| {
+            if let Delivery::Push { msg, .. } = d {
+                fold(s, msg.kind);
+            }
+        },
+    );
+}
+
+/// One PULL round: every alive node for which `ask` names a target pulls
+/// it, the target answers with its prepared reply (if any), and `apply`
+/// receives each reply's kind at the puller. Clears `replies` before it
+/// returns (see the module docs).
+#[inline]
+pub(crate) fn pull_round(
+    net: &mut Network<ClusterNode>,
+    replies: &mut Replies,
+    mut ask: impl FnMut(&ClusterNode) -> Option<Target>,
+    mut apply: impl FnMut(&mut ClusterNode, MsgKind),
+) {
+    net.round(
+        |ctx, _rng| ask(ctx.state).map_or(Action::<Msg>::Idle, |to| Action::Pull { to }),
+        |s| replies.get(s.idx),
+        |s, d| {
+            if let Delivery::PullReply { msg, .. } = d {
+                apply(s, msg.kind);
+            }
+        },
+    );
+    replies.clear();
 }
 
 /// A leader's working memory. A row lives for the run, so clearing its
@@ -217,11 +288,8 @@ pub struct ClusterSim {
     pub leaders: LeaderTable,
     /// The push round's arrival log (see the module docs).
     pub(crate) arrivals: Arrivals,
-    /// Width of a node ID on the wire: `2·⌈log₂ n⌉` bits (polynomial ID
-    /// space).
-    pub id_bits: u64,
-    /// Rumor size `b` in bits.
-    pub rumor_bits: u64,
+    /// The run's wire sizes: every message is built by [`WireSizes::msg`].
+    pub wire: WireSizes,
     /// RNG for algorithm-level coins (leader activation flips etc.),
     /// independent of the engine's target-sampling stream.
     pub rng: SmallRng,
@@ -245,8 +313,10 @@ impl ClusterSim {
             replies: Replies::new(n),
             leaders: LeaderTable::new(n),
             arrivals: Arrivals::default(),
-            id_bits: phonecall::id_bits(n),
-            rumor_bits: common.rumor_bits,
+            wire: WireSizes {
+                id_bits: phonecall::id_bits(n),
+                rumor_bits: common.rumor_bits,
+            },
             // Stream 3 of the scenario seed; the environment's streams
             // are listed at `CommonConfig::network`.
             rng: phonecall::rng_from_seed(phonecall::derive_seed(common.seed, 3)),
@@ -272,12 +342,6 @@ impl ClusterSim {
         self.net.len()
     }
 
-    /// Builds a message stamped with this run's wire sizes.
-    #[must_use]
-    pub fn msg(&self, kind: MsgKind) -> Msg {
-        Msg::new(kind, self.id_bits, self.rumor_bits)
-    }
-
     // ------------------------------------------------------------------
     // Phase capture
     // ------------------------------------------------------------------
@@ -291,6 +355,7 @@ impl ClusterSim {
     /// Closes the phase opened by the last [`Self::begin_phase`] and
     /// records its round/message/bit deltas under `name`.
     pub fn end_phase(&mut self, name: &'static str) {
+        debug_assert!(self.replies.is_empty(), "a reply outlived its pull round");
         let m = self.net.metrics();
         let (r0, m0, b0) = self.phase_start;
         self.phases.push(PhaseReport {
@@ -420,8 +485,8 @@ mod tests {
 
     #[test]
     fn id_bits_scale_with_n() {
-        assert_eq!(sim(1 << 10).id_bits, 20);
-        assert_eq!(sim(1 << 16).id_bits, 32);
+        assert_eq!(sim(1 << 10).wire.id_bits, 20);
+        assert_eq!(sim(1 << 16).wire.id_bits, 32);
     }
 
     #[test]
@@ -455,6 +520,60 @@ mod tests {
         assert_eq!(a.iter().next(), Some((NodeIdx(3), id(30))));
         a.clear();
         assert_eq!(a.iter().count(), 0);
+    }
+
+    #[test]
+    fn scratch_never_outlives_its_primitive() {
+        use crate::primitives::{self as p, MergeOpts, MergeRule, Who};
+        const MERGE: MergeOpts = MergeOpts {
+            pushers: Who::ActiveOnly,
+            inactive_merge_only: true,
+            rule: MergeRule::Random,
+            smaller_only: false,
+            mark_merged_active: true,
+        };
+        type Step = (&'static str, fn(&mut ClusterSim));
+        // Every primitive that prepares replies or fills the arrival log.
+        let steps: [Step; 14] = [
+            ("grow_push_round", |s| {
+                let _ = p::grow_push_round(s, Who::AllClustered);
+            }),
+            ("activate", |s| p::activate(s, 0.5)),
+            ("size_round", |s| {
+                p::collect_members(s, Who::AllClustered);
+                let _ = p::size_round(s, Who::AllClustered, None);
+            }),
+            ("merge_iteration", |s| p::merge_iteration(s, MERGE)),
+            ("flatten_round", p::flatten_round),
+            ("grow_control_iteration", |s| {
+                let _ = p::grow_control_iteration(s, 4, 1.5);
+            }),
+            ("resize", |s| p::resize(s, 4, Who::AllClustered)),
+            ("dissolve", |s| p::dissolve(s, 2, Who::AllClustered)),
+            ("unclustered_pull_round", |s| {
+                let _ = p::unclustered_pull_round(s);
+            }),
+            ("share_rumor", p::share_rumor),
+            ("consolidate", p::consolidate),
+            ("broadcast_success_test", |s| {
+                let _ = crate::estimate::broadcast_success_test(s);
+            }),
+            ("aggregate", |s| {
+                let _ = crate::tasks::aggregate(s, &[1; 256], crate::tasks::Combine::Sum);
+            }),
+            ("broadcast_on", |s| {
+                let cfg = crate::config::PushPullConfig::default();
+                let _ = crate::cluster_push_pull::broadcast_on(s, 16, &cfg);
+            }),
+        ];
+        let mut s = sim(256);
+        p::sample_singletons(&mut s, 0.1);
+        for (name, step) in steps {
+            step(&mut s);
+            assert!(s.replies.is_empty(), "{name} left prepared replies");
+            assert_eq!(s.arrivals.iter().count(), 0, "{name} left arrivals");
+        }
+        assert!(s.net.metrics().messages > 0, "the primitives talked");
     }
 
     #[test]

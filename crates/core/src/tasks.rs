@@ -7,13 +7,13 @@
 //! associative aggregate (count, sum, min, max) costs two rounds and two
 //! messages per node through the `ClusterShare` pattern.
 
-use phonecall::{Action, Delivery, NodeId, Target};
+use phonecall::NodeId;
 
 use crate::config::Cluster2Config;
-use crate::msg::{Msg, MsgKind};
+use crate::msg::MsgKind;
 use crate::primitives::{collect_members, size_round, Who};
 use crate::report::RunReport;
-use crate::sim::ClusterSim;
+use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
 /// Builds a network-spanning cluster with `Cluster2` (the broadcast is
 /// run too — the rumor doubles as the liveness beacon) and returns the
@@ -106,65 +106,32 @@ pub fn aggregate(sim: &mut ClusterSim, values: &[u64], op: Combine) -> u64 {
 /// aggregate).
 fn aggregate_everywhere(sim: &mut ClusterSim, values: &[u64], op: Combine) -> Vec<u64> {
     assert_eq!(values.len(), sim.n(), "one value per node");
-    let id_bits = sim.id_bits;
-    let rumor_bits = sim.rumor_bits;
 
     // Each node starts from its own input; leaders fold what arrives.
     let mut held = values.to_vec();
-    sim.net.round(
-        |ctx, _rng| {
-            let s = ctx.state;
-            if s.is_follower() {
-                Action::Push {
-                    to: Target::Direct(s.leader().expect("follower has leader")),
-                    msg: Msg::new(
-                        MsgKind::Count(values[ctx.idx.as_usize()]),
-                        id_bits,
-                        rumor_bits,
-                    ),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |_s| None,
-        |s, d| {
-            if let Delivery::Push { msg, .. } = d {
-                if let MsgKind::Count(v) = msg.kind {
-                    let acc = &mut held[s.idx.as_usize()];
-                    *acc = op.apply(*acc, v);
-                }
+    push_round(
+        &mut sim.net,
+        sim.wire,
+        |s| to_leader(s).map(|to| (to, MsgKind::Count(values[s.idx.as_usize()]))),
+        |s, kind| {
+            if let MsgKind::Count(v) = kind {
+                let acc = &mut held[s.idx.as_usize()];
+                *acc = op.apply(*acc, v);
             }
         },
     );
     // Leaders publish; members pull.
-    let replies = &mut sim.replies;
     for s in sim.net.states() {
         if s.is_leader() {
             let total = MsgKind::Count(held[s.idx.as_usize()]);
-            replies.set(s.idx, Msg::new(total, id_bits, rumor_bits));
+            sim.replies.set(s.idx, sim.wire.msg(total));
         }
     }
-    sim.net.round(
-        |ctx, _rng| {
-            if ctx.state.is_follower() {
-                Action::<Msg>::Pull {
-                    to: Target::Direct(ctx.state.leader().expect("has leader")),
-                }
-            } else {
-                Action::Idle
-            }
-        },
-        |s| replies.get(s.idx),
-        |s, d| {
-            if let Delivery::PullReply { msg, .. } = d {
-                if let MsgKind::Count(v) = msg.kind {
-                    held[s.idx.as_usize()] = v;
-                }
-            }
-        },
-    );
-    replies.clear();
+    pull_round(&mut sim.net, &mut sim.replies, to_leader, |s, kind| {
+        if let MsgKind::Count(v) = kind {
+            held[s.idx.as_usize()] = v;
+        }
+    });
     held
 }
 
