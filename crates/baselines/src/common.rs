@@ -1,8 +1,13 @@
-//! Shared node state, messages and report assembly for the baselines.
+//! Shared node state, messages, the rumor round and report assembly for
+//! the baselines.
+//!
+//! Push, Pull, PushPull, Karp and the oracle tree differ only in who
+//! calls whom, and when: each is a call rule ([`Call`]) handed to
+//! [`rumor_round`], the one exchange they all share.
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{BitSet, Network, Wire};
+use phonecall::{Action, BitSet, Delivery, Network, NodeCtx, Target, Wire};
 
 /// Node state for the rumor-spreading baselines.
 #[derive(Clone, Debug, Default)]
@@ -70,6 +75,73 @@ pub fn rumor_network(n: usize, cfg: &CommonConfig) -> Network<RumorNode> {
     net
 }
 
+/// A node's one call of a rumor round.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Call {
+    /// PUSH the rumor (with the caller's birth round) to the target.
+    Push(Target),
+    /// PULL from the target; it answers with the rumor if it knows it.
+    Pull(Target),
+}
+
+/// One [`Network::round`] of the rumor exchange under the call rule
+/// `call` (`None`: stay silent). A responder answers a pull only if it
+/// is informed; an uninformed node adopts the first rumor delivered to
+/// it, by push or by pull reply, with that rumor's birth round. The
+/// engine RNG is never drawn from here.
+pub fn rumor_round(
+    net: &mut Network<RumorNode>,
+    rumor_bits: u64,
+    call: impl Fn(&NodeCtx<'_, RumorNode>) -> Option<Call>,
+) {
+    let rumor = |s: &RumorNode| BaselineMsg::Rumor {
+        birth: s.birth,
+        bits: rumor_bits,
+    };
+    net.round(
+        |ctx, _rng| match call(&ctx) {
+            Some(Call::Push(to)) => Action::Push {
+                to,
+                msg: rumor(ctx.state),
+            },
+            Some(Call::Pull(to)) => Action::Pull { to },
+            None => Action::Idle,
+        },
+        |s| s.informed.then(|| rumor(s)),
+        |s, d| {
+            if let Delivery::Push {
+                msg: BaselineMsg::Rumor { birth, .. },
+                ..
+            }
+            | Delivery::PullReply {
+                msg: BaselineMsg::Rumor { birth, .. },
+                ..
+            } = d
+            {
+                if !s.informed {
+                    s.informed = true;
+                    s.birth = birth;
+                }
+            }
+        },
+    );
+}
+
+/// Runs [`rumor_round`] under `call` until every alive node is informed
+/// or `cap` rounds have run, and reports the finished network.
+#[must_use]
+pub fn spread(
+    mut net: Network<RumorNode>,
+    rumor_bits: u64,
+    cap: u64,
+    call: impl Fn(&NodeCtx<'_, RumorNode>) -> Option<Call>,
+) -> RunReport {
+    while informed_count(&net) < net.alive_count() && net.round_number() < cap {
+        rumor_round(&mut net, rumor_bits, &call);
+    }
+    report_from(&net)
+}
+
 /// Assembles a [`RunReport`] from a finished baseline network.
 #[must_use]
 pub fn report_from(net: &Network<RumorNode>) -> RunReport {
@@ -128,6 +200,49 @@ mod tests {
             id_bits: 20,
         };
         assert_eq!(ids.size_bits(), 36);
+    }
+
+    /// Every node in `from` pushes directly to `to` this round.
+    fn push_to(net: &mut Network<RumorNode>, from: &[usize], to: usize) {
+        let target = Target::Direct(net.id_of(phonecall::NodeIdx(to as u32)));
+        rumor_round(net, 64, |ctx| {
+            from.contains(&ctx.idx.as_usize())
+                .then_some(Call::Push(target))
+        });
+    }
+
+    #[test]
+    fn the_first_rumor_delivered_is_adopted_and_kept() {
+        let mut net = rumor_network(8, &CommonConfig::default());
+        for (i, birth) in [(1, 5), (2, 9)] {
+            let s = &mut net.states_mut()[i];
+            s.informed = true;
+            s.birth = birth;
+        }
+        // Two pushes with different births land on node 3 in one round;
+        // the lower index lands first under the sync engine.
+        push_to(&mut net, &[1, 2], 3);
+        assert!(net.states()[3].informed);
+        assert_eq!(net.states()[3].birth, 5, "first delivered push wins");
+        // A later push does not overwrite an adopted birth, nor an
+        // informed node's own.
+        push_to(&mut net, &[2], 3);
+        push_to(&mut net, &[2], 1);
+        assert_eq!(net.states()[3].birth, 5);
+        assert_eq!(net.states()[1].birth, 5);
+        assert_eq!(net.states()[2].birth, 9);
+    }
+
+    #[test]
+    fn an_uninformed_responder_does_not_answer_a_pull() {
+        let mut net = rumor_network(8, &CommonConfig::default());
+        let target = Target::Direct(net.id_of(phonecall::NodeIdx(5)));
+        rumor_round(&mut net, 64, |ctx| {
+            (ctx.idx.as_usize() == 4).then_some(Call::Pull(target))
+        });
+        let r = report_from(&net);
+        assert_eq!((r.messages, r.payload_messages), (1, 0));
+        assert!(!net.states()[4].informed);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //!
 //! The rumor carries its birth round; with synchronous rounds every node
 //! can evaluate the rumor's age locally. An informed node **pushes** only
-//! while the age is below `0.7·log₂ n + c₁·log log n` (the exponential
-//! growth phase — stopping here keeps total pushes a geometric sum of
-//! `O(n)` instead of letting a saturated network push for the whole
-//! coupon-collector tail) and the protocol runs `c₂·log log n` further
-//! rounds in which uninformed nodes PULL and informed nodes answer (the
-//! quadratic-shrinking end-game). Each node therefore transmits the
+//! while the age is at most [`push_phase_rounds`]`(n) =
+//! ⌈0.65·log₂ n + c₁·log log n⌉` (the exponential growth phase —
+//! stopping here keeps total pushes a geometric sum of `O(n)` instead of
+//! letting a saturated network push for the whole coupon-collector tail);
+//! uninformed nodes PULL every round, and the protocol runs
+//! `⌈c₂·log log n⌉ + 2` further rounds in which only those pulls and the
+//! informed answers remain (the quadratic-shrinking end-game). Each node
+//! therefore transmits the
 //! (large, `b`-bit) rumor `O(1)` times on average with an
 //! `O(log log n)`-round transmission window, while header-only pull
 //! requests are accounted separately — matching the accounting of \[10\],
@@ -23,23 +25,27 @@
 use gossip_core::config::{log2n, loglog2n};
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
-use crate::common::{report_from, rumor_network, BaselineMsg};
+use crate::common::{report_from, rumor_network, rumor_round, Call};
 
 /// `c₁`: push-phase extension in units of `log log n`.
 const C1: f64 = 1.0;
 /// `c₂`: pull end-game length in units of `log log n`.
 const C2: f64 = 5.0;
 
-/// Rounds of the push phase for a network of `n` nodes.
+/// Rounds of the push phase for a network of `n` nodes:
+/// `⌈0.65·log₂ n + c₁·log log n⌉`. An informed node pushes while the
+/// rumor's age is at most this.
 ///
-/// Combined push+pull growth is a factor `≈2.5` per round, so
-/// `log₂ n / log₂ 2.5 ≈ 0.76·log₂ n` rounds reach saturation; the window
-/// closes `c₁·log log n` rounds after the *expected* saturation point so
-/// the post-saturation overhang — during which the whole network pushes —
-/// costs only `O(log log n)` transmissions per node. Pushing longer is
-/// exactly what the counter-termination exists to avoid.
+/// While few nodes are informed, each round's pushes double the informed
+/// set and the uninformed pulls add about as many again, a growth factor
+/// near 3, so `log₃ n ≈ 0.63·log₂ n` rounds reach saturation. The window
+/// closes `c₁·log log n` rounds after `0.65·log₂ n`, just past that
+/// point, so the post-saturation overhang — during which the whole
+/// network pushes — costs only `O(log log n)` transmissions per node.
+/// Pushing longer is exactly what the counter-termination exists to
+/// avoid.
 #[must_use]
 pub fn push_phase_rounds(n: usize) -> u64 {
     (0.65 * log2n(n) + C1 * loglog2n(n)).ceil() as u64
@@ -64,57 +70,18 @@ pub fn total_rounds(n: usize) -> u64 {
 #[must_use]
 pub fn run(n: usize, cfg: &CommonConfig) -> RunReport {
     let mut net = rumor_network(n, cfg);
-    let rumor_bits = cfg.rumor_bits;
     let push_until = push_phase_rounds(n);
-    let total = total_rounds(n);
-
-    for _ in 0..total {
-        net.round(
-            |ctx, _rng| {
-                let s = ctx.state;
-                if s.informed {
-                    let age = ctx.round.saturating_sub(s.birth);
-                    if age <= push_until {
-                        Action::Push {
-                            to: Target::Random,
-                            msg: BaselineMsg::Rumor {
-                                birth: s.birth,
-                                bits: rumor_bits,
-                            },
-                        }
-                    } else {
-                        Action::Idle
-                    }
-                } else {
-                    Action::Pull { to: Target::Random }
-                }
-            },
-            |s| {
-                s.informed.then_some(BaselineMsg::Rumor {
-                    birth: s.birth,
-                    bits: rumor_bits,
-                })
-            },
-            |s, d| {
-                let rumor = match d {
-                    Delivery::Push {
-                        msg: BaselineMsg::Rumor { birth, .. },
-                        ..
-                    }
-                    | Delivery::PullReply {
-                        msg: BaselineMsg::Rumor { birth, .. },
-                        ..
-                    } => Some(birth),
-                    _ => None,
-                };
-                if let Some(birth) = rumor {
-                    if !s.informed {
-                        s.informed = true;
-                        s.birth = birth;
-                    }
-                }
-            },
-        );
+    for _ in 0..total_rounds(n) {
+        rumor_round(&mut net, cfg.rumor_bits, |ctx| {
+            let s = ctx.state;
+            if !s.informed {
+                Some(Call::Pull(Target::Random))
+            } else if ctx.round.saturating_sub(s.birth) <= push_until {
+                Some(Call::Push(Target::Random))
+            } else {
+                None
+            }
+        });
     }
     report_from(&net)
 }

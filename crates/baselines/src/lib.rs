@@ -14,6 +14,12 @@
 //! algorithms, so round/message/bit/fan-in numbers are directly
 //! comparable. Every broadcast baseline returns the same
 //! [`gossip_core::RunReport`].
+//!
+//! The five rumor baselines — [`push`], [`pull`], [`push_pull`],
+//! [`karp`] and [`tree`] — are call rules over one exchange,
+//! [`common::rumor_round`]: each says only who PUSHes or PULLs whom in a
+//! round. [`registry`] describes all eleven algorithms as one
+//! [`gossip_core::algo::Algo`] row each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

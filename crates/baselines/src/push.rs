@@ -8,9 +8,9 @@
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
-use crate::common::{informed_count, report_from, round_cap, rumor_network, BaselineMsg};
+use crate::common::{round_cap, rumor_network, spread, Call};
 
 /// Runs PUSH gossip until every alive node is informed (or a generous
 /// round cap is hit).
@@ -24,40 +24,9 @@ use crate::common::{informed_count, report_from, round_cap, rumor_network, Basel
 /// ```
 #[must_use]
 pub fn run(n: usize, cfg: &CommonConfig) -> RunReport {
-    let mut net = rumor_network(n, cfg);
-    let rumor_bits = cfg.rumor_bits;
-    let cap = round_cap(n);
-    while informed_count(&net) < net.alive_count() && net.round_number() < cap {
-        net.round(
-            |ctx, _rng| {
-                if ctx.state.informed {
-                    Action::Push {
-                        to: Target::Random,
-                        msg: BaselineMsg::Rumor {
-                            birth: ctx.state.birth,
-                            bits: rumor_bits,
-                        },
-                    }
-                } else {
-                    Action::Idle
-                }
-            },
-            |_s| None,
-            |s, d| {
-                if let Delivery::Push {
-                    msg: BaselineMsg::Rumor { birth, .. },
-                    ..
-                } = d
-                {
-                    if !s.informed {
-                        s.informed = true;
-                        s.birth = birth;
-                    }
-                }
-            },
-        );
-    }
-    report_from(&net)
+    spread(rumor_network(n, cfg), cfg.rumor_bits, round_cap(n), |ctx| {
+        ctx.state.informed.then_some(Call::Push(Target::Random))
+    })
 }
 
 #[cfg(test)]

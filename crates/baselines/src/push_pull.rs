@@ -10,9 +10,9 @@
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
-use crate::common::{informed_count, report_from, round_cap, rumor_network, BaselineMsg};
+use crate::common::{round_cap, rumor_network, spread, Call};
 
 /// Runs PUSH-PULL until every alive node is informed (or the cap).
 ///
@@ -23,52 +23,13 @@ use crate::common::{informed_count, report_from, round_cap, rumor_network, Basel
 /// ```
 #[must_use]
 pub fn run(n: usize, cfg: &CommonConfig) -> RunReport {
-    let mut net = rumor_network(n, cfg);
-    let rumor_bits = cfg.rumor_bits;
-    let cap = round_cap(n);
-    while informed_count(&net) < net.alive_count() && net.round_number() < cap {
-        net.round(
-            |ctx, _rng| {
-                if ctx.state.informed {
-                    Action::Push {
-                        to: Target::Random,
-                        msg: BaselineMsg::Rumor {
-                            birth: ctx.state.birth,
-                            bits: rumor_bits,
-                        },
-                    }
-                } else {
-                    Action::Pull { to: Target::Random }
-                }
-            },
-            |s| {
-                s.informed.then_some(BaselineMsg::Rumor {
-                    birth: s.birth,
-                    bits: rumor_bits,
-                })
-            },
-            |s, d| {
-                let rumor = match d {
-                    Delivery::Push {
-                        msg: BaselineMsg::Rumor { birth, .. },
-                        ..
-                    }
-                    | Delivery::PullReply {
-                        msg: BaselineMsg::Rumor { birth, .. },
-                        ..
-                    } => Some(birth),
-                    _ => None,
-                };
-                if let Some(birth) = rumor {
-                    if !s.informed {
-                        s.informed = true;
-                        s.birth = birth;
-                    }
-                }
-            },
-        );
-    }
-    report_from(&net)
+    spread(rumor_network(n, cfg), cfg.rumor_bits, round_cap(n), |ctx| {
+        Some(if ctx.state.informed {
+            Call::Push(Target::Random)
+        } else {
+            Call::Pull(Target::Random)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The algorithm registry: every gossip algorithm in the repository —
-//! the four paper algorithms and the seven baselines — as
-//! `&'static dyn Algorithm`, addressable by name.
+//! the four paper algorithms and the seven baselines — as one
+//! [`Algo`] row each, held as `&'static dyn Algorithm` and addressable
+//! by name.
 //!
 //! This is the single dispatch point the experiment binaries
 //! (`--algo <name>` / `--list-algos`), the examples and the golden-report
@@ -23,134 +24,89 @@
 use std::fmt;
 
 use gossip_core::algo::{
-    Algorithm, DeltaParams, Law, Scenario, CLUSTER1, CLUSTER2, CLUSTER3, CLUSTER_PUSH_PULL,
+    Algo, Algorithm, DeltaParams, Law, CLUSTER1, CLUSTER2, CLUSTER3, CLUSTER_PUSH_PULL,
 };
-use gossip_core::params::{overridden, ParamError, Params, Value};
-use gossip_core::report::RunReport;
+use gossip_core::params::{overridden, Params};
 use phonecall::knob::{normalize, Knob, Knobs, Slot};
 
 use crate::name_dropper::{self, Topology};
 use crate::{avin_elsasser, karp, pull, push, push_pull, tree};
 
-macro_rules! simple_baseline {
-    ($struct_name:ident, $static_name:ident, $name:literal, $law:expr, $about:literal, $module:ident) => {
-        #[doc = concat!("[`", stringify!($module), "`] as a trait object.")]
-        pub struct $struct_name;
-
-        #[doc = $about]
-        pub static $static_name: $struct_name = $struct_name;
-
-        impl Algorithm for $struct_name {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn about(&self) -> &'static str {
-                $about
-            }
-
-            fn law(&self) -> Law {
-                $law
-            }
-
-            fn default_params(&self) -> Value {
-                ().params()
-            }
-
-            fn run_with_params(
-                &self,
-                scenario: &Scenario,
-                overrides: &Value,
-            ) -> Result<RunReport, ParamError> {
-                overridden($name, (), overrides)?;
+/// The row of a baseline with no tunables: `$module::run(n, common)`.
+macro_rules! plain {
+    ($name:literal, $law:ident, $about:literal, $module:ident) => {
+        Algo {
+            name: $name,
+            about: $about,
+            law: Law::$law,
+            params: || ().params(),
+            run: |name, scenario, overrides| {
+                overridden(name, (), overrides)?;
                 Ok($module::run(scenario.n(), scenario.common()))
-            }
+            },
         }
     };
 }
 
-simple_baseline!(
-    PushAlgo,
-    PUSH,
+/// Uniform PUSH gossip — see [`push`].
+pub static PUSH: Algo = plain!(
     "Push",
-    Law::Log,
+    Log,
     "Uniform PUSH gossip (Pittel): Theta(log n) rounds, Theta(log n) msgs/node",
     push
 );
-simple_baseline!(
-    PullAlgo,
-    PULL,
+
+/// Uniform PULL gossip — see [`pull`].
+pub static PULL: Algo = plain!(
     "Pull",
-    Law::Log,
+    Log,
     "Uniform PULL gossip: Theta(log n) rounds, Theta(log n) requests/node",
     pull
 );
-simple_baseline!(
-    PushPullAlgo,
-    PUSH_PULL,
+
+/// PUSH-PULL (informed push, uninformed pull) — see [`push_pull`].
+pub static PUSH_PULL: Algo = plain!(
     "PushPull",
-    Law::Log,
+    Log,
     "PUSH-PULL (informed push, uninformed pull): Theta(log n) rounds",
     push_pull
 );
-simple_baseline!(
-    KarpAlgo,
-    KARP,
+
+/// Karp et al. counter-terminated PUSH-PULL — see [`karp`].
+pub static KARP: Algo = plain!(
     "Karp",
-    Law::Log,
+    Log,
     "Karp et al. counter-terminated PUSH-PULL: Theta(log n) rounds, Theta(log log n) transmissions",
     karp
 );
-simple_baseline!(
-    AvinElsasserAlgo,
-    AVIN_ELSASSER,
+
+/// Avin–Elsässer structural reconstruction — see [`avin_elsasser`].
+pub static AVIN_ELSASSER: Algo = plain!(
     "AvinElsasser",
-    Law::SqrtLog,
+    SqrtLog,
     "Avin-Elsasser structural reconstruction: Theta(sqrt(log n)) rounds",
     avin_elsasser
 );
 
-/// [`name_dropper`] as a trait object (resource discovery, not broadcast:
-/// `informed` counts nodes with complete knowledge, `success` means the
-/// knowledge graph closed).
-pub struct NameDropperAlgo;
-
-/// Name-Dropper resource discovery (Harchol-Balter, Leighton & Lewin).
-pub static NAME_DROPPER: NameDropperAlgo = NameDropperAlgo;
-
-impl Algorithm for NameDropperAlgo {
-    fn name(&self) -> &'static str {
-        "NameDropper"
-    }
-
-    fn about(&self) -> &'static str {
-        "Name-Dropper resource discovery: O(log^2 n) rounds, Theta(n log n)-bit messages"
-    }
-
-    fn law(&self) -> Law {
-        Law::LogSquared
-    }
-
-    fn default_params(&self) -> Value {
-        NameDropperParams(Topology::Ring).params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
+/// Name-Dropper resource discovery (Harchol-Balter, Leighton & Lewin) —
+/// see [`name_dropper`]. Discovery, not broadcast: `informed` counts
+/// nodes with complete knowledge, `success` means the knowledge graph
+/// closed.
+pub static NAME_DROPPER: Algo = Algo {
+    name: "NameDropper",
+    about: "Name-Dropper resource discovery: O(log^2 n) rounds, Theta(n log n)-bit messages",
+    law: Law::LogSquared,
+    params: || NameDropperParams(Topology::Ring).params(),
+    run: |name, scenario, overrides| {
         let NameDropperParams(topology) =
-            overridden(self.name(), NameDropperParams(Topology::Ring), overrides)?;
-        let n = scenario.n();
-        if n < 2 {
-            return Err(ParamError(format!(
-                "scenario size \"n\" wants at least 2 for NameDropper (discovery needs someone to discover), got {n}"
-            )));
-        }
-        Ok(name_dropper::run_report(n, topology, scenario.common()))
-    }
-}
+            overridden(name, NameDropperParams(Topology::Ring), overrides)?;
+        Ok(name_dropper::run_report(
+            scenario.n(),
+            topology,
+            scenario.common(),
+        ))
+    },
+};
 
 /// Name-Dropper's one knob: the initial knowledge graph.
 #[derive(Clone, Debug)]
@@ -162,45 +118,19 @@ impl Knobs for NameDropperParams {
     }
 }
 
-/// [`tree`] as a trait object: the oracle `Δ`-ary PULL tree, the
-/// unreachable optimum of Lemma 16.
-pub struct TreeAlgo;
-
 /// Oracle `Δ`-ary PULL tree: exactly `⌈log_Δ n⌉` rounds with free
-/// address knowledge.
-pub static TREE: TreeAlgo = TreeAlgo;
-
-impl Algorithm for TreeAlgo {
-    fn name(&self) -> &'static str {
-        "Tree"
-    }
-
-    fn about(&self) -> &'static str {
-        "Oracle delta-ary PULL tree: exactly ceil(log_delta n) rounds (Lemma 16 optimum)"
-    }
-
-    fn law(&self) -> Law {
-        Law::TreeDepth
-    }
-
-    fn default_params(&self) -> Value {
-        DeltaParams::new(tree::MIN_DELTA, ()).params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
-        let p = overridden(
-            self.name(),
-            DeltaParams::new(tree::MIN_DELTA, ()),
-            overrides,
-        )?;
+/// address knowledge, the unreachable optimum of Lemma 16 — see [`tree`].
+pub static TREE: Algo = Algo {
+    name: "Tree",
+    about: "Oracle delta-ary PULL tree: exactly ceil(log_delta n) rounds (Lemma 16 optimum)",
+    law: Law::TreeDepth,
+    params: || DeltaParams::new(tree::MIN_DELTA, ()).params(),
+    run: |name, scenario, overrides| {
+        let p = overridden(name, DeltaParams::new(tree::MIN_DELTA, ()), overrides)?;
         let delta = p.delta_for(scenario.n());
         Ok(tree::run(scenario.n(), delta, scenario.common()))
-    }
-}
+    },
+};
 
 /// Every algorithm in the repository, headline comparison first: the
 /// seven broadcast algorithms compared across experiments E1–E3 (in their
@@ -271,6 +201,8 @@ pub fn by_name(name: &str) -> Result<&'static dyn Algorithm, UnknownAlgorithm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_core::algo::Scenario;
+    use gossip_core::params::Value;
 
     #[test]
     fn registry_has_all_eleven() {

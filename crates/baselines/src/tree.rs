@@ -17,9 +17,9 @@
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Action, Delivery, Target};
+use phonecall::Target;
 
-use crate::common::{informed_count, report_from, rumor_network, BaselineMsg};
+use crate::common::{rumor_network, spread, Call};
 
 /// The least fan-out the tree runs with.
 pub const MIN_DELTA: usize = 2;
@@ -64,8 +64,7 @@ pub fn run(n: usize, delta: usize, cfg: &CommonConfig) -> RunReport {
     );
     let mut root_cfg = cfg.clone();
     root_cfg.source = 0;
-    let mut net = rumor_network(n, &root_cfg);
-    let rumor_bits = cfg.rumor_bits;
+    let net = rumor_network(n, &root_cfg);
 
     // Oracle address table: parent of node i is (i-1)/delta, pulled
     // exactly at the node's tree depth (the oracle schedule keeps each
@@ -86,43 +85,14 @@ pub fn run(n: usize, delta: usize, cfg: &CommonConfig) -> RunReport {
     }
 
     let budget = predicted_rounds(n, delta) + 2;
-    for _ in 0..budget {
-        if informed_count(&net) == net.alive_count() {
-            break;
+    spread(net, cfg.rumor_bits, budget, |ctx| {
+        let i = ctx.idx.as_usize();
+        if ctx.state.informed || ctx.round + 1 != depth[i] {
+            None
+        } else {
+            parents[i].map(|p| Call::Pull(Target::Direct(p)))
         }
-        net.round(
-            |ctx, _rng| {
-                let i = ctx.idx.as_usize();
-                if ctx.state.informed || ctx.round + 1 != depth[i] {
-                    Action::<BaselineMsg>::Idle
-                } else {
-                    match parents[i] {
-                        Some(p) => Action::Pull {
-                            to: Target::Direct(p),
-                        },
-                        None => Action::Idle,
-                    }
-                }
-            },
-            |s| {
-                s.informed.then_some(BaselineMsg::Rumor {
-                    birth: s.birth,
-                    bits: rumor_bits,
-                })
-            },
-            |s, d| {
-                if let Delivery::PullReply {
-                    msg: BaselineMsg::Rumor { birth, .. },
-                    ..
-                } = d
-                {
-                    s.informed = true;
-                    s.birth = birth;
-                }
-            },
-        );
-    }
-    report_from(&net)
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The first-class algorithm abstraction: an object-safe [`Algorithm`]
 //! trait, the [`Scenario`] builder that describes *what* to run, and the
-//! paper algorithms as trait objects.
+//! paper algorithms as rows of [`Algo`], the trait's one implementation.
 //!
 //! The paper's headline claim is a *comparison* — Algorithms 1–4 against
 //! PUSH, PUSH-PULL, Karp et al. and Name-Dropper — so a harness must be
@@ -19,8 +19,8 @@
 //! ```
 //!
 //! The free `run(n, &Config)` functions remain the primary entry points —
-//! the trait impls here are thin wrappers over them, so every golden
-//! digest stays bit-identical whichever door a caller comes through.
+//! each row's `run` is a thin wrapper over one, so every golden digest
+//! stays bit-identical whichever door a caller comes through.
 
 use phonecall::knob::{Knob, Slot};
 use phonecall::{
@@ -273,9 +273,9 @@ fn valid<T: Knobs>(cfg: T) -> T {
 /// A gossip algorithm as a first-class object.
 ///
 /// Object safe: registries hold `&'static dyn Algorithm`, harnesses take
-/// `&dyn Algorithm`. Implementations are stateless unit structs wrapping
-/// the existing free `run` functions, so running through the trait is
-/// bit-identical to calling the module function with the same config.
+/// `&dyn Algorithm`. Every algorithm is an [`Algo`] row wrapping its free
+/// `run` function, so running through the trait is bit-identical to
+/// calling the module function with the same config.
 pub trait Algorithm: Sync {
     /// Stable display name (also the trial-seed label and the `--algo`
     /// CLI name; matching is case- and separator-insensitive).
@@ -297,8 +297,9 @@ pub trait Algorithm: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ParamError`] for unknown keys or wrongly typed values;
-    /// the error names the valid keys.
+    /// Returns [`ParamError`] for unknown keys or wrongly typed values
+    /// (the error names the valid keys), and for a scenario that does not
+    /// fit its `n` ([`CommonConfig::check`]).
     fn run_with_params(
         &self,
         scenario: &Scenario,
@@ -306,9 +307,59 @@ pub trait Algorithm: Sync {
     ) -> Result<RunReport, ParamError>;
 
     /// Runs the scenario with default parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ParamError`] text if the scenario does not fit
+    /// its `n`.
     fn run(&self, scenario: &Scenario) -> RunReport {
         self.run_with_params(scenario, &Value::empty())
-            .expect("empty overrides are always valid")
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
+    }
+}
+
+/// One registered algorithm, as a row: its listing fields plus two plain
+/// functions, one for its default tunables and one that applies
+/// overrides and runs a scenario. The only [`Algorithm`] implementation.
+#[derive(Debug)]
+pub struct Algo {
+    /// [`Algorithm::name`].
+    pub name: &'static str,
+    /// [`Algorithm::about`].
+    pub about: &'static str,
+    /// [`Algorithm::law`].
+    pub law: Law,
+    /// [`Algorithm::default_params`].
+    pub params: fn() -> Value,
+    /// Applies the overrides (errors name the algorithm, passed first)
+    /// and runs a scenario already checked against its `n`.
+    pub run: fn(&str, &Scenario, &Value) -> Result<RunReport, ParamError>,
+}
+
+impl Algorithm for Algo {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn about(&self) -> &'static str {
+        self.about
+    }
+
+    fn law(&self) -> Law {
+        self.law
+    }
+
+    fn default_params(&self) -> Value {
+        (self.params)()
+    }
+
+    fn run_with_params(
+        &self,
+        scenario: &Scenario,
+        overrides: &Value,
+    ) -> Result<RunReport, ParamError> {
+        scenario.common.check(scenario.n).map_err(ParamError)?;
+        (self.run)(self.name, scenario, overrides)
     }
 }
 
@@ -330,9 +381,8 @@ pub fn auto_delta(n: usize) -> usize {
 /// A `Δ`-parameterized algorithm's tunables: the fan-in bound `"delta"`
 /// as a knob row ahead of its config's own. `null` (the default) picks
 /// [`auto_delta`]; a set `Δ` below `min` is rejected, naming the knob and
-/// the minimum. Shared by every `Δ`-parameterized [`Algorithm`] impl,
-/// in-crate and in the baselines (the oracle tree, whose config is
-/// `()`).
+/// the minimum. Shared by every `Δ`-parameterized [`Algo`] row, in-crate
+/// and in the baselines (the oracle tree, whose config is `()`).
 #[derive(Clone, Debug)]
 pub struct DeltaParams<C> {
     /// The least `Δ` the algorithm runs with.
@@ -379,111 +429,49 @@ impl<C: Knobs> Knobs for DeltaParams<C> {
     }
 }
 
-/// Algorithm 1 (`Cluster1`) as a trait object — see [`crate::cluster1`].
-pub struct Cluster1Algo;
-
-/// Algorithm 1: `O(log log n)` rounds via cluster squaring (Theorem 9).
-pub static CLUSTER1: Cluster1Algo = Cluster1Algo;
-
-impl Algorithm for Cluster1Algo {
-    fn name(&self) -> &'static str {
-        "Cluster1"
-    }
-
-    fn about(&self) -> &'static str {
-        "Algorithm 1: O(log log n)-round gossip via cluster squaring (Theorem 9)"
-    }
-
-    fn law(&self) -> Law {
-        Law::LogLog
-    }
-
-    fn default_params(&self) -> Value {
-        Cluster1Config::default().params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
-        let mut cfg = overridden(self.name(), Cluster1Config::default(), overrides)?;
+/// Algorithm 1: `O(log log n)` rounds via cluster squaring (Theorem 9) —
+/// see [`crate::cluster1`].
+pub static CLUSTER1: Algo = Algo {
+    name: "Cluster1",
+    about: "Algorithm 1: O(log log n)-round gossip via cluster squaring (Theorem 9)",
+    law: Law::LogLog,
+    params: || Cluster1Config::default().params(),
+    run: |name, scenario, overrides| {
+        let mut cfg = overridden(name, Cluster1Config::default(), overrides)?;
         cfg.common = scenario.common().clone();
         Ok(cluster1::run(scenario.n(), &cfg))
-    }
-}
-
-/// Algorithm 2 (`Cluster2`) as a trait object — see [`crate::cluster2`].
-pub struct Cluster2Algo;
+    },
+};
 
 /// Algorithm 2: the headline result — `O(log log n)` rounds, `O(1)`
-/// messages/node, `O(nb)` bits (Theorem 2).
-pub static CLUSTER2: Cluster2Algo = Cluster2Algo;
-
-impl Algorithm for Cluster2Algo {
-    fn name(&self) -> &'static str {
-        "Cluster2"
-    }
-
-    fn about(&self) -> &'static str {
-        "Algorithm 2 (headline): O(log log n) rounds, O(1) msgs/node, O(nb) bits (Theorem 2)"
-    }
-
-    fn law(&self) -> Law {
-        Law::LogLog
-    }
-
-    fn default_params(&self) -> Value {
-        Cluster2Config::default().params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
-        let mut cfg = overridden(self.name(), Cluster2Config::default(), overrides)?;
+/// messages/node, `O(nb)` bits (Theorem 2) — see [`crate::cluster2`].
+pub static CLUSTER2: Algo = Algo {
+    name: "Cluster2",
+    about: "Algorithm 2 (headline): O(log log n) rounds, O(1) msgs/node, O(nb) bits (Theorem 2)",
+    law: Law::LogLog,
+    params: || Cluster2Config::default().params(),
+    run: |name, scenario, overrides| {
+        let mut cfg = overridden(name, Cluster2Config::default(), overrides)?;
         cfg.common = scenario.common().clone();
         Ok(cluster2::run(scenario.n(), &cfg))
-    }
-}
+    },
+};
 
-/// Algorithm 4 (`Cluster3(Δ)`) as a trait object — see [`crate::cluster3`].
+/// Algorithm 4: a `Θ(Δ)`-clustering in `O(log log n)` rounds with fan-in
+/// `≤ Δ` (Theorem 4/18) — see [`crate::cluster3`].
 ///
 /// The task is a `Δ`-clustering *construction*, not a broadcast, reported
 /// through the same [`RunReport`] shape: `informed` counts **clustered**
 /// nodes and `success` means the clustering is complete (every alive node
 /// clustered); `max_fan_in ≤ Δ` is the Theorem 4 guarantee to check.
-pub struct Cluster3Algo;
-
-/// Algorithm 4: a `Θ(Δ)`-clustering in `O(log log n)` rounds with fan-in
-/// `≤ Δ` (Theorem 4/18).
-pub static CLUSTER3: Cluster3Algo = Cluster3Algo;
-
-impl Algorithm for Cluster3Algo {
-    fn name(&self) -> &'static str {
-        "Cluster3"
-    }
-
-    fn about(&self) -> &'static str {
-        "Algorithm 4: Theta(delta)-clustering, O(log log n) rounds, fan-in <= delta (Theorem 4)"
-    }
-
-    fn law(&self) -> Law {
-        Law::LogLog
-    }
-
-    fn default_params(&self) -> Value {
-        DeltaParams::new(cluster3::MIN_DELTA, Cluster3Config::default()).params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
+pub static CLUSTER3: Algo = Algo {
+    name: "Cluster3",
+    about: "Algorithm 4: Theta(delta)-clustering, O(log log n) rounds, fan-in <= delta (Theorem 4)",
+    law: Law::LogLog,
+    params: || DeltaParams::new(cluster3::MIN_DELTA, Cluster3Config::default()).params(),
+    run: |name, scenario, overrides| {
         let p = DeltaParams::new(cluster3::MIN_DELTA, Cluster3Config::default());
-        let p = overridden(self.name(), p, overrides)?;
+        let p = overridden(name, p, overrides)?;
         let delta = p.delta_for(scenario.n());
         let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
@@ -493,47 +481,25 @@ impl Algorithm for Cluster3Algo {
         report.informed = delta_report.clustering.clustered;
         report.success = delta_report.complete;
         Ok(report)
-    }
-}
-
-/// Algorithm 3 (`ClusterPUSH-PULL(Δ)`) as a trait object — see
-/// [`crate::cluster_push_pull`].
-pub struct ClusterPushPullAlgo;
+    },
+};
 
 /// Algorithm 3: broadcast over a `Δ`-clustering in `O(log n / log Δ)`
-/// rounds (Lemma 17).
-pub static CLUSTER_PUSH_PULL: ClusterPushPullAlgo = ClusterPushPullAlgo;
-
-impl Algorithm for ClusterPushPullAlgo {
-    fn name(&self) -> &'static str {
-        "ClusterPushPull"
-    }
-
-    fn about(&self) -> &'static str {
-        "Algorithm 3: broadcast over a delta-clustering in O(log n/log delta) rounds (Lemma 17)"
-    }
-
-    fn law(&self) -> Law {
-        Law::LogOverLogDelta
-    }
-
-    fn default_params(&self) -> Value {
-        DeltaParams::new(cluster3::MIN_DELTA, PushPullConfig::default()).params()
-    }
-
-    fn run_with_params(
-        &self,
-        scenario: &Scenario,
-        overrides: &Value,
-    ) -> Result<RunReport, ParamError> {
+/// rounds (Lemma 17) — see [`crate::cluster_push_pull`].
+pub static CLUSTER_PUSH_PULL: Algo = Algo {
+    name: "ClusterPushPull",
+    about: "Algorithm 3: broadcast over a delta-clustering in O(log n/log delta) rounds (Lemma 17)",
+    law: Law::LogOverLogDelta,
+    params: || DeltaParams::new(cluster3::MIN_DELTA, PushPullConfig::default()).params(),
+    run: |name, scenario, overrides| {
         let p = DeltaParams::new(cluster3::MIN_DELTA, PushPullConfig::default());
-        let p = overridden(self.name(), p, overrides)?;
+        let p = overridden(name, p, overrides)?;
         let delta = p.delta_for(scenario.n());
         let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
         Ok(cluster_push_pull::run(scenario.n(), delta, &cfg))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -130,6 +130,37 @@ impl CommonConfig {
         net.set_engine(self.engine.clone(), self.seed);
         net
     }
+
+    /// Whether this environment fits a network of `n` nodes: `n ≥ 2`,
+    /// every node it names (source, extra sources, failures, churn's
+    /// protected set) below `n`, and [`Topology::check`]. The network
+    /// builders panic where this fails; every registered algorithm calls
+    /// it first to report the error instead. It reads no file: a
+    /// `FromFile` graph's size is checked where it loads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob (or `n`).
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        if n < 2 {
+            return Err(format!(
+                "scenario size \"n\" wants at least 2 (gossip needs at least two nodes), got {n}"
+            ));
+        }
+        let named = [("source", self.source)]
+            .into_iter()
+            .chain(self.extra_sources.iter().map(|&i| ("extra_sources", i)))
+            .chain(self.failures.failed().iter().map(|i| ("failures", i.0)))
+            .chain(self.churn.protected.iter().map(|&i| ("protected", i)));
+        for (knob, i) in named {
+            if i as usize >= n {
+                return Err(format!(
+                    "scenario knob {knob:?} names node {i}, outside 0..{n}"
+                ));
+            }
+        }
+        self.topology.check(n)
+    }
 }
 
 impl Knobs for CommonConfig {

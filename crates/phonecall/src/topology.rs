@@ -221,12 +221,6 @@ impl Topology {
             panic!("invalid topology: {e}");
         }
         if let Topology::FromAdjacency(lists) = self {
-            assert_eq!(
-                lists.len(),
-                n,
-                "topology knob \"adjacency\" describes {} nodes but the network has {n}",
-                lists.len()
-            );
             let adj = Adjacency::from_lists(lists.clone())
                 .unwrap_or_else(|e| panic!("invalid topology: {e}"));
             return Some(adj);
@@ -281,9 +275,10 @@ impl Topology {
 
     /// Whether the knobs fit a network of `n` nodes: the `n`-dependent
     /// rules [`Topology::validate`] cannot check (`degree < n`, `n·degree`
-    /// even, `k < n`, `m < n`) and `n ≥ 2`. [`Topology::build`] panics
-    /// where this fails; a front end calls it first to report the error
-    /// instead.
+    /// even, `k < n`, `m < n`, one adjacency list per node) and `n ≥ 2`.
+    /// [`Topology::build`] panics where this fails; a front end calls it
+    /// first to report the error instead. A `FromFile` graph's size is
+    /// not checked here: that needs the file.
     ///
     /// # Errors
     ///
@@ -291,6 +286,14 @@ impl Topology {
     pub fn check(&self, n: usize) -> Result<(), String> {
         if n < 2 {
             return Err(format!("gossip needs at least two nodes, got n = {n}"));
+        }
+        if let Topology::FromAdjacency(lists) = self {
+            if lists.len() != n {
+                return Err(format!(
+                    "topology knob \"adjacency\" describes {} nodes but the network has {n}",
+                    lists.len()
+                ));
+            }
         }
         let (knob, wants, got) = match *self {
             Topology::RandomRegular(d) if d as usize >= n => ("degree", "degree < n", d),
@@ -1102,6 +1105,11 @@ mod tests {
             (Topology::PreferentialAttachment(4), 4, "m < n"),
             (Topology::Ring, 1, "at least two nodes"),
             (Topology::Complete, 0, "at least two nodes"),
+            (
+                Topology::FromAdjacency(vec![vec![1], vec![0]]),
+                3,
+                "describes 2 nodes",
+            ),
         ] {
             let err = t.check(n).unwrap_err();
             assert!(err.contains(wants), "{} on n = {n}: {err}", t.name());
@@ -1113,6 +1121,7 @@ mod tests {
             (Topology::WattsStrogatz(40, 0.1), 41),
             (Topology::PreferentialAttachment(4), 5),
             (Topology::Ring, 2),
+            (Topology::FromAdjacency(vec![vec![1], vec![0]]), 2),
         ] {
             assert_eq!(t.check(n), Ok(()), "{} on n = {n}", t.name());
         }

@@ -313,6 +313,55 @@ fn out_of_range_constants_are_rejected_naming_the_knob() {
     }
 }
 
+/// A scenario that does not fit its `n` used to panic deep inside ten of
+/// the eleven runs (a one-node network, a source, failure or protected
+/// node off the end, a topology that cannot be built on `n`). Every
+/// algorithm now returns a `ParamError` naming the knob, before anything
+/// runs; the smallest network that fits still runs everywhere.
+#[test]
+fn a_scenario_that_does_not_fit_n_is_a_param_error() {
+    let eight = || Scenario::broadcast(8);
+    let cases = [
+        (Scenario::broadcast(1), "\"n\""),
+        (eight().source(8), "\"source\""),
+        (eight().extra_sources([3, 8]), "\"extra_sources\""),
+        (
+            eight().failures(FailurePlan::explicit(vec![NodeIdx(8)])),
+            "\"failures\"",
+        ),
+        (
+            eight().churn(ChurnConfig {
+                crash_rate: 0.1,
+                protected: vec![8],
+                ..ChurnConfig::default()
+            }),
+            "\"protected\"",
+        ),
+        (
+            Scenario::broadcast(9).topology(Topology::RandomRegular(3)),
+            "\"degree\"",
+        ),
+        (
+            eight().topology(Topology::FromAdjacency(vec![vec![1], vec![0]])),
+            "\"adjacency\"",
+        ),
+    ];
+    for algo in registry::all() {
+        for (scenario, knob) in &cases {
+            let err = algo
+                .run_with_params(scenario, &Value::empty())
+                .expect_err(knob);
+            assert!(err.0.contains(knob), "{}: {err}", algo.name());
+        }
+        assert!(
+            algo.run_with_params(&Scenario::broadcast(2), &Value::empty())
+                .is_ok(),
+            "{} on n = 2",
+            algo.name()
+        );
+    }
+}
+
 /// A `delta` below an algorithm's minimum used to panic inside
 /// `run_with_params`; it is a `ParamError` naming `"delta"` and the
 /// minimum (8 for the clusterings, 2 for the oracle tree).
