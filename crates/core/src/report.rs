@@ -48,7 +48,9 @@ pub struct RunReport {
     /// synchronous engine, where `rounds` is the only clock.
     pub virtual_time: f64,
     /// Events (activations + message arrivals) processed by the
-    /// asynchronous engine; `0` under the synchronous engine.
+    /// asynchronous engine, dead nodes' activations included (every
+    /// node's clock fires once per step); `0` under the synchronous
+    /// engine.
     pub events_processed: u64,
     /// Total messages.
     pub messages: u64,

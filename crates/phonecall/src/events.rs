@@ -40,11 +40,15 @@
 //!
 //! # Determinism
 //!
-//! The queue is a binary heap ordered by [`EventKey`] — `(virtual_time,
-//! seq, node)` compared via [`f64::total_cmp`] — and every event carries
-//! a unique `seq`, so the order is *total*: no tie ever falls back on
-//! allocation order or hash state. Clock offsets, latencies and loss
-//! verdicts draw from three dedicated reserved streams
+//! Events fire in [`EventKey`] order — `(virtual_time, seq, node)`
+//! compared via [`f64::total_cmp`] — and every event carries a unique
+//! `seq`, so the order is *total*: no tie ever falls back on allocation
+//! order or hash state. A step stamps its `n` activations first, node
+//! `i` with `seq = base + i`, before any message of the step, so the
+//! activations need no queue: they are one column of node indices
+//! sorted by `(time, index)`, and the drain merges a cursor over it
+//! with a binary heap of in-flight messages. Clock offsets, latencies
+//! and loss verdicts draw from three dedicated reserved streams
 //! ([`crate::rng::ASYNC_CLOCK_STREAM`] / [`ASYNC_LATENCY_STREAM`] /
 //! [`ASYNC_DELIVERY_STREAM`]), so installing [`Engine::Sync`] (the
 //! default) draws nothing at all and stays bit-identical to builds that
@@ -346,7 +350,7 @@ impl Knobs for Latency {
 ///
 /// `time` compares via [`f64::total_cmp`] and `seq` is unique per event
 /// (a single counter stamps activations and messages alike), so the
-/// order is total and strict — heap pops are seed-reproducible with no
+/// order is total and strict — the drain is seed-reproducible with no
 /// dependence on insertion order.
 #[derive(Clone, Copy, Debug)]
 pub struct EventKey {
@@ -431,9 +435,9 @@ type Inflight<M> = BinaryHeap<Reverse<MsgEv<M>>>;
 // ----------------------------------------------------------------------
 
 /// The asynchronous engine's run state: the three reserved random
-/// streams, the activation-clock heap, the global event stamp and the
-/// continuous clock. Boxed on [`Network`] so [`Engine::Sync`] costs one
-/// `Option` discriminant.
+/// streams, the step's sorted activation column, the global event stamp
+/// and the continuous clock. Boxed on [`Network`] so [`Engine::Sync`]
+/// costs one `Option` discriminant.
 #[derive(Debug)]
 pub(crate) struct AsyncState {
     cfg: AsyncConfig,
@@ -445,10 +449,18 @@ pub(crate) struct AsyncState {
     /// these from the engine stream, but the async draw *order* differs,
     /// so they get a stream of their own).
     delivery_rng: SmallRng,
-    /// Pending activations, min-heap. Capacity `n` — exactly one
-    /// activation per node per round, pushed into an empty heap — so
-    /// the steady-state loop never reallocates it.
-    clocks: BinaryHeap<Reverse<EventKey>>,
+    /// This step's activation time of node `i`, drawn in index order.
+    /// Node `i`'s activation is stamped `seq = base + i`, `base` being
+    /// the stamp counter when the step opens.
+    at: Vec<f64>,
+    /// Bucket offsets of the counting pass that builds `order`
+    /// (`n + 1` entries).
+    start: Vec<u32>,
+    /// Node indices sorted by `(at[i], i)`: the step's activations in
+    /// [`EventKey`] order. The three columns are sized `n` here and
+    /// overwritten every step, so the steady-state loop never
+    /// reallocates them.
+    order: Vec<u32>,
     seq: u64,
     virtual_time: f64,
     events: u64,
@@ -460,7 +472,9 @@ impl AsyncState {
             clock_rng: rng_from_seed(derive_seed(seed, ASYNC_CLOCK_STREAM)),
             latency_rng: rng_from_seed(derive_seed(seed, ASYNC_LATENCY_STREAM)),
             delivery_rng: rng_from_seed(derive_seed(seed, ASYNC_DELIVERY_STREAM)),
-            clocks: BinaryHeap::with_capacity(n),
+            at: vec![0.0; n],
+            start: vec![0; n + 1],
+            order: vec![0; n],
             seq: 0,
             virtual_time: 0.0,
             events: 0,
@@ -504,6 +518,92 @@ impl AsyncState {
         let key = self.next_key(arrive, dst);
         msgs.push(Reverse(MsgEv { key, src, kind }));
     }
+
+    /// Opens a step at the current clock: draws every node's activation
+    /// time in index order, stamps node `i` with `seq = base + i`, and
+    /// sorts the column. Returns `base`.
+    fn schedule_activations(&mut self) -> u64 {
+        let t0 = self.virtual_time;
+        for i in 0..self.at.len() {
+            self.at[i] = t0 + self.clock_gap();
+        }
+        let base = self.seq;
+        self.seq += self.at.len() as u64;
+        sort_by_time(&self.at, &mut self.start, &mut self.order);
+        base
+    }
+
+    /// The key of the activation at position `k` of the sorted column,
+    /// as it was stamped, or `None` past the last.
+    fn activation(&self, k: usize, base: u64) -> Option<EventKey> {
+        let &node = self.order.get(k)?;
+        Some(EventKey {
+            time: self.at[node as usize],
+            seq: base + u64::from(node),
+            node,
+        })
+    }
+}
+
+/// Fills `order` with the indices of `at` sorted by `(at[i], i)`, using
+/// `start` (`at.len() + 1` entries) for bucket offsets.
+///
+/// One stable counting pass spreads the indices over `n` equal-width
+/// buckets of `[lo, hi]`, then an insertion sort orders each bucket by
+/// time. The bucket is monotone in `t` — IEEE subtraction,
+/// multiplication, division and truncation all are — so the buckets
+/// come out in time order; stability keeps tied times in index order,
+/// and the insertion sort moves a key only past strictly later ones.
+/// The times are finite and positive (no clock gap is zero), where `>`
+/// agrees with [`f64::total_cmp`]. One step's activations are `n`
+/// i.i.d. exponential offsets spanning about `ln n` time units, so the
+/// densest buckets hold about `ln n` keys and the insertion sorts make
+/// about `n ln n / 8` moves in all: about two per key at `n = 2^20`.
+fn sort_by_time(at: &[f64], start: &mut [u32], order: &mut [u32]) {
+    let n = at.len();
+    let (lo, hi) = at
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
+            (lo.min(t), hi.max(t))
+        });
+    let span = hi - lo;
+    let bucket = |t: f64| {
+        if span > 0.0 {
+            (((t - lo) * n as f64 / span) as usize).min(n - 1)
+        } else {
+            0
+        }
+    };
+    // Count each bucket, prefix-sum into bucket ends, then fill back to
+    // front so each end walks down to its bucket's start: equal buckets
+    // keep index order.
+    start.fill(0);
+    for &t in at {
+        start[bucket(t)] += 1;
+    }
+    let mut end = 0;
+    for s in start.iter_mut() {
+        end += *s;
+        *s = end;
+    }
+    for i in (0..n).rev() {
+        let b = bucket(at[i]);
+        start[b] -= 1;
+        order[start[b] as usize] = i as u32;
+    }
+    for b in 0..n {
+        let (first, last) = (start[b] as usize, start[b + 1] as usize);
+        for k in first + 1..last {
+            let node = order[k];
+            let t = at[node as usize];
+            let mut j = k;
+            while j > first && at[order[j - 1] as usize] > t {
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = node;
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -545,30 +645,28 @@ impl<S> Network<S> {
         // Schedule this step's activations: one exponential clock offset
         // per node, dead or alive — dead nodes are skipped at fire time,
         // so the clock stream never depends on the churn history.
-        let t0 = axs.virtual_time;
-        for i in 0..n as u32 {
-            let gap = axs.clock_gap();
-            let key = axs.next_key(t0 + gap, i);
-            axs.clocks.push(Reverse(key));
-        }
+        let base = axs.schedule_activations();
+        let events_before = axs.events;
 
-        // Drain the queue in (time, seq, node) order, merging the two
-        // heaps by their tops. Chains are finite (activation → at most
-        // one request → at most one reply), so the step terminates.
+        // Drain in (time, seq, node) order, merging the cursor over the
+        // sorted activations with the in-flight heap's top. Chains are
+        // finite (activation → at most one request → at most one
+        // reply), so the step terminates.
+        let mut next = 0;
         loop {
-            let fire_msg = match (axs.clocks.peek(), msgs.peek()) {
+            let act = axs.activation(next, base);
+            let fire_msg = match (act, msgs.peek()) {
                 (None, None) => break,
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
-                (Some(Reverse(c)), Some(Reverse(m))) => m.key < *c,
+                (Some(c), Some(Reverse(m))) => m.key < c,
             };
             axs.events += 1;
             if !fire_msg {
                 // An activation: whatever the node sends goes in flight
                 // under verdicts drawn now.
-                let Some(Reverse(key)) = axs.clocks.pop() else {
-                    unreachable!()
-                };
+                let Some(key) = act else { unreachable!() };
+                next += 1;
                 axs.virtual_time = key.time;
                 let src = NodeIdx(key.node);
                 if !self.is_alive(src) {
@@ -627,6 +725,9 @@ impl<S> Network<S> {
                 }
             }
         }
+        // Conservation: every node's clock fired, dead or alive, and
+        // every message sent — lost or not — arrived within the step.
+        debug_assert_eq!(axs.events - events_before, n as u64 + stats.messages);
         self.buffers.put(msgs);
         self.async_state = Some(axs);
         self.end_step(stats)
@@ -663,6 +764,61 @@ mod tests {
         };
         assert!(a < d, "node breaks (time, seq) ties");
         assert_eq!(a.cmp(&a), Ordering::Equal);
+    }
+
+    /// `sort_by_time` on `at`, through fresh columns.
+    fn column_order(at: &[f64]) -> Vec<u32> {
+        let mut start = vec![u32::MAX; at.len() + 1];
+        let mut order = vec![u32::MAX; at.len()];
+        sort_by_time(at, &mut start, &mut order);
+        order
+    }
+
+    /// The reference: the activations stamped as a step stamps them
+    /// (`seq = base + i`), sorted by [`EventKey`].
+    fn key_order(at: &[f64]) -> Vec<u32> {
+        let mut keys: Vec<EventKey> = (0..at.len() as u32)
+            .map(|node| EventKey {
+                time: at[node as usize],
+                seq: 1000 + u64::from(node),
+                node,
+            })
+            .collect();
+        keys.sort();
+        keys.iter().map(|k| k.node).collect()
+    }
+
+    #[test]
+    fn activation_column_sorts_like_event_keys() {
+        let mut rng = rng_from_seed(11);
+        let mut cases = vec![
+            vec![3.5],
+            vec![2.0, 1.0],
+            vec![1.0, 1.0],
+            // All times equal: `hi == lo`, index order decides.
+            vec![4.25; 37],
+            vec![5.0, 5.0, 5.0, 1.0, 1.0, 1.0, 3.0, 3.0],
+        ];
+        // One far outlier, above or below: every other key shares a
+        // bucket, ties included.
+        let near: Vec<f64> = (0..64).map(|i| 10.0 + f64::from(i % 5)).collect();
+        for (pos, far) in [(17, 1e9), (0, 1e9), (63, 1e-9), (30, 1e-9)] {
+            let mut at = near.clone();
+            at[pos] = far;
+            cases.push(at);
+        }
+        // A step's draws: `t0` plus exponential gaps, as drawn and with
+        // forced ties (quantised to a coarse grid).
+        for n in [3, 100, 1000, 4096] {
+            let at: Vec<f64> = (0..n)
+                .map(|_| 5.0 - rng.gen::<f64>().max(f64::MIN_POSITIVE).ln())
+                .collect();
+            cases.push(at.iter().map(|t| (t * 4.0).floor() / 4.0).collect());
+            cases.push(at);
+        }
+        for at in &cases {
+            assert_eq!(column_order(at), key_order(at), "{at:?}");
+        }
     }
 
     #[test]

@@ -319,7 +319,9 @@ impl<S> Network<S> {
     }
 
     /// Total events (activations + message arrivals) processed by the
-    /// asynchronous engine. `0` under [`Engine::Sync`].
+    /// asynchronous engine. Dead nodes' activations count: every node's
+    /// clock fires once per step, and a dead node's firing does nothing.
+    /// `0` under [`Engine::Sync`].
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.async_state

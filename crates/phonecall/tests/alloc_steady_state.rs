@@ -234,8 +234,9 @@ fn round_loop_does_not_allocate_in_steady_state() {
         "the workload must actually have trafficked for the zero to mean anything"
     );
 
-    // Same contract on the *asynchronous* engine: the activation-clock
-    // heap is sized `n` at install time, the in-flight message pool is
+    // Same contract on the *asynchronous* engine: the sorted activation
+    // column (times, bucket offsets, node order) is sized `n` at install
+    // time and overwritten every step, the in-flight message heap is
     // pre-sized to `n` on the first step (at most one in-flight message
     // per node at any instant), the three reserved RNG streams live in
     // the boxed engine state, and the type-erased heap cell is reused

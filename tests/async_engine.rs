@@ -135,6 +135,45 @@ fn async_composes_with_adversary_and_workload() {
     }
 }
 
+/// Conservation: every step fires one activation per node, dead nodes
+/// included, plus one arrival per message sent, lost or not — so a run
+/// processes exactly `n · steps + messages` events, under time-0
+/// failures, churn, loss and the workload, on every latency profile.
+#[test]
+fn events_are_one_activation_per_node_step_plus_one_per_message() {
+    let churn = ChurnConfig {
+        crash_rate: 0.5,
+        batch_size: 4,
+        recovery_rate: 0.2,
+        burst_enter: 0.15,
+        burst_exit: 0.35,
+        burst_loss: 0.5,
+        start_round: 1,
+        protected: vec![0],
+        ..ChurnConfig::default()
+    };
+    for profile in ["fixed", "uniform", "exp"] {
+        let cfg = Engine::profile(profile).expect("named profile");
+        let scenario = Scenario::broadcast(256)
+            .seed(9)
+            .engine(Engine::Async(cfg))
+            .failures(FailurePlan::random(256, 16, 9))
+            .message_loss(0.1)
+            .churn(churn.clone())
+            .rumors(8, 1.0);
+        for algo in registry::all() {
+            let r = algo.run(&scenario);
+            assert!(r.alive < r.n && r.messages > 0, "{}", algo.name());
+            assert_eq!(
+                r.events_processed,
+                r.n as u64 * r.rounds + r.messages,
+                "{} under async:{profile}",
+                algo.name()
+            );
+        }
+    }
+}
+
 /// The engine survives the scenario's JSON parameter round trip like
 /// every other knob: `params -> render -> parse -> apply` reproduces
 /// the run bit-exactly.
