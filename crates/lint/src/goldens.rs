@@ -35,7 +35,9 @@ pub const ALGORITHMS: &[&str] = &[
 
 /// The audited tables and how many leading tuple fields form the grid
 /// key: `(algo, n, seed)` for the flat and churn grids, `(algo,
-/// scenario)` for topology/dataset and `(algo, seed)` for traffic.
+/// scenario)` for topology/dataset, `(algo, seed)` for traffic and
+/// fixed-latency async, and `(algo, profile, seed)` for the sampled
+/// latency profiles.
 pub const TABLES: &[(&str, usize)] = &[
     ("GOLDEN", 3),
     ("CHURN_GOLDEN", 3),
@@ -43,6 +45,7 @@ pub const TABLES: &[(&str, usize)] = &[
     ("TRAFFIC_GOLDEN", 2),
     ("DATASET_GOLDEN", 2),
     ("ASYNC_GOLDEN", 2),
+    ("LATENCY_GOLDEN", 3),
 ];
 
 /// One parsed table row: 1-based line and the raw tuple fields.

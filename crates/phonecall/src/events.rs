@@ -47,7 +47,10 @@
 //! `i` with `seq = base + i`, before any message of the step, so the
 //! activations need no queue: they are one column of node indices
 //! sorted by `(time, index)`, and the drain merges a cursor over it
-//! with a binary heap of in-flight messages. Clock offsets, latencies
+//! with the earliest in-flight message. In flight, fixed latency keeps
+//! messages in a FIFO (they are sent in arrival order) and sampled
+//! latency in a calendar queue whose days are monotone in time; both pop
+//! in exact [`EventKey`] order, as one heap would. Clock offsets, latencies
 //! and loss verdicts draw from three dedicated reserved streams
 //! ([`crate::rng::ASYNC_CLOCK_STREAM`] / [`ASYNC_LATENCY_STREAM`] /
 //! [`ASYNC_DELIVERY_STREAM`]), so installing [`Engine::Sync`] (the
@@ -58,8 +61,6 @@
 //! [`ASYNC_DELIVERY_STREAM`]: crate::rng::ASYNC_DELIVERY_STREAM
 
 use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -167,6 +168,15 @@ impl Latency {
     #[must_use]
     pub fn label(&self) -> &'static str {
         LATENCIES[knob::kind_index(&LATENCIES, self)].name
+    }
+
+    /// The mean latency.
+    fn mean(&self) -> f64 {
+        match *self {
+            Latency::Fixed(v) => v,
+            Latency::Uniform(lo, hi) => lo + (hi - lo) / 2.0,
+            Latency::Exponential(mean) => mean,
+        }
     }
 
     /// Draws one latency.
@@ -405,30 +415,448 @@ enum MsgKind<M> {
     PullReply { msg: M, lost: bool },
 }
 
-impl<M> PartialEq for MsgEv<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+/// The end of an intrusive list through a [`Slab`].
+const NIL: u32 = u32::MAX;
+
+/// A step's in-flight messages, popped in [`EventKey`] order.
+///
+/// At any instant at most one message per node is in flight (an
+/// activation's single send, or the reply that replaces its request when
+/// the request pops), so either order keeps its messages in one [`Slab`]
+/// of `n` entries, reserved on the first step: the drain never
+/// allocates. The order follows from the installed [`Latency`] family
+/// alone:
+///
+/// * **Fixed latency — a FIFO.** A message sent while the event at time
+///   `now` fires arrives at `now + L`. The drain's `now` never decreases,
+///   IEEE addition is monotone, and every send takes a larger `seq`, so
+///   messages are pushed already in [`EventKey`] order: the oldest
+///   message is always the minimum.
+/// * **Sampled latency — a [`Calendar`].** Arrivals overtake each other,
+///   so the order has to be searched for.
+///
+/// The queue lives in the network's buffer slot between steps — empty
+/// then, since every step drains it — so its slab is allocated once.
+enum Inflight<M> {
+    Fifo(Fifo<M>),
+    Calendar(Calendar<M>),
+}
+
+impl<M> Default for Inflight<M> {
+    fn default() -> Self {
+        Inflight::Fifo(Fifo::default())
     }
 }
 
-impl<M> Eq for MsgEv<M> {}
+impl<M> Inflight<M> {
+    /// Readies the (empty) queue for a step of `n` nodes under `latency`:
+    /// takes the order the family allows and reserves its slab of `n`
+    /// entries, which allocates on the first step only.
+    fn open(&mut self, latency: &Latency, n: usize) {
+        debug_assert_eq!(self.len(), 0, "a step opened with messages in flight");
+        let fixed = matches!(latency, Latency::Fixed(_));
+        match self {
+            Inflight::Fifo(_) if !fixed => *self = Inflight::Calendar(Calendar::default()),
+            Inflight::Calendar(_) if fixed => *self = Inflight::Fifo(Fifo::default()),
+            _ => {}
+        }
+        match self {
+            Inflight::Fifo(q) => q.slab.reserve(n),
+            Inflight::Calendar(c) => c.open(latency.mean(), n),
+        }
+    }
 
-impl<M> PartialOrd for MsgEv<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn len(&self) -> usize {
+        match self {
+            Inflight::Fifo(q) => q.slab.len,
+            Inflight::Calendar(c) => c.slab.len,
+        }
+    }
+
+    fn push(&mut self, ev: MsgEv<M>) {
+        match self {
+            Inflight::Fifo(q) => q.push(ev),
+            Inflight::Calendar(c) => c.push(ev),
+        }
+    }
+
+    /// The earliest in-flight key, if any.
+    fn peek(&mut self) -> Option<EventKey> {
+        match self {
+            Inflight::Fifo(q) => (q.head != NIL).then(|| *q.slab.key(q.head)),
+            Inflight::Calendar(c) => c.peek(),
+        }
+    }
+
+    /// Removes the earliest in-flight message.
+    fn pop(&mut self) -> Option<MsgEv<M>> {
+        match self {
+            Inflight::Fifo(q) => q.pop(),
+            Inflight::Calendar(c) => c.pop(),
+        }
     }
 }
 
-impl<M> Ord for MsgEv<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
+/// The storage under either order: entries holding in-flight messages,
+/// each with one intrusive `u32` link, and a free list threaded through
+/// the entries no message holds.
+///
+/// Entries are written only as far as the peak in-flight count reaches,
+/// within a capacity reserved once: a popped entry goes to the free list
+/// and the next push takes it back.
+struct Slab<M> {
+    entries: Vec<Entry<M>>,
+    /// The first free entry.
+    free: u32,
+    /// Entries holding a message.
+    len: usize,
+}
+
+/// One slab entry: a message's fields, with the link beside `src` where
+/// a `MsgEv` with an 8-byte-aligned payload has padding, so an entry
+/// costs no more than the message it holds.
+struct Entry<M> {
+    key: EventKey,
+    src: u32,
+    /// The next entry of the same list (FIFO, calendar bucket, or the
+    /// free list).
+    next: u32,
+    /// The payload while in flight.
+    kind: Option<MsgKind<M>>,
+}
+
+impl<M> Default for Slab<M> {
+    fn default() -> Self {
+        Slab {
+            entries: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
     }
 }
 
-/// The in-flight message heap, min-first. It lives in the network's
-/// buffer slot between steps — empty then, since every step drains it —
-/// so its allocation grows to the steady-state high-water mark and stays.
-type Inflight<M> = BinaryHeap<Reverse<MsgEv<M>>>;
+impl<M> Slab<M> {
+    /// Reserves room for `n` messages; allocates once.
+    fn reserve(&mut self, n: usize) {
+        self.entries.reserve(n.saturating_sub(self.entries.len()));
+    }
+
+    /// Stores a message, unlinked, and returns its entry.
+    fn insert(&mut self, ev: MsgEv<M>) -> u32 {
+        let entry = Entry {
+            key: ev.key,
+            src: ev.src,
+            next: NIL,
+            kind: Some(ev.kind),
+        };
+        self.len += 1;
+        if self.free == NIL {
+            debug_assert!(self.entries.len() < self.entries.capacity());
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        } else {
+            let s = self.free;
+            self.free = self.next(s);
+            self.entries[s as usize] = entry;
+            s
+        }
+    }
+
+    /// Takes the message out of entry `s`, already unlinked from its
+    /// list, and frees the entry.
+    fn remove(&mut self, s: u32) -> MsgEv<M> {
+        let free = self.free;
+        let e = &mut self.entries[s as usize];
+        let ev = MsgEv {
+            key: e.key,
+            src: e.src,
+            kind: e.kind.take().expect("an entry in flight"),
+        };
+        e.next = free;
+        self.free = s;
+        self.len -= 1;
+        ev
+    }
+
+    fn key(&self, s: u32) -> &EventKey {
+        &self.entries[s as usize].key
+    }
+
+    fn next(&self, s: u32) -> u32 {
+        self.entries[s as usize].next
+    }
+
+    fn link(&mut self, s: u32, next: u32) {
+        self.entries[s as usize].next = next;
+    }
+}
+
+/// Fixed latency's order: one list through the slab, oldest first.
+struct Fifo<M> {
+    slab: Slab<M>,
+    head: u32,
+    tail: u32,
+}
+
+impl<M> Default for Fifo<M> {
+    fn default() -> Self {
+        Fifo {
+            slab: Slab::default(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl<M> Fifo<M> {
+    fn push(&mut self, ev: MsgEv<M>) {
+        debug_assert!(
+            self.tail == NIL || *self.slab.key(self.tail) < ev.key,
+            "fixed latency pushed a message out of key order"
+        );
+        let s = self.slab.insert(ev);
+        if self.tail == NIL {
+            self.head = s;
+        } else {
+            self.slab.link(self.tail, s);
+        }
+        self.tail = s;
+    }
+
+    fn pop(&mut self) -> Option<MsgEv<M>> {
+        let s = self.head;
+        if s == NIL {
+            return None;
+        }
+        self.head = self.slab.next(s);
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        Some(self.slab.remove(s))
+    }
+}
+
+/// A calendar queue (R. Brown, "Calendar queues", CACM 1988) over a
+/// [`Slab`].
+///
+/// Virtual time is cut into *days* of width `w`: a message arriving at
+/// `t` belongs to day `⌊t · (1/w)⌋`, and the days share `B` buckets
+/// cyclically (day `d` in bucket `d mod B`; `B` days make a *year*).
+/// Each bucket is an unordered list threaded through the slab. The day
+/// is monotone in `t` — IEEE multiplication by a positive constant and
+/// truncation both are — so every message of an earlier day is strictly
+/// earlier than every message of a later one. The minimum is therefore
+/// the least [`EventKey`] — time, then `seq`, then node, so ties break
+/// exactly as everywhere else — among the messages of the earliest
+/// non-empty day.
+///
+/// Invariant: no message's day is before `day`, where the search resumes.
+/// The search walks `day`'s bucket, skipping messages of later years (a
+/// long tail of exponential latency lands there), and moves on a day at
+/// a time; a year without a message ends in a direct search for the
+/// earliest day over every bucket, so no tail needs a side heap.
+///
+/// `B` is the next power of two at or above `n`. The width comes from
+/// the latency and what the previous step observed: its peak in-flight
+/// count `m`, spread over the mean latency `E[L]`, puts about `m / E[L]`
+/// messages on each unit of time just ahead of `now`, and `w = 4 E[L] /
+/// m` sizes a day for a few of them. A year then spans `4 B / m ≥ 4`
+/// mean latencies. On the benchmark's `n = 2^14` cells a search scanned
+/// 2.2–2.9 entries and 1.1–1.8 empty days per minimum, and Karp at
+/// `n = 2^20` 2.2–2.3 entries and 2.1–2.2 days; a quarter of that width
+/// scanned 1.4 entries but four times the days and ran slower; twice it
+/// scanned 3.3–4.7 entries and ran no faster. The first step sizes for
+/// `m = n`, and a step that outgrows twice the count it was sized for
+/// re-derives `w` and re-buckets in place.
+struct Calendar<M> {
+    slab: Slab<M>,
+    /// The first entry of each bucket (`B` of them, a power of two).
+    heads: Vec<u32>,
+    /// `1 / w`: a message at time `t` belongs to day `⌊t · scale⌋`.
+    scale: f64,
+    /// The mean latency `w` is derived from.
+    mean: f64,
+    /// The in-flight count `w` was derived for.
+    sized_for: usize,
+    /// The most messages in flight at once this step.
+    peak: usize,
+    /// The day the search for the minimum resumes at.
+    day: u64,
+    /// The minimum once found, until a push or a pop moves it: its
+    /// predecessor in its bucket's list (or [`NIL`] at the head) and its
+    /// slab entry. It always belongs to `day`.
+    min: Option<(u32, u32)>,
+}
+
+impl<M> Default for Calendar<M> {
+    fn default() -> Self {
+        Calendar {
+            slab: Slab::default(),
+            heads: Vec::new(),
+            scale: 0.0,
+            mean: 1.0,
+            sized_for: 1,
+            peak: 0,
+            day: 0,
+            min: None,
+        }
+    }
+}
+
+impl<M> Calendar<M> {
+    /// Readies the empty calendar for a step of `n` nodes with mean
+    /// latency `mean`, reserving the slab and buckets on the first step.
+    fn open(&mut self, mean: f64, n: usize) {
+        if self.heads.len() != n.next_power_of_two() {
+            // The first step: no count observed yet, so the width is
+            // sized for the bound.
+            self.heads = vec![NIL; n.next_power_of_two()];
+            self.peak = n;
+        }
+        self.slab.reserve(n);
+        self.mean = mean;
+        self.size_for(self.peak);
+        self.peak = 0;
+    }
+
+    /// Derives the width for `count` messages in flight:
+    /// `w = 4 · E[L] / count`.
+    fn size_for(&mut self, count: usize) {
+        self.sized_for = count.max(1);
+        self.scale = (self.sized_for as f64 / (4.0 * self.mean)).min(f64::MAX);
+    }
+
+    fn day_of(&self, time: f64) -> u64 {
+        (time * self.scale) as u64
+    }
+
+    fn bucket(&self, day: u64) -> usize {
+        day as usize & (self.heads.len() - 1)
+    }
+
+    fn push(&mut self, ev: MsgEv<M>) {
+        let (key, day) = (ev.key, self.day_of(ev.key.time));
+        let s = self.slab.insert(ev);
+        if self.slab.len == 1 || day < self.day {
+            self.day = day;
+        }
+        let b = self.bucket(day);
+        let head = self.heads[b];
+        self.slab.link(s, head);
+        self.heads[b] = s;
+        // The new entry is its bucket's head: if the cached minimum was,
+        // the new entry now precedes it.
+        self.min = match self.min {
+            Some((NIL, m)) if head == m => Some((s, m)),
+            cached => cached,
+        };
+        if self.min.is_some_and(|(_, m)| key < *self.slab.key(m)) {
+            self.min = Some((NIL, s));
+        }
+        self.peak = self.peak.max(self.slab.len);
+        if self.slab.len > 2 * self.sized_for {
+            self.rebucket();
+        }
+    }
+
+    fn peek(&mut self) -> Option<EventKey> {
+        if self.slab.len == 0 {
+            return None;
+        }
+        let found = match self.min {
+            Some(found) => found,
+            None => self.find_min(),
+        };
+        self.min = Some(found);
+        Some(*self.slab.key(found.1))
+    }
+
+    fn pop(&mut self) -> Option<MsgEv<M>> {
+        self.peek()?;
+        let (prev, s) = self.min.take().expect("peek found the minimum");
+        let after = self.slab.next(s);
+        if prev == NIL {
+            let b = self.bucket(self.day);
+            self.heads[b] = after;
+        } else {
+            self.slab.link(prev, after);
+        }
+        Some(self.slab.remove(s))
+    }
+
+    /// Finds the minimum of a non-empty calendar, moving `day` to its
+    /// day: `(predecessor, entry)`.
+    fn find_min(&mut self) -> (u32, u32) {
+        loop {
+            for _ in 0..self.heads.len() {
+                let (mut prev, mut s) = (NIL, self.heads[self.bucket(self.day)]);
+                let mut best: Option<(u32, u32)> = None;
+                while s != NIL {
+                    let key = self.slab.key(s);
+                    if self.day_of(key.time) == self.day
+                        && best.is_none_or(|(_, b)| *key < *self.slab.key(b))
+                    {
+                        best = Some((prev, s));
+                    }
+                    prev = s;
+                    s = self.slab.next(s);
+                }
+                if let Some(found) = best {
+                    return found;
+                }
+                self.day += 1;
+            }
+            // A year without a message: resume at the earliest day.
+            self.day = self
+                .heads
+                .iter()
+                .flat_map(|&head| self.chain(head))
+                .map(|s| self.day_of(self.slab.key(s).time))
+                .min()
+                .expect("a non-empty calendar");
+        }
+    }
+
+    /// The entries of the list starting at `s`.
+    fn chain(&self, mut s: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::from_fn(move || {
+            let here = s;
+            (here != NIL).then(|| {
+                s = self.slab.next(here);
+                here
+            })
+        })
+    }
+
+    /// Re-derives the width for the current count and re-buckets every
+    /// message in place: the buckets are emptied into one chain, then
+    /// each entry is linked into its new bucket.
+    fn rebucket(&mut self) {
+        self.size_for(self.slab.len);
+        let mut chain = NIL;
+        for b in 0..self.heads.len() {
+            let mut s = std::mem::replace(&mut self.heads[b], NIL);
+            while s != NIL {
+                let after = self.slab.next(s);
+                self.slab.link(s, chain);
+                chain = s;
+                s = after;
+            }
+        }
+        let mut first = u64::MAX;
+        while chain != NIL {
+            let s = chain;
+            chain = self.slab.next(s);
+            let day = self.day_of(self.slab.key(s).time);
+            first = first.min(day);
+            let b = self.bucket(day);
+            self.slab.link(s, self.heads[b]);
+            self.heads[b] = s;
+        }
+        self.day = first;
+        self.min = None;
+    }
+}
 
 // ----------------------------------------------------------------------
 // Engine state
@@ -514,9 +942,13 @@ impl AsyncState {
     /// Puts a message in flight at time `now`: it fires at `dst` one
     /// sampled latency later.
     fn send<M>(&mut self, msgs: &mut Inflight<M>, now: f64, src: u32, dst: u32, kind: MsgKind<M>) {
+        debug_assert!(
+            msgs.len() < self.at.len(),
+            "at most one message per node is in flight"
+        );
         let arrive = now + self.cfg.latency.sample(&mut self.latency_rng);
         let key = self.next_key(arrive, dst);
-        msgs.push(Reverse(MsgEv { key, src, kind }));
+        msgs.push(MsgEv { key, src, kind });
     }
 
     /// Opens a step at the current clock: draws every node's activation
@@ -606,6 +1038,19 @@ fn sort_by_time(at: &[f64], start: &mut [u32], order: &mut [u32]) {
     }
 }
 
+/// The drain's merge: whether the next event is the earliest in-flight
+/// message `msg` rather than the next activation `act`, or `None` once
+/// both are exhausted. Strict: every event carries its own `seq`, so the
+/// keys never tie.
+fn message_first(act: Option<EventKey>, msg: Option<EventKey>) -> Option<bool> {
+    match (act, msg) {
+        (None, None) => None,
+        (Some(_), None) => Some(false),
+        (None, Some(_)) => Some(true),
+        (Some(c), Some(m)) => Some(m < c),
+    }
+}
+
 // ----------------------------------------------------------------------
 // The event-driven round
 // ----------------------------------------------------------------------
@@ -633,14 +1078,7 @@ impl<S> Network<S> {
             .take()
             .expect("round_async dispatched without async state");
         let mut msgs = self.buffers.take::<Inflight<M>>();
-        // Pre-size the event pool: at any instant at most one in-flight
-        // message exists per node (an activation's single send, or the
-        // reply that replaces its request when the request pops), so
-        // capacity `n` makes the drain loop allocation-free from the
-        // first step — no warm-up-dependent high-water mark.
-        if msgs.capacity() < n {
-            msgs.reserve(n - msgs.len());
-        }
+        msgs.open(&axs.cfg.latency, n);
 
         // Schedule this step's activations: one exponential clock offset
         // per node, dead or alive — dead nodes are skipped at fire time,
@@ -649,17 +1087,14 @@ impl<S> Network<S> {
         let events_before = axs.events;
 
         // Drain in (time, seq, node) order, merging the cursor over the
-        // sorted activations with the in-flight heap's top. Chains are
-        // finite (activation → at most one request → at most one
+        // sorted activations with the earliest in-flight message. Chains
+        // are finite (activation → at most one request → at most one
         // reply), so the step terminates.
         let mut next = 0;
         loop {
             let act = axs.activation(next, base);
-            let fire_msg = match (act, msgs.peek()) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(c), Some(Reverse(m))) => m.key < c,
+            let Some(fire_msg) = message_first(act, msgs.peek()) else {
+                break;
             };
             axs.events += 1;
             if !fire_msg {
@@ -689,9 +1124,7 @@ impl<S> Network<S> {
             }
 
             // A message arrival.
-            let Some(Reverse(ev)) = msgs.pop() else {
-                unreachable!()
-            };
+            let Some(ev) = msgs.pop() else { unreachable!() };
             let now = ev.key.time;
             axs.virtual_time = now;
             let src = NodeIdx(ev.src);
@@ -819,6 +1252,154 @@ mod tests {
         for at in &cases {
             assert_eq!(column_order(at), key_order(at), "{at:?}");
         }
+    }
+
+    /// The latency profiles the in-flight order is checked under, each
+    /// with the grid its event times are floored to (`0` keeps them as
+    /// drawn). `Fixed(0.0)` and the grids force time ties, which only
+    /// `seq` can break; the last profile lands no message before every
+    /// activation has fired, so all `n` can be in flight at once.
+    const PROFILES: [(Latency, f64); 9] = [
+        (Latency::Fixed(0.5), 0.0),
+        (Latency::Fixed(0.0), 0.0),
+        (Latency::Fixed(0.5), 0.25),
+        (Latency::Uniform(0.1, 1.0), 0.0),
+        (Latency::Uniform(0.1, 1.0), 0.25),
+        (Latency::Exponential(0.5), 0.0),
+        (Latency::Exponential(0.5), 0.25),
+        (Latency::Exponential(0.02), 0.01),
+        (Latency::Uniform(100.0, 101.0), 0.0),
+    ];
+
+    /// Drains one step per entry of `sends` over `n` nodes the way
+    /// `round_async` does — the activation cursor merged with
+    /// [`Inflight`] by [`message_first`] — and, in lockstep, a reference
+    /// that keeps every event of the step, activations and messages, in
+    /// one `BinaryHeap<Reverse<EventKey>>`. Activation `k` of a step
+    /// sends a pull request when bit `k % 64` of the step's word is set,
+    /// and a request not lost is answered, so each node has at most one
+    /// message in flight and the count can reach `n`. Both sides must
+    /// fire the identical key sequence. Returns the peak in-flight count.
+    fn drain_matches_reference(
+        profile: usize,
+        loss: f64,
+        n: usize,
+        seed: u64,
+        sends: &[u64],
+    ) -> usize {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let (latency, grid) = PROFILES[profile];
+        let floor = |t: f64| {
+            if grid > 0.0 {
+                (t / grid).floor() * grid
+            } else {
+                t
+            }
+        };
+        let mut axs = AsyncState::new(unit_rate(latency), n, seed);
+        let mut msgs = Inflight::<u32>::default();
+        let mut reference = BinaryHeap::new();
+        let mut peak = 0;
+        for &word in sends {
+            msgs.open(&latency, n);
+            let base = axs.schedule_activations();
+            for t in &mut axs.at {
+                *t = floor(*t);
+            }
+            sort_by_time(&axs.at, &mut axs.start, &mut axs.order);
+            reference.extend((0..n).filter_map(|k| axs.activation(k, base)).map(Reverse));
+            let mut next = 0;
+            while let Some(is_msg) = message_first(axs.activation(next, base), msgs.peek()) {
+                let Reverse(want) = reference.pop().expect("the reference holds every event");
+                let (key, kind) = if is_msg {
+                    let ev = msgs.pop().expect("a peeked message");
+                    let reply = match ev.kind {
+                        MsgKind::PullReq { lost, rep_lost } => {
+                            (!lost).then_some(MsgKind::PullReply {
+                                msg: ev.src,
+                                lost: rep_lost,
+                            })
+                        }
+                        _ => None,
+                    };
+                    (ev.key, reply)
+                } else {
+                    let key = axs.activation(next, base).expect("a pending activation");
+                    // An exact tie, which unique stamps rule out, would
+                    // go to the activation: the merge is strict.
+                    assert_eq!(message_first(Some(key), Some(key)), Some(false));
+                    let pull = (word >> (next % 64) & 1 == 1).then(|| MsgKind::PullReq {
+                        lost: axs.verdict(loss),
+                        rep_lost: axs.verdict(loss),
+                    });
+                    next += 1;
+                    (key, pull)
+                };
+                assert_eq!(key, want, "{:?} fired out of order", PROFILES[profile]);
+                axs.virtual_time = key.time;
+                if let Some(kind) = kind {
+                    let arrive = floor(key.time + latency.sample(&mut axs.latency_rng));
+                    let (src, dst) = (key.node, (key.node * 7 + 3) % n as u32);
+                    let key = axs.next_key(arrive, dst);
+                    reference.push(Reverse(key));
+                    assert!(msgs.len() < n, "at most one message per node in flight");
+                    msgs.push(MsgEv { key, src, kind });
+                    peak = peak.max(msgs.len());
+                }
+            }
+            assert!(reference.is_empty() && msgs.len() == 0);
+        }
+        peak
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn inflight_pops_in_reference_heap_order(
+            profile in 0..PROFILES.len(),
+            lossy in proptest::prelude::any::<bool>(),
+            n in 1usize..64,
+            seed in proptest::prelude::any::<u64>(),
+            sends in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::prelude::Just(0u64),
+                    proptest::prelude::Just(u64::MAX),
+                    proptest::prelude::any::<u64>(),
+                ],
+                1..5,
+            ),
+        ) {
+            let loss = if lossy { 0.3 } else { 0.0 };
+            drain_matches_reference(profile, loss, n, seed, &sends);
+        }
+    }
+
+    #[test]
+    fn inflight_pops_in_reference_heap_order_at_scale() {
+        for profile in 0..PROFILES.len() {
+            for (loss, sends) in [
+                (0.0, [u64::MAX; 3]),
+                (0.1, [0x5555_5555_5555_5555, u64::MAX, 1]),
+            ] {
+                let peak = drain_matches_reference(profile, loss, 4096, 9, &sends);
+                if profile == PROFILES.len() - 1 {
+                    assert_eq!(peak, 4096, "every node's request in flight at once");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_slab_entry_costs_no_more_than_its_message() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Entry<u64>>(), size_of::<MsgEv<u64>>());
+        assert_eq!(size_of::<Entry<[u64; 3]>>(), size_of::<MsgEv<[u64; 3]>>());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub struct Network<S> {
     /// skip untouched regions instead of scanning all `n` counters.
     pub(crate) touched: BitSet,
     /// The running engine's buffers, per message type: the [`Scratch`]
-    /// columns under [`Engine::Sync`], the in-flight message heap under
+    /// columns under [`Engine::Sync`], the in-flight message queue under
     /// [`Engine::Async`] (see [`crate::events`]).
     pub(crate) buffers: Slot,
     /// The asynchronous engine's state when [`Engine::Async`] is
@@ -283,7 +283,7 @@ impl<S> Network<S> {
     /// (labels [`crate::rng::ASYNC_CLOCK_STREAM`] /
     /// [`ASYNC_LATENCY_STREAM`] / [`ASYNC_DELIVERY_STREAM`]), independent
     /// of the engine RNG. Switching engines resets the continuous clock
-    /// and drops any in-flight heap.
+    /// and drops any in-flight queue.
     ///
     /// [`ASYNC_LATENCY_STREAM`]: crate::rng::ASYNC_LATENCY_STREAM
     /// [`ASYNC_DELIVERY_STREAM`]: crate::rng::ASYNC_DELIVERY_STREAM

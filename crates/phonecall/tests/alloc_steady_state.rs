@@ -28,8 +28,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use phonecall::{
-    Action, AsyncConfig, ChurnConfig, Delivery, DirectAddressing, Engine, Network, Target,
-    Topology, TrafficConfig,
+    Action, ChurnConfig, Delivery, DirectAddressing, Engine, Network, Target, Topology,
+    TrafficConfig,
 };
 
 thread_local! {
@@ -234,48 +234,55 @@ fn round_loop_does_not_allocate_in_steady_state() {
         "the workload must actually have trafficked for the zero to mean anything"
     );
 
-    // Same contract on the *asynchronous* engine: the sorted activation
-    // column (times, bucket offsets, node order) is sized `n` at install
-    // time and overwritten every step, the in-flight message heap is
-    // pre-sized to `n` on the first step (at most one in-flight message
-    // per node at any instant), the three reserved RNG streams live in
-    // the boxed engine state, and the type-erased heap cell is reused
-    // across steps — so draining a full event cascade (activations,
-    // latencies, pull round-trips, loss verdicts, churn crashes and
-    // workload piggybacks, all timestamp-ordered) must also cost zero
-    // steady-state allocations.
-    let mut evented: Network<St> = Network::new(1 << 10, 48);
-    evented.set_engine(Engine::Async(AsyncConfig::default()), 48);
-    evented.set_message_loss(0.1);
-    evented.set_churn(
-        ChurnConfig {
-            crash_rate: 0.5,
-            batch_size: 8,
-            recovery_rate: 0.3,
-            ..ChurnConfig::default()
-        },
-        105,
-    );
-    evented.set_traffic(
-        TrafficConfig {
-            rumors: 32,
-            arrival_rate: 2.0,
-            bandwidth: 2,
-            ..TrafficConfig::default()
-        },
-        128,
-        106,
-    );
-    assert_steady_state_is_allocation_free(&mut evented, "async-engine");
-    let m = evented.metrics();
-    assert!(
-        m.pushes > 0 && m.pull_requests > 0 && m.pull_replies > 0 && m.crashes > 0,
-        "the asynchronous network must actually have trafficked"
-    );
-    assert!(
-        evented.events_processed() > 0 && evented.virtual_time() > 0.0,
-        "the event queue must actually have drained events"
-    );
+    // Same contract on the *asynchronous* engine, under every latency
+    // profile: the sorted activation column (times, bucket offsets, node
+    // order) is sized `n` at install time and overwritten every step; the
+    // in-flight queue — a FIFO under fixed latency, a calendar queue
+    // under uniform and exponential — reserves one slab of `n` messages
+    // and, for the calendar, its buckets on the first step (at most one
+    // in-flight message per node at any instant), and re-derives its day
+    // width in place; the three reserved RNG streams live in the boxed
+    // engine state, and the type-erased queue cell is reused across
+    // steps. So draining a full event cascade (activations, latencies,
+    // pull round-trips, loss verdicts, churn crashes and workload
+    // piggybacks, all timestamp-ordered) must also cost zero steady-state
+    // allocations.
+    for profile in ["fixed", "uniform", "exp"] {
+        let cfg = Engine::profile(profile).expect("a catalog latency profile");
+        let mut evented: Network<St> = Network::new(1 << 10, 48);
+        evented.set_engine(Engine::Async(cfg), 48);
+        evented.set_message_loss(0.1);
+        evented.set_churn(
+            ChurnConfig {
+                crash_rate: 0.5,
+                batch_size: 8,
+                recovery_rate: 0.3,
+                ..ChurnConfig::default()
+            },
+            105,
+        );
+        evented.set_traffic(
+            TrafficConfig {
+                rumors: 32,
+                arrival_rate: 2.0,
+                bandwidth: 2,
+                ..TrafficConfig::default()
+            },
+            128,
+            106,
+        );
+        let what = format!("async:{profile}");
+        assert_steady_state_is_allocation_free(&mut evented, &what);
+        let m = evented.metrics();
+        assert!(
+            m.pushes > 0 && m.pull_requests > 0 && m.pull_replies > 0 && m.crashes > 0,
+            "the {what} network must actually have trafficked"
+        );
+        assert!(
+            evented.events_processed() > 0 && evented.virtual_time() > 0.0,
+            "the {what} event queue must actually have drained events"
+        );
+    }
 
     // The million-node contract: the bitset/SoA engine sizes every
     // per-node column (alive words, fan-in counters, scratch push/pull

@@ -21,7 +21,8 @@
 //! and paste the printed rows over the `GOLDEN` table below (the churn,
 //! topology, traffic and dataset tests print their rows under
 //! `// churn grid:` / `// topology grid:` / `// traffic grid:` /
-//! `// dataset grid:` headers for their respective tables). Do this
+//! `// dataset grid:` / `// async grid:` / `// latency grid:` headers
+//! for their respective tables). Do this
 //! only when the change is meant to alter traffic patterns; the whole
 //! point of the table is to make that decision explicit.
 
@@ -499,11 +500,11 @@ fn async_grid() -> Vec<(&'static dyn Algorithm, u64)> {
     g
 }
 
-fn async_digest(algo: &dyn Algorithm, seed: u64) -> AsyncGolden {
+fn async_digest(algo: &dyn Algorithm, cfg: AsyncConfig, seed: u64) -> AsyncGolden {
     let r = algo.run(
         &Scenario::broadcast(256)
             .seed(seed)
-            .engine(Engine::Async(AsyncConfig::default())),
+            .engine(Engine::Async(cfg)),
     );
     (
         algo.name(),
@@ -521,7 +522,8 @@ fn async_run_reports_match_golden_digests() {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         println!("// async grid:");
         for (algo, seed) in async_grid() {
-            let (name, seed, rounds, events, messages, bits, informed) = async_digest(algo, seed);
+            let (name, seed, rounds, events, messages, bits, informed) =
+                async_digest(algo, AsyncConfig::default(), seed);
             println!(
                 "    (\"{name}\", {seed}, {rounds}, {events}, {messages}, {bits}, {informed}),"
             );
@@ -537,11 +539,124 @@ fn async_run_reports_match_golden_digests() {
         ASYNC_GOLDEN.iter().zip(async_grid())
     {
         assert_eq!((name, seed), (algo.name(), gseed), "grid drift");
-        let got = async_digest(algo, seed);
+        let got = async_digest(algo, AsyncConfig::default(), seed);
         assert_eq!(
             got,
             (name, seed, rounds, events, messages, bits, informed),
             "{name} at seed {seed} drifted from its async golden digest"
+        );
+    }
+}
+
+/// One pinned async grid point under a sampled latency: (algorithm,
+/// profile, seed, rounds, events processed, messages, bits, informed) at
+/// `n = 256`, the profile being an `--engine async:<profile>` name.
+type LatencyGolden = (&'static str, &'static str, u64, u64, u64, u64, u64, usize);
+
+/// Pinned digests for every registered algorithm under the two sampled
+/// latency profiles, `async:uniform` and `async:exp`, at `n = 256, seed ∈
+/// {1, 7}`. `ASYNC_GOLDEN` pins fixed latency, where messages land in the
+/// order they are sent; here arrivals overtake each other, so these rows
+/// pin the in-flight queue's ordering itself.
+#[rustfmt::skip]
+const LATENCY_GOLDEN: &[LatencyGolden] = &[
+    // (algo, profile, seed, rounds, events, messages, bits, informed)
+    ("Cluster2", "uniform", 1, 75, 26451, 7251, 376952, 256),
+    ("Cluster2", "uniform", 7, 75, 26023, 6823, 358588, 256),
+    ("Cluster2", "exp", 1, 75, 27428, 8228, 419986, 256),
+    ("Cluster2", "exp", 7, 75, 26783, 7583, 391996, 256),
+    ("Cluster1", "uniform", 1, 49, 24282, 11738, 587639, 256),
+    ("Cluster1", "uniform", 7, 49, 23710, 11166, 560159, 256),
+    ("Cluster1", "exp", 1, 49, 24282, 11738, 587639, 256),
+    ("Cluster1", "exp", 7, 49, 23710, 11166, 560159, 256),
+    ("AvinElsasser", "uniform", 1, 52, 18282, 4970, 797955, 256),
+    ("AvinElsasser", "uniform", 7, 52, 18249, 4937, 815151, 256),
+    ("AvinElsasser", "exp", 1, 52, 18259, 4947, 811059, 256),
+    ("AvinElsasser", "exp", 7, 52, 18247, 4935, 814831, 256),
+    ("Karp", "uniform", 1, 26, 9398, 2742, 583968, 256),
+    ("Karp", "uniform", 7, 26, 9378, 2722, 549344, 256),
+    ("Karp", "exp", 1, 26, 9393, 2737, 573728, 256),
+    ("Karp", "exp", 7, 26, 9390, 2734, 639008, 256),
+    ("PushPull", "uniform", 1, 6, 3254, 1718, 256288, 256),
+    ("PushPull", "uniform", 7, 6, 3234, 1698, 221664, 256),
+    ("PushPull", "exp", 1, 7, 3761, 1969, 327968, 256),
+    ("PushPull", "exp", 7, 5, 2734, 1454, 229408, 256),
+    ("Push", "uniform", 1, 12, 4433, 1361, 435520, 256),
+    ("Push", "uniform", 7, 11, 4069, 1253, 400960, 256),
+    ("Push", "exp", 1, 12, 4516, 1444, 462080, 256),
+    ("Push", "exp", 7, 11, 4060, 1244, 398080, 256),
+    ("Pull", "uniform", 1, 10, 4549, 1989, 137088, 256),
+    ("Pull", "uniform", 7, 10, 4525, 1965, 136320, 256),
+    ("Pull", "exp", 1, 9, 3930, 1626, 125472, 256),
+    ("Pull", "exp", 7, 11, 4892, 2076, 139872, 256),
+    ("Cluster3", "uniform", 1, 108, 40537, 12889, 649062, 256),
+    ("Cluster3", "uniform", 7, 108, 40839, 13191, 665251, 256),
+    ("Cluster3", "exp", 1, 108, 40702, 13054, 656819, 256),
+    ("Cluster3", "exp", 7, 108, 40707, 13059, 659372, 256),
+    ("ClusterPushPull", "uniform", 1, 156, 56073, 16137, 1340518, 256),
+    ("ClusterPushPull", "uniform", 7, 156, 56400, 16464, 1367747, 256),
+    ("ClusterPushPull", "exp", 1, 156, 56194, 16258, 1356083, 256),
+    ("ClusterPushPull", "exp", 7, 156, 56240, 16304, 1368652, 256),
+    ("Tree", "uniform", 1, 2, 1022, 510, 89760, 256),
+    ("Tree", "uniform", 7, 2, 1022, 510, 89760, 256),
+    ("Tree", "exp", 1, 2, 1022, 510, 89760, 256),
+    ("Tree", "exp", 7, 2, 1022, 510, 89760, 256),
+    ("NameDropper", "uniform", 1, 24, 12288, 6144, 11412496, 256),
+    ("NameDropper", "uniform", 7, 25, 12800, 6400, 12498192, 256),
+    ("NameDropper", "exp", 1, 21, 10752, 5376, 9253728, 256),
+    ("NameDropper", "exp", 7, 25, 12800, 6400, 12839152, 256),
+];
+
+fn latency_grid() -> Vec<(&'static dyn Algorithm, &'static str, u64)> {
+    let mut g = Vec::new();
+    for &algo in registry::all() {
+        for profile in ["uniform", "exp"] {
+            for seed in [1u64, 7] {
+                g.push((algo, profile, seed));
+            }
+        }
+    }
+    g
+}
+
+fn latency_digest(algo: &dyn Algorithm, profile: &'static str, seed: u64) -> LatencyGolden {
+    let cfg = Engine::profile(profile).expect("a catalog latency profile");
+    let (name, seed, rounds, events, messages, bits, informed) = async_digest(algo, cfg, seed);
+    (
+        name, profile, seed, rounds, events, messages, bits, informed,
+    )
+}
+
+#[test]
+fn sampled_latency_run_reports_match_golden_digests() {
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        println!("// latency grid:");
+        for (algo, profile, seed) in latency_grid() {
+            let (name, profile, seed, rounds, events, messages, bits, informed) =
+                latency_digest(algo, profile, seed);
+            println!(
+                "    (\"{name}\", \"{profile}\", {seed}, {rounds}, {events}, {messages}, {bits}, \
+                 {informed}),"
+            );
+        }
+        return;
+    }
+    assert_eq!(
+        LATENCY_GOLDEN.len(),
+        latency_grid().len(),
+        "latency golden table out of sync with the registry grid; regenerate with GOLDEN_REGEN=1"
+    );
+    for (&row, (algo, profile, seed)) in LATENCY_GOLDEN.iter().zip(latency_grid()) {
+        assert_eq!(
+            (row.0, row.1, row.2),
+            (algo.name(), profile, seed),
+            "grid drift"
+        );
+        assert_eq!(
+            latency_digest(algo, profile, seed),
+            row,
+            "{} under async:{profile} at seed {seed} drifted from its latency golden digest",
+            row.0
         );
     }
 }
