@@ -19,8 +19,8 @@
 //!
 //! Both the round count and the per-node message count are `Θ(√log n)`,
 //! and ID-carrying messages of `Θ(log n)` bits number `Θ(n·√log n)` —
-//! reproducing all three quoted complexities (DESIGN.md §2 documents this
-//! substitution).
+//! reproducing all three quoted complexities (README, "Deviations from
+//! the paper", lists this substitution).
 
 use gossip_core::config::log2n;
 use gossip_core::primitives::{

@@ -20,7 +20,7 @@
 //! This is the age-based variant of \[10\]; their address-oblivious
 //! median-counter refinement (which removes the need to know `n` exactly)
 //! has the same complexity envelope, which is all the paper's comparison
-//! uses (DESIGN.md §2).
+//! uses (README, "Deviations from the paper").
 
 use gossip_core::config::{log2n, loglog2n};
 use gossip_core::report::RunReport;

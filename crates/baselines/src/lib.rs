@@ -6,7 +6,7 @@
 //! | [`pull`] | uniform PULL gossip | `Θ(log n)` | `Θ(log n)` requests |
 //! | [`push_pull`] | PUSH-PULL (informed push, uninformed pull) | `Θ(log n)` | `Θ(log n)` |
 //! | [`karp`] | Karp et al. \[10\]-style counter-terminated PUSH-PULL | `Θ(log n)` | `Θ(log log n)` transmissions |
-//! | [`avin_elsasser`] | Avin–Elsässer \[1\] structural reconstruction (fixed-fanout clustering, DESIGN.md §2) | `Θ(√log n)` | `Θ(√log n)` |
+//! | [`avin_elsasser`] | Avin–Elsässer \[1\] structural reconstruction (fixed-fanout clustering; README, "Deviations from the paper") | `Θ(√log n)` | `Θ(√log n)` |
 //! | [`name_dropper`] | Name-Dropper resource discovery \[9\] | `Θ(log² n)` | `Θ(log² n)` (large messages) |
 //! | [`tree`] | oracle `Δ`-ary PULL tree (unreachable optimum of Lemma 16) | `⌈log_Δ n⌉` | `O(1)` |
 //!

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gossip_core::primitives::{
     collect_members, grow_push_round, merge_iteration, resize, sample_singletons, share_rumor,
-    size_round, MergeOpts, MergeRule, Who,
+    size_round, Merge, Who,
 };
 use gossip_core::{ClusterSim, CommonConfig};
 
@@ -40,16 +40,7 @@ fn bench_primitives(c: &mut Criterion) {
     g.bench_function("merge_iteration", |b| {
         let mut sim = prepared_sim(n, 1.0);
         b.iter(|| {
-            merge_iteration(
-                &mut sim,
-                MergeOpts {
-                    pushers: Who::AllClustered,
-                    inactive_merge_only: false,
-                    rule: MergeRule::Smallest,
-                    smaller_only: true,
-                    mark_merged_active: false,
-                },
-            );
+            merge_iteration(&mut sim, Merge::All);
         });
     });
 

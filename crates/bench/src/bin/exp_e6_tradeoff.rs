@@ -10,7 +10,7 @@
 use gossip_bench::{algos_by_name, pow2, Experiment, Grid, Spec};
 use gossip_core::algo::Scenario;
 use gossip_core::config::log2n;
-use gossip_core::Value;
+use gossip_core::{cluster_push_pull, Value};
 use gossip_harness::{Summary, Table};
 
 fn main() {
@@ -74,12 +74,7 @@ fn main() {
         // 4 engine rounds per loop iteration (push, 2-round share, pull).
         let samples: Vec<f64> = reps
             .iter()
-            .map(|r| {
-                r.phases
-                    .iter()
-                    .find(|p| p.name == "PushPullLoop")
-                    .map_or(0.0, |p| p.rounds as f64 / 4.0)
-            })
+            .map(|r| r.phase_rounds(cluster_push_pull::LOOP_PHASE) as f64 / 4.0)
             .collect();
         let loop_rounds = Summary::from_samples(&samples);
         let bound = log2n(n) / (delta as f64 / 4.0).log2().max(1.0);

@@ -1,4 +1,4 @@
-//! **E8 — Ablations of the paper's design choices** (DESIGN.md §4).
+//! **E8 — Ablations of the paper's design choices** (EXPERIMENTS.md, E8).
 //!
 //! * **A: squaring vs doubling.** The heart of the `O(log log n)` bound is
 //!   squaring the cluster size per `O(1)`-round iteration. Replacing the
@@ -16,7 +16,8 @@
 
 use gossip_bench::{algos_by_name, pow2, Experiment, Spec};
 use gossip_core::primitives::{
-    activate, merge_iteration, resize, sample_singletons, MergeOpts, MergeRule, Who,
+    activate, flatten_round, grow_control_iteration, merge_iteration, recruit_merge, resize,
+    sample_singletons, Merge, MergeRule, Who,
 };
 use gossip_core::{cluster2, Cluster2Config, ClusterSim, CommonConfig};
 use gossip_harness::{par_map_trials, run_trials, Summary, Table};
@@ -134,25 +135,17 @@ fn main() {
 /// stall rule and the resize (the ablated design). Returns
 /// (messages per node, clustered fraction).
 fn grow_only(n: usize, seed: u64, capped: bool) -> (f64, f64) {
-    use gossip_core::primitives::grow_control_iteration;
     let mut cfg = Cluster2Config::default();
     cfg.common.seed = seed;
     let mut sim = ClusterSim::new(n, &cfg.common);
-    let l = gossip_core::config::log2n(n);
-    let p = (1.0 / (cfg.c_sample * l * l)).max((16.0 / n as f64).min(0.5));
-    sample_singletons(&mut sim, p);
+    sample_singletons(&mut sim, cluster2::sample_rate(n, &cfg));
     let cap = if capped {
-        gossip_core::cluster2::size_cap(n, &cfg)
+        cluster2::size_cap(n, &cfg)
     } else {
         u64::MAX / 4
     };
-    let stall = 2.0 - 1.0 / l;
-    let budget = (gossip_core::cluster2::size_cap(n, &cfg) as f64)
-        .log2()
-        .ceil() as u32
-        + cfg.grow_slack
-        + 2;
-    for _ in 0..budget {
+    let stall = 2.0 - 1.0 / gossip_core::config::log2n(n);
+    for _ in 0..cluster2::grow_budget(n, &cfg) {
         grow_control_iteration(&mut sim, cap, stall);
     }
     let m = sim.net.metrics();
@@ -186,11 +179,7 @@ fn merge_to_one(n: usize, seed: u64, schedule: Schedule) -> u32 {
             Schedule::Squaring => (1.0 / s).max(4.0 / count).min(0.5),
             Schedule::Doubling => 0.5,
         };
-        activate(&mut sim, p);
-        for _ in 0..2 {
-            recruit_push(&mut sim, MergeRule::Smallest);
-        }
-        gossip_core::primitives::flatten_round(&mut sim);
+        recruit_merge(&mut sim, p, MergeRule::Smallest);
         s = match schedule {
             Schedule::Squaring => (s * s / 4.0).max(2.0 * s),
             Schedule::Doubling => 2.0 * s,
@@ -215,26 +204,11 @@ fn one_square_iteration(n: usize, seed: u64, reps: u32) -> (usize, usize) {
     resize(&mut sim, s, Who::AllClustered);
     activate(&mut sim, 1.0 / s as f64);
     for _ in 0..reps {
-        recruit_push(&mut sim, MergeRule::Random);
+        merge_iteration(&mut sim, Merge::Recruit(MergeRule::Random));
     }
-    gossip_core::primitives::flatten_round(&mut sim);
+    flatten_round(&mut sim);
     let map = sim.cluster_map();
     let target = 2 * s as usize;
     let small = map.values().filter(|m| m.len() < target).count();
     (map.len(), small)
-}
-
-/// One recruiting ClusterPUSH of a squaring iteration: active clusters
-/// push, inactive ones merge into them.
-fn recruit_push(sim: &mut ClusterSim, rule: MergeRule) {
-    merge_iteration(
-        sim,
-        MergeOpts {
-            pushers: Who::ActiveOnly,
-            inactive_merge_only: true,
-            rule,
-            smaller_only: false,
-            mark_merged_active: true,
-        },
-    );
 }

@@ -28,11 +28,25 @@
 use crate::config::{log2n, loglog2n, Cluster2Config};
 use crate::primitives::{
     activate, bounded_recruit_iteration, consolidate, dissolve, grow_control_iteration, merge_all,
-    merge_iteration, resize, sample_singletons, seed_informed_leaders, share_rumor,
-    unclustered_pull_round, MergeOpts, MergeRule, Who,
+    sample_singletons, seed_informed_leaders, share_rumor, square, unclustered_pull_round,
+    MergeRule, Who,
 };
 use crate::report::RunReport;
-use crate::sim::ClusterSim;
+use crate::sim::{
+    run_phases, ClusterSim, Phase, BOUNDED_CLUSTER_PUSH, CLUSTER_SHARE, CONSOLIDATE,
+    GROW_INITIAL_CLUSTERS, MERGE_ALL_CLUSTERS, SQUARE_CLUSTERS, UNCLUSTERED_NODES_PULL,
+};
+
+/// The phases of `Cluster2`, in order.
+pub const PHASES: &[Phase<Cluster2Config>] = &[
+    Phase::new(GROW_INITIAL_CLUSTERS, grow_initial_clusters),
+    Phase::new(SQUARE_CLUSTERS, square_clusters),
+    Phase::new(MERGE_ALL_CLUSTERS, merge_all_clusters),
+    Phase::new(BOUNDED_CLUSTER_PUSH, bounded_cluster_push),
+    Phase::new(UNCLUSTERED_NODES_PULL, unclustered_nodes_pull),
+    Phase::new(CONSOLIDATE, |sim, _| consolidate(sim)),
+    Phase::new(CLUSTER_SHARE, |sim, _| share_rumor(sim)),
+];
 
 /// Runs `Cluster2` on a fresh network of `n` nodes.
 ///
@@ -50,39 +64,13 @@ pub fn run(n: usize, cfg: &Cluster2Config) -> RunReport {
 /// Runs `Cluster2` on an existing simulation (used by fault-injection
 /// experiments).
 pub fn run_on(sim: &mut ClusterSim, cfg: &Cluster2Config) -> RunReport {
-    sim.begin_phase();
-    grow_initial_clusters(sim, cfg);
-    sim.end_phase("GrowInitialClusters");
-
-    sim.begin_phase();
-    square_clusters(sim, cfg);
-    sim.end_phase("SquareClusters");
-
-    sim.begin_phase();
-    merge_all_clusters(sim, cfg);
-    sim.end_phase("MergeAllClusters");
-
-    sim.begin_phase();
-    bounded_cluster_push(sim, cfg);
-    sim.end_phase("BoundedClusterPush");
-
-    sim.begin_phase();
-    unclustered_nodes_pull(sim, cfg);
-    sim.end_phase("UnclusteredNodesPull");
-
-    sim.begin_phase();
-    consolidate(sim);
-    sim.end_phase("Consolidate");
-
-    sim.begin_phase();
-    share_rumor(sim);
-    sim.end_phase("ClusterShare");
-
+    run_phases(sim, cfg, PHASES);
     sim.report()
 }
 
 /// The controlled-growth size cap: `c_cap·log₂ n` (the paper's
-/// `C' log³ n`, one log-power reduced for laptop scales — DESIGN.md §2),
+/// `C' log³ n`, one log-power reduced for laptop scales — README,
+/// "Deviations from the paper"),
 /// additionally shrunk at small `n` so that `expected seeds × cap` stays
 /// at the `n/log n` backbone target even when the seed count is floored.
 #[must_use]
@@ -94,25 +82,38 @@ pub fn size_cap(n: usize, cfg: &Cluster2Config) -> u64 {
     (cap.round() as u64).max(4)
 }
 
-/// Phase 1: sample `≈ n/(c·log₂² n)` singleton leaders and grow them with
-/// the stall rule `size ≥ cap ∧ growth < 2 − 1/log n ⇒ deactivate`, plus
-/// continuous resizing at the cap. Afterwards `Θ(n/log n)` nodes are
-/// clustered into `Θ(log n)`-sized clusters whp (Lemma 11's shape).
-pub fn grow_initial_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
-    let n = cfg.parameter_n(sim.n());
+/// The chance `1/(c_sample·log₂² n)` that a node starts as a singleton
+/// leader, floored so that 16 leaders are expected (but at most `1/2`).
+#[must_use]
+pub fn sample_rate(n: usize, cfg: &Cluster2Config) -> f64 {
+    let n = cfg.parameter_n(n);
     let l = log2n(n);
     // Small-n floor: below n ≈ 16·c·log²n the asymptotic rate would give
     // fewer than 16 expected singletons — not enough to seed the backbone
     // whp. Only changes behaviour for n below a few thousand.
-    let p = (1.0 / (cfg.c_sample * l * l)).max((16.0 / n as f64).min(0.5));
-    sample_singletons(sim, p);
+    (1.0 / (cfg.c_sample * l * l)).max((16.0 / n as f64).min(0.5))
+}
+
+/// The grow phase's iteration budget: enough doublings to reach the
+/// [`size_cap`], plus slack.
+#[must_use]
+pub fn grow_budget(n: usize, cfg: &Cluster2Config) -> u32 {
+    (size_cap(n, cfg) as f64).log2().ceil() as u32 + cfg.grow_slack + 2
+}
+
+/// Phase 1: sample [`sample_rate`]`(n)` singleton leaders and grow them
+/// with the stall rule `size ≥ cap ∧ growth < 2 − 1/log n ⇒ deactivate`,
+/// plus continuous resizing at the cap. Afterwards `Θ(n/log n)` nodes are
+/// clustered into `Θ(log n)`-sized clusters whp (Lemma 11's shape).
+pub fn grow_initial_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
+    let n = cfg.parameter_n(sim.n());
+    sample_singletons(sim, sample_rate(n, cfg));
     // Degrade gracefully at toy sizes: the whp sampling can leave zero
     // leaders, which would strand the rumor at the source forever.
     seed_informed_leaders(sim);
     let cap = size_cap(n, cfg);
-    let stall = 2.0 - 1.0 / l;
-    let budget = (cap as f64).log2().ceil() as u32 + cfg.grow_slack + 2;
-    for _ in 0..budget {
+    let stall = 2.0 - 1.0 / log2n(n);
+    for _ in 0..grow_budget(n, cfg) {
         grow_control_iteration(sim, cap, stall);
     }
 }
@@ -122,9 +123,8 @@ pub fn grow_initial_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
 /// cluster count is small enough for `MergeAllClusters` to take over).
 pub fn square_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
     let n = cfg.parameter_n(sim.n());
-    let l = log2n(n);
-    let f_est = 1.0 / l; // clustered fraction the grow phase calibrates to
-    let mut s = (size_cap(n, cfg) / 2).max(2) as f64;
+    let f_est = 1.0 / log2n(n); // clustered fraction the grow phase calibrates to
+    let s = (size_cap(n, cfg) / 2).max(2) as f64;
     let s_target = (n as f64 * f_est).sqrt();
     dissolve(sim, s as u64, Who::ActiveOnly);
     // As in Cluster1: a toy-size dissolve can erase every cluster, so the
@@ -132,33 +132,21 @@ pub fn square_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
     seed_informed_leaders(sim);
     // Re-activate everything still clustered: activation below re-samples.
     activate(sim, 1.0);
-    let mut iterations = 0u32;
-    while s < s_target && (f_est * n as f64) / s >= 32.0 && iterations < 24 {
-        resize(sim, s as u64, Who::AllClustered);
-        activate(sim, 1.0 / s);
-        for _ in 0..2 {
-            merge_iteration(
-                sim,
-                MergeOpts {
-                    pushers: Who::ActiveOnly,
-                    inactive_merge_only: true,
-                    rule: MergeRule::Random,
-                    smaller_only: false,
-                    mark_merged_active: true,
-                },
-            );
-        }
-        crate::primitives::flatten_round(sim);
-        s = (2.0 * s)
-            .max(s * s * f_est / cfg.square_safety)
-            .min(s_target + 1.0);
-        iterations += 1;
-    }
+    square(
+        sim,
+        s,
+        s_target,
+        f_est * n as f64,
+        f_est,
+        cfg.square_safety,
+        MergeRule::Random,
+    );
 }
 
 /// Phase 3: merge the backbone clusters into the one with the smallest ID.
 /// Iteration budget computed from the expected cluster count and the
-/// `s·f` per-iteration absorption factor (`O(log log n)`, DESIGN.md §2).
+/// `s·f` per-iteration absorption factor (`O(log log n)`, README,
+/// "Deviations from the paper").
 pub fn merge_all_clusters(sim: &mut ClusterSim, cfg: &Cluster2Config) {
     let n = cfg.parameter_n(sim.n());
     let l = log2n(n);
@@ -274,13 +262,5 @@ mod tests {
             small.messages_per_node(),
             large.messages_per_node()
         );
-    }
-
-    #[test]
-    fn phase_reports_cover_all_rounds() {
-        let r = run(512, &cfg(5));
-        let phase_rounds: u64 = r.phases.iter().map(|p| p.rounds).sum();
-        assert_eq!(phase_rounds, r.rounds);
-        assert_eq!(r.phases.len(), 7);
     }
 }

@@ -19,13 +19,41 @@
 
 use serde::Serialize;
 
-use crate::config::{log2n, loglog2n, Cluster3Config};
+use crate::config::{log2n, loglog2n, Cluster2Config, Cluster3Config};
 use crate::primitives::{
-    activate, bounded_recruit_iteration, dissolve, flatten_round, merge_iteration, resize,
-    unclustered_pull_round, MergeOpts, MergeRule, Who,
+    activate, bounded_recruit_iteration, dissolve, recruit_merge, resize, square,
+    unclustered_pull_round, MergeRule, Who,
 };
 use crate::report::ClusteringStats;
-use crate::sim::ClusterSim;
+use crate::sim::{
+    run_phases, ClusterSim, Phase, BOUNDED_CLUSTER_PUSH, GROW_INITIAL_CLUSTERS, SQUARE_CLUSTERS,
+    UNCLUSTERED_NODES_PULL,
+};
+
+/// The phases of `Cluster3`, in order.
+pub const PHASES: &[Phase<Plan>] = &[
+    Phase::new(GROW_INITIAL_CLUSTERS, |sim, plan| {
+        crate::cluster2::grow_initial_clusters(sim, &plan.c2);
+    }),
+    Phase::new(SQUARE_CLUSTERS, square_clusters),
+    Phase::new("MergeClusters", merge_clusters),
+    Phase::new(BOUNDED_CLUSTER_PUSH, bounded_cluster_push),
+    Phase::new(UNCLUSTERED_NODES_PULL, unclustered_nodes_pull),
+    Phase::new("FinalResize", final_resize),
+];
+
+/// What [`run_on`] works out once and every phase in [`PHASES`] reads.
+pub struct Plan {
+    /// The Cluster2 constants, with the size cap clamped to the fan-in
+    /// bound.
+    c2: Cluster2Config,
+    /// The working cluster size `Δ'`.
+    working: u64,
+    /// The size at which squaring stops.
+    s_target: f64,
+    /// `MergeClusters`' activation probability.
+    merge_p: f64,
+}
 
 /// Report of a `Δ`-clustering construction.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -99,54 +127,17 @@ pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> Delta
     // even at several times the expected fraction.
     let mut c2 = cfg.c2.clone();
     c2.c_cap = c2.c_cap.min(delta as f64 / (16.0 * l)).max(2.0 / l);
-
-    sim.begin_phase();
-    crate::cluster2::grow_initial_clusters(sim, &c2);
-    sim.end_phase("GrowInitialClusters");
-
     // Squaring stops at √(Δ'·log n / 32): post-merge sizes are then
     // ≈ s²·f·κ ≤ Δ'/4 for clustered fractions up to 8/log n.
-    sim.begin_phase();
     let s_target = (working as f64 * l / 32.0).sqrt().max(2.0);
-    square_to(sim, &c2, s_target);
-    sim.end_phase("SquareClusters");
-
-    // Phase 3: MergeClusters — activate with probability
-    // `merge_boost·s/Δ'` and let inactive clusters merge into a uniformly
-    // random active candidate; active clusters jump to ≈ Δ'/merge_boost
-    // nodes in one O(1)-round step, so the remaining gap to Δ' costs
-    // BoundedClusterPush only O(1) doubling iterations.
-    sim.begin_phase();
-    merge_clusters(sim, working, s_target, cfg);
-    sim.end_phase("MergeClusters");
-
-    // Phase 4: BoundedClusterPush with continuous resize at Δ'.
-    sim.begin_phase();
-    bounded_cluster_push(sim, working, cfg);
-    sim.end_phase("BoundedClusterPush");
-
-    // Phase 5: remaining nodes pull to join. Joins are not size-controlled
-    // by themselves, so a resize follows every pull round — otherwise a
-    // popular cluster could exceed 2Δ' and its leader would answer more
-    // than Δ membership pushes in the next collect round.
-    sim.begin_phase();
-    let pull_budget = loglog2n(n).ceil() as u32 + cfg.c2.pull_slack;
-    for _ in 0..pull_budget {
-        unclustered_pull_round(sim);
-        resize(sim, working, Who::AllClustered);
-    }
-    sim.end_phase("UnclusteredNodesPull");
-
-    // Final shaping: dissolve runts (below Δ'/2), let their members rejoin
-    // by pulling, and resize once more — tightening the Θ(Δ) size band.
-    sim.begin_phase();
-    dissolve(sim, working / 2, Who::AllClustered);
-    let rejoin_budget = loglog2n(n).ceil() as u32 + 2;
-    for _ in 0..rejoin_budget {
-        unclustered_pull_round(sim);
-        resize(sim, working, Who::AllClustered);
-    }
-    sim.end_phase("FinalResize");
+    let merge_p = (cfg.merge_boost * s_target / working as f64).clamp(0.01, 1.0);
+    let plan = Plan {
+        c2,
+        working,
+        s_target,
+        merge_p,
+    };
+    run_phases(sim, &plan, PHASES);
 
     let m = sim.net.metrics();
     let clustering = sim.clustering_stats();
@@ -172,76 +163,71 @@ pub fn working_size(delta: usize, cfg: &Cluster3Config) -> u64 {
     ((delta as f64 / cfg.c_headroom).floor() as u64).max(2)
 }
 
-/// `Cluster2::square_clusters` with a caller-chosen size target.
-fn square_to(sim: &mut ClusterSim, c2: &crate::config::Cluster2Config, s_target: f64) {
+/// `SquareClusters`: `Cluster2`'s squaring, stopped at the plan's target.
+fn square_clusters(sim: &mut ClusterSim, plan: &Plan) {
     let n = sim.n();
-    let l = log2n(n);
-    let f_est = 1.0 / l;
-    let mut s = (crate::cluster2::size_cap(n, c2) / 2).max(2) as f64;
+    let f_est = 1.0 / log2n(n);
+    let s = (crate::cluster2::size_cap(n, &plan.c2) / 2).max(2) as f64;
     dissolve(sim, s as u64, Who::ActiveOnly);
     activate(sim, 1.0);
-    let mut iterations = 0u32;
-    while s < s_target && (f_est * n as f64) / s >= 32.0 && iterations < 24 {
-        resize(sim, s as u64, Who::AllClustered);
-        activate(sim, 1.0 / s);
-        for _ in 0..2 {
-            merge_iteration(
-                sim,
-                MergeOpts {
-                    pushers: Who::ActiveOnly,
-                    inactive_merge_only: true,
-                    rule: MergeRule::Random,
-                    smaller_only: false,
-                    mark_merged_active: true,
-                },
-            );
-        }
-        flatten_round(sim);
-        s = (2.0 * s)
-            .max(s * s * f_est / c2.square_safety)
-            .min(s_target + 1.0);
-        iterations += 1;
-    }
+    square(
+        sim,
+        s,
+        plan.s_target,
+        f_est * n as f64,
+        f_est,
+        plan.c2.square_safety,
+        MergeRule::Random,
+    );
 }
 
 /// `MergeClusters` (Algorithm 4 lines 7–10): activate each cluster with
-/// probability `merge_boost·s/Δ'`; active clusters PUSH their ID once and
-/// every inactive cluster merges into a uniformly random received
-/// candidate, growing active clusters to `≈ Δ'/merge_boost` nodes.
+/// probability `merge_boost·s/Δ'`; active clusters PUSH their ID and every
+/// inactive cluster merges into a uniformly random received candidate, so
+/// active clusters jump to `≈ Δ'/merge_boost` nodes in one `O(1)`-round
+/// step and the remaining gap to `Δ'` costs `BoundedClusterPush` only
+/// `O(1)` doubling iterations.
 ///
-/// We run the push/merge step twice — the second sweep catches inactive
-/// clusters that heard no candidate, which at practical `Δ` (where
-/// `Δ = log^{ω(1)} n` has not kicked in yet) would otherwise linger.
-fn merge_clusters(sim: &mut ClusterSim, working: u64, s_est: f64, cfg: &Cluster3Config) {
-    let p = (cfg.merge_boost * s_est / working as f64).clamp(0.01, 1.0);
-    activate(sim, p);
-    for _ in 0..2 {
-        merge_iteration(
-            sim,
-            MergeOpts {
-                pushers: Who::ActiveOnly,
-                inactive_merge_only: true,
-                rule: MergeRule::Random,
-                smaller_only: false,
-                mark_merged_active: true,
-            },
-        );
-    }
-    flatten_round(sim);
+/// [`recruit_merge`] runs the push/merge step twice: at practical `Δ`
+/// (where `Δ = log^{ω(1)} n` has not kicked in yet) inactive clusters that
+/// heard no candidate in the first sweep would otherwise linger.
+fn merge_clusters(sim: &mut ClusterSim, plan: &Plan) {
+    recruit_merge(sim, plan.merge_p, MergeRule::Random);
 }
 
 /// `BoundedClusterPush` with continuous `ClusterResize(Δ')`: every
 /// iteration resizes (keeping all clusters `< 2Δ'`), pushes, and applies
 /// the 1.1 growth-stall rule.
-fn bounded_cluster_push(sim: &mut ClusterSim, working: u64, cfg: &Cluster3Config) {
+fn bounded_cluster_push(sim: &mut ClusterSim, plan: &Plan) {
     activate(sim, 1.0);
-    let budget = loglog2n(sim.n()).ceil() as u32 + cfg.c2.bounded_push_slack;
+    let budget = loglog2n(sim.n()).ceil() as u32 + plan.c2.bounded_push_slack;
     for _ in 0..budget {
-        resize(sim, working, Who::ActiveOnly);
-        bounded_recruit_iteration(sim, cfg.c2.bounded_push_stall);
+        resize(sim, plan.working, Who::ActiveOnly);
+        bounded_recruit_iteration(sim, plan.c2.bounded_push_stall);
     }
     // One final sweep so late recruits are size-bounded too.
-    resize(sim, working, Who::AllClustered);
+    resize(sim, plan.working, Who::AllClustered);
+}
+
+/// The remaining nodes pull to join. Joins are not size-controlled by
+/// themselves, so a resize follows every pull round — otherwise a popular
+/// cluster could exceed `2Δ'` and its leader would answer more than `Δ`
+/// membership pushes in the next collect round.
+fn unclustered_nodes_pull(sim: &mut ClusterSim, plan: &Plan) {
+    for _ in 0..loglog2n(sim.n()).ceil() as u32 + plan.c2.pull_slack {
+        unclustered_pull_round(sim);
+        resize(sim, plan.working, Who::AllClustered);
+    }
+}
+
+/// Final shaping: dissolve runts (below `Δ'/2`), let their members rejoin
+/// by pulling, and resize once more — tightening the `Θ(Δ)` size band.
+fn final_resize(sim: &mut ClusterSim, plan: &Plan) {
+    dissolve(sim, plan.working / 2, Who::AllClustered);
+    for _ in 0..loglog2n(sim.n()).ceil() as u32 + 2 {
+        unclustered_pull_round(sim);
+        resize(sim, plan.working, Who::AllClustered);
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::msg::MsgKind;
 use crate::node::ClusterNode;
 use crate::primitives::share_rumor;
 use crate::report::RunReport;
-use crate::sim::{pull_round, push_round, ClusterSim};
+use crate::sim::{pull_round, push_round, run_phases, ClusterSim, Phase};
 use phonecall::Target;
 
 /// Builds a `Δ`-clustering with [`crate::cluster3`] and broadcasts the
@@ -45,32 +45,35 @@ pub fn run(n: usize, delta: usize, cfg: &PushPullConfig) -> RunReport {
     broadcast_on(&mut sim, delta, cfg)
 }
 
+/// The main loop's phase name; its rounds follow the `log n / log Δ` trade-off.
+pub const LOOP_PHASE: &str = "PushPullLoop";
+
+/// The phases of the broadcast, in order; each reads the loop budget.
+pub const PHASES: &[Phase<u32>] = &[
+    // Initial share: the source's cluster becomes the seed (epoch 0).
+    Phase::new("SeedShare", |sim, _| share_with_epoch(sim, 0)),
+    Phase::new(LOOP_PHASE, |sim, &budget| push_pull_loop(sim, budget)),
+    // Final share (Algorithm 3 line 6).
+    Phase::new("FinalShare", |sim, &last| share_with_epoch(sim, last + 1)),
+];
+
 /// Broadcasts the rumor over an existing `Δ`-clustering.
 pub fn broadcast_on(sim: &mut ClusterSim, delta: usize, cfg: &PushPullConfig) -> RunReport {
-    let n = sim.n();
     let working = ((delta as f64 / cfg.cluster3.c_headroom).floor()).max(2.0);
+    // Growth factor ≈ Δ'/2 per iteration.
+    let budget = (log2n(sim.n()) / (working / 2.0).log2().max(1.0)).ceil() as u32 + cfg.loop_slack;
+    run_phases(sim, &budget, PHASES);
+    sim.report()
+}
 
-    // Initial share: the source's cluster becomes the seed (epoch 0).
-    sim.begin_phase();
-    share_with_epoch(sim, 0);
-    sim.end_phase("SeedShare");
-
-    // Main loop: growth factor ≈ Δ'/2 per iteration.
-    let budget = (log2n(n) / (working / 2.0).log2().max(1.0)).ceil() as u32 + cfg.loop_slack;
-    sim.begin_phase();
+/// The main loop: epoch by epoch, the newly informed clusters push, a
+/// share spreads each hit through its cluster, and the uninformed pull.
+fn push_pull_loop(sim: &mut ClusterSim, budget: u32) {
     for epoch in 1..=budget {
         newly_informed_push_round(sim, epoch - 1);
         share_with_epoch(sim, epoch);
         uninformed_pull_round(sim, epoch);
     }
-    sim.end_phase("PushPullLoop");
-
-    // Final share (Algorithm 3 line 6).
-    sim.begin_phase();
-    share_with_epoch(sim, budget + 1);
-    sim.end_phase("FinalShare");
-
-    sim.report()
 }
 
 /// Members of clusters informed at `epoch` push the rumor to random nodes.
@@ -167,13 +170,7 @@ mod tests {
         let small = run(n, 16, &cfg(2));
         let large = run(n, 256, &cfg(2));
         assert!(small.success && large.success);
-        let loop_rounds = |r: &RunReport| {
-            r.phases
-                .iter()
-                .find(|p| p.name == "PushPullLoop")
-                .map(|p| p.rounds)
-                .unwrap_or(0)
-        };
+        let loop_rounds = |r: &RunReport| r.phase_rounds(LOOP_PHASE);
         assert!(
             loop_rounds(&large) < loop_rounds(&small),
             "Δ=256 loop ({}) should beat Δ=16 loop ({})",

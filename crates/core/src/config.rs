@@ -242,7 +242,7 @@ impl Default for Cluster1Config {
 /// detection at `2 − 1/log n`, continuous resizing, squaring with a
 /// `1/log n` hit-rate penalty, a bounded PUSH before the final PULL — and
 /// use one power of `log n` less so every phase is exercised at practical
-/// sizes. DESIGN.md §2 documents this substitution.
+/// sizes (README, "Deviations from the paper").
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Cluster2Config {
     /// Shared parameters.

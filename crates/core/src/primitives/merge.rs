@@ -1,5 +1,5 @@
 //! `ClusterPUSH` + `ClusterMerge` iterations (the squaring and merge-all
-//! machinery of `SquareClusters` and `MergeAllClusters`).
+//! machinery of `SquareClusters`, `MergeClusters` and `MergeAllClusters`).
 //!
 //! One iteration is three rounds:
 //!
@@ -13,7 +13,7 @@
 //!    and all its followers pull the new leader ID (`ClusterMerge`).
 //!
 //! Simultaneous merges can leave one-hop stale pointers; callers follow up
-//! with [`super::flatten_round`] (see DESIGN.md §2).
+//! with [`super::flatten_round`] (see README, "Deviations from the paper").
 
 use rand::Rng;
 
@@ -22,13 +22,12 @@ use crate::msg::MsgKind;
 use crate::node::ClusterNode;
 use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
-use super::{flatten_round, recruit::push_recruits, Who};
+use super::{activate, flatten_round, recruit::push_recruits, resize, Who};
 
 /// How a merging leader picks among relayed candidates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MergeRule {
-    /// The smallest candidate ID (Algorithm 1's `SquareClusters` and both
-    /// algorithms' `MergeAllClusters`).
+    /// The smallest candidate ID (Algorithm 1's `SquareClusters`).
     Smallest,
     /// A uniformly random candidate (Algorithm 2's `SquareClusters` and
     /// Algorithm 4's `MergeClusters` — randomization spreads inactive
@@ -36,28 +35,27 @@ pub enum MergeRule {
     Random,
 }
 
-/// Options for one [`merge_iteration`].
-#[derive(Clone, Copy, Debug)]
-pub struct MergeOpts {
-    /// Which clusters push their ID.
-    pub pushers: Who,
-    /// Whether only inactive clusters merge (`SquareClusters`) or all
-    /// clusters do (`MergeAllClusters`).
-    pub inactive_merge_only: bool,
-    /// Candidate selection rule.
-    pub rule: MergeRule,
-    /// Only merge into strictly smaller IDs (`MergeAllClusters` — makes
-    /// the globally smallest cluster the sink).
-    pub smaller_only: bool,
-    /// Mark everything that merges as active (inactive clusters joining an
-    /// active cluster become part of an active cluster).
-    pub mark_merged_active: bool,
+/// The two kinds of [`merge_iteration`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Merge {
+    /// Recruiting (`SquareClusters`, `MergeClusters`): active clusters
+    /// push, inactive clusters merge into a candidate the rule picks, and
+    /// whatever merges becomes active (it joined an active cluster).
+    Recruit(MergeRule),
+    /// `MergeAllClusters`: every cluster pushes and merges into the
+    /// smallest candidate ID below its own, which makes the globally
+    /// smallest cluster the sink.
+    All,
 }
 
 /// Runs one push → relay → merge iteration (three rounds).
-pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
+pub fn merge_iteration(sim: &mut ClusterSim, merge: Merge) {
+    let (pushers, rule, recruit) = match merge {
+        Merge::Recruit(rule) => (Who::ActiveOnly, rule, true),
+        Merge::All => (Who::AllClustered, MergeRule::Smallest, false),
+    };
     // Round 1: pushing clusters PUSH their cluster ID to random nodes.
-    push_recruits(sim, opts.pushers);
+    push_recruits(sim, pushers);
     let n = sim.n();
     let (arrivals, leaders, replies) = (&mut sim.arrivals, &mut sim.leaders, &mut sim.replies);
 
@@ -65,9 +63,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
     // (arrival order and length intact: `Candidates` is charged per listed
     // ID) to their leader; leaders take their own arrivals locally.
     arrivals.group(n);
-    let eligible = move |s: &ClusterNode| -> bool {
-        s.is_clustered() && (!opts.inactive_merge_only || !s.active)
-    };
+    let eligible = move |s: &ClusterNode| -> bool { s.is_clustered() && !(recruit && s.active) };
     for s in sim.net.states() {
         let got = arrivals.of(s.idx);
         if s.is_leader() && eligible(s) && !got.is_empty() {
@@ -102,8 +98,8 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         let mut target = None;
         if let Some(row) = leaders.get_mut(s.idx).filter(|_| eligible(s)) {
             let (own, cands) = (s.id, &mut row.candidates);
-            cands.retain(|c| *c != own && (!opts.smaller_only || *c < own));
-            match opts.rule {
+            cands.retain(|c| *c != own && (recruit || *c < own));
+            match rule {
                 MergeRule::Smallest => target = cands.iter().copied().min(),
                 MergeRule::Random => {
                     if !cands.is_empty() {
@@ -119,9 +115,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         replies.set(s.idx, sim.wire.msg(MsgKind::FollowVal(Some(verdict))));
         if target.is_some() {
             s.follow = Follow::Of(verdict);
-            if opts.mark_merged_active {
-                s.active = true;
-            }
+            s.active |= recruit;
         }
     }
     // Whatever was relayed is spent — including what stale pointers sent
@@ -133,9 +127,7 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
         if let MsgKind::FollowVal(Some(v)) = kind {
             if Follow::Of(v) != s.follow {
                 s.follow = Follow::Of(v);
-                if opts.mark_merged_active {
-                    s.active = true;
-                }
+                s.active |= recruit;
             }
         }
     });
@@ -156,22 +148,52 @@ pub fn merge_iteration(sim: &mut ClusterSim, opts: MergeOpts) {
 /// The paper uses exactly two iterations, which suffices asymptotically; at
 /// practical sizes the per-iteration absorption factor is finite, so the
 /// caller passes an explicitly computed `iterations` budget (still
-/// `O(log log n)`, see DESIGN.md §2).
+/// `O(log log n)`, see README, "Deviations from the paper").
 pub fn merge_all(sim: &mut ClusterSim, iterations: u32) {
     for _ in 0..iterations {
-        merge_iteration(
-            sim,
-            MergeOpts {
-                pushers: Who::AllClustered,
-                inactive_merge_only: false,
-                rule: MergeRule::Smallest,
-                smaller_only: true,
-                mark_merged_active: false,
-            },
-        );
+        merge_iteration(sim, Merge::All);
         flatten_round(sim);
     }
     flatten_round(sim);
+}
+
+/// One recruiting step (a `SquareClusters` iteration's body, and all of
+/// `MergeClusters`): activate each cluster with probability `p`, run two
+/// [`Merge::Recruit`] iterations — the second catches the inactive
+/// clusters the first one missed — and flatten the pointers the merges
+/// left.
+pub fn recruit_merge(sim: &mut ClusterSim, p: f64, rule: MergeRule) {
+    activate(sim, p);
+    for _ in 0..2 {
+        merge_iteration(sim, Merge::Recruit(rule));
+    }
+    flatten_round(sim);
+}
+
+/// `SquareClusters`' loop from cluster size `s`: resize to `[s, 2s)`,
+/// [`recruit_merge`] at activation `1/s`, and grow `s` to
+/// `max(2s, s²·hit/safety)`, capped just past `target`. `hit` is the
+/// chance that a push lands on a clustered node (`1` when nearly every
+/// node is clustered, `1/log n` on Cluster2's thin backbone). The loop
+/// runs while `s < target`, at least 32 clusters of size `s` fit in the
+/// `clustered` nodes (fewer are `MergeAllClusters`' job) and fewer than
+/// 24 iterations ran.
+pub fn square(
+    sim: &mut ClusterSim,
+    mut s: f64,
+    target: f64,
+    clustered: f64,
+    hit: f64,
+    safety: f64,
+    rule: MergeRule,
+) {
+    let mut iterations = 0u32;
+    while s < target && clustered / s >= 32.0 && iterations < 24 {
+        resize(sim, s as u64, Who::AllClustered);
+        recruit_merge(sim, 1.0 / s, rule);
+        s = (2.0 * s).max(s * s * hit / safety).min(target + 1.0);
+        iterations += 1;
+    }
 }
 
 #[cfg(test)]
@@ -214,16 +236,7 @@ mod tests {
     fn merge_preserves_membership_count() {
         let mut s = all_singletons(200, 3);
         let before = s.clustered_count();
-        merge_iteration(
-            &mut s,
-            MergeOpts {
-                pushers: Who::AllClustered,
-                inactive_merge_only: false,
-                rule: MergeRule::Smallest,
-                smaller_only: true,
-                mark_merged_active: false,
-            },
-        );
+        merge_iteration(&mut s, Merge::All);
         flatten_round(&mut s);
         flatten_round(&mut s);
         assert_eq!(s.clustered_count(), before, "no node lost by merging");
@@ -242,16 +255,7 @@ mod tests {
             .filter(|x| x.is_leader() && x.active)
             .map(|x| x.id)
             .collect();
-        merge_iteration(
-            &mut s,
-            MergeOpts {
-                pushers: Who::ActiveOnly,
-                inactive_merge_only: true,
-                rule: MergeRule::Random,
-                smaller_only: false,
-                mark_merged_active: true,
-            },
-        );
+        merge_iteration(&mut s, Merge::Recruit(MergeRule::Random));
         // Every active leader still leads its own cluster.
         for id in active_leaders {
             let idx = s.net.resolve(id).unwrap();
@@ -280,16 +284,7 @@ mod tests {
             s.net.states_mut()[i].active = i < 32;
         }
         s.net.enable_trace(1024);
-        merge_iteration(
-            &mut s,
-            MergeOpts {
-                pushers: Who::ActiveOnly,
-                inactive_merge_only: true,
-                rule: MergeRule::Random,
-                smaller_only: false,
-                mark_merged_active: true,
-            },
-        );
+        merge_iteration(&mut s, Merge::Recruit(MergeRule::Random));
         let events = s.net.trace().events();
         let mut heard = vec![0u64; n];
         for e in events.iter().filter(|e| e.round == events[0].round) {
@@ -313,16 +308,7 @@ mod tests {
     fn merge_iteration_costs_three_rounds_plus_flatten() {
         let mut s = all_singletons(64, 5);
         let before = s.net.metrics().rounds;
-        merge_iteration(
-            &mut s,
-            MergeOpts {
-                pushers: Who::AllClustered,
-                inactive_merge_only: false,
-                rule: MergeRule::Smallest,
-                smaller_only: true,
-                mark_merged_active: false,
-            },
-        );
+        merge_iteration(&mut s, Merge::All);
         assert_eq!(s.net.metrics().rounds - before, 3);
     }
 }

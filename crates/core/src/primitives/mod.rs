@@ -15,19 +15,21 @@
 //! | `ClusterDissolve(s)` | [`dissolve`]                         | push to leader + pull from leader |
 //! | `ClusterResize(s)`   | [`resize`]                           | push to leader + pull from leader |
 //! | `ClusterPUSH` + `ClusterMerge` | [`merge_iteration`] (push, relay, merge) | random push + push to leader + pull from leader |
+//! | `ClusterActivate` + 2 × (`ClusterPUSH` + `ClusterMerge`) | [`recruit_merge`] | pull from leader + 2 × merge iteration + pull from leader (flatten) |
+//! | `SquareClusters`' loop | [`square`] | per iteration: `ClusterResize` + [`recruit_merge`] |
 //! | `ClusterPUSH` onto unclustered nodes | [`grow_push_round`]  | random push |
 //! | growth-controlled recruiting | [`grow_control_iteration`]   | random push + push to leader + pull from leader |
 //! | `ClusterShare(msg)`  | [`share_rumor`]                      | push to leader + pull from leader |
-//! | (chain flattening)   | [`flatten_round`] — see DESIGN.md §2 | pull from leader |
+//! | (chain flattening)   | [`flatten_round`]                    | pull from leader |
 //! | final PULL joins     | [`unclustered_pull_round`]           | random pull |
 //! | (minority merge)     | [`consolidate`]                      | `ClusterSize` + random pull + push to leader + 2 × pull from leader |
 //!
-//! Two deviations from a literal pseudocode reading, both documented in
-//! DESIGN.md: the `ClusterResize` follower rule uses the *smallest* new
-//! leader ID at least the follower's own (the paper's "largest" is a typo
-//! — it would send every follower to one group), and simultaneous merges
-//! are healed by pointer jumping ([`flatten_round`]) since every node
-//! answers leadership pulls with its *current* follow value.
+//! Two deviations from a literal pseudocode reading (README, "Deviations
+//! from the paper"): the `ClusterResize` follower rule uses the *smallest*
+//! new leader ID at least the follower's own (the paper's "largest" is a
+//! typo — it would send every follower to one group), and simultaneous
+//! merges are healed by pointer jumping ([`flatten_round`]) since every
+//! node answers leadership pulls with its *current* follow value.
 
 mod activation;
 mod consolidate;
@@ -40,7 +42,7 @@ mod share;
 pub use activation::{activate, sample_singletons, seed_informed_leaders};
 pub use consolidate::consolidate;
 pub use membership::{collect_members, size_round, GrowControl};
-pub use merge::{merge_all, merge_iteration, MergeOpts, MergeRule};
+pub use merge::{merge_all, merge_iteration, recruit_merge, square, Merge, MergeRule};
 pub use recruit::{
     bounded_recruit_iteration, grow_control_iteration, grow_push_round, BoundedRecruitOutcome,
 };

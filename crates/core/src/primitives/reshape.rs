@@ -57,9 +57,10 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
 /// new-leaders announcement (a `⌊s'/s⌋·O(log n)`-bit message — the one
 /// deliberately larger message of the paper, see the Section 3.2 footnote).
 ///
-/// Deviations documented in DESIGN.md §2: a cluster with `s' < 2s` keeps
-/// its current leader (the paper's `⌊s'/s⌋ ≤ 1` case is undefined), and
-/// followers pick the **smallest** announced leader ID at least their own.
+/// Deviations (README, "Deviations from the paper"): a cluster with
+/// `s' < 2s` keeps its current leader (the paper's `⌊s'/s⌋ ≤ 1` case is
+/// undefined), and followers pick the **smallest** announced leader ID at
+/// least their own.
 pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
     assert!(s >= 1, "resize target must be positive");
     collect_members(sim, who);

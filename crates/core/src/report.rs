@@ -6,7 +6,7 @@ use serde::Serialize;
 /// Cost of one named phase of an algorithm.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct PhaseReport {
-    /// Phase name (e.g. `"GrowInitialClusters"`).
+    /// Phase name (e.g. [`crate::sim::GROW_INITIAL_CLUSTERS`]).
     pub name: &'static str,
     /// Rounds spent in the phase.
     pub rounds: u64,
@@ -125,6 +125,15 @@ impl RunReport {
     #[must_use]
     pub fn bits_per_node(&self) -> f64 {
         self.bits as f64 / self.n as f64
+    }
+
+    /// Rounds of the first phase recorded as `name` (0 if none was).
+    #[must_use]
+    pub fn phase_rounds(&self, name: &str) -> u64 {
+        self.phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.rounds)
     }
 
     /// Alive nodes left uninformed.

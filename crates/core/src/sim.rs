@@ -1,6 +1,7 @@
 //! [`ClusterSim`]: a phone-call network of [`ClusterNode`]s plus the
 //! run-level bookkeeping (wire sizes, algorithm RNG, phase capture), the
-//! primitives' working memory, and the two round shapes they are built of.
+//! primitives' working memory, the two round shapes they are built of, and
+//! [`run_phases`], which runs an algorithm's table of named [`Phase`]s.
 //!
 //! The struct is deliberately thin: all protocol behaviour lives in
 //! [`crate::primitives`] and the algorithm modules; `ClusterSim` provides
@@ -277,6 +278,47 @@ impl Arrivals {
     }
 }
 
+/// One named phase of a cluster algorithm: the paper's procedure name and
+/// the function that runs it on the algorithm's per-run input `C`.
+pub struct Phase<C> {
+    /// The name the phase is recorded under ([`PhaseReport::name`]).
+    pub name: &'static str,
+    /// Runs the phase.
+    pub run: fn(&mut ClusterSim, &C),
+}
+
+impl<C> Phase<C> {
+    /// The phase `run`, recorded as `name`.
+    pub const fn new(name: &'static str, run: fn(&mut ClusterSim, &C)) -> Self {
+        Phase { name, run }
+    }
+}
+
+/// Runs `phases` in order, recording each one's rounds, messages and bits
+/// under its name.
+pub fn run_phases<C>(sim: &mut ClusterSim, cfg: &C, phases: &[Phase<C>]) {
+    for phase in phases {
+        sim.begin_phase();
+        (phase.run)(sim, cfg);
+        sim.end_phase(phase.name);
+    }
+}
+
+/// Algorithms 1, 2 and 4: sample leaders and grow them.
+pub const GROW_INITIAL_CLUSTERS: &str = "GrowInitialClusters";
+/// Algorithms 1, 2 and 4: square the cluster size.
+pub const SQUARE_CLUSTERS: &str = "SquareClusters";
+/// Algorithms 1 and 2: merge every cluster into one.
+pub const MERGE_ALL_CLUSTERS: &str = "MergeAllClusters";
+/// Algorithms 2 and 4: growth-tracked recruiting pushes.
+pub const BOUNDED_CLUSTER_PUSH: &str = "BoundedClusterPush";
+/// Algorithms 1, 2 and 4: the unclustered nodes pull to join.
+pub const UNCLUSTERED_NODES_PULL: &str = "UnclusteredNodesPull";
+/// Algorithms 1 and 2: absorb residual clusters before the share.
+pub const CONSOLIDATE: &str = "Consolidate";
+/// Algorithms 1 and 2: spread the rumor inside the final cluster.
+pub const CLUSTER_SHARE: &str = "ClusterShare";
+
 /// A simulation of `n` cluster nodes under one algorithm run.
 #[derive(Debug)]
 pub struct ClusterSim {
@@ -372,13 +414,6 @@ impl ClusterSim {
         &self.phases
     }
 
-    /// Consumes the recorded phases (used when assembling the final
-    /// report).
-    #[must_use]
-    pub fn take_phases(&mut self) -> Vec<PhaseReport> {
-        std::mem::take(&mut self.phases)
-    }
-
     // ------------------------------------------------------------------
     // Engine-side observation (tests / reports only)
     // ------------------------------------------------------------------
@@ -461,7 +496,7 @@ impl ClusterSim {
         let informed = self.informed_count();
         crate::report::RunReport {
             clustering: self.clustering_stats(),
-            phases: self.take_phases(),
+            phases: std::mem::take(&mut self.phases),
             ..crate::report::RunReport::of(&self.net, informed, informed == self.alive_count())
         }
     }
@@ -524,14 +559,7 @@ mod tests {
 
     #[test]
     fn scratch_never_outlives_its_primitive() {
-        use crate::primitives::{self as p, MergeOpts, MergeRule, Who};
-        const MERGE: MergeOpts = MergeOpts {
-            pushers: Who::ActiveOnly,
-            inactive_merge_only: true,
-            rule: MergeRule::Random,
-            smaller_only: false,
-            mark_merged_active: true,
-        };
+        use crate::primitives::{self as p, Merge, MergeRule, Who};
         type Step = (&'static str, fn(&mut ClusterSim));
         // Every primitive that prepares replies or fills the arrival log.
         let steps: [Step; 14] = [
@@ -543,7 +571,9 @@ mod tests {
                 p::collect_members(s, Who::AllClustered);
                 let _ = p::size_round(s, Who::AllClustered, None);
             }),
-            ("merge_iteration", |s| p::merge_iteration(s, MERGE)),
+            ("merge_iteration", |s| {
+                p::merge_iteration(s, Merge::Recruit(MergeRule::Random));
+            }),
             ("flatten_round", p::flatten_round),
             ("grow_control_iteration", |s| {
                 let _ = p::grow_control_iteration(s, 4, 1.5);
@@ -591,6 +621,44 @@ mod tests {
         let mut s = sim(10);
         s.apply_failures(&FailurePlan::explicit(vec![NodeIdx(4), NodeIdx(5)]));
         assert_eq!(s.alive_count(), 8);
+    }
+
+    #[test]
+    fn phase_tables_partition_every_run() {
+        use crate::config::{Cluster1Config, Cluster2Config, Cluster3Config, PushPullConfig};
+        use crate::{cluster1, cluster2, cluster3, cluster_push_pull};
+        fn names<C>(table: &[Phase<C>]) -> Vec<&'static str> {
+            table.iter().map(|p| p.name).collect()
+        }
+        let (n, delta) = (512, 64);
+        let c1 = cluster1::run(n, &Cluster1Config::default());
+        let c2 = cluster2::run(n, &Cluster2Config::default());
+        let (c3, c3_report) = cluster3::build(n, delta, &Cluster3Config::default());
+        let cpp = cluster_push_pull::run(n, delta, &PushPullConfig::default());
+        // `cluster_push_pull::run` builds its Δ-clustering on the same sim.
+        let cpp_table = [names(cluster3::PHASES), names(cluster_push_pull::PHASES)].concat();
+        let rows = [
+            (
+                "Cluster1",
+                names(cluster1::PHASES),
+                &c1.phases[..],
+                c1.rounds,
+            ),
+            ("Cluster2", names(cluster2::PHASES), &c2.phases, c2.rounds),
+            (
+                "Cluster3",
+                names(cluster3::PHASES),
+                c3.phases(),
+                c3_report.rounds,
+            ),
+            ("ClusterPushPull", cpp_table, &cpp.phases, cpp.rounds),
+        ];
+        for (algo, table, phases, rounds) in rows {
+            let recorded: Vec<_> = phases.iter().map(|p| p.name).collect();
+            assert_eq!(recorded, table, "{algo} records its phase table in order");
+            let sum: u64 = phases.iter().map(|p| p.rounds).sum();
+            assert_eq!(sum, rounds, "{algo}'s phases partition its rounds");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use gossip_core::algo::{Algorithm, Scenario, CLUSTER3};
 use gossip_core::primitives::{
     collect_members, grow_push_round, merge_all, merge_iteration, resize, sample_singletons,
-    size_round, MergeOpts, MergeRule, Who,
+    size_round, Merge, Who,
 };
 use gossip_core::{ClusterSim, CommonConfig, Follow};
 use phonecall::NodeIdx;
@@ -143,16 +143,9 @@ fn reply_rounds_allocate_per_leader_not_per_puller() {
     merge_all(&mut sim, 8);
     assert_eq!(sim.clustering_stats().clusters, 1);
     sim.net.reserve_rounds(16);
-    let opts = MergeOpts {
-        pushers: Who::AllClustered,
-        inactive_merge_only: false,
-        rule: MergeRule::Smallest,
-        smaller_only: true,
-        mark_merged_active: false,
-    };
-    merge_iteration(&mut sim, opts);
+    merge_iteration(&mut sim, Merge::All);
     let round = sim.net.metrics().per_round.len();
-    let merging = allocations_during(|| merge_iteration(&mut sim, opts));
+    let merging = allocations_during(|| merge_iteration(&mut sim, Merge::All));
     let relays = sim.net.metrics().per_round[round + 1].messages;
     assert!(relays > 0, "followers relayed");
     assert!(

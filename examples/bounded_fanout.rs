@@ -35,11 +35,7 @@ fn main() {
         assert!(report.max_fan_in <= delta as u64, "fan-in bound violated");
         let working = delta as f64 / PushPullConfig::default().cluster3.c_headroom;
         let bound = log2n(n) / (working / 2.0).log2().max(1.0);
-        let loop_iters = report
-            .phases
-            .iter()
-            .find(|p| p.name == "PushPullLoop")
-            .map_or(0.0, |p| p.rounds as f64 / 4.0);
+        let loop_iters = report.phase_rounds(cluster_push_pull::LOOP_PHASE) as f64 / 4.0;
         println!(
             "{:<8} {:>22.1} {:>12.0} {:>12} {:>10}",
             delta, bound, loop_iters, report.max_fan_in, report.success

@@ -115,10 +115,7 @@ fn lemma16_tradeoff_monotone() {
         cfg.common.seed = 7;
         let r = cluster_push_pull::run(n, delta, &cfg);
         assert!(r.success);
-        r.phases
-            .iter()
-            .find(|p| p.name == "PushPullLoop")
-            .map_or(0, |p| p.rounds)
+        r.phase_rounds(cluster_push_pull::LOOP_PHASE)
     };
     let r16 = loop_rounds(16);
     let r256 = loop_rounds(256);

@@ -6,7 +6,7 @@
 
 use optimal_gossip::core::primitives::{
     activate, collect_members, dissolve, flatten_round, grow_push_round, merge_iteration, resize,
-    sample_singletons, size_round, unclustered_pull_round, MergeOpts, MergeRule, Who,
+    sample_singletons, size_round, unclustered_pull_round, Merge, MergeRule, Who,
 };
 use optimal_gossip::core::verify::check_clustering;
 use optimal_gossip::prelude::*;
@@ -49,29 +49,11 @@ fn apply(sim: &mut ClusterSim, op: &Op) {
         Op::Dissolve(s) => dissolve(sim, u64::from(*s), Who::AllClustered),
         Op::Resize(s) => resize(sim, u64::from(*s), Who::AllClustered),
         Op::MergeSmallest => {
-            merge_iteration(
-                sim,
-                MergeOpts {
-                    pushers: Who::AllClustered,
-                    inactive_merge_only: false,
-                    rule: MergeRule::Smallest,
-                    smaller_only: true,
-                    mark_merged_active: false,
-                },
-            );
+            merge_iteration(sim, Merge::All);
             flatten_round(sim);
         }
         Op::MergeRandom => {
-            merge_iteration(
-                sim,
-                MergeOpts {
-                    pushers: Who::ActiveOnly,
-                    inactive_merge_only: true,
-                    rule: MergeRule::Random,
-                    smaller_only: false,
-                    mark_merged_active: true,
-                },
-            );
+            merge_iteration(sim, Merge::Recruit(MergeRule::Random));
             flatten_round(sim);
         }
         Op::Flatten => flatten_round(sim),
@@ -141,13 +123,7 @@ proptest! {
         let before = sim.clustered_count();
         merge_iteration(
             &mut sim,
-            MergeOpts {
-                pushers: Who::ActiveOnly,
-                inactive_merge_only: true,
-                rule: MergeRule::Random,
-                smaller_only: false,
-                mark_merged_active: true,
-            },
+            Merge::Recruit(MergeRule::Random),
         );
         for _ in 0..3 {
             flatten_round(&mut sim);
