@@ -7,6 +7,8 @@
 //! the registry but left in a table, and an algorithm covered in one
 //! table but forgotten in another. All three become `golden_table`
 //! findings (never suppressible — a broken oracle cannot be waived).
+//! `GRAPH_GOLDEN` pins graphs rather than runs, so its rows are held to
+//! the same rules over the generated topology families instead.
 //!
 //! Parsing is textual, not token-based: the row keys are string
 //! literals, which the determinism [`lexer`](crate::lexer) discards by
@@ -33,11 +35,23 @@ pub const ALGORITHMS: &[&str] = &[
     "NameDropper",
 ];
 
+/// The generated topology families (`Topology::name`), the first key
+/// field of `GRAPH_GOLDEN`. `Complete` materializes nothing and the
+/// two supplied-graph kinds generate nothing, so none is pinned there.
+pub const GRAPH_FAMILIES: &[&str] = &[
+    "Ring",
+    "Torus2D",
+    "RandomRegular",
+    "ErdosRenyi",
+    "WattsStrogatz",
+    "PreferentialAttachment",
+];
+
 /// The audited tables and how many leading tuple fields form the grid
 /// key: `(algo, n, seed)` for the flat and churn grids, `(algo,
 /// scenario)` for topology/dataset, `(algo, seed)` for traffic and
-/// fixed-latency async, and `(algo, profile, seed)` for the sampled
-/// latency profiles.
+/// fixed-latency async, `(algo, profile, seed)` for the sampled
+/// latency profiles, and `(family, n, seed)` for the generated graphs.
 pub const TABLES: &[(&str, usize)] = &[
     ("GOLDEN", 3),
     ("CHURN_GOLDEN", 3),
@@ -46,7 +60,20 @@ pub const TABLES: &[(&str, usize)] = &[
     ("DATASET_GOLDEN", 2),
     ("ASYNC_GOLDEN", 2),
     ("LATENCY_GOLDEN", 3),
+    ("GRAPH_GOLDEN", 3),
 ];
+
+/// The names a table's first key field ranges over, and what they are:
+/// every table pins algorithms except `GRAPH_GOLDEN`, which pins graph
+/// families.
+#[must_use]
+pub fn row_names(table: &str) -> (&'static [&'static str], &'static str) {
+    if table == "GRAPH_GOLDEN" {
+        (GRAPH_FAMILIES, "topology family")
+    } else {
+        (ALGORITHMS, "algorithm")
+    }
+}
 
 /// One parsed table row: 1-based line and the raw tuple fields.
 struct Row {
@@ -98,7 +125,7 @@ fn finding(path: &str, line: u32, message: String) -> Finding {
 }
 
 /// Cross-checks every pinned table for duplicate grid keys and full,
-/// even algorithm coverage.
+/// even coverage of its [`row_names`].
 pub fn check(path: &str, text: &str, findings: &mut Vec<Finding>) {
     for &(table, key_arity) in TABLES {
         let Some(rows) = table_rows(text, table) else {
@@ -111,7 +138,8 @@ pub fn check(path: &str, text: &str, findings: &mut Vec<Finding>) {
         };
         let mut seen: std::collections::BTreeMap<Vec<String>, u32> =
             std::collections::BTreeMap::new();
-        let mut per_algo: std::collections::BTreeMap<String, usize> =
+        let (names, noun) = row_names(table);
+        let mut per_name: std::collections::BTreeMap<String, usize> =
             std::collections::BTreeMap::new();
         for row in &rows {
             if row.fields.len() < key_arity {
@@ -137,35 +165,35 @@ pub fn check(path: &str, text: &str, findings: &mut Vec<Finding>) {
                     ),
                 ));
             }
-            let algo = row.fields[0].clone();
-            if !ALGORITHMS.contains(&algo.as_str()) {
+            let name = row.fields[0].clone();
+            if !names.contains(&name.as_str()) {
                 findings.push(finding(
                     path,
                     row.line,
                     format!(
-                        "`{table}` pins unknown algorithm \"{algo}\"; not one of the \
-                         registry's {} — renamed or removed without regenerating?",
-                        ALGORITHMS.len()
+                        "`{table}` pins unknown {noun} \"{name}\"; not one of the \
+                         {} known — renamed or removed without regenerating?",
+                        names.len()
                     ),
                 ));
             }
-            *per_algo.entry(algo).or_insert(0) += 1;
+            *per_name.entry(name).or_insert(0) += 1;
         }
-        for &algo in ALGORITHMS {
-            if !per_algo.contains_key(algo) {
+        for &name in names {
+            if !per_name.contains_key(name) {
                 findings.push(finding(
                     path,
                     1,
                     format!(
-                        "`{table}` has no rows for \"{algo}\"; every registered algorithm \
-                         must be pinned in every grid"
+                        "`{table}` has no rows for \"{name}\"; every {noun} must be \
+                         pinned in its grid"
                     ),
                 ));
             }
         }
-        let known_counts: std::collections::BTreeSet<usize> = per_algo
+        let known_counts: std::collections::BTreeSet<usize> = per_name
             .iter()
-            .filter(|(a, _)| ALGORITHMS.contains(&a.as_str()))
+            .filter(|(a, _)| names.contains(&a.as_str()))
             .map(|(_, &c)| c)
             .collect();
         if known_counts.len() > 1 {
@@ -173,8 +201,8 @@ pub fn check(path: &str, text: &str, findings: &mut Vec<Finding>) {
                 path,
                 1,
                 format!(
-                    "`{table}` covers algorithms unevenly ({} distinct row counts); \
-                     some grid points are missing",
+                    "`{table}` covers its {noun} names unevenly ({} distinct row \
+                     counts); some grid points are missing",
                     known_counts.len()
                 ),
             ));

@@ -300,7 +300,8 @@ fn doc_comments_mentioning_directives_are_prose() {
 fn golden_fixture(vandalize: impl Fn(&str, &mut Vec<String>)) -> String {
     let mut out = String::new();
     for &(table, arity) in gossip_lint::goldens::TABLES {
-        let mut rows: Vec<String> = gossip_lint::goldens::ALGORITHMS
+        let mut rows: Vec<String> = gossip_lint::goldens::row_names(table)
+            .0
             .iter()
             .map(|algo| {
                 if arity == 3 {
@@ -353,6 +354,15 @@ fn duplicate_rows_missing_algorithms_and_strays_are_findings() {
     let text = golden_fixture(|t, rows| {
         if t == "GOLDEN" {
             rows.push("    (\"Cluster9\", 64, 1, 1, 2, 3, 64),".to_string());
+        }
+    });
+    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
+    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
+
+    // A graph row naming a family no generator builds.
+    let text = golden_fixture(|t, rows| {
+        if t == "GRAPH_GOLDEN" {
+            rows.push("    (\"Hypercube\", 64, 1, 1, 2, 3, 64),".to_string());
         }
     });
     let report = lint(&[("tests/golden_reports.rs", text.as_str())]);

@@ -15,9 +15,8 @@
 //!   identical graph;
 //! * the graph is undirected: `a b` and `b a` are the same edge, and
 //!   parallel copies collapse. Self-loop lines (`a a`) carry no
-//!   information for gossip and are dropped here, *before*
-//!   [`normalize_adjacency`](crate::normalize_adjacency) — which
-//!   treats a surviving self-loop as a hard error.
+//!   information for gossip and are dropped here, *before* the CSR
+//!   builder — which treats a surviving self-loop as a hard error.
 
 // detlint: allow-file(hash_order) — the `ids` relabeling HashMap is probed per-id; dense labels are assigned in first-appearance order of the file bytes and the map is never iterated
 use std::collections::HashMap;
@@ -40,7 +39,7 @@ const MAX_NODES: usize = u32::MAX as usize;
 /// no gossip to run).
 pub fn parse_edge_list(text: &str) -> Result<Adjacency, String> {
     let mut ids: HashMap<u64, u32> = HashMap::new();
-    let mut lists: Vec<Vec<u32>> = Vec::new();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     // `str::lines` already strips a trailing `\r`, so CRLF files
     // parse identically to LF ones.
     for (idx, raw) in text.lines().enumerate() {
@@ -59,16 +58,16 @@ pub fn parse_edge_list(text: &str) -> Result<Adjacency, String> {
         if a == b {
             continue; // self-loop line: no information for gossip
         }
-        let ia = intern(&mut ids, &mut lists, a, lineno)?;
-        let ib = intern(&mut ids, &mut lists, b, lineno)?;
-        // One direction suffices: `Adjacency::from_lists` mirrors
+        let ia = intern(&mut ids, a, lineno)?;
+        let ib = intern(&mut ids, b, lineno)?;
+        // One direction suffices: `Adjacency::from_edges` mirrors
         // every edge and collapses parallel copies.
-        lists[ia as usize].push(ib);
+        edges.push((ia, ib));
     }
-    if lists.is_empty() {
+    if ids.is_empty() {
         return Err("no edges found (only comments, blanks, or self-loops)".to_string());
     }
-    Adjacency::from_lists(lists)
+    Adjacency::from_edges(ids.len(), &edges)
 }
 
 fn parse_id(token: &str, lineno: usize) -> Result<u64, String> {
@@ -77,25 +76,19 @@ fn parse_id(token: &str, lineno: usize) -> Result<u64, String> {
         .map_err(|_| format!("line {lineno}: node id {token:?} is not an unsigned integer"))
 }
 
-/// Maps a raw file id to its dense index, allocating the next index —
-/// and its (empty) adjacency row — on first appearance.
-fn intern(
-    ids: &mut HashMap<u64, u32>,
-    lists: &mut Vec<Vec<u32>>,
-    raw: u64,
-    lineno: usize,
-) -> Result<u32, String> {
+/// Maps a raw file id to its dense index, allocating the next index on
+/// first appearance: the node count is `ids.len()`.
+fn intern(ids: &mut HashMap<u64, u32>, raw: u64, lineno: usize) -> Result<u32, String> {
     if let Some(&ix) = ids.get(&raw) {
         return Ok(ix);
     }
-    if lists.len() >= MAX_NODES {
+    if ids.len() >= MAX_NODES {
         return Err(format!(
             "line {lineno}: more than {MAX_NODES} distinct node ids"
         ));
     }
-    let ix = lists.len() as u32;
+    let ix = ids.len() as u32;
     ids.insert(raw, ix);
-    lists.push(Vec::new());
     Ok(ix)
 }
 

@@ -74,6 +74,32 @@ fn lint_algorithm_list_tracks_the_real_registry() {
 }
 
 #[test]
+fn lint_graph_family_list_tracks_the_topology_catalog() {
+    let real: std::collections::BTreeSet<&str> = phonecall::Topology::catalog()
+        .iter()
+        .filter_map(|(spec, _)| {
+            phonecall::Topology::parse_spec(spec.split('[').next().unwrap_or("")).ok()
+        })
+        .filter(|t| {
+            !matches!(
+                t,
+                phonecall::Topology::Complete | phonecall::Topology::FromFile(_)
+            )
+        })
+        .map(|t| t.name())
+        .collect();
+    let lint: std::collections::BTreeSet<&str> = gossip_lint::goldens::GRAPH_FAMILIES
+        .iter()
+        .copied()
+        .collect();
+    assert_eq!(
+        real, lint,
+        "gossip_lint::goldens::GRAPH_FAMILIES is out of sync with the generated \
+         topology families; teach the linter the new name so GRAPH_GOLDEN covers it"
+    );
+}
+
+#[test]
 fn suppressions_stay_justified() {
     // Belt and braces over the BadSuppression rule: every detlint
     // directive in the tree parses and carries a justification, and the

@@ -21,8 +21,8 @@
 //! and paste the printed rows over the `GOLDEN` table below (the churn,
 //! topology, traffic and dataset tests print their rows under
 //! `// churn grid:` / `// topology grid:` / `// traffic grid:` /
-//! `// dataset grid:` / `// async grid:` / `// latency grid:` headers
-//! for their respective tables). Do this
+//! `// dataset grid:` / `// async grid:` / `// latency grid:` /
+//! `// graph grid:` headers for their respective tables). Do this
 //! only when the change is meant to alter traffic patterns; the whole
 //! point of the table is to make that decision explicit.
 
@@ -329,6 +329,167 @@ const DATASET_GOLDEN: &[TopoGolden] = &[
     ("NameDropper", "ws_1k/overlay", 31, 31744, 205633104, 1024),
     ("NameDropper", "ws_1k/restricted", 440, 121813, 16579308, 0),
 ];
+
+/// One pinned graph: (family, n, seed, edges, max degree, FNV-1a over
+/// the CSR `offsets` then `neighbors`, each `u32` little-endian).
+type GraphGolden = (&'static str, usize, u64, usize, usize, u64);
+
+/// Every generated family built straight from [`Topology::build`] at
+/// seeds {1, 7}: two ordinary sizes (256 and 1024) and two edge cases
+/// per family (see [`graph_grid`]). `TOPOLOGY_GOLDEN` pins three
+/// graphs only through algorithm digests; these rows pin the CSR
+/// arrays of every family bit for bit, including the regeneration
+/// paths (`random-regular:3` on 10 nodes at seed 1 gets stuck pairing,
+/// `random-regular:2` on 64 nodes at seed 7 and `erdos-renyi:0.1` on 32
+/// nodes at both seeds come out disconnected on the first attempt).
+#[rustfmt::skip]
+const GRAPH_GOLDEN: &[GraphGolden] = &[
+    // (family, n, seed, edges, max_degree, fnv)
+    ("Ring", 2, 1, 1, 1, 0xa909b37ee2c1ac77),
+    ("Ring", 2, 7, 1, 1, 0xa909b37ee2c1ac77),
+    ("Ring", 3, 1, 3, 2, 0xda5b05029e3c30b5),
+    ("Ring", 3, 7, 3, 2, 0xda5b05029e3c30b5),
+    ("Ring", 256, 1, 256, 2, 0xcaf0a5fc83c1737f),
+    ("Ring", 256, 7, 256, 2, 0xcaf0a5fc83c1737f),
+    ("Ring", 1024, 1, 1024, 2, 0x2c7680c952255abd),
+    ("Ring", 1024, 7, 1024, 2, 0x2c7680c952255abd),
+    ("Torus2D", 6, 1, 9, 3, 0x79fd8d078288f059),
+    ("Torus2D", 6, 7, 9, 3, 0x79fd8d078288f059),
+    ("Torus2D", 13, 1, 13, 2, 0x5857edf592273e87),
+    ("Torus2D", 13, 7, 13, 2, 0x5857edf592273e87),
+    ("Torus2D", 256, 1, 512, 4, 0x11426dd7664ae7c9),
+    ("Torus2D", 256, 7, 512, 4, 0x11426dd7664ae7c9),
+    ("Torus2D", 1024, 1, 2048, 4, 0x6ef719cd9c37d865),
+    ("Torus2D", 1024, 7, 2048, 4, 0x6ef719cd9c37d865),
+    ("RandomRegular", 10, 1, 15, 3, 0x990903e75f3d5d71),
+    ("RandomRegular", 10, 7, 15, 3, 0x11137edad8785e91),
+    ("RandomRegular", 64, 1, 64, 2, 0x3c9bd0e940be2a25),
+    ("RandomRegular", 64, 7, 64, 2, 0xdaf1965a5ccf4505),
+    ("RandomRegular", 256, 1, 1024, 8, 0x5c2dfdd8f7ce193d),
+    ("RandomRegular", 256, 7, 1024, 8, 0x0ca93597d24b1c9d),
+    ("RandomRegular", 1024, 1, 4096, 8, 0xe944cbca08ebcdd1),
+    ("RandomRegular", 1024, 7, 4096, 8, 0x6b7540cf3021d381),
+    ("ErdosRenyi", 16, 1, 120, 15, 0x90e15e8784bbd975),
+    ("ErdosRenyi", 16, 7, 120, 15, 0x90e15e8784bbd975),
+    ("ErdosRenyi", 32, 1, 56, 9, 0xf189a459c63e44bb),
+    ("ErdosRenyi", 32, 7, 50, 6, 0xa05010a6963eae5f),
+    ("ErdosRenyi", 256, 1, 1678, 28, 0xca01c1f5c0b887cb),
+    ("ErdosRenyi", 256, 7, 1644, 22, 0x1b37153822e8b580),
+    ("ErdosRenyi", 1024, 1, 26206, 74, 0x1b9c2a26b5ecb297),
+    ("ErdosRenyi", 1024, 7, 26141, 72, 0x963f5fa48ea49ded),
+    ("WattsStrogatz", 5, 1, 10, 4, 0x788dcd213b780761),
+    ("WattsStrogatz", 5, 7, 10, 4, 0x788dcd213b780761),
+    ("WattsStrogatz", 64, 1, 64, 5, 0x7a1647725fc0f139),
+    ("WattsStrogatz", 64, 7, 64, 5, 0x5053904119c6df55),
+    ("WattsStrogatz", 256, 1, 768, 10, 0x4228c34eefe55d51),
+    ("WattsStrogatz", 256, 7, 768, 11, 0x6e7173dfa9eb595d),
+    ("WattsStrogatz", 1024, 1, 3072, 10, 0xf34d3b4b12cead94),
+    ("WattsStrogatz", 1024, 7, 3072, 10, 0xf21adb97b0044548),
+    ("PreferentialAttachment", 5, 1, 10, 4, 0x788dcd213b780761),
+    ("PreferentialAttachment", 5, 7, 10, 4, 0x788dcd213b780761),
+    ("PreferentialAttachment", 64, 1, 63, 11, 0x2dac28963b0d5077),
+    ("PreferentialAttachment", 64, 7, 63, 13, 0x08e1387555f29abb),
+    ("PreferentialAttachment", 256, 1, 1014, 52, 0x31d4566826bff155),
+    ("PreferentialAttachment", 256, 7, 1014, 54, 0x57689a4281fd02b5),
+    ("PreferentialAttachment", 1024, 1, 4086, 96, 0x20e58768e063bb28),
+    ("PreferentialAttachment", 1024, 7, 4086, 115, 0xfd4056be88eecb02),
+];
+
+/// The graph grid: `(n, topology)` per family, each at seeds {1, 7}.
+/// The family's name is [`Topology::name`]; within a family `n` alone
+/// tells the rows apart, so each size carries one fixed set of knobs.
+fn graph_grid() -> Vec<(usize, Topology, u64)> {
+    let cells = [
+        (2, Topology::Ring),
+        (3, Topology::Ring),
+        (256, Topology::Ring),
+        (1024, Topology::Ring),
+        // 2 x 3: the row wrap lists every vertical edge twice.
+        (6, Topology::Torus2D),
+        // Prime: a 1 x 13 grid, i.e. a ring.
+        (13, Topology::Torus2D),
+        (256, Topology::Torus2D),
+        (1024, Topology::Torus2D),
+        (10, Topology::RandomRegular(3)),
+        (64, Topology::RandomRegular(2)),
+        (256, Topology::RandomRegular(8)),
+        (1024, Topology::RandomRegular(8)),
+        (16, Topology::ErdosRenyi(1.0)),
+        (32, Topology::ErdosRenyi(0.1)),
+        (256, Topology::ErdosRenyi(0.05)),
+        (1024, Topology::ErdosRenyi(0.05)),
+        // K5: every rewiring draw finds its edge taken.
+        (5, Topology::WattsStrogatz(4, 0.3)),
+        (64, Topology::WattsStrogatz(2, 0.5)),
+        (256, Topology::WattsStrogatz(6, 0.2)),
+        (1024, Topology::WattsStrogatz(6, 0.2)),
+        // The seed clique alone: no arrivals.
+        (5, Topology::PreferentialAttachment(4)),
+        (64, Topology::PreferentialAttachment(1)),
+        (256, Topology::PreferentialAttachment(4)),
+        (1024, Topology::PreferentialAttachment(4)),
+    ];
+    let mut g = Vec::new();
+    for (n, topo) in cells {
+        for seed in [1u64, 7] {
+            g.push((n, topo.clone(), seed));
+        }
+    }
+    g
+}
+
+fn graph_digest(topo: &Topology, n: usize, seed: u64) -> GraphGolden {
+    let adj = topo.build(n, seed).expect("a generated family");
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut offset = 0u32;
+    eat(offset);
+    for v in 0..n as u32 {
+        offset += adj.degree(v) as u32;
+        eat(offset);
+    }
+    for v in 0..n as u32 {
+        adj.neighbors(v).iter().for_each(|&u| eat(u));
+    }
+    (
+        topo.name(),
+        n,
+        seed,
+        adj.edge_count(),
+        adj.max_degree(),
+        fnv,
+    )
+}
+
+#[test]
+fn generated_graphs_match_golden_digests() {
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        println!("// graph grid:");
+        for (n, topo, seed) in graph_grid() {
+            let (family, n, seed, edges, max_degree, fnv) = graph_digest(&topo, n, seed);
+            println!("    (\"{family}\", {n}, {seed}, {edges}, {max_degree}, {fnv:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(
+        GRAPH_GOLDEN.len(),
+        graph_grid().len(),
+        "graph golden table out of sync with the grid; regenerate with GOLDEN_REGEN=1"
+    );
+    for (&row, (n, topo, seed)) in GRAPH_GOLDEN.iter().zip(graph_grid()) {
+        assert_eq!((row.0, row.1, row.2), (topo.name(), n, seed), "grid drift");
+        assert_eq!(
+            graph_digest(&topo, n, seed),
+            row,
+            "{} on {n} nodes at seed {seed} drifted from its graph golden digest",
+            topo.describe()
+        );
+    }
+}
 
 /// The committed `ws_1k` fixture, resolved from the package root so the
 /// test passes regardless of the runner's working directory.
