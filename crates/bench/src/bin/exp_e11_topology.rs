@@ -39,7 +39,6 @@ use gossip_bench::{pow2, Experiment, Grid, Spec};
 use gossip_core::algo::Scenario;
 use gossip_harness::Table;
 use gossip_lowerbound::diameter;
-use gossip_lowerbound::graph::Graph;
 use phonecall::dataset::hyperball;
 use phonecall::Topology;
 
@@ -125,8 +124,7 @@ fn main() {
                 let diam = if n > diameter::EXACT_LIMIT {
                     format!("~{}", hyperball::estimate(&adj, 0xE11).diameter)
                 } else {
-                    let g = Graph::from_adjacency(&adj);
-                    match diameter::bounds(&g, 4) {
+                    match diameter::bounds(&adj, 4) {
                         None => "inf".to_string(),
                         Some(b) if b.is_exact() => b.lo.to_string(),
                         Some(b) => format!("{}..{}", b.lo, b.hi),

@@ -39,7 +39,6 @@ use gossip_bench::{Experiment, Spec};
 use gossip_core::algo::Scenario;
 use gossip_harness::Table;
 use gossip_lowerbound::diameter;
-use gossip_lowerbound::graph::Graph;
 use phonecall::dataset::{self, fixture, hyperball};
 use phonecall::Topology;
 
@@ -105,8 +104,7 @@ fn main() {
     for (f, _, adj) in &fixtures {
         let est = hyperball::estimate(adj, 0xE12);
         let exact = if adj.len() <= diameter::EXACT_LIMIT {
-            let g = Graph::from_adjacency(adj);
-            diameter::exact(&g).map_or("inf".to_string(), |d| d.to_string())
+            diameter::exact(adj).map_or("inf".to_string(), |d| d.to_string())
         } else {
             "—".to_string() // past the certified scale; estimator only
         };

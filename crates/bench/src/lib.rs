@@ -516,13 +516,18 @@ pub fn table(title: impl Into<String>, prefix: &[&str], cols: &[String]) -> Tabl
     Table::new(title, &columns)
 }
 
-/// `2^k` for a power-of-two size `n = 2^k`.
+/// A size label: `2^k` for a power of two `n = 2^k`, the decimal
+/// value otherwise.
 #[must_use]
 pub fn pow2(n: usize) -> String {
-    format!("2^{}", n.trailing_zeros())
+    if n.is_power_of_two() {
+        format!("2^{}", n.trailing_zeros())
+    } else {
+        n.to_string()
+    }
 }
 
-/// One `n=2^k` column header per sweep size.
+/// One `n=` column header per sweep size, labelled by [`pow2`].
 #[must_use]
 pub fn ns_cols(ns: &[usize]) -> Vec<String> {
     ns.iter().map(|&n| format!("n={}", pow2(n))).collect()
@@ -576,6 +581,15 @@ mod tests {
         fn text(&self) -> String {
             String::from_utf8(self.0.lock().expect("unpoisoned").clone()).expect("utf-8")
         }
+    }
+
+    #[test]
+    fn pow2_labels_only_powers_of_two_as_powers() {
+        assert_eq!(pow2(1), "2^0");
+        assert_eq!(pow2(1 << 16), "2^16");
+        assert_eq!(pow2(3), "3");
+        assert_eq!(pow2(1000), "1000");
+        assert_eq!(ns_cols(&[256, 1000]), ["n=2^8", "n=1000"]);
     }
 
     fn opts(args: &[&str]) -> Options {

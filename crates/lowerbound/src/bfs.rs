@@ -1,6 +1,6 @@
-//! Breadth-first search primitives.
+//! Breadth-first search primitives over a CSR [`Adjacency`].
 
-use crate::graph::Graph;
+use phonecall::Adjacency;
 
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -30,16 +30,18 @@ impl Search {
     }
 
     /// BFS from `src`, overwriting the distances of the previous search.
-    fn fill(&mut self, g: &Graph, src: u32) {
+    fn fill(&mut self, g: &Adjacency, src: u32) {
         self.dist.fill(UNREACHABLE);
         self.queue.clear();
         self.dist[src as usize] = 0;
         self.queue.push(src);
+        let (offsets, neighbors) = (g.raw_offsets(), g.raw_neighbors());
         let mut head = 0;
         while let Some(&v) = self.queue.get(head) {
             head += 1;
             let dv = self.dist[v as usize];
-            for &u in g.neighbors(v) {
+            let row = offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+            for &u in &neighbors[row] {
                 if self.dist[u as usize] == UNREACHABLE {
                     self.dist[u as usize] = dv + 1;
                     self.queue.push(u);
@@ -50,7 +52,7 @@ impl Search {
 
     /// BFS from `src` and its eccentricity (see [`eccentricity`]); the
     /// distances stay readable through [`Search::dist`].
-    pub(crate) fn run(&mut self, g: &Graph, src: u32) -> Ecc {
+    pub(crate) fn run(&mut self, g: &Adjacency, src: u32) -> Ecc {
         self.fill(g, src);
         let mut ecc = 0;
         let mut farthest = src;
@@ -73,7 +75,7 @@ impl Search {
 /// BFS from `src`; returns the distance vector (`UNREACHABLE` where
 /// disconnected).
 #[must_use]
-pub fn distances(g: &Graph, src: u32) -> Vec<u32> {
+pub fn distances(g: &Adjacency, src: u32) -> Vec<u32> {
     let mut search = Search::new(g.len());
     search.fill(g, src);
     search.dist
@@ -92,17 +94,8 @@ pub struct Ecc {
 /// Eccentricity of `src`: the maximum distance to any vertex, or
 /// `UNREACHABLE` when the graph is disconnected from `src`.
 #[must_use]
-pub fn eccentricity(g: &Graph, src: u32) -> Ecc {
+pub fn eccentricity(g: &Adjacency, src: u32) -> Ecc {
     Search::new(g.len()).run(g, src)
-}
-
-/// Whether the graph is connected.
-#[must_use]
-pub fn is_connected(g: &Graph) -> bool {
-    if g.is_empty() {
-        return true;
-    }
-    !distances(g, 0).contains(&UNREACHABLE)
 }
 
 #[cfg(test)]
@@ -110,13 +103,9 @@ mod tests {
     use super::*;
 
     /// Path graph 0-1-2-...-k.
-    fn path(k: usize) -> Graph {
-        let mut g = Graph::empty(k + 1);
-        for i in 0..k {
-            g.add_edge(i as u32, (i + 1) as u32);
-        }
-        g.finish();
-        g
+    fn path(k: usize) -> Adjacency {
+        let edges: Vec<(u32, u32)> = (0..k as u32).map(|i| (i, i + 1)).collect();
+        Adjacency::from_edges(k + 1, &edges).unwrap()
     }
 
     #[test]
@@ -138,18 +127,15 @@ mod tests {
 
     #[test]
     fn disconnected_graph_detected() {
-        let mut g = Graph::empty(4);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
-        g.finish();
-        assert!(!is_connected(&g));
+        let g = Adjacency::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        assert!(!g.is_connected());
         assert_eq!(eccentricity(&g, 0).ecc, UNREACHABLE);
     }
 
     #[test]
     fn singleton_is_connected() {
-        let g = Graph::empty(1);
-        assert!(is_connected(&g));
+        let g = Adjacency::from_edges(1, &[]).unwrap();
+        assert!(g.is_connected());
         assert_eq!(eccentricity(&g, 0).ecc, 0);
     }
 }

@@ -16,9 +16,10 @@
 //! When the bounds straddle the budget — the borderline cells
 //! `T ≈ log₂ log₂ n` the experiment exists to show — "`diam ≤ d`" is
 //! *checked*, not computed, by a **word-parallel bounded-depth BFS**: 64
-//! sources advance together, one bit each, over a flat CSR copy of the
-//! graph. Per level every unsaturated vertex ORs its neighbours' frontier
-//! words (`next[v] = (⋁_{u ∈ N(v)} frontier[u]) & !seen[v]`), a batch ends
+//! sources advance together, one bit each, reading the graph's two CSR
+//! columns in place. Per level every unsaturated vertex ORs its
+//! neighbours' frontier words
+//! (`next[v] = (⋁_{u ∈ N(v)} frontier[u]) & !seen[v]`), a batch ends
 //! as soon as every word is full, and the scan answers "no" the moment a
 //! batch exhausts its `d` levels or its frontier empties with bits
 //! missing (disconnected). The exact diameter is the same kernel with the
@@ -26,8 +27,9 @@
 //! `⌈n/64⌉ · levels · 2m` word-ORs, against `n · 2m` queue steps for one
 //! scalar BFS per vertex.
 
+use phonecall::Adjacency;
+
 use crate::bfs::{Search, UNREACHABLE};
-use crate::graph::Graph;
 
 /// Certified diameter bounds (`lo ≤ diam ≤ hi`); `None` when the graph is
 /// disconnected (infinite diameter).
@@ -51,7 +53,7 @@ impl DiameterBounds {
 /// caller that wants the bounds after 2 sweeps *and* after 4
 /// ([`crate::theorem3::trial`]) reads them off the same run.
 pub(crate) struct Sweeps<'g> {
-    g: &'g Graph,
+    g: &'g Adjacency,
     search: Search,
     lo: u32,
     hi: u32,
@@ -62,7 +64,7 @@ pub(crate) struct Sweeps<'g> {
 impl<'g> Sweeps<'g> {
     /// The initial bounds from one BFS at vertex `0`; `None` for
     /// disconnected graphs.
-    pub(crate) fn start(g: &'g Graph) -> Option<Self> {
+    pub(crate) fn start(g: &'g Adjacency) -> Option<Self> {
         let mut search = Search::new(g.len());
         let (ecc, frontier) = if g.is_empty() {
             (0, 0)
@@ -134,7 +136,7 @@ impl<'g> Sweeps<'g> {
 ///
 /// Returns `None` for disconnected graphs.
 #[must_use]
-pub fn bounds(g: &Graph, sweeps: u32) -> Option<DiameterBounds> {
+pub fn bounds(g: &Adjacency, sweeps: u32) -> Option<DiameterBounds> {
     let mut s = Sweeps::start(g)?;
     s.advance_to(sweeps);
     Some(s.bounds())
@@ -143,15 +145,12 @@ pub fn bounds(g: &Graph, sweeps: u32) -> Option<DiameterBounds> {
 /// The word-parallel bounded-depth BFS (module docs): `Some(diam)` when
 /// `g` is connected and `diam ≤ cap`, `None` otherwise — as soon as one
 /// batch of 64 sources proves it.
-fn scan(g: &Graph, cap: u32) -> Option<u32> {
+fn scan(g: &Adjacency, cap: u32) -> Option<u32> {
     let n = g.len();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets = Vec::with_capacity(2 * g.edge_count());
-    offsets.push(0);
-    for v in 0..n as u32 {
-        targets.extend_from_slice(g.neighbors(v));
-        offsets.push(targets.len());
-    }
+    // The columns, not `g.neighbors(v)`: the loop below visits every
+    // row once per level, and re-slicing each row through the accessor
+    // made the borderline 2^12, T = 3 trial 10–30 % slower.
+    let (offsets, targets) = (g.raw_offsets(), g.raw_neighbors());
     // Bit `i` of word `v`: source `first + i` has reached (`seen`) / reached
     // at the previous level (`frontier`) / reaches at this level (`next`)
     // vertex `v`.
@@ -182,7 +181,7 @@ fn scan(g: &Graph, cap: u32) -> Option<u32> {
                     next[v] = 0;
                     continue;
                 }
-                let reached = targets[offsets[v]..offsets[v + 1]]
+                let reached = targets[offsets[v] as usize..offsets[v + 1] as usize]
                     .iter()
                     .fold(0, |acc, &u| acc | frontier[u as usize]);
                 let new = reached & !s;
@@ -208,7 +207,7 @@ fn scan(g: &Graph, cap: u32) -> Option<u32> {
 /// cap — `⌈n/64⌉ · diam · 2m` word-ORs. Returns `None` for disconnected
 /// graphs.
 #[must_use]
-pub fn exact(g: &Graph) -> Option<u32> {
+pub fn exact(g: &Adjacency) -> Option<u32> {
     scan(g, u32::MAX)
 }
 
@@ -228,7 +227,7 @@ pub const EXACT_LIMIT: usize = 1 << 15;
 /// blurs the E4 transition by a single cell). `None` (disconnected)
 /// counts as **no** (infinite diameter).
 #[must_use]
-pub fn diameter_at_most(g: &Graph, budget: u64) -> bool {
+pub fn diameter_at_most(g: &Adjacency, budget: u64) -> bool {
     Sweeps::start(g).is_some_and(|mut s| s.at_most(budget))
 }
 
@@ -236,12 +235,12 @@ pub fn diameter_at_most(g: &Graph, budget: u64) -> bool {
 /// from rotating deterministic starts. Certified as a lower bound; on
 /// random near-regular graphs it almost always equals the diameter.
 #[must_use]
-pub fn intensive_lower_bound(g: &Graph, sweeps: u32) -> u32 {
+pub fn intensive_lower_bound(g: &Adjacency, sweeps: u32) -> u32 {
     multi_start_lower_bound(g, sweeps, &mut Search::new(g.len()))
 }
 
 /// [`intensive_lower_bound`] on the caller's BFS scratch.
-fn multi_start_lower_bound(g: &Graph, sweeps: u32, search: &mut Search) -> u32 {
+fn multi_start_lower_bound(g: &Adjacency, sweeps: u32, search: &mut Search) -> u32 {
     if g.is_empty() {
         return 0;
     }
@@ -271,22 +270,18 @@ mod tests {
     use crate::bfs::{distances, eccentricity};
     use crate::graph::sample_union_graph;
 
-    fn path(k: usize) -> Graph {
-        let mut g = Graph::empty(k + 1);
-        for i in 0..k {
-            g.add_edge(i as u32, (i + 1) as u32);
-        }
-        g.finish();
-        g
+    fn path(k: usize) -> Adjacency {
+        let edges: Vec<(u32, u32)> = (0..k as u32).map(|i| (i, i + 1)).collect();
+        Adjacency::from_edges(k + 1, &edges).unwrap()
     }
 
-    fn cycle(k: usize) -> Graph {
-        let mut g = Graph::empty(k);
-        for i in 0..k {
-            g.add_edge(i as u32, ((i + 1) % k) as u32);
-        }
-        g.finish();
-        g
+    fn cycle(k: usize) -> Adjacency {
+        let edges: Vec<(u32, u32)> = (0..k as u32).map(|i| (i, (i + 1) % k as u32)).collect();
+        Adjacency::from_edges(k, &edges).unwrap()
+    }
+
+    fn empty(n: usize) -> Adjacency {
+        Adjacency::from_edges(n, &[]).unwrap()
     }
 
     #[test]
@@ -300,7 +295,7 @@ mod tests {
     fn scan_at_and_below_the_diameter() {
         // Sizes straddle the 64-source batch: one partial batch, exactly
         // one, one plus a one-source tail, and several.
-        let mut cases: Vec<(Graph, u32)> = Vec::new();
+        let mut cases: Vec<(Adjacency, u32)> = Vec::new();
         for n in [1usize, 2, 64, 65, 130] {
             cases.push((path(n - 1), n as u32 - 1));
         }
@@ -331,7 +326,7 @@ mod tests {
 
     /// The sweep loop as it stood before it became [`Sweeps`]: three
     /// scalar searches per iteration, fresh vectors each.
-    fn reference_bounds(g: &Graph, sweeps: u32) -> Option<DiameterBounds> {
+    fn reference_bounds(g: &Adjacency, sweeps: u32) -> Option<DiameterBounds> {
         if g.is_empty() {
             return Some(DiameterBounds { lo: 0, hi: 0 });
         }
@@ -361,7 +356,7 @@ mod tests {
 
     #[test]
     fn resumable_sweeps_match_the_reference_loop() {
-        let mut graphs = vec![Graph::empty(0), Graph::empty(1), path(9), cycle(12)];
+        let mut graphs = vec![empty(0), empty(1), path(9), cycle(12)];
         for seed in 0..20 {
             graphs.push(sample_union_graph(
                 50 + 37 * seed as usize,
@@ -422,10 +417,7 @@ mod tests {
 
     #[test]
     fn disconnected_is_never_within_budget() {
-        let mut g = Graph::empty(4);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
-        g.finish();
+        let g = Adjacency::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(!diameter_at_most(&g, 1_000_000));
         assert_eq!(bounds(&g, 3), None);
         assert_eq!(exact(&g), None);

@@ -1,122 +1,15 @@
-//! Undirected graphs as adjacency lists, and the random sample-union
-//! graph `K' = ∪_{t≤T} G_t` of the lower-bound argument.
+//! The random sample-union graph `K' = ∪_{t≤T} G_t` of the lower-bound
+//! argument, drawn straight into the simulator's CSR
+//! [`phonecall::Adjacency`].
 //!
-//! [`Graph`] shares its adjacency validation with
-//! [`phonecall::topology`] ([`phonecall::normalize_adjacency`]) and
-//! bridges into the simulator's topology subsystem both ways:
-//! [`Graph::to_topology`] turns a lower-bound graph into a
-//! [`phonecall::Topology`] the whole algorithm registry can run on, and
-//! [`Graph::from_adjacency`] lifts a materialized contact graph back so
-//! the diameter machinery ([`crate::diameter`]) can certify it.
+//! Every other module of this crate reads that same type, so a contact
+//! graph from [`phonecall::Topology::build`] or [`phonecall::dataset`]
+//! is certified by [`crate::diameter`] as it is, and a union graph runs
+//! under the whole algorithm registry through
+//! [`phonecall::Topology::FromAdjacency`] (`Adjacency::to_lists`).
 
-use phonecall::{derive_seed, normalize_adjacency, rng_from_seed, Adjacency, Topology};
+use phonecall::{derive_seed, rng_from_seed, Adjacency};
 use rand::Rng;
-
-/// A simple undirected graph on vertices `0..n`.
-#[derive(Clone, Debug)]
-pub struct Graph {
-    adj: Vec<Vec<u32>>,
-    edges: usize,
-}
-
-impl Graph {
-    /// An empty graph on `n` vertices.
-    #[must_use]
-    pub fn empty(n: usize) -> Self {
-        Graph {
-            adj: vec![Vec::new(); n],
-            edges: 0,
-        }
-    }
-
-    /// Number of vertices.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Whether the graph has no vertices.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Number of (undirected, deduplicated) edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Neighbours of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.adj[v as usize]
-    }
-
-    /// Adds the undirected edge `{u, v}` (self-loops and duplicates are
-    /// ignored; duplicates are removed lazily by [`Graph::finish`]).
-    pub fn add_edge(&mut self, u: u32, v: u32) {
-        if u == v {
-            return;
-        }
-        self.adj[u as usize].push(v);
-        self.adj[v as usize].push(u);
-    }
-
-    /// Sorts and deduplicates all adjacency lists (call once after bulk
-    /// insertion), via the validation shared with the simulator's
-    /// topology subsystem ([`phonecall::normalize_adjacency`]).
-    ///
-    /// `normalize_adjacency` treats out-of-range indices and self-loops
-    /// as hard errors; both are impossible here because [`Graph::add_edge`]
-    /// indexes `self.adj` (panicking early on a bad vertex) and drops
-    /// `u == v` at insertion — which is what the `expect` records.
-    pub fn finish(&mut self) {
-        self.edges = normalize_adjacency(&mut self.adj)
-            .expect("Graph::add_edge keeps every index in range and drops self-loops");
-    }
-
-    /// Maximum vertex degree.
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// The graph as a communication topology
-    /// ([`phonecall::Topology::FromAdjacency`]): run any registered
-    /// gossip algorithm *on* a lower-bound graph via
-    /// `Scenario::topology(g.to_topology())`. Supplied adjacencies are
-    /// used verbatim — disconnected graphs included (broadcast then
-    /// cannot complete, which is sometimes the point).
-    #[must_use]
-    pub fn to_topology(&self) -> Topology {
-        Topology::FromAdjacency(self.adj.clone())
-    }
-
-    /// Lifts a materialized contact graph ([`phonecall::Adjacency`], e.g.
-    /// from [`Topology::build`]) into a [`Graph`], unlocking the BFS and
-    /// certified-diameter machinery of this crate for topology
-    /// experiments.
-    #[must_use]
-    pub fn from_adjacency(adj: &Adjacency) -> Self {
-        let mut g = Graph {
-            adj: adj.to_lists(),
-            edges: 0,
-        };
-        g.finish();
-        g
-    }
-}
-
-impl From<&Graph> for Topology {
-    fn from(g: &Graph) -> Topology {
-        g.to_topology()
-    }
-}
 
 /// Draws the union graph `K' = ∪_{t=1..t_rounds} G_t`: every node samples
 /// one uniformly random other node per round; each sample contributes an
@@ -124,36 +17,109 @@ impl From<&Graph> for Topology {
 ///
 /// This is exactly the graph of Theorem 15's proof — a random graph where
 /// every node has drawn `t_rounds` independent uniform contacts (expected
-/// average degree `≈ 2·t_rounds`).
+/// average degree `≈ 2·t_rounds`). The `n · t_rounds` draws go into one
+/// edge list, which [`Adjacency::from_edges`] symmetrizes and
+/// deduplicates in one counting pass.
 ///
 /// ```
 /// let g = gossip_lowerbound::graph::sample_union_graph(100, 3, 7);
 /// assert_eq!(g.len(), 100);
 /// assert!(g.edge_count() <= 300);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `n < 2` (no other node to sample) or if `n` does not fit
+/// a `u32` node index.
 #[must_use]
-pub fn sample_union_graph(n: usize, t_rounds: u32, seed: u64) -> Graph {
+pub fn sample_union_graph(n: usize, t_rounds: u32, seed: u64) -> Adjacency {
     assert!(n >= 2, "need at least two nodes");
+    let nodes = u32::try_from(n).expect("node indices are u32");
     let mut rng = rng_from_seed(derive_seed(seed, 0x10ba));
-    let mut g = Graph::empty(n);
+    let mut edges = Vec::with_capacity(n * t_rounds as usize);
     for _t in 0..t_rounds {
-        for v in 0..n as u32 {
+        for v in 0..nodes {
             let u = loop {
-                let c = rng.gen_range(0..n as u32);
+                let c = rng.gen_range(0..nodes);
                 if c != v {
                     break c;
                 }
             };
-            g.add_edge(v, u);
+            edges.push((v, u));
         }
     }
-    g.finish();
-    g
+    Adjacency::from_edges(n, &edges).expect("draws are in range and loop-free")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The builder [`sample_union_graph`] replaced, kept as its
+    /// reference: the same draws, each pushed onto both endpoints' own
+    /// rows, then every row sorted and deduplicated.
+    fn reference_union_rows(n: usize, t_rounds: u32, seed: u64) -> Vec<Vec<u32>> {
+        let mut rng = rng_from_seed(derive_seed(seed, 0x10ba));
+        let mut rows = vec![Vec::new(); n];
+        for _t in 0..t_rounds {
+            for v in 0..n as u32 {
+                let u = loop {
+                    let c = rng.gen_range(0..n as u32);
+                    if c != v {
+                        break c;
+                    }
+                };
+                rows[v as usize].push(u);
+                rows[u as usize].push(v);
+            }
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+            row.dedup();
+        }
+        rows
+    }
+
+    fn assert_matches_reference(n: usize, t_rounds: u32, seed: u64) {
+        let g = sample_union_graph(n, t_rounds, seed);
+        let want = reference_union_rows(n, t_rounds, seed);
+        assert_eq!(g.len(), n);
+        assert_eq!(
+            g.edge_count(),
+            want.iter().map(Vec::len).sum::<usize>() / 2,
+            "n {n} T {t_rounds} seed {seed}"
+        );
+        for (v, row) in want.iter().enumerate() {
+            assert_eq!(
+                g.neighbors(v as u32),
+                &row[..],
+                "n {n} T {t_rounds} seed {seed} node {v}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn union_graph_matches_the_per_row_reference(
+            n in 2usize..400,
+            t_rounds in 0u32..7,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            assert_matches_reference(n, t_rounds, seed);
+        }
+    }
+
+    #[test]
+    fn union_graph_matches_the_per_row_reference_at_2p16() {
+        for t_rounds in [2, 4, 6] {
+            assert_matches_reference(1 << 16, t_rounds, 0xE4);
+        }
+    }
 
     #[test]
     fn union_graph_has_expected_density() {
@@ -166,23 +132,6 @@ mod tests {
         );
         let avg_deg = 2.0 * g.edge_count() as f64 / 1000.0;
         assert!((6.0..=8.5).contains(&avg_deg), "avg degree {avg_deg}");
-    }
-
-    #[test]
-    fn add_edge_absorbs_the_input_normalize_rejects() {
-        // `normalize_adjacency` errors on self-loops and dedups
-        // parallel edges; the bridge stays panic-free because loops
-        // die at `add_edge` and duplicates are exactly what `finish`
-        // is for.
-        let mut g = Graph::empty(4);
-        g.add_edge(3, 3); // ignored, not an error here
-        g.add_edge(0, 1);
-        g.add_edge(1, 0); // parallel copy, reversed
-        g.add_edge(0, 1); // parallel copy
-        g.finish();
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(3), &[] as &[u32]);
     }
 
     #[test]
@@ -199,11 +148,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = sample_union_graph(128, 3, 9);
-        let b = sample_union_graph(128, 3, 9);
-        for v in 0..128u32 {
-            assert_eq!(a.neighbors(v), b.neighbors(v));
-        }
+        assert_eq!(sample_union_graph(128, 3, 9), sample_union_graph(128, 3, 9));
     }
 
     #[test]
@@ -214,19 +159,10 @@ mod tests {
 
     #[test]
     fn topology_bridge_round_trips() {
+        use phonecall::Topology;
         let g = sample_union_graph(64, 3, 4);
-        let topo = g.to_topology();
-        assert_eq!(Topology::from(&g), topo);
+        let topo = Topology::FromAdjacency(g.to_lists());
         let adj = topo.build(64, 0).expect("FromAdjacency materializes");
-        assert_eq!(adj.edge_count(), g.edge_count());
-        for v in 0..64u32 {
-            assert_eq!(adj.neighbors(v), g.neighbors(v), "node {v}");
-        }
-        // And back: the lifted graph is identical.
-        let back = Graph::from_adjacency(&adj);
-        assert_eq!(back.edge_count(), g.edge_count());
-        for v in 0..64u32 {
-            assert_eq!(back.neighbors(v), g.neighbors(v));
-        }
+        assert_eq!(adj, g);
     }
 }

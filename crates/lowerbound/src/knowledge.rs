@@ -131,18 +131,21 @@ impl KnowledgeGraph {
 
 /// Runs the most powerful dynamics until the knowledge graph is complete;
 /// returns the rounds used (`None` if `cap` was hit, which cannot happen
-/// for sane caps).
+/// for sane caps). A single node knows everyone before any round, so
+/// `n = 1` takes `Some(0)` rounds whatever the cap.
 #[must_use]
 pub fn rounds_to_complete(n: usize, seed: u64, cap: u32) -> Option<u32> {
     let mut g = KnowledgeGraph::new(n);
     let mut rng = rng_from_seed(derive_seed(seed, 0x5eed));
-    for t in 1..=cap {
-        let _ = g.round(&mut rng);
-        if g.is_complete() {
-            return Some(t);
+    let mut t = 0;
+    while !g.is_complete() {
+        if t == cap {
+            return None;
         }
+        let _ = g.round(&mut rng);
+        t += 1;
     }
-    None
+    Some(t)
 }
 
 #[cfg(test)]
@@ -163,6 +166,9 @@ mod tests {
     fn single_node_is_trivially_complete() {
         let g = KnowledgeGraph::new(1);
         assert!(g.is_complete());
+        for cap in [0, 1, 20] {
+            assert_eq!(rounds_to_complete(1, 7, cap), Some(0), "cap {cap}");
+        }
     }
 
     #[test]
@@ -202,20 +208,16 @@ mod tests {
         // "u knows v" at round t must lie within 2^t hops in the union of
         // the sampled graphs.
         use crate::bfs::distances;
-        use crate::graph::Graph;
         let n = 128;
         let mut g = KnowledgeGraph::new(n);
-        let mut union = Graph::empty(n);
+        let mut edges = Vec::new();
         let mut rng = rng_from_seed(derive_seed(9, 0x5eed));
         for t in 1u32..=4 {
-            for (a, b) in g.round(&mut rng) {
-                union.add_edge(a, b);
-            }
-            let mut u_sorted = union.clone();
-            u_sorted.finish();
+            edges.extend(g.round(&mut rng));
+            let union = phonecall::Adjacency::from_edges(n, &edges).unwrap();
             let budget = 1u32 << t;
             for u in 0..n {
-                let dist = distances(&u_sorted, u as u32);
+                let dist = distances(&union, u as u32);
                 for (v, d) in dist.iter().enumerate() {
                     if g.knows(u, v) {
                         assert!(

@@ -23,7 +23,10 @@
 //!
 //! # What this crate computes
 //!
-//! * [`graph::sample_union_graph`] — draws `K' = ∪_{t≤T} G_t`;
+//! * [`graph::sample_union_graph`] — draws `K' = ∪_{t≤T} G_t` as a CSR
+//!   [`phonecall::Adjacency`], the simulator's own graph type, so every
+//!   function below also certifies a contact graph from
+//!   [`phonecall::Topology::build`] or [`phonecall::dataset`] as is;
 //! * [`bfs`] / [`diameter`] — BFS eccentricities and certified
 //!   diameter *bounds* (double-sweep lower bound, center-eccentricity
 //!   upper bound) plus the word-parallel bounded-depth scan — 64 BFS
@@ -42,6 +45,5 @@ pub mod knowledge;
 pub mod theorem3;
 
 pub use diameter::DiameterBounds;
-pub use graph::Graph;
 pub use knowledge::{rounds_to_complete, KnowledgeGraph};
 pub use theorem3::{empirical_threshold, estimate_success, TrialVerdict};

@@ -148,7 +148,7 @@ pub use network::{Network, NodeCtx};
 pub use rng::{
     derive_seed, rng_from_seed, ASYNC_CLOCK_STREAM, ASYNC_DELIVERY_STREAM, ASYNC_LATENCY_STREAM,
 };
-pub use topology::{normalize_adjacency, Adjacency, DirectAddressing, Topology};
+pub use topology::{Adjacency, DirectAddressing, Topology};
 pub use trace::{Event, EventKind, Trace};
 pub use traffic::{RumorStatus, TrafficConfig, TrafficPlan};
 pub use wire::{header_bits, id_bits, Wire};

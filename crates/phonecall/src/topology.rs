@@ -10,7 +10,7 @@
 //! * a [`Topology`] names a graph family (`Ring`, `Torus2D`,
 //!   `RandomRegular`, `ErdosRenyi`, `WattsStrogatz`,
 //!   `PreferentialAttachment`, or an explicit [`Topology::FromAdjacency`]
-//!   edge list — the bridge from `gossip-lowerbound`'s `Graph`);
+//!   edge list);
 //! * [`Topology::build`] materializes it **once per network** as a CSR
 //!   [`Adjacency`], deterministically from a seed, regenerating with a
 //!   derived seed until the graph is connected (random families can
@@ -144,8 +144,7 @@ pub enum Topology {
     /// Heavy-tailed degrees — the hub-and-spoke stress test for fan-in.
     PreferentialAttachment(u32),
     /// An explicit adjacency list (one neighbor list per node; treated
-    /// as undirected and symmetrized). The bridge from
-    /// `gossip-lowerbound`'s `Graph` and from any external edge list.
+    /// as undirected and symmetrized), for any external edge list.
     /// Exempt from the connectivity requirement — a supplied graph is
     /// used as-is, partitions included.
     FromAdjacency(Vec<Vec<u32>>),
@@ -500,7 +499,9 @@ impl Knobs for Topology {
 /// duplicate-free neighbor row per node in one `neighbors` column, built
 /// once at install time so the round loop never allocates or chases
 /// pointers. Every constructor except the cache's `from_csr` goes
-/// through one edge-list builder, `from_edges`.
+/// through one edge-list builder, [`Adjacency::from_edges`]; the
+/// topology generators, the dataset loader and `gossip-lowerbound`'s
+/// union graph all share it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Adjacency {
     /// Row offsets into `neighbors`; length `n + 1`.
@@ -510,35 +511,31 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    /// Builds from per-node neighbor lists, read as the edge list
-    /// `(v, u)` for every `u` in row `v`: bounds-checks every index,
-    /// symmetrizes (an edge listed on either endpoint counts for both),
-    /// deduplicates parallel edges and rejects self-loops, exactly as
-    /// [`normalize_adjacency`] would after mirroring every edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first out-of-range neighbor in row
-    /// order or, failing that, the lowest self-looped node.
-    pub fn from_lists(lists: Vec<Vec<u32>>) -> Result<Self, String> {
-        Self::from_edges(lists.len(), &list_edges(&lists))
-    }
-
     /// Builds from an undirected edge list in one counting pass: count
     /// both endpoints of every edge, prefix-sum the counts into
     /// `offsets`, scatter both directions into one `neighbors` column,
     /// then sort and deduplicate each row in place, compacting the
     /// column and rewriting `offsets` as it goes. Parallel edges and
     /// both orientations of one edge collapse to a single entry per
-    /// endpoint.
+    /// endpoint, so the edge list may be directed, repeated or both;
+    /// nodes no edge mentions get empty rows.
+    ///
+    /// The column keeps the capacity of the scatter, `2·edges.len()`:
+    /// the slack is the duplicates removed. Shrinking it would
+    /// reallocate megabytes per build, which fragments the heap when
+    /// graphs are built one after another.
     ///
     /// # Errors
     ///
-    /// The first edge in list order with an endpoint outside `0..n` is
-    /// an error naming it; otherwise the lowest node with a self-loop is
-    /// one. The wording is [`normalize_adjacency`]'s. A list with more
-    /// half-edges than a `u32` offset can address is an error too.
-    pub(crate) fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, String> {
+    /// Nothing is built, and the message names the offending entry,
+    /// when:
+    /// * an endpoint lies outside `0..n` — the first such edge in list
+    ///   order: "adjacency lists node `v` as neighbor of `u`, outside
+    ///   `0..n`", with `u` the out-of-range endpoint;
+    /// * otherwise, an edge is a self-loop — the lowest such node:
+    ///   "adjacency lists node `v` as its own neighbor (self-loop)";
+    /// * the list has more half-edges than a `u32` offset can address.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, String> {
         if edges.len() > (u32::MAX / 2) as usize {
             return Err(format!(
                 "{} edges overflow the u32 CSR offsets",
@@ -598,7 +595,6 @@ impl Adjacency {
         }
         offsets[n] = kept as u32;
         neighbors.truncate(kept);
-        neighbors.shrink_to_fit();
         Ok(Adjacency { offsets, neighbors })
     }
 
@@ -649,13 +645,18 @@ impl Adjacency {
         Ok(Adjacency { offsets, neighbors })
     }
 
-    /// The raw CSR row-offset array (length `n + 1`), for serialization.
-    pub(crate) fn raw_offsets(&self) -> &[u32] {
+    /// The raw CSR row-offset array (length `n + 1`): row `v` is
+    /// `raw_neighbors()[raw_offsets()[v]..raw_offsets()[v + 1]]`. For
+    /// serialization, and for loops over every row that would otherwise
+    /// re-slice through [`Adjacency::neighbors`] once per node.
+    #[must_use]
+    pub fn raw_offsets(&self) -> &[u32] {
         &self.offsets
     }
 
-    /// The raw concatenated neighbor rows, for serialization.
-    pub(crate) fn raw_neighbors(&self) -> &[u32] {
+    /// The raw concatenated neighbor rows (see [`Adjacency::raw_offsets`]).
+    #[must_use]
+    pub fn raw_neighbors(&self) -> &[u32] {
         &self.neighbors
     }
 
@@ -736,8 +737,8 @@ impl Adjacency {
         queue.len() == n
     }
 
-    /// The adjacency back as per-node neighbor lists (for bridging into
-    /// other graph representations, e.g. `gossip-lowerbound::Graph`).
+    /// The adjacency back as per-node neighbor lists, the shape
+    /// [`Topology::FromAdjacency`] holds.
     #[must_use]
     pub fn to_lists(&self) -> Vec<Vec<u32>> {
         (0..self.len() as u32)
@@ -775,50 +776,6 @@ impl Adjacency {
         }
         unreachable!("pick < alive_deg");
     }
-}
-
-/// Normalizes raw adjacency lists in place — sorts and deduplicates
-/// every row (parallel edges collapse to one), bounds-checks indices,
-/// rejects self-loops — and returns the undirected edge count. This is
-/// `gossip-lowerbound`'s `Graph::finish`; [`Adjacency::from_lists`]
-/// applies the same rules, with the same error wording, to the CSR it
-/// builds.
-///
-/// Self-loops are an *error*, not a cleanup: a raw edge list that
-/// mentions `v v` is either corrupt or needs an ingestion layer that
-/// decides what loops mean (the SNAP parser in [`crate::dataset`]
-/// drops loop *lines* and counts them before ever reaching here).
-/// Silently eating them would hide both.
-///
-/// The caller is responsible for symmetry (by construction, as
-/// `Graph::add_edge` does; [`Adjacency::from_lists`] symmetrizes on its
-/// own).
-///
-/// # Errors
-///
-/// Returns a message naming the out-of-range neighbor or the
-/// self-looped node, if any.
-pub fn normalize_adjacency(lists: &mut [Vec<u32>]) -> Result<usize, String> {
-    let n = lists.len();
-    let mut half_edges = 0usize;
-    for (v, row) in lists.iter_mut().enumerate() {
-        for &u in row.iter() {
-            if u as usize >= n {
-                return Err(format!(
-                    "adjacency lists node {v} as neighbor of {u}, outside 0..{n}"
-                ));
-            }
-            if u as usize == v {
-                return Err(format!(
-                    "adjacency lists node {v} as its own neighbor (self-loop)"
-                ));
-            }
-        }
-        row.sort_unstable();
-        row.dedup();
-        half_edges += row.len();
-    }
-    Ok(half_edges / 2)
 }
 
 /// The edge list of per-node neighbor lists: `(v, u)` for every `u` in
@@ -1161,7 +1118,7 @@ mod tests {
     fn from_adjacency_symmetrizes_and_normalizes() {
         // Directed, duplicated input comes out clean: the parallel
         // `0-1` edge collapses and every edge is mirrored.
-        let adj = Adjacency::from_lists(vec![vec![1, 1], vec![2], vec![]]).unwrap();
+        let adj = Adjacency::from_edges(3, &[(0, 1), (0, 1), (1, 2)]).unwrap();
         assert_eq!(adj.neighbors(0), &[1]);
         assert_eq!(adj.neighbors(1), &[0, 2]);
         assert_eq!(adj.neighbors(2), &[1]);
@@ -1170,13 +1127,13 @@ mod tests {
 
     #[test]
     fn from_adjacency_rejects_out_of_range() {
-        let err = Adjacency::from_lists(vec![vec![5], vec![]]).unwrap_err();
+        let err = Adjacency::from_edges(2, &[(0, 5)]).unwrap_err();
         assert!(err.contains("outside 0..2"), "{err}");
     }
 
     #[test]
     fn from_adjacency_rejects_self_loops_naming_the_node() {
-        let err = Adjacency::from_lists(vec![vec![1], vec![1]]).unwrap_err();
+        let err = Adjacency::from_edges(2, &[(0, 1), (1, 1)]).unwrap_err();
         assert!(err.contains("node 1") && err.contains("self-loop"), "{err}");
     }
 
@@ -1190,8 +1147,8 @@ mod tests {
     }
 
     /// The builder `from_edges` replaced, kept as its reference: mirror
-    /// every listed edge into the other endpoint's list, normalize the
-    /// lists, and copy the rows into CSR.
+    /// every listed edge into the other endpoint's list, then check,
+    /// sort and deduplicate each row, and copy the rows into CSR.
     fn reference_from_lists(mut lists: Vec<Vec<u32>>) -> Result<Adjacency, String> {
         let n = lists.len();
         for (v, row) in lists.iter().enumerate() {
@@ -1211,7 +1168,15 @@ mod tests {
                 }
             }
         }
-        normalize_adjacency(&mut lists)?;
+        for (v, row) in lists.iter_mut().enumerate() {
+            if row.contains(&(v as u32)) {
+                return Err(format!(
+                    "adjacency lists node {v} as its own neighbor (self-loop)"
+                ));
+            }
+            row.sort_unstable();
+            row.dedup();
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::new();
         offsets.push(0);
@@ -1446,23 +1411,6 @@ mod tests {
         assert_eq!(DirectAddressing::default(), DirectAddressing::Overlay);
         let err = DirectAddressing::parse("tunnel").unwrap_err();
         assert!(err.contains("overlay"), "{err}");
-    }
-
-    #[test]
-    fn normalize_is_shared_and_counts_edges() {
-        let mut lists = vec![vec![2, 1, 2], vec![0], vec![0]];
-        let edges = normalize_adjacency(&mut lists).unwrap();
-        assert_eq!(edges, 2, "the parallel 0-2 edge dedups");
-        assert_eq!(lists[0], vec![1, 2]);
-        let mut bad = vec![vec![9]];
-        assert!(normalize_adjacency(&mut bad).is_err());
-    }
-
-    #[test]
-    fn normalize_rejects_self_loops_naming_the_node() {
-        let mut lists = vec![vec![1], vec![0], vec![2]];
-        let err = normalize_adjacency(&mut lists).unwrap_err();
-        assert!(err.contains("node 2") && err.contains("self-loop"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use optimal_gossip::lowerbound::diameter;
-use optimal_gossip::lowerbound::graph::Graph;
 use optimal_gossip::prelude::*;
 use phonecall::dataset::{self, fixture, hyperball, parse_edge_list};
 use proptest::prelude::*;
@@ -60,8 +59,7 @@ fn hyperball_matches_exact_bfs_on_every_fixture() {
     // sizing and the experiment's seed.
     for f in fixture::catalog() {
         let adj = dataset::load(data_dir().join(f.file_name)).unwrap();
-        let exact = diameter::exact(&Graph::from_adjacency(&adj))
-            .unwrap_or_else(|| panic!("{} must be connected", f.name));
+        let exact = diameter::exact(&adj).unwrap_or_else(|| panic!("{} must be connected", f.name));
         let est = hyperball::estimate(&adj, 0xE12);
         assert!(
             est.diameter <= exact && est.diameter + 1 >= exact,
@@ -98,7 +96,7 @@ proptest! {
             _ => Topology::PreferentialAttachment(3),
         };
         let adj = topo.build(n, seed).expect("materialized family");
-        let exact = diameter::exact(&Graph::from_adjacency(&adj))
+        let exact = diameter::exact(&adj)
             .expect("these families are connected by construction");
         let p = (2 * n).next_power_of_two().trailing_zeros().clamp(6, 12);
         let est = hyperball::estimate_with_registers(&adj, seed ^ 0x5eed, p);

@@ -203,20 +203,19 @@ proptest! {
         use optimal_gossip::lowerbound::bfs::{eccentricity, UNREACHABLE};
         use optimal_gossip::lowerbound::diameter::{diameter_at_most, exact};
         use optimal_gossip::lowerbound::graph::sample_union_graph;
-        use optimal_gossip::lowerbound::Graph;
         let base = sample_union_graph(n, t, seed);
         // Shape 1 appends an isolated vertex, shape 2 a disjoint copy.
         let extra = [0, 1, n][shape as usize];
-        let mut g = Graph::empty(n + extra);
+        let mut edges = Vec::new();
         for v in 0..n as u32 {
             for &u in base.neighbors(v) {
-                g.add_edge(v, u);
+                edges.push((v, u));
                 if shape == 2 {
-                    g.add_edge(v + n as u32, u + n as u32);
+                    edges.push((v + n as u32, u + n as u32));
                 }
             }
         }
-        g.finish();
+        let g = Adjacency::from_edges(n + extra, &edges).unwrap();
         let eccs: Vec<u32> = (0..g.len() as u32).map(|v| eccentricity(&g, v).ecc).collect();
         let want = (!eccs.contains(&UNREACHABLE)).then(|| eccs.iter().copied().max().unwrap_or(0));
         prop_assert_eq!(exact(&g), want);

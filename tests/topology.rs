@@ -321,10 +321,12 @@ fn churn_schedule_is_identical_with_and_without_topology() {
 
 #[test]
 fn lowerbound_graph_runs_as_a_topology() {
-    // The Graph -> Topology::FromAdjacency bridge end to end: run the
-    // headline algorithm on a Theorem 15 sample-union graph.
+    // The union graph -> Topology::FromAdjacency bridge end to end: run
+    // the headline algorithm on a Theorem 15 sample-union graph.
     let g = optimal_gossip::lowerbound::graph::sample_union_graph(256, 4, 9);
-    let scenario = Scenario::broadcast(256).seed(3).topology(g.to_topology());
+    let scenario = Scenario::broadcast(256)
+        .seed(3)
+        .topology(Topology::FromAdjacency(g.to_lists()));
     let r = registry::by_name("push-pull").unwrap().run(&scenario);
     assert!(r.rounds > 0 && r.informed > 1);
 }
