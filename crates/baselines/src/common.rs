@@ -1,5 +1,5 @@
-//! Shared node state, messages, the rumor round and report assembly for
-//! the baselines.
+//! Shared node state, the rumor message, the rumor round and report
+//! assembly for the baselines.
 //!
 //! Push, Pull, PushPull, Karp and the oracle tree differ only in who
 //! calls whom, and when: each is a call rule ([`Call`]) handed to
@@ -7,7 +7,7 @@
 
 use gossip_core::report::RunReport;
 use gossip_core::CommonConfig;
-use phonecall::{Action, BitSet, Delivery, Network, NodeCtx, Target, Wire};
+use phonecall::{Action, Delivery, Network, NodeCtx, Target, Wire};
 
 /// Node state for the rumor-spreading baselines.
 #[derive(Clone, Debug, Default)]
@@ -19,40 +19,23 @@ pub struct RumorNode {
     pub birth: u64,
 }
 
-/// Messages the baselines exchange.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BaselineMsg {
-    /// The rumor, carrying its birth round (`b + O(log n)` bits).
-    Rumor {
-        /// Round the rumor entered the network.
-        birth: u64,
-        /// Rumor payload size in bits.
-        bits: u64,
-    },
-    /// A list of node IDs (Name-Dropper's knowledge transfer), held as
-    /// a snapshot of the sender's knowledge row: bit `r` stands for the
-    /// run's `r`-th smallest ID. The simulated wire still carries the
-    /// IDs themselves, `listed` of them.
-    IdRow {
-        /// The sender's knowledge at send time, by ID rank.
-        row: BitSet,
-        /// IDs on the wire: every member of `row`, plus the sender's own
-        /// ID once more as the list's closing entry.
-        listed: u64,
-        /// Per-ID wire width in bits.
-        id_bits: u64,
-    },
+/// The rumor, carrying its birth round (`b + O(log n)` bits): the one
+/// message of the rumor baselines. A plain value with no destructor, like
+/// `gossip_core`'s `Msg`, so the engine moves it as a copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RumorMsg {
+    /// Round the rumor entered the network.
+    pub birth: u64,
+    /// Rumor payload size in bits.
+    pub bits: u64,
 }
 
-impl Wire for BaselineMsg {
+const _: () = assert!(!std::mem::needs_drop::<RumorMsg>());
+
+impl Wire for RumorMsg {
     fn size_bits(&self) -> u64 {
-        match self {
-            // birth counter costs one ID-width slot (O(log n) bits).
-            BaselineMsg::Rumor { bits, .. } => bits + 32,
-            BaselineMsg::IdRow {
-                listed, id_bits, ..
-            } => 16 + listed * id_bits,
-        }
+        // The birth counter costs one ID-width slot (O(log n) bits).
+        self.bits + 32
     }
 }
 
@@ -94,7 +77,7 @@ pub fn rumor_round(
     rumor_bits: u64,
     call: impl Fn(&NodeCtx<'_, RumorNode>) -> Option<Call>,
 ) {
-    let rumor = |s: &RumorNode| BaselineMsg::Rumor {
+    let rumor = |s: &RumorNode| RumorMsg {
         birth: s.birth,
         bits: rumor_bits,
     };
@@ -110,11 +93,11 @@ pub fn rumor_round(
         |s| s.informed.then(|| rumor(s)),
         |s, d| {
             if let Delivery::Push {
-                msg: BaselineMsg::Rumor { birth, .. },
+                msg: RumorMsg { birth, .. },
                 ..
             }
             | Delivery::PullReply {
-                msg: BaselineMsg::Rumor { birth, .. },
+                msg: RumorMsg { birth, .. },
                 ..
             } = d
             {
@@ -187,19 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn msg_sizes() {
-        let rumor = BaselineMsg::Rumor {
+    fn a_rumor_costs_b_bits_plus_its_birth() {
+        let rumor = RumorMsg {
             birth: 0,
             bits: 100,
         };
         assert_eq!(rumor.size_bits(), 132);
-        // Charged by the IDs listed, not by the row's width in words.
-        let ids = BaselineMsg::IdRow {
-            row: BitSet::new(4096),
-            listed: 1,
-            id_bits: 20,
-        };
-        assert_eq!(ids.size_bits(), 36);
     }
 
     /// Every node in `from` pushes directly to `to` this round.

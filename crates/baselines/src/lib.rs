@@ -34,6 +34,6 @@ pub mod push_pull;
 pub mod registry;
 pub mod tree;
 
-pub use common::{BaselineMsg, RumorNode};
+pub use common::{RumorMsg, RumorNode};
 pub use gossip_core::CommonConfig;
 pub use registry::UnknownAlgorithm;

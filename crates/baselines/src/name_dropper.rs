@@ -24,11 +24,10 @@
 use std::cell::RefCell;
 
 use phonecall::knob::Choice;
-use phonecall::{Action, BitSet, Delivery, Metrics, Network, NodeId, NodeIdx, Target};
+use phonecall::{Action, BitSet, Delivery, Metrics, Network, NodeId, NodeIdx, Target, Wire};
 use rand::Rng;
 use serde::Serialize;
 
-use crate::common::BaselineMsg;
 use gossip_core::CommonConfig;
 
 /// Per-node discovery state: the known IDs as a row over ID ranks.
@@ -38,6 +37,27 @@ struct DiscoveryNode {
     known: BitSet,
     /// `known.count_ones()`, maintained by every union.
     count: usize,
+}
+
+/// Name-Dropper's message: a list of node IDs, held as a snapshot of the
+/// sender's knowledge row (bit `r` stands for the run's `r`-th smallest
+/// ID). The simulated wire still carries the IDs themselves, `listed` of
+/// them.
+#[derive(Debug)]
+struct IdRow {
+    /// The sender's knowledge at send time, by ID rank.
+    row: BitSet,
+    /// IDs on the wire: every member of `row`, plus the sender's own ID
+    /// once more as the list's closing entry.
+    listed: u64,
+    /// Per-ID wire width in bits.
+    id_bits: u64,
+}
+
+impl Wire for IdRow {
+    fn size_bits(&self) -> u64 {
+        16 + self.listed * self.id_bits
+    }
 }
 
 /// Report of a discovery run.
@@ -252,7 +272,7 @@ impl Discovery {
                 row.clone_from(&st.known);
                 Action::Push {
                     to: Target::Direct(by_rank[target]),
-                    msg: BaselineMsg::IdRow {
+                    msg: IdRow {
                         row,
                         listed: st.count as u64 + 1,
                         id_bits,
@@ -264,7 +284,7 @@ impl Discovery {
                 // The sender's own ID needs no separate insert: a row
                 // always contains its owner.
                 if let Delivery::Push {
-                    msg: BaselineMsg::IdRow { row, .. },
+                    msg: IdRow { row, .. },
                     ..
                 } = d
                 {
@@ -308,7 +328,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use gossip_core::algo::Scenario;
-    use phonecall::{AsyncConfig, ChurnConfig, DirectAddressing, Engine, Latency, Wire};
+    use phonecall::{AsyncConfig, ChurnConfig, DirectAddressing, Engine, Latency};
 
     use super::*;
 
@@ -477,6 +497,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_id_row_is_charged_by_the_ids_listed() {
+        // Not by the row's width in words.
+        let ids = IdRow {
+            row: BitSet::new(4096),
+            listed: 1,
+            id_bits: 20,
+        };
+        assert_eq!(ids.size_bits(), 36);
     }
 
     #[test]

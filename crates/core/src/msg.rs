@@ -13,38 +13,92 @@
 //!
 //! # Layout
 //!
-//! A [`Msg`] is 32 bytes and `Option<Msg>` is no larger (the enum tag has
-//! spare values): the engine keeps a column of each per round, and
-//! [`crate::sim::ClusterSim`] one prepared response per node. Every
-//! variant therefore fits 16 payload bytes — counts of nodes are `u32`
-//! (`n` fits one), variable-length payloads are thin boxed slices. A pull
-//! response is a **pre-round snapshot** that `respond` clones once per
-//! puller, so the one heap payload a response can carry
-//! ([`MsgKind::Leaders`]) is shared behind an `Rc`: a clone is a counter
-//! bump, not a copy of the ID list. (`Rc`, not `Arc`: a simulation never
-//! leaves its thread.)
-
-use std::rc::Rc;
+//! A [`Msg`] is a plain value: it is `Copy`, has no destructor, is 32
+//! bytes, and `Option<Msg>` is no larger (the enum tag has spare values).
+//! The engine keeps a column of each per round and moves, buffers and
+//! drops every message it carries, and [`crate::sim::ClusterSim`] keeps
+//! one prepared response per node; without drop glue each of those is
+//! a plain copy, and a pull response is copied once per puller. Every
+//! variant fits 16 payload bytes: counts of nodes are `u32` (`n` fits
+//! one), and a variable-length payload is a [`Span`] into a column its
+//! primitive owns and fills before the round that carries it. A column
+//! lives for that one round: nothing writes it while the round runs, so
+//! a span read at delivery sees the list as it was at send time, under
+//! either engine, and the primitive empties the column once the round is
+//! over.
 
 use phonecall::{NodeId, Wire};
 use serde::{Deserialize, Serialize};
 
+/// A run of entries in a column a primitive owns for one round: the
+/// `len` entries from `start` on. It is what a list payload carries
+/// instead of the list (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The `len` entries from `start` on. A column holds at most a few
+    /// entries per node, and `n` fits a `u32`.
+    pub(crate) fn new(start: usize, len: usize) -> Self {
+        debug_assert!(
+            u32::try_from(start + len).is_ok(),
+            "a column outgrew u32 offsets"
+        );
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+
+    /// Appends `items` to `col` and returns the span they occupy.
+    pub(crate) fn appended<T>(col: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Self {
+        let start = col.len();
+        col.extend(items);
+        Span::new(start, col.len() - start)
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the span names no entry.
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries of `col` this span names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span reaches past the end of `col`.
+    #[must_use]
+    pub fn of<T>(self, col: &[T]) -> &[T] {
+        let start = self.start as usize;
+        &col[start..start + self.len as usize]
+    }
+}
+
 /// The semantic content of a message.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MsgKind {
     /// Follower → leader: "I am a member" (carries the sender's ID
     /// implicitly; one ID charged).
     MemberId(NodeId),
-    /// Member → leader: relayed recruit candidates received this iteration.
-    Candidates(Box<[NodeId]>),
+    /// Member → leader: relayed recruit candidates received this
+    /// iteration, in the push round's arrival log.
+    Candidates(Span),
     /// Cluster PUSH: "join / merge into the cluster led by this ID".
     Recruit(NodeId),
     /// Leader → followers (`ClusterResize` response): the new leader IDs,
     /// plus the leader's estimate of each new cluster's size so growth
     /// tracking survives the split.
     Leaders {
-        /// New leader IDs, ascending; shared by every puller's copy.
-        ids: Rc<[NodeId]>,
+        /// New leader IDs, ascending, in the sim's leader-list column.
+        ids: Span,
         /// Estimated size of each new piece.
         piece_size: u32,
     },
@@ -73,8 +127,9 @@ pub enum MsgKind {
         /// The advertised cluster's size as known to the responder.
         size: u32,
     },
-    /// Relayed cluster advertisements (member -> leader).
-    Ads(Box<[(NodeId, u32)]>),
+    /// Relayed cluster advertisements (member -> leader), in the relay
+    /// round's advertisement column.
+    Ads(Span),
 }
 
 impl MsgKind {
@@ -97,12 +152,20 @@ impl MsgKind {
 }
 
 /// A message with its wire size stamped at construction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Msg {
     /// Semantic content.
     pub kind: MsgKind,
     bits: u64,
 }
+
+// The engine's columns and the prepared responses rely on these: a heap
+// payload back in a message, or a wider one, fails the build here.
+const _: () = {
+    assert!(!std::mem::needs_drop::<Msg>());
+    assert!(std::mem::size_of::<Msg>() <= 32);
+    assert!(std::mem::size_of::<Option<Msg>>() == std::mem::size_of::<Msg>());
+};
 
 impl Msg {
     /// Builds a message, computing its size from the run parameters.
@@ -152,28 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn a_message_is_32_bytes_and_its_option_is_free() {
-        // The engine's `push_msg` / `responses` columns and the per-node
-        // prepared responses are sized by these two.
-        assert!(std::mem::size_of::<Msg>() <= 32);
-        assert_eq!(
-            std::mem::size_of::<Option<Msg>>(),
-            std::mem::size_of::<Msg>()
-        );
-    }
-
-    #[test]
-    fn cloning_a_leaders_reply_shares_the_id_list() {
-        let ids: Rc<[NodeId]> = vec![NodeId::from_raw(1), NodeId::from_raw(2)].into();
-        let kind = MsgKind::Leaders {
-            ids: ids.clone(),
-            piece_size: 5,
-        };
-        let copy = Msg::new(kind, ID, B).clone();
-        let MsgKind::Leaders { ids: copied, .. } = copy.kind else {
-            panic!("a clone keeps its kind");
-        };
-        assert!(Rc::ptr_eq(&ids, &copied));
+    fn a_span_names_its_entries() {
+        let mut col = vec![10, 11];
+        let span = Span::appended(&mut col, [12, 13, 14]);
+        assert_eq!((span.len(), span.of(&col)), (3, &[12, 13, 14][..]));
+        let none = Span::appended(&mut col, []);
+        assert!(none.is_empty() && none.of(&col).is_empty());
+        assert_eq!(Span::new(1, 2).of(&col), [11, 12]);
     }
 
     #[test]
@@ -186,19 +234,19 @@ mod tests {
 
     #[test]
     fn vector_messages_scale_with_length() {
-        let ids = vec![
-            NodeId::from_raw(1),
-            NodeId::from_raw(2),
-            NodeId::from_raw(3),
-        ];
-        assert_eq!(bits(MsgKind::Candidates(ids.clone().into())), 16 + 3 * ID);
-        assert_eq!(
-            bits(MsgKind::Leaders {
-                ids: ids.into(),
-                piece_size: 5
-            }),
-            16 + 3 * ID + ID
-        );
+        // A 16-bit length prefix plus each entry, and one more ID for
+        // `Leaders`; where the list sits in its column is not on the wire.
+        for (start, len) in [(0, 0), (0, 3), (99, 3), (5, 1000)] {
+            let span = Span::new(start, len);
+            let len = len as u64;
+            assert_eq!(bits(MsgKind::Candidates(span)), 16 + len * ID);
+            let leaders = MsgKind::Leaders {
+                ids: span,
+                piece_size: 5,
+            };
+            assert_eq!(bits(leaders), 16 + len * ID + ID);
+            assert_eq!(bits(MsgKind::Ads(span)), 16 + len * 2 * ID);
+        }
     }
 
     #[test]
@@ -211,7 +259,6 @@ mod tests {
             }),
             2 * ID
         );
-        assert_eq!(bits(MsgKind::Ads([(id, 1), (id, 2)].into())), 16 + 4 * ID);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use phonecall::{NodeId, NodeIdx, Target};
 
 use crate::follow::Follow;
-use crate::msg::MsgKind;
+use crate::msg::{MsgKind, Span};
 use crate::node::ClusterNode;
 use crate::sim::{pull_round, push_round, to_leader, ClusterSim};
 
@@ -78,18 +78,25 @@ pub fn consolidate(sim: &mut ClusterSim) {
         }
     });
 
-    // Round 4: relay gathered ads to the leader.
+    // Round 4: relay gathered ads to the leader. A relay copies the
+    // sender's ads at decide time into a column that lives for this round
+    // and carries their span, so what lands is the send-time list even
+    // when, under `Engine::Async`, the sender files more ads before its
+    // relay is delivered.
+    let relayed: RefCell<Vec<Ad>> = RefCell::default();
     push_round(
         &mut sim.net,
         sim.wire,
         |s| {
             let to = to_leader(s)?;
-            let own = ads.borrow().get(&s.idx).map(|own| own.as_slice().into())?;
+            let ads = ads.borrow();
+            let own = ads.get(&s.idx)?.iter().copied();
+            let own = Span::appended(&mut relayed.borrow_mut(), own);
             Some((to, MsgKind::Ads(own)))
         },
         |s, kind| {
             if let MsgKind::Ads(v) = kind {
-                file(s.idx, &v);
+                file(s.idx, v.of(&relayed.borrow()));
             }
         },
     );

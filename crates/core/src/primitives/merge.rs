@@ -61,7 +61,9 @@ pub fn merge_iteration(sim: &mut ClusterSim, merge: Merge) {
 
     // Round 2: members of merge-eligible clusters relay what they received
     // (arrival order and length intact: `Candidates` is charged per listed
-    // ID) to their leader; leaders take their own arrivals locally.
+    // ID) to their leader; leaders take their own arrivals locally. The
+    // relay names the sender's bucket of the grouped arrival log, which
+    // nothing writes until the round is over.
     arrivals.group(n);
     let eligible = move |s: &ClusterNode| -> bool { s.is_clustered() && !(recruit && s.active) };
     for s in sim.net.states() {
@@ -74,13 +76,14 @@ pub fn merge_iteration(sim: &mut ClusterSim, merge: Merge) {
         &mut sim.net,
         sim.wire,
         |s| {
-            let got = arrivals.of(s.idx);
+            let got = arrivals.span_of(s.idx);
             let to = to_leader(s).filter(|_| eligible(s) && !got.is_empty())?;
-            Some((to, MsgKind::Candidates(got.into())))
+            Some((to, MsgKind::Candidates(got)))
         },
         |s, kind| {
-            if let MsgKind::Candidates(v) = kind {
-                leaders.row(s.idx).candidates.extend_from_slice(&v);
+            if let MsgKind::Candidates(got) = kind {
+                let got = got.of(arrivals.grouped());
+                leaders.row(s.idx).candidates.extend_from_slice(got);
             }
         },
     );

@@ -49,10 +49,9 @@ pub use recruit::{
 pub use reshape::{dissolve, resize};
 pub use share::{flatten_round, share_rumor, unclustered_pull_round};
 
-use std::rc::Rc;
-
 use phonecall::{NodeId, Target};
 
+use crate::msg::Span;
 use crate::node::ClusterNode;
 use crate::sim::to_leader;
 
@@ -94,18 +93,17 @@ pub(crate) fn smallest_geq(candidates: &[NodeId], own: NodeId) -> Option<NodeId>
 
 /// The `ClusterResize` grouping rule: `members` split into `k` contiguous
 /// groups by ascending ID (sizes differing by at most one); the largest ID
-/// of each group leads it. Returns the new leader IDs, ascending, and
-/// leaves `members` sorted.
-pub(crate) fn group_leaders(members: &mut [NodeId], k: usize) -> Rc<[NodeId]> {
+/// of each group leads it. Appends the new leader IDs, ascending, to
+/// `col` and returns their span; leaves `members` sorted.
+pub(crate) fn group_leaders(members: &mut [NodeId], k: usize, col: &mut Vec<NodeId>) -> Span {
     members.sort_unstable();
     let (base, extra) = (members.len() / k, members.len() % k);
     let mut at = 0usize;
-    (0..k)
-        .map(|g| {
-            at += base + usize::from(g < extra);
-            members[at - 1]
-        })
-        .collect()
+    let leaders = (0..k).map(|g| {
+        at += base + usize::from(g < extra);
+        members[at - 1]
+    });
+    Span::appended(col, leaders)
 }
 
 #[cfg(test)]
@@ -131,10 +129,15 @@ mod tests {
     #[test]
     fn group_leaders_are_the_largest_of_contiguous_groups() {
         let mut members = [70, 10, 40, 20, 60, 30, 50].map(id);
+        let mut col = Vec::new();
         // 7 into 3: sizes 3, 2, 2 over the ascending IDs.
-        assert_eq!(&*group_leaders(&mut members, 3), [id(30), id(50), id(70)]);
+        let three = group_leaders(&mut members, 3, &mut col);
         assert!(members.is_sorted(), "sorted in place");
-        assert_eq!(&*group_leaders(&mut members, 1), [id(70)]);
+        // A second call appends to the same column, past the first span.
+        let one = group_leaders(&mut members, 1, &mut col);
+        assert_eq!(col.len(), 4, "two disjoint spans");
+        assert_eq!(three.of(&col), [id(30), id(50), id(70)]);
+        assert_eq!(one.of(&col), [id(70)]);
     }
 
     #[test]

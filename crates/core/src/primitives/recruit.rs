@@ -74,7 +74,7 @@ pub fn grow_control_iteration(
     collect_members(sim, Who::ActiveOnly);
 
     // Size verdicts + inline resize announcements.
-    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
+    let (leaders, replies, lists) = (&mut sim.leaders, &mut sim.replies, &mut sim.leader_lists);
     let mut deactivated = 0;
     for s in sim.net.states_mut() {
         if !(s.is_leader() && s.active) {
@@ -97,8 +97,8 @@ pub fn grow_control_iteration(
             // (inline ClusterResize(cap); same grouping rule as
             // `primitives::resize`).
             let k = (u64::from(size) / cap) as u32;
-            let ids = group_leaders(members, k as usize);
-            s.follow = Follow::Of(smallest_geq(&ids, s.id).expect("non-empty"));
+            let ids = group_leaders(members, k as usize, lists);
+            s.follow = Follow::Of(smallest_geq(ids.of(lists), s.id).expect("non-empty"));
             s.size = size / k;
             MsgKind::Leaders {
                 ids,
@@ -122,7 +122,7 @@ pub fn grow_control_iteration(
                 s.active = active;
             }
             MsgKind::Leaders { ids, piece_size } => {
-                if let Some(l) = smallest_geq(&ids, s.id) {
+                if let Some(l) = smallest_geq(ids.of(lists), s.id) {
                     s.follow = Follow::Of(l);
                     s.size = piece_size;
                     s.prev_size = piece_size;
@@ -131,6 +131,7 @@ pub fn grow_control_iteration(
             _ => {}
         },
     );
+    lists.clear();
     BoundedRecruitOutcome {
         joined,
         deactivated,

@@ -1,7 +1,7 @@
 //! `ClusterDissolve(s)` and `ClusterResize(s)`.
 
 use crate::follow::Follow;
-use crate::msg::MsgKind;
+use crate::msg::{MsgKind, Span};
 use crate::sim::{pull_round, ClusterSim};
 
 use super::{collect_members, group_leaders, smallest_geq, Who};
@@ -64,7 +64,7 @@ pub fn dissolve(sim: &mut ClusterSim, s: u64, who: Who) {
 pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
     assert!(s >= 1, "resize target must be positive");
     collect_members(sim, who);
-    let (leaders, replies) = (&mut sim.leaders, &mut sim.replies);
+    let (leaders, replies, lists) = (&mut sim.leaders, &mut sim.replies, &mut sim.leader_lists);
     for st in sim.net.states_mut() {
         if !(st.is_leader() && who.selects(true, st.active)) {
             continue;
@@ -73,11 +73,11 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
         let size = members.len() as u32;
         let k = (u64::from(size) / s).max(1) as u32;
         let ids = if k == 1 {
-            [st.id].into()
+            Span::appended(lists, [st.id])
         } else {
-            group_leaders(members, k as usize)
+            group_leaders(members, k as usize, lists)
         };
-        let new_leader = smallest_geq(&ids, st.id).expect("announcement is non-empty");
+        let new_leader = smallest_geq(ids.of(lists), st.id).expect("announcement is non-empty");
         st.follow = Follow::Of(new_leader);
         st.size = size / k;
         st.prev_size = size / k;
@@ -93,7 +93,7 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
         |st| who.to_leader(st),
         |st, kind| {
             if let MsgKind::Leaders { ids, piece_size } = kind {
-                if let Some(l) = smallest_geq(&ids, st.id) {
+                if let Some(l) = smallest_geq(ids.of(lists), st.id) {
                     st.follow = Follow::Of(l);
                     st.size = piece_size;
                     st.prev_size = piece_size;
@@ -101,6 +101,7 @@ pub fn resize(sim: &mut ClusterSim, s: u64, who: Who) {
             }
         },
     );
+    lists.clear();
 }
 
 #[cfg(test)]

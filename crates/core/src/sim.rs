@@ -23,7 +23,15 @@
 //!   `(receiver, ID)` pairs. The invariant: entries are appended in
 //!   delivery order (under either engine), and the primitive that filled
 //!   the log clears it before it returns, so the log is empty between
-//!   primitives.
+//!   primitives. Grouped by receiver, the log is also the column a
+//!   member's relayed `Candidates` span points into.
+//! * the leader-list column — the new leader IDs a `ClusterResize`
+//!   announcement lists, one run per announcing leader, which each
+//!   `Leaders` reply names by [`crate::msg::Span`]. The invariant: a
+//!   primitive appends to it only while it prepares the replies of one
+//!   pull round, nothing writes it during that round, and the primitive
+//!   clears it when the round is over, so it is empty between primitives
+//!   (checked at every [`ClusterSim::end_phase`], like [`Replies`]).
 //!
 //! Primitives capture these fields next to `&mut sim.net` as disjoint
 //! borrows, so the round closures (see below) reach a node's scratch
@@ -31,7 +39,7 @@
 //! except through a message.
 //!
 //! A prepared response is a **pre-round snapshot**: it is written before
-//! the round from the responder's state and `respond` only ever clones it.
+//! the round from the responder's state and `respond` only ever copies it.
 //! Under `Engine::Async` a request lands in the middle of a step, after
 //! other deliveries may have changed the responder, so recomputing the
 //! answer from live state at that moment would change what pullers see.
@@ -53,7 +61,7 @@ use phonecall::{Action, Delivery, FailurePlan, Network, NodeId, NodeIdx, Target}
 use rand::rngs::SmallRng;
 
 use crate::config::CommonConfig;
-use crate::msg::{Msg, MsgKind, WireSizes};
+use crate::msg::{Msg, MsgKind, Span, WireSizes};
 use crate::node::ClusterNode;
 use crate::report::{ClusteringStats, PhaseReport};
 
@@ -86,7 +94,7 @@ impl Replies {
     /// (what the `respond` closure returns).
     #[must_use]
     pub fn get(&self, idx: NodeIdx) -> Option<Msg> {
-        self.slots[idx.as_usize()].clone()
+        self.slots[idx.as_usize()]
     }
 
     /// Whether no response is prepared (true between primitives).
@@ -266,8 +274,24 @@ impl Arrivals {
     /// [`Self::group`] and [`Self::clear`].
     #[must_use]
     pub(crate) fn of(&self, idx: NodeIdx) -> &[NodeId] {
+        self.span_of(idx).of(&self.grouped)
+    }
+
+    /// Where [`Self::of`]`(idx)` lies in [`Self::grouped`]: what a relay
+    /// of the node's arrivals carries. Valid between [`Self::group`] and
+    /// [`Self::clear`].
+    #[must_use]
+    pub(crate) fn span_of(&self, idx: NodeIdx) -> Span {
         let i = idx.as_usize();
-        &self.grouped[self.start[i] as usize..self.start[i + 1] as usize]
+        let (start, end) = (self.start[i] as usize, self.start[i + 1] as usize);
+        Span::new(start, end - start)
+    }
+
+    /// Every node's arrivals, bucketed by receiver (what a
+    /// [`Self::span_of`] span points into).
+    #[must_use]
+    pub(crate) fn grouped(&self) -> &[NodeId] {
+        &self.grouped
     }
 
     /// Empties the log and its grouping.
@@ -330,6 +354,9 @@ pub struct ClusterSim {
     pub leaders: LeaderTable,
     /// The push round's arrival log (see the module docs).
     pub(crate) arrivals: Arrivals,
+    /// The leader-list column the `Leaders` replies point into (see the
+    /// module docs).
+    pub(crate) leader_lists: Vec<NodeId>,
     /// The run's wire sizes: every message is built by [`WireSizes::msg`].
     pub wire: WireSizes,
     /// RNG for algorithm-level coins (leader activation flips etc.),
@@ -355,6 +382,7 @@ impl ClusterSim {
             replies: Replies::new(n),
             leaders: LeaderTable::new(n),
             arrivals: Arrivals::default(),
+            leader_lists: Vec::new(),
             wire: WireSizes {
                 id_bits: phonecall::id_bits(n),
                 rumor_bits: common.rumor_bits,
@@ -398,6 +426,10 @@ impl ClusterSim {
     /// records its round/message/bit deltas under `name`.
     pub fn end_phase(&mut self, name: &'static str) {
         debug_assert!(self.replies.is_empty(), "a reply outlived its pull round");
+        debug_assert!(
+            self.leader_lists.is_empty(),
+            "a leader list outlived its pull round"
+        );
         let m = self.net.metrics();
         let (r0, m0, b0) = self.phase_start;
         self.phases.push(PhaseReport {
@@ -552,6 +584,9 @@ mod tests {
         assert_eq!(a.of(NodeIdx(0)), [id(1), id(2)]);
         assert!(a.of(NodeIdx(1)).is_empty() && a.of(NodeIdx(2)).is_empty());
         assert_eq!(a.of(NodeIdx(3)), [id(30), id(31), id(30)]);
+        for i in 0..4 {
+            assert_eq!(a.span_of(NodeIdx(i)).of(a.grouped()), a.of(NodeIdx(i)));
+        }
         assert_eq!(a.iter().next(), Some((NodeIdx(3), id(30))));
         a.clear();
         assert_eq!(a.iter().count(), 0);
@@ -602,6 +637,7 @@ mod tests {
             step(&mut s);
             assert!(s.replies.is_empty(), "{name} left prepared replies");
             assert_eq!(s.arrivals.iter().count(), 0, "{name} left arrivals");
+            assert!(s.leader_lists.is_empty(), "{name} left leader lists");
         }
         assert!(s.net.metrics().messages > 0, "the primitives talked");
     }
