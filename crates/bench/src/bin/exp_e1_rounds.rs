@@ -7,9 +7,9 @@
 //! normalized by each algorithm's predicted law (flat row = shape holds),
 //! and a model-selection table fitting every candidate law.
 //!
-//! With `--json`, additionally re-runs the grid through the sequential
-//! runner, asserts the parallel summaries are bit-identical to it, and
-//! writes `BENCH_e1.json` with both wall times and the speedup.
+//! With `--json`, additionally writes `BENCH_e1.json` with the grid's
+//! shape and the headline algorithm's rounds and messages at the
+//! largest `n`.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +17,7 @@ use gossip_baselines::registry;
 use gossip_bench::{ns_cols, table, Experiment, Spec};
 use gossip_core::algo::Scenario;
 use gossip_harness::fit::best_fits;
-use gossip_harness::{fit_ratio, geometric_ns, run_trials_seq, AsciiPlot, ScalingLaw, Summary};
+use gossip_harness::{fit_ratio, geometric_ns, AsciiPlot, ScalingLaw, Summary};
 
 fn main() {
     let mut ex = Experiment::start(Spec {
@@ -34,7 +34,8 @@ fn main() {
 
     // Compute phase: every (algorithm, n) cell fans its trials out across
     // the worker threads; per-trial records come back in seed order, so
-    // the summaries are bit-identical to a sequential run. --huge scales
+    // the summaries are bit-identical to a sequential run
+    // (tests/parallel_equivalence.rs pins that up to 2^14). --huge scales
     // the per-cell trial count down with n so the 2^20 cells stay
     // tractable.
     let data = ex.sweep(
@@ -51,7 +52,6 @@ fn main() {
             (Summary::from_samples(&rounds), Summary::from_samples(&msgs))
         },
     );
-    let wall_par_ms = ex.stop();
 
     let cols = ns_cols(&ns);
     let mut rounds_tbl = table(
@@ -122,35 +122,12 @@ fn main() {
     }
 
     if ex.opts.json {
-        // Sequential control pass: same grid through run_trials_seq. This
-        // both times the sequential baseline and proves in situ that the
-        // parallel summaries above are bit-identical to it.
-        let seq_start = std::time::Instant::now();
-        for (algo, cells) in ex.algos.iter().zip(&data) {
-            for (&n, (rounds, _)) in ns.iter().zip(cells) {
-                let seq = run_trials_seq(0xE1, algo.name(), ex.trials_at(n), |seed| {
-                    algo.run(&ex.scenario(Scenario::broadcast(n).seed(seed)))
-                        .rounds as f64
-                });
-                assert_eq!(
-                    seq,
-                    *rounds,
-                    "parallel summary diverged from sequential for {} at n={n}",
-                    algo.name()
-                );
-            }
-        }
-        let wall_seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
-
         // Headline metrics come from Cluster2 for the default
         // comparison, the selection under --algo.
         let (rounds, msgs) = *ex.head_row(&data).last().expect("non-empty grid");
         ex.metric("trials_per_cell", f64::from(ex.trials));
         ex.metric("grid_cells", (ns.len() * data.len()) as f64);
         ex.metric("largest_n", *ns.last().expect("non-empty grid") as f64);
-        ex.metric("wall_ms_parallel", wall_par_ms);
-        ex.metric("wall_ms_sequential", wall_seq_ms);
-        ex.metric("speedup_vs_seq", wall_seq_ms / wall_par_ms.max(1e-9));
         ex.head_metric("mean_rounds_largest_n", rounds.mean);
         ex.head_metric("msgs_per_node_largest_n", msgs.mean);
     }

@@ -9,7 +9,9 @@
 //!   with per-cell trial counts auto-scaled down so a sweep stays
 //!   tractable; the other experiments say so on stderr and run `--full`);
 //! * `--csv` — CSV tables instead of markdown;
-//! * `--json` — additionally write a `BENCH_eK.json` perf record;
+//! * `--json` — additionally write a `BENCH_eK.json` record: the
+//!   experiment, its grid label followed by the selection flags that
+//!   took effect, and its headline result metrics (no timings);
 //! * `--algo <name>` — run a single algorithm from the registry
 //!   (case-insensitive; unknown names exit listing the valid ones);
 //! * `--list-algos` — print the registry (name, law, description) and
@@ -46,7 +48,7 @@ pub struct Options {
     pub huge: bool,
     /// Emit CSV instead of markdown.
     pub csv: bool,
-    /// Additionally write a `BENCH_eK.json` perf record.
+    /// Additionally write a `BENCH_eK.json` results record.
     pub json: bool,
     /// Run only this algorithm (resolved through the registry).
     pub algo: Option<&'static dyn Algorithm>,

@@ -15,7 +15,7 @@
 //! Every binary accepts `--full` for the larger grids recorded in
 //! EXPERIMENTS.md, `--huge` for the million-node grid (the `--full`
 //! grid where an experiment has none), `--csv` to emit CSV instead of
-//! markdown, `--json` to additionally write a `BENCH_eK.json` perf
+//! markdown, `--json` to additionally write a `BENCH_eK.json` results
 //! record, the algorithm selection flags `--algo <name>` /
 //! `--list-algos` / `--n <size>` / `--trials <k>` backed by the
 //! algorithm registry (`gossip_baselines::registry`), the topology flags
@@ -31,12 +31,12 @@
 pub mod cli;
 
 use std::io::Write;
-use std::time::Instant;
 
 pub use cli::Options;
 use gossip_baselines::registry;
 use gossip_core::algo::{Algorithm, Scenario};
 use gossip_core::report::RunReport;
+use gossip_core::Value;
 use gossip_harness::{par_map_trials, Summary, Table};
 use phonecall::{DirectAddressing, Topology};
 
@@ -147,10 +147,11 @@ pub struct Experiment {
     /// The headline algorithm of the BENCH record: the `--algo`
     /// selection, else the spec's.
     pub head: &'static str,
+    /// The record's `grid`: the grid's label, then the selection flags
+    /// that took effect.
+    label: String,
     out: Box<dyn Write + Send + Sync>,
     emitted: bool,
-    started: Instant,
-    wall_ms: Option<f64>,
     metrics: Vec<(String, f64)>,
 }
 
@@ -176,9 +177,14 @@ impl Experiment {
                 eprintln!("{name} does not run on a scenario engine; ignoring --engine {e}");
             }
         }
+        // The selection flags that take effect, for the record's `grid`.
+        let mut flags = String::new();
         let head = spec.head.or(spec.algos.first().map(|a| a.name()));
         let (algos, head) = match opts.algo {
-            Some(a) if !spec.fixed => (vec![a], a.name()),
+            Some(a) if !spec.fixed => {
+                flags += &format!(" --algo {}", a.name());
+                (vec![a], a.name())
+            }
             Some(a) => {
                 let runs: Vec<&str> = spec.algos.iter().map(|a| a.name()).collect();
                 let a = a.name();
@@ -210,9 +216,21 @@ impl Experiment {
                 eprintln!("{name} takes its sizes from its input files; ignoring --n");
                 sizes
             }
-            Some(n) => vec![n],
+            Some(n) => {
+                flags += &format!(" --n {n}");
+                vec![n]
+            }
             None => sizes,
         };
+        if let Some(t) = opts.trials {
+            flags += &format!(" --trials {t}");
+        }
+        if let Some(t) = &opts.topo {
+            flags += &format!(" --topo {}", t.describe());
+        }
+        if let Some(e) = &opts.engine {
+            flags += &format!(" --engine {}", e.spec());
+        }
         if let Err(e) = topo_fits(opts.topo.as_ref(), &sizes) {
             eprintln!("{e}");
             std::process::exit(2);
@@ -224,11 +242,10 @@ impl Experiment {
             trials: opts.trials.unwrap_or(trials),
             algos,
             head,
+            label: format!("{}{flags}", grid.label()),
             opts,
             out,
             emitted: false,
-            started: Instant::now(),
-            wall_ms: None,
             metrics: Vec::new(),
         }
     }
@@ -437,13 +454,6 @@ impl Experiment {
         self.metric(key, value);
     }
 
-    /// Freezes the record's `wall_ms` at the time since start and returns
-    /// it; without a call it is stamped by [`Experiment::finish`].
-    pub fn stop(&mut self) -> f64 {
-        let ms = self.started.elapsed().as_secs_f64() * 1e3;
-        *self.wall_ms.get_or_insert(ms)
-    }
-
     /// Prints the closing Reading paragraph (if any) as the last block
     /// and, under `--json`, writes the BENCH record.
     ///
@@ -452,7 +462,6 @@ impl Experiment {
     /// Panics if the output or the record cannot be written (the binaries
     /// have no better recovery than telling the operator).
     pub fn finish(mut self, reading: Option<&str>) {
-        self.stop();
         if let Some(text) = reading {
             self.emit_text(&format!("{text}\n"));
         }
@@ -474,34 +483,21 @@ impl Experiment {
         }
     }
 
-    /// Renders the BENCH record: key, grid, worker threads, wall time
-    /// and the headline metrics in recording order.
+    /// Renders the BENCH record: key, grid label and the headline
+    /// metrics in recording order (non-finite values as `null`).
     fn render(&self) -> String {
         let metrics: Vec<String> = self
             .metrics
             .iter()
-            .map(|(k, v)| format!("\n    \"{k}\": {}", json_f64(*v)))
+            .map(|(k, v)| format!("\n    \"{k}\": {}", Value::Num(*v).render()))
             .collect();
         let close = if metrics.is_empty() { "" } else { "\n  " };
         format!(
-            "{{\n  \"experiment\": \"{}\",\n  \"grid\": \"{}\",\n  \"threads\": {},\n  \
-             \"wall_ms\": {},\n  \"metrics\": {{{}{close}}}\n}}\n",
+            "{{\n  \"experiment\": \"{}\",\n  \"grid\": {},\n  \"metrics\": {{{}{close}}}\n}}\n",
             self.key(),
-            self.grid.label(),
-            gossip_harness::default_threads(),
-            json_f64(self.wall_ms.unwrap_or(0.0)),
+            Value::Str(self.label.clone()).render(),
             metrics.join(","),
         )
-    }
-}
-
-/// Renders an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -907,26 +903,69 @@ mod tests {
         );
     }
 
+    /// The `grid` of a record, read back through the JSON parser.
+    fn grid_of(doc: &str) -> String {
+        let record = Value::parse(doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+        record
+            .get("grid")
+            .and_then(Value::as_str)
+            .expect("a grid")
+            .to_string()
+    }
+
     #[test]
     fn bench_record_renders_valid_shape() {
         let (mut ex, _) = experiment(spec(false), &[]);
         ex.metric("mean_rounds", 12.5);
         ex.head_metric("msgs_per_node", 3.0);
-        ex.stop();
         let doc = ex.render();
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.contains("\"experiment\": \"e0\""));
-        assert!(doc.contains("\"grid\": \"default\""));
-        assert!(doc.contains("\"mean_rounds\": 12.5,\n    \"cluster2_msgs_per_node\": 3\n  }"));
-        assert!(doc.contains("\"wall_ms\": "));
-        assert!(doc.ends_with("}\n}\n"));
-        // Balanced braces — a cheap well-formedness proxy without a JSON
-        // parser in the dependency set.
-        let open = doc.matches('{').count();
-        assert_eq!(open, doc.matches('}').count());
-        assert_eq!(open, 2, "root object + metrics object");
+        assert_eq!(
+            doc,
+            "{\n  \"experiment\": \"e0\",\n  \"grid\": \"default\",\n  \"metrics\": {\n    \
+             \"mean_rounds\": 12.5,\n    \"cluster2_msgs_per_node\": 3\n  }\n}\n"
+        );
+        assert_eq!(grid_of(&doc), "default");
         let (ex, _) = experiment(spec(false), &[]);
         assert!(ex.render().contains("\"metrics\": {}\n}\n"));
+
+        // A selection names the flags that shaped the run, in a fixed
+        // order whatever the command line's.
+        let args = [
+            "--engine=async:fixed",
+            "--topo=ring",
+            "--trials=2",
+            "--n=256",
+            "--algo=push",
+        ];
+        let (ex, _) = experiment(spec(false), &args);
+        assert_eq!(
+            grid_of(&ex.render()),
+            "default --algo Push --n 256 --trials 2 --topo Ring --engine async:fixed"
+        );
+        // Flags the experiment ignored are not named.
+        let pinned = Spec {
+            algos: algos_by_name(&["Cluster3"]),
+            fixed: true,
+            ignore_topo: true,
+            ..spec(true)
+        };
+        let (ex, _) = experiment(pinned, &["--huge", "--algo", "push", "--topo", "ring"]);
+        assert_eq!(grid_of(&ex.render()), "huge");
+        // A file path with JSON's special characters stays valid JSON.
+        let dir = std::env::temp_dir().join(format!("bench-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tri\"an\\gle.txt");
+        std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let (ex, _) = experiment(
+            spec(false),
+            &["--n", "3", "--topo", &format!("file:{path}")],
+        );
+        assert_eq!(
+            grid_of(&ex.render()),
+            format!("default --n 3 --topo FromFile({path})")
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

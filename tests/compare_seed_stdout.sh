@@ -22,12 +22,15 @@
 # The flag sets pin the shared flag handling, not just the default
 # grids: `--csv`, `--algo`, `--topo`, `--engine` and `--huge` each on a
 # small grid, and one run passing two positional `--topo` knobs with a
-# non-default `--engine` profile. The BENCH records are compared on `experiment`, `grid` and
-# the metrics, minus the wall-clock keys (`wall_ms`, `threads`, and E1's
-# `wall_ms_parallel`, `wall_ms_sequential`, `speedup_vs_seq`). A capture
-# taken before PR 25 differs on `huge` for the nine binaries without a
-# million-node grid: they ran their default grid there and run `--full`
-# since.
+# non-default `--engine` profile. The BENCH records hold results only
+# (no wall clock, no thread count), so each is compared as written. A
+# capture taken while the records still carried timings masked the
+# wall-clock keys (`wall_ms`, `threads`, and E1's `wall_ms_parallel`,
+# `wall_ms_sequential`, `speedup_vs_seq`) and stripped every line's
+# trailing comma; it differs from a fresh record by exactly those keys
+# and commas. A capture taken before PR 25 differs on `huge` for the nine
+# binaries without a million-node grid: they ran their default grid
+# there and run `--full` since.
 
 set -euo pipefail
 
@@ -64,7 +67,6 @@ runs=(
     "list-topos=--list-topos"
     "list-engines=--list-engines"
 )
-wall_keys='"(wall_ms|threads|wall_ms_parallel|wall_ms_sequential|speedup_vs_seq)":'
 
 cd "$(dirname "$0")/.."
 cargo build --release -q -p gossip-bench
@@ -72,7 +74,7 @@ release="$PWD/target/release"
 
 # Writes every output of this build under $1: one file per (binary,
 # run) holding stdout then the exit code, and one per binary holding
-# its default-grid BENCH record minus the wall-clock keys.
+# its default-grid BENCH record.
 record() {
     local out="$1" bin run name flags rc scratch
     mkdir -p "$out"
@@ -87,8 +89,7 @@ record() {
             echo "exit $rc" >> "$out/$bin.$name.txt"
         done
         (cd "$scratch" && "$release/$bin" --json > /dev/null 2>&1)
-        grep -v -E "$wall_keys" "$scratch"/BENCH_*.json | sed 's/,$//' > "$out/$bin.json.txt"
-        rm -f "$scratch"/BENCH_*.json
+        mv "$scratch"/BENCH_*.json "$out/$bin.json.txt"
         echo "recorded $bin"
     done
     rm -rf "$scratch"

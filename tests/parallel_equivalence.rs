@@ -18,23 +18,25 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 #[test]
 fn every_algorithm_label_is_thread_count_invariant() {
     // Mirrors the E1 workload: per-algorithm labels under one master
-    // seed, the metric is the report's round count.
-    let n = 256;
+    // seed, the metric is the report's round count, at the smallest and
+    // the largest size of E1's default grid.
     let trials = 9; // deliberately not divisible by 2, 4, or 7
-    for algo in registry::compared() {
-        let seq = run_trials_seq(0xE1, algo.name(), trials, |seed| {
-            algo.run(&Scenario::broadcast(n).seed(seed)).rounds as f64
-        });
-        for threads in THREAD_COUNTS {
-            let par = run_trials_on(threads, 0xE1, algo.name(), trials, |seed| {
+    for n in [1 << 8, 1 << 14] {
+        for algo in registry::compared() {
+            let seq = run_trials_seq(0xE1, algo.name(), trials, |seed| {
                 algo.run(&Scenario::broadcast(n).seed(seed)).rounds as f64
             });
-            assert_eq!(
-                par,
-                seq,
-                "{} summary diverged at {threads} threads",
-                algo.name()
-            );
+            for threads in THREAD_COUNTS {
+                let par = run_trials_on(threads, 0xE1, algo.name(), trials, |seed| {
+                    algo.run(&Scenario::broadcast(n).seed(seed)).rounds as f64
+                });
+                assert_eq!(
+                    par,
+                    seq,
+                    "{} summary diverged at {threads} threads, n = {n}",
+                    algo.name()
+                );
+            }
         }
     }
 }
