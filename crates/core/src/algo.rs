@@ -146,7 +146,7 @@ impl Scenario {
     #[must_use]
     pub fn message_loss(mut self, p: f64) -> Self {
         self.common.message_loss = p;
-        self.common = valid(self.common);
+        self.common = valid(self.common, CommonConfig::validate);
         self
     }
 
@@ -162,7 +162,7 @@ impl Scenario {
     /// [`ChurnConfig::validate`], with the offending knob named.
     #[must_use]
     pub fn churn(self, churn: ChurnConfig) -> Self {
-        self.with(|c| c.churn = valid(churn))
+        self.with(|c| c.churn = valid(churn, ChurnConfig::validate))
     }
 
     /// Sets the communication topology (see `phonecall::topology`): the
@@ -178,7 +178,7 @@ impl Scenario {
     /// [`Topology::validate`], with the offending knob named.
     #[must_use]
     pub fn topology(self, topology: Topology) -> Self {
-        self.with(|c| c.topology = valid(topology))
+        self.with(|c| c.topology = valid(topology, Topology::validate))
     }
 
     /// Sets the direct-addressing mode on a restricted topology:
@@ -201,11 +201,11 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails `Engine::validate` (the message names
-    /// the offending knob).
+    /// Panics if the config fails [`Engine::validate`] (the message
+    /// names the offending knob).
     #[must_use]
     pub fn engine(self, engine: Engine) -> Self {
-        self.with(|c| c.engine = valid(engine))
+        self.with(|c| c.engine = valid(engine, Engine::validate))
     }
 
     /// Attaches the multi-rumor workload: `k` extra rumors arriving at
@@ -223,11 +223,12 @@ impl Scenario {
     /// [`TrafficConfig::validate`], with the offending knob named.
     #[must_use]
     pub fn rumors(mut self, k: u32, arrival_rate: f64) -> Self {
-        self.common.traffic = valid(TrafficConfig {
+        let traffic = TrafficConfig {
             rumors: k,
             arrival_rate,
             ..self.common.traffic.clone()
-        });
+        };
+        self.common.traffic = valid(traffic, TrafficConfig::validate);
         self
     }
 
@@ -260,11 +261,10 @@ impl Scenario {
     }
 }
 
-/// A builder's argument, checked by its type's [`Knobs::validate`]:
-/// bad knobs panic at the builder, named, rather than deep inside the
-/// engine.
-fn valid<T: Knobs>(cfg: T) -> T {
-    if let Err(e) = cfg.validate() {
+/// A builder's argument, checked by its type's `validate`: bad knobs
+/// panic at the builder, named, rather than deep inside the engine.
+fn valid<T>(cfg: T, validate: fn(&T) -> Result<(), String>) -> T {
+    if let Err(e) = validate(&cfg) {
         panic!("invalid scenario: {e}");
     }
     cfg
@@ -475,7 +475,6 @@ pub static CLUSTER3: Algo = Algo {
         let delta = p.delta_for(scenario.n());
         let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
-        cfg.c2.common = scenario.common().clone();
         let (mut sim, delta_report) = cluster3::build(scenario.n(), delta, &cfg);
         let mut report = sim.report();
         report.informed = delta_report.clustering.clustered;

@@ -238,7 +238,6 @@ mod tests {
     fn cfg(seed: u64) -> Cluster3Config {
         let mut c = Cluster3Config::default();
         c.common.seed = seed;
-        c.c2.common.seed = seed;
         c
     }
 

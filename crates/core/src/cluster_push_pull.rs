@@ -40,7 +40,6 @@ use phonecall::Target;
 pub fn run(n: usize, delta: usize, cfg: &PushPullConfig) -> RunReport {
     let mut c3 = cfg.cluster3.clone();
     c3.common = cfg.common.clone();
-    c3.c2.common = cfg.common.clone();
     let (mut sim, _delta_report) = crate::cluster3::build(n, delta, &c3);
     broadcast_on(&mut sim, delta, cfg)
 }

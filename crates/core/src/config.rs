@@ -7,14 +7,18 @@
 //! were validated across `n ∈ [2^8, 2^20]` (see the integration tests and
 //! EXPERIMENTS.md).
 //!
-//! **The knob rule.** A knob is one row: each config type's
+//! **The knob rule.** A knob is one row: each cluster config's
 //! [`Knobs::knobs`] lists every tunable once, as a name and a typed slot
-//! for its field, and the JSON form ([`crate::params::Params`]), the
-//! override errors and the `--topo` spec knobs all follow from that list.
-//! A knob's range lives in that type's [`Knobs::validate`], which every
-//! apply runs. Here that is `"message_loss"` for [`CommonConfig`] and,
-//! for the four cluster configs, one rule: every `f64` constant finite
-//! and positive, every slack at most [`MAX_SLACK`] rounds.
+//! for its field, and the JSON form ([`crate::params::Params`]) and the
+//! override errors follow from that list. A knob's range lives in that
+//! type's [`Knobs::validate`], which every apply runs: for the four
+//! cluster configs, one rule — every `f64` constant finite and positive,
+//! every slack at most [`MAX_SLACK`] rounds.
+//!
+//! The shared [`CommonConfig`] is the environment, not a tunable: it is
+//! set in code (through [`crate::algo::Scenario`]'s builders) and has no
+//! JSON form. Its own [`CommonConfig::validate`] checks
+//! `"message_loss"`; the configs nested in it validate themselves.
 
 use phonecall::knob::{Knob, Slot};
 use phonecall::{
@@ -161,28 +165,6 @@ impl CommonConfig {
         }
         self.topology.check(n)
     }
-}
-
-impl Knobs for CommonConfig {
-    /// The whole environment: the scalar knobs, the failure plan as an
-    /// index array, and the churn, topology, traffic and engine configs
-    /// nested under their names — so a scenario travels through files
-    /// and perf records like any algorithm's tunables.
-    fn knobs(&mut self) -> Vec<Knob<'_>> {
-        vec![
-            ("seed", Slot::U64(&mut self.seed)),
-            ("rumor_bits", Slot::U64(&mut self.rumor_bits)),
-            ("source", Slot::U32(&mut self.source)),
-            ("extra_sources", Slot::U32s(&mut self.extra_sources)),
-            ("failures", Slot::Failures(&mut self.failures)),
-            ("message_loss", Slot::F64(&mut self.message_loss)),
-            ("churn", Slot::Nested(&mut self.churn)),
-            ("topology", Slot::Nested(&mut self.topology)),
-            ("addressing", Slot::Choice(&mut self.addressing)),
-            ("traffic", Slot::Nested(&mut self.traffic)),
-            ("engine", Slot::Nested(&mut self.engine)),
-        ]
-    }
 
     /// Checks `"message_loss"` (the nested configs validate themselves).
     ///
@@ -190,7 +172,7 @@ impl Knobs for CommonConfig {
     ///
     /// Returns a message naming the knob when the loss probability is
     /// outside `[0, 1]`.
-    fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.message_loss) {
             return Err(format!(
                 "scenario knob \"message_loss\" wants a probability in [0, 1], got {}",
@@ -464,7 +446,6 @@ pub fn loglog2n(n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::params::{Params, Value};
-    use phonecall::{AsyncConfig, Latency};
 
     #[test]
     fn defaults_are_sane() {
@@ -537,6 +518,19 @@ mod tests {
             .unwrap_err();
         assert!(err.0.contains("integer"), "{err}");
 
+        // A failed override leaves the config unchanged, even the knobs
+        // it set before reaching the bad one.
+        let mut fresh = Cluster2Config::default();
+        let err = fresh
+            .apply_params(&Value::parse(r#"{"c_sample": 4, "grow_slack": 1.5}"#).unwrap())
+            .unwrap_err();
+        assert!(err.0.contains("integer"), "{err}");
+        assert_eq!(
+            fresh,
+            Cluster2Config::default(),
+            "failed applies leave the value"
+        );
+
         // Nested overrides reach the inner config.
         let mut c3 = Cluster3Config::default();
         c3.apply_params(&Value::parse(r#"{"c2": {"pull_slack": 9}}"#).unwrap())
@@ -545,49 +539,10 @@ mod tests {
     }
 
     #[test]
-    fn common_and_churn_params_round_trip_through_json() {
-        let mut common = CommonConfig::default();
-        common.seed = 99;
-        common.extra_sources = vec![3, 5];
-        common.failures = FailurePlan::explicit(vec![NodeIdx(8), NodeIdx(2)]);
-        common.message_loss = 0.125;
-        common.churn = ChurnConfig {
-            crash_rate: 0.25,
-            batch_size: 4,
-            recovery_rate: 0.1,
-            burst_enter: 0.05,
-            burst_exit: 0.3,
-            burst_loss: 0.6,
-            start_round: 2,
-            stop_round: Some(40),
-            protected: vec![0],
-            max_crashed_frac: 0.4,
-        };
-        let doc = common.params();
-        assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
-        let mut rebuilt = CommonConfig::default();
-        rebuilt.apply_params(&doc).unwrap();
-        assert_eq!(rebuilt, common, "apply(params()) is the identity");
-    }
-
-    #[test]
     fn full_width_u64_knobs_round_trip_exactly() {
-        // JSON numbers are doubles; seeds above 2^53 (e.g. derive_seed
-        // outputs) travel as decimal strings so replay stays exact.
-        let mut common = CommonConfig::default();
-        common.seed = u64::MAX - 12345;
-        common.churn.crash_rate = 0.1;
-        common.churn.start_round = (1 << 60) + 1;
-        common.churn.stop_round = Some(u64::MAX);
-        let doc = common.params();
-        let mut rebuilt = CommonConfig::default();
-        rebuilt
-            .apply_params(&Value::parse(&doc.render()).unwrap())
-            .unwrap();
-        assert_eq!(rebuilt, common, "no f64 rounding of 64-bit knobs");
-
-        // `assumed_n` rides the same path: 2^53 + 1 is the first integer
-        // a double cannot hold.
+        // JSON numbers are doubles; `assumed_n` values above 2^53 travel
+        // as decimal strings so replay stays exact. 2^53 + 1 is the
+        // first integer a double cannot hold.
         let c2 = Cluster2Config {
             assumed_n: Some((1 << 53) + 1),
             ..Cluster2Config::default()
@@ -602,270 +557,6 @@ mod tests {
             .apply_params(&Value::parse(&doc.render()).unwrap())
             .unwrap();
         assert_eq!(rebuilt, c2, "assumed_n survives a round trip exactly");
-    }
-
-    #[test]
-    fn churn_apply_rejects_bad_keys_and_values() {
-        let mut c = ChurnConfig::default();
-        let e = c
-            .apply_params(&Value::parse(r#"{"crash_rat": 0.5}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("valid keys"), "{e}");
-        let e = c
-            .apply_params(&Value::parse(r#"{"crash_rate": 1.5}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"crash_rate\""), "{e}");
-        let e = c
-            .apply_params(&Value::parse(r#"{"batch_size": 0.5}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("integer"), "{e}");
-        // stop_round accepts null.
-        c.apply_params(&Value::parse(r#"{"stop_round": 12, "crash_rate": 0.5}"#).unwrap())
-            .unwrap();
-        assert_eq!(c.stop_round, Some(12));
-        c.apply_params(&Value::parse(r#"{"stop_round": null}"#).unwrap())
-            .unwrap();
-        assert_eq!(c.stop_round, None);
-    }
-
-    #[test]
-    fn topology_params_round_trip_every_family() {
-        for topo in [
-            Topology::Complete,
-            Topology::Ring,
-            Topology::Torus2D,
-            Topology::RandomRegular(8),
-            Topology::ErdosRenyi(0.125),
-            Topology::WattsStrogatz(6, 0.25),
-            Topology::PreferentialAttachment(3),
-            Topology::FromAdjacency(vec![vec![1], vec![0, 2], vec![1]]),
-            Topology::FromFile("tests/data/pa_2k.txt".to_string()),
-        ] {
-            let doc = topo.params();
-            assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
-            let mut rebuilt = Topology::Complete;
-            rebuilt.apply_params(&doc).unwrap();
-            assert_eq!(rebuilt, topo, "apply(params()) is the identity");
-        }
-    }
-
-    #[test]
-    fn topology_apply_rejects_bad_kinds_knobs_and_values() {
-        let mut t = Topology::Complete;
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "moebius"}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("valid kinds"), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"degree": 4}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"kind\""), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "ring", "degree": 4}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("does not apply"), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "random_regular"}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("needs \"degree\""), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "erdos_renyi", "p": 7}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"p\""), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "from_file"}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("needs \"path\""), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "from_file", "path": 7}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("wants a string"), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"kind": "from_file", "path": ""}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"path\""), "{e}");
-        assert_eq!(t, Topology::Complete, "failed applies leave the value");
-    }
-
-    #[test]
-    fn engine_params_round_trip_every_mode_and_latency() {
-        for engine in [
-            Engine::Sync,
-            Engine::Async(AsyncConfig::default()),
-            Engine::Async(AsyncConfig {
-                rate: 2.0,
-                latency: Latency::Fixed(0.25),
-            }),
-            Engine::Async(AsyncConfig {
-                rate: 0.5,
-                latency: Latency::Uniform(0.1, 1.5),
-            }),
-            Engine::Async(AsyncConfig {
-                rate: 1.0,
-                latency: Latency::Exponential(0.75),
-            }),
-        ] {
-            let doc = engine.params();
-            assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
-            let mut rebuilt = Engine::Sync;
-            rebuilt.apply_params(&doc).unwrap();
-            assert_eq!(rebuilt, engine, "apply(params()) is the identity");
-        }
-    }
-
-    #[test]
-    fn engine_apply_rejects_bad_modes_knobs_and_values() {
-        let mut e = Engine::Sync;
-        let err = e
-            .apply_params(&Value::parse(r#"{"rate": 1.0}"#).unwrap())
-            .unwrap_err();
-        assert!(err.0.contains("\"mode\""), "{err}");
-        let err = e
-            .apply_params(&Value::parse(r#"{"mode": "turbo"}"#).unwrap())
-            .unwrap_err();
-        assert!(err.0.contains("\"sync\" or \"async\""), "{err}");
-        let err = e
-            .apply_params(&Value::parse(r#"{"mode": "sync", "rate": 1.0}"#).unwrap())
-            .unwrap_err();
-        assert!(err.0.contains("no knobs"), "{err}");
-        let err = e
-            .apply_params(&Value::parse(r#"{"mode": "async", "clock": 1.0}"#).unwrap())
-            .unwrap_err();
-        assert!(err.0.contains("valid keys"), "{err}");
-        let err = e
-            .apply_params(&Value::parse(r#"{"mode": "async", "rate": -1.0}"#).unwrap())
-            .unwrap_err();
-        assert!(err.0.contains("rate"), "{err}");
-        let err = e
-            .apply_params(
-                &Value::parse(r#"{"mode": "async", "latency": {"kind": "gamma"}}"#).unwrap(),
-            )
-            .unwrap_err();
-        assert!(err.0.contains("valid kinds"), "{err}");
-        let err = e
-            .apply_params(
-                &Value::parse(r#"{"mode": "async", "latency": {"kind": "fixed"}}"#).unwrap(),
-            )
-            .unwrap_err();
-        assert!(err.0.contains("needs \"value\""), "{err}");
-        let err = e
-            .apply_params(
-                &Value::parse(r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 0.5}}"#)
-                    .unwrap(),
-            )
-            .unwrap_err();
-        assert!(err.0.contains("\"lo\" and \"hi\""), "{err}");
-        let err = e
-            .apply_params(
-                &Value::parse(
-                    r#"{"mode": "async", "latency": {"kind": "fixed", "value": 0.5, "mean": 1.0}}"#,
-                )
-                .unwrap(),
-            )
-            .unwrap_err();
-        assert!(err.0.contains("does not take knob"), "{err}");
-        let err = e
-            .apply_params(
-                &Value::parse(
-                    r#"{"mode": "async", "latency": {"kind": "uniform", "lo": 2.0, "hi": 1.0}}"#,
-                )
-                .unwrap(),
-            )
-            .unwrap_err();
-        assert!(err.0.contains("lo"), "{err}");
-        assert_eq!(e, Engine::Sync, "failed applies leave the value");
-
-        // Omitted knobs keep the async defaults.
-        e.apply_params(&Value::parse(r#"{"mode": "async"}"#).unwrap())
-            .unwrap();
-        assert_eq!(e, Engine::Async(AsyncConfig::default()));
-    }
-
-    #[test]
-    fn common_params_round_trip_engine() {
-        let mut common = CommonConfig::default();
-        common.engine = Engine::Async(AsyncConfig {
-            rate: 2.0,
-            latency: Latency::Uniform(0.2, 0.9),
-        });
-        let doc = common.params();
-        let mut rebuilt = CommonConfig::default();
-        rebuilt
-            .apply_params(&Value::parse(&doc.render()).unwrap())
-            .unwrap();
-        assert_eq!(rebuilt, common, "apply(params()) is the identity");
-        assert!(
-            common.params().get("engine").is_some(),
-            "the engine must be addressable as a named override"
-        );
-    }
-
-    #[test]
-    fn common_params_round_trip_topology_and_addressing() {
-        let mut common = CommonConfig::default();
-        common.topology = Topology::WattsStrogatz(4, 0.5);
-        common.addressing = DirectAddressing::Restricted;
-        let doc = common.params();
-        let mut rebuilt = CommonConfig::default();
-        rebuilt
-            .apply_params(&Value::parse(&doc.render()).unwrap())
-            .unwrap();
-        assert_eq!(rebuilt, common);
-
-        let e = rebuilt
-            .apply_params(&Value::parse(r#"{"addressing": "tunnel"}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("overlay"), "{e}");
-    }
-
-    #[test]
-    fn traffic_params_round_trip_through_json() {
-        let mut common = CommonConfig::default();
-        common.traffic = TrafficConfig {
-            rumors: 32,
-            arrival_rate: 2.5,
-            bandwidth: 3,
-            start_round: 4,
-        };
-        let doc = common.params();
-        assert_eq!(Value::parse(&doc.render()).unwrap(), doc, "JSON stable");
-        let mut rebuilt = CommonConfig::default();
-        rebuilt
-            .apply_params(&Value::parse(&doc.render()).unwrap())
-            .unwrap();
-        assert_eq!(rebuilt, common, "apply(params()) is the identity");
-    }
-
-    #[test]
-    fn traffic_apply_rejects_bad_keys_and_values() {
-        let mut t = TrafficConfig::default();
-        let e = t
-            .apply_params(&Value::parse(r#"{"rumor": 5}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("valid keys"), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"arrival_rate": 0}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"arrival_rate\""), "{e}");
-        let e = t
-            .apply_params(&Value::parse(r#"{"rumors": 1.5}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("integer"), "{e}");
-        let mut t = TrafficConfig::default();
-        t.apply_params(&Value::parse(r#"{"rumors": 8, "bandwidth": 2}"#).unwrap())
-            .unwrap();
-        assert_eq!(t.rumors, 8);
-        assert_eq!(t.bandwidth, 2);
-    }
-
-    #[test]
-    fn common_apply_rejects_out_of_range_loss_naming_the_knob() {
-        let mut common = CommonConfig::default();
-        let e = common
-            .apply_params(&Value::parse(r#"{"message_loss": 2}"#).unwrap())
-            .unwrap_err();
-        assert!(e.0.contains("\"message_loss\""), "{e}");
-        assert!(e.0.contains("probability"), "{e}");
     }
 
     #[test]

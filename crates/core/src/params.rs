@@ -4,8 +4,10 @@
 //! ([`Algorithm::default_params`](crate::algo::Algorithm::default_params))
 //! and accepts overrides in the same shape
 //! ([`Algorithm::run_with_params`](crate::algo::Algorithm::run_with_params)),
-//! so experiment configs can travel through files, CLI flags and perf
-//! records without every consumer learning eleven config types.
+//! so an experiment can vary the constants the paper leaves to the
+//! implementer without learning eleven config types. Only these
+//! tunables travel as JSON; the environment ([`crate::CommonConfig`]:
+//! failures, loss, churn, topology, traffic, engine) is set in code.
 //!
 //! [`Value`] is a complete little JSON codec — parser and renderer —
 //! because the workspace builds hermetically: the vendored `serde` is an
@@ -15,18 +17,16 @@
 //! the part that has to work today. Object keys keep insertion order, so
 //! `parse(render(v)) == v` exactly (see the round-trip tests).
 //!
-//! [`Params`] is the one config codec: every type that lists its knobs
-//! as [`Knobs`] rows gets its JSON form, its overrides and their error
-//! messages from that list — unknown keys list the valid ones, type
-//! errors name the key, a tagged enum's `"kind"` / `"mode"` picks its
-//! kind, integers above 2^53 travel as decimal strings, the type's
-//! [`Knobs::validate`] runs after every apply, and a failed apply leaves
-//! the value unchanged.
+//! [`Params`] is the one tunables codec: every type that lists its
+//! knobs as [`Knobs`] rows gets its JSON form, its overrides and their
+//! error messages from that list — unknown keys list the valid ones,
+//! type errors name the key, sizes above 2^53 travel as decimal
+//! strings, the type's [`Knobs::validate`] runs after every apply, and
+//! a failed apply leaves the value unchanged.
 
 use std::fmt;
 
 use phonecall::knob::{Knobs, Slot};
-use phonecall::{FailurePlan, NodeIdx};
 
 /// A JSON value. Numbers are `f64` (as in JSON itself); objects preserve
 /// insertion order so documents round-trip byte-identically.
@@ -444,8 +444,8 @@ impl Parser<'_> {
 /// The JSON form of every config with a knob table (see the module
 /// docs): implemented for each [`Knobs`] type.
 pub trait Params: Knobs + Clone {
-    /// The knobs as a JSON object, in knob-row order: a tagged enum
-    /// leads with its tag, a nested config becomes a nested object.
+    /// The knobs as a JSON object, in knob-row order: a nested config
+    /// becomes a nested object.
     #[must_use]
     fn params(&self) -> Value {
         render(&mut self.clone())
@@ -457,8 +457,7 @@ pub trait Params: Knobs + Clone {
     /// # Errors
     ///
     /// Rejects non-object documents, unknown keys (listing the valid
-    /// ones), wrongly typed values (naming the key), a missing or unknown
-    /// tag, a kind's missing knobs, and values failing
+    /// ones), wrongly typed values (naming the key), and values failing
     /// [`Knobs::validate`]. On error the config is left unchanged.
     fn apply_params(&mut self, overrides: &Value) -> Result<(), ParamError> {
         *self = overridden("config", self.clone(), overrides)?;
@@ -482,35 +481,22 @@ pub fn overridden<P: Knobs>(what: &str, mut cfg: P, overrides: &Value) -> Result
 }
 
 fn render(cfg: &mut dyn Knobs) -> Value {
-    let tag = cfg
-        .tag()
-        .map(|t| (t.key.into(), Value::Str(t.kinds[t.current].into())));
     let knobs = cfg.knobs().into_iter().map(|(name, slot)| {
         let v = match slot {
             Slot::F64(x) => Value::Num(*x),
             Slot::U32(x) => Value::Num(f64::from(*x)),
-            Slot::U64(x) => u64_value(*x),
-            Slot::OptU64(x) => x.map_or(Value::Null, u64_value),
             Slot::OptUsize(x) => x.map_or(Value::Null, |x| u64_value(x as u64)),
-            Slot::U32s(xs) => nums(xs),
-            Slot::Rows(rows) => Value::Arr(rows.iter().map(|r| nums(r)).collect()),
-            Slot::Failures(plan) => nums(&plan.failed().iter().map(|i| i.0).collect::<Vec<_>>()),
-            Slot::Str(s) => Value::Str(s.clone()),
             Slot::Choice(c) => Value::Str(c.label().into()),
             Slot::Nested(inner) => render(inner),
         };
         (name.to_string(), v)
     });
-    Value::Obj(tag.into_iter().chain(knobs).collect())
-}
-
-fn nums(xs: &[u32]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::Num(f64::from(x))).collect())
+    Value::Obj(knobs.collect())
 }
 
 /// A `u64` as a JSON value: a plain number when exactly representable
 /// as `f64` (≤ 2^53), else a decimal string — JSON numbers are doubles,
-/// and silently rounding a 64-bit seed would break exact replay.
+/// and silently rounding a 64-bit size would break exact replay.
 fn u64_value(x: u64) -> Value {
     if x <= (1u64 << 53) {
         Value::Num(x as f64)
@@ -522,44 +508,20 @@ fn u64_value(x: u64) -> Value {
 /// Applies `overrides` in place and validates (see [`overridden`]).
 fn apply(cfg: &mut dyn Knobs, what: &str, overrides: &Value) -> Result<(), ParamError> {
     let entries = overrides.expect_obj(&format!("{what} parameters"))?;
-    let tag = cfg.tag();
-    // A tagged enum first becomes its kind's default; `at` names the kind.
-    let mut at = String::new();
-    if let Some(tag) = &tag {
-        let v = overrides
-            .get(tag.key)
-            .ok_or_else(|| err(format!("{what} parameters need a {:?} key", tag.key)))?;
-        let kind = v.as_str().ok_or_else(|| wants(tag.key, "a string", v))?;
-        at = format!("{what} {} {kind:?}", tag.key);
-        let mut kinds = tag.kinds.clone();
-        let i = kinds.iter().position(|k| *k == kind);
-        kinds.dedup();
-        let valid = quoted(&kinds, " or ");
-        cfg.set_kind(i.ok_or_else(|| err(format!("unknown {at}; valid {}s: {valid}", tag.key)))?);
-    }
     let mut knobs = cfg.knobs();
     let names: Vec<&str> = knobs.iter().map(|(name, _)| *name).collect();
-    if tag.as_ref().is_some_and(|t| t.all_required)
-        && names.iter().any(|n| overrides.get(n).is_none())
-    {
-        return Err(err(format!("{at} needs {}", quoted(&names, " and "))));
-    }
     for (key, v) in entries {
-        if let Some((_, slot)) = knobs.iter_mut().find(|(name, _)| name == key) {
-            set(slot, key, v)?;
-        } else if tag.as_ref().is_none_or(|t| t.key != key) {
-            let problem = if at.is_empty() {
-                format!("unknown {what} parameter {key:?}")
-            } else {
-                format!("{at} does not take knob {key:?}, which does not apply to it")
-            };
+        let Some((_, slot)) = knobs.iter_mut().find(|(name, _)| name == key) else {
             let valid = if names.is_empty() {
                 "none (it has no knobs)".into()
             } else {
                 names.join(", ")
             };
-            return Err(err(format!("{problem}; valid keys: {valid}")));
-        }
+            return Err(err(format!(
+                "unknown {what} parameter {key:?}; valid keys: {valid}"
+            )));
+        };
+        set(slot, key, v)?;
     }
     drop(knobs);
     cfg.validate().map_err(ParamError)
@@ -567,29 +529,17 @@ fn apply(cfg: &mut dyn Knobs, what: &str, overrides: &Value) -> Result<(), Param
 
 /// Writes one override into its slot, reporting type errors by key.
 fn set(slot: &mut Slot<'_>, key: &str, v: &Value) -> Result<(), ParamError> {
-    let text = || v.as_str().ok_or_else(|| wants(key, "a string", v));
     match slot {
         Slot::F64(x) => **x = v.as_f64().ok_or_else(|| wants(key, "a number", v))?,
         Slot::U32(x) => **x = want_u32(key, v)?,
-        Slot::U64(x) => **x = want_u64(key, v)?,
-        Slot::OptU64(x) => **x = want_opt_u64(key, v)?,
         Slot::OptUsize(x) => **x = want_opt_u64(key, v)?.map(|n| n as usize),
-        Slot::U32s(xs) => **xs = want_u32s(key, v)?,
-        Slot::Rows(rows) => **rows = want_arr(key, v, "integer arrays", |r| want_u32s(key, r))?,
-        Slot::Failures(plan) => {
-            **plan = FailurePlan::explicit(want_u32s(key, v)?.into_iter().map(NodeIdx).collect())
+        Slot::Choice(c) => {
+            let label = v.as_str().ok_or_else(|| wants(key, "a string", v))?;
+            c.choose(label).map_err(ParamError)?;
         }
-        Slot::Str(s) => **s = text()?.to_string(),
-        Slot::Choice(c) => c.choose(text()?).map_err(ParamError)?,
         Slot::Nested(inner) => apply(&mut **inner, key, v)?,
     }
     Ok(())
-}
-
-/// `"a" or "b" or "c"` (for `conjunction` `" or "`).
-fn quoted(items: &[&str], conjunction: &str) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("{s:?}")).collect();
-    quoted.join(conjunction)
 }
 
 fn wants(key: &str, what: &str, v: &Value) -> ParamError {
@@ -614,23 +564,6 @@ fn want_opt_u64(key: &str, v: &Value) -> Result<Option<u64>, ParamError> {
 fn want_u32(key: &str, v: &Value) -> Result<u32, ParamError> {
     let x = want_u64(key, v)?;
     u32::try_from(x).map_err(|_| err(format!("parameter {key:?} out of range: {x}")))
-}
-
-fn want_u32s(key: &str, v: &Value) -> Result<Vec<u32>, ParamError> {
-    want_arr(key, v, "integers", |x| want_u32(key, x))
-}
-
-/// An array override, item by item.
-fn want_arr<T>(
-    key: &str,
-    v: &Value,
-    items: &str,
-    each: impl Fn(&Value) -> Result<T, ParamError>,
-) -> Result<Vec<T>, ParamError> {
-    match v {
-        Value::Arr(xs) => xs.iter().map(each).collect(),
-        _ => Err(wants(key, &format!("an array of {items}"), v)),
-    }
 }
 
 #[cfg(test)]

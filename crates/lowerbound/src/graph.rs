@@ -5,8 +5,8 @@
 //! Every other module of this crate reads that same type, so a contact
 //! graph from [`phonecall::Topology::build`] or [`phonecall::dataset`]
 //! is certified by [`crate::diameter`] as it is, and a union graph runs
-//! under the whole algorithm registry through
-//! [`phonecall::Topology::FromAdjacency`] (`Adjacency::to_lists`).
+//! under the whole algorithm registry wrapped as
+//! [`phonecall::Topology::FromAdjacency`].
 
 use phonecall::{derive_seed, rng_from_seed, Adjacency};
 use rand::Rng;
@@ -160,8 +160,9 @@ mod tests {
     #[test]
     fn topology_bridge_round_trips() {
         use phonecall::Topology;
+        use std::sync::Arc;
         let g = sample_union_graph(64, 3, 4);
-        let topo = Topology::FromAdjacency(g.to_lists());
+        let topo = Topology::FromAdjacency(Arc::new(g.clone()));
         let adj = topo.build(64, 0).expect("FromAdjacency materializes");
         assert_eq!(adj, g);
     }

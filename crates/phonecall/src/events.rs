@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::action::{Action, Delivery};
 use crate::id::NodeIdx;
-use crate::knob::{self, Kind, Knob, Knobs, Slot, Tag};
+use crate::knob::{self, Kind};
 use crate::metrics::RoundStats;
 use crate::network::{Network, NodeCtx};
 use crate::rng::{
@@ -150,24 +150,40 @@ pub enum Latency {
 
 impl Default for Latency {
     fn default() -> Self {
-        LATENCIES[0].default
+        Latency::Fixed(0.5)
     }
 }
 
-/// The latency families, once: each kind's JSON name and the value a
-/// bare kind builds.
-#[rustfmt::skip]
-static LATENCIES: [Kind<Latency>; 3] = [
-    Kind { name: "fixed", default: Latency::Fixed(0.5), catalog: ("", "") },
-    Kind { name: "uniform", default: Latency::Uniform(0.1, 1.0), catalog: ("", "") },
-    Kind { name: "exponential", default: Latency::Exponential(0.5), catalog: ("", "") },
-];
-
 impl Latency {
-    /// Stable lowercase family label (the JSON `"kind"` value).
+    /// Stable lowercase family label (the profile name in
+    /// [`Engine::spec`]).
     #[must_use]
     pub fn label(&self) -> &'static str {
-        LATENCIES[knob::kind_index(&LATENCIES, self)].name
+        match self {
+            Latency::Fixed(_) => "fixed",
+            Latency::Uniform(..) => "uniform",
+            Latency::Exponential(_) => "exponential",
+        }
+    }
+
+    /// Validates the distribution parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Latency::Fixed(v) if !(0.0..=MAX_SPAN).contains(&v) => Err(format!(
+                "fixed latency must be in [0, {MAX_SPAN:e}], got {v}"
+            )),
+            Latency::Uniform(lo, hi) if !(0.0 <= lo && lo < hi && hi <= MAX_SPAN) => Err(format!(
+                "uniform latency wants 0 <= lo < hi <= {MAX_SPAN:e}, got [{lo}, {hi})"
+            )),
+            Latency::Exponential(mean) if !(0.0 < mean && mean <= MAX_SPAN) => Err(format!(
+                "exponential latency mean must be in (0, {MAX_SPAN:e}], got {mean}"
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// The mean latency.
@@ -197,6 +213,18 @@ impl Engine {
     #[must_use]
     pub fn is_async(&self) -> bool {
         matches!(self, Engine::Async(_))
+    }
+
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending knob.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Engine::Sync => Ok(()),
+            Engine::Async(cfg) => cfg.validate(),
+        }
     }
 
     /// Stable spec string: `"sync"`, or `"async:<profile>"` for the
@@ -243,7 +271,8 @@ impl Engine {
         ENGINES
             .iter()
             .find(|e| {
-                [e.name, e.catalog.0, &e.default.spec()]
+                let mode = e.catalog.0.split(':').next().unwrap_or("");
+                [mode, e.catalog.0, &e.default.spec()]
                     .map(knob::normalize)
                     .contains(&key)
             })
@@ -258,20 +287,19 @@ impl Engine {
     }
 }
 
-/// The engine schedules, once: each row's JSON mode, the engine it
-/// builds, and its `--list-engines` line. A bare `"mode": "async"` (and
-/// the spec `async`) builds the first async row, the default
-/// [`AsyncConfig`].
+/// The engine schedules, once: each row's engine and its
+/// `--list-engines` line. The spec `async` builds the first async row,
+/// the default [`AsyncConfig`].
 #[rustfmt::skip]
 static ENGINES: [Kind<Engine>; 4] = [
-    Kind { name: "sync", default: Engine::Sync,
+    Kind { default: Engine::Sync,
         catalog: ("sync", "lockstep synchronous rounds (the paper's model; default)") },
-    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Fixed(0.5))),
+    Kind { default: Engine::Async(unit_rate(Latency::Fixed(0.5))),
         catalog: ("async:fixed", "event-driven, exponential clocks (rate 1), fixed latency 0.5") },
-    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Uniform(0.1, 1.0))),
+    Kind { default: Engine::Async(unit_rate(Latency::Uniform(0.1, 1.0))),
         catalog: ("async:uniform",
             "event-driven, exponential clocks (rate 1), uniform latency [0.1, 1.0)") },
-    Kind { name: "async", default: Engine::Async(unit_rate(Latency::Exponential(0.5))),
+    Kind { default: Engine::Async(unit_rate(Latency::Exponential(0.5))),
         catalog: ("async:exp",
             "event-driven, exponential clocks (rate 1), exponential latency (mean 0.5)") },
 ];
@@ -280,76 +308,6 @@ static ENGINES: [Kind<Engine>; 4] = [
 /// (every catalog profile, and the default).
 const fn unit_rate(latency: Latency) -> AsyncConfig {
     AsyncConfig { rate: 1.0, latency }
-}
-
-impl Knobs for Engine {
-    fn knobs(&mut self) -> Vec<Knob<'_>> {
-        match self {
-            Engine::Sync => Vec::new(),
-            Engine::Async(cfg) => vec![
-                ("rate", Slot::F64(&mut cfg.rate)),
-                ("latency", Slot::Nested(&mut cfg.latency)),
-            ],
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending knob.
-    fn validate(&self) -> Result<(), String> {
-        match self {
-            Engine::Sync => Ok(()),
-            Engine::Async(cfg) => cfg.validate(),
-        }
-    }
-
-    fn tag(&self) -> Option<Tag> {
-        Some(Tag::of("mode", &ENGINES, self, false))
-    }
-
-    fn set_kind(&mut self, i: usize) {
-        *self = ENGINES[i].default.clone();
-    }
-}
-
-impl Knobs for Latency {
-    fn knobs(&mut self) -> Vec<Knob<'_>> {
-        match self {
-            Latency::Fixed(value) => vec![("value", Slot::F64(value))],
-            Latency::Uniform(lo, hi) => vec![("lo", Slot::F64(lo)), ("hi", Slot::F64(hi))],
-            Latency::Exponential(mean) => vec![("mean", Slot::F64(mean))],
-        }
-    }
-
-    /// Validates the distribution parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending knob.
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            Latency::Fixed(v) if !(0.0..=MAX_SPAN).contains(&v) => Err(format!(
-                "fixed latency must be in [0, {MAX_SPAN:e}], got {v}"
-            )),
-            Latency::Uniform(lo, hi) if !(0.0 <= lo && lo < hi && hi <= MAX_SPAN) => Err(format!(
-                "uniform latency wants 0 <= lo < hi <= {MAX_SPAN:e}, got [{lo}, {hi})"
-            )),
-            Latency::Exponential(mean) if !(0.0 < mean && mean <= MAX_SPAN) => Err(format!(
-                "exponential latency mean must be in (0, {MAX_SPAN:e}], got {mean}"
-            )),
-            _ => Ok(()),
-        }
-    }
-
-    fn tag(&self) -> Option<Tag> {
-        Some(Tag::of("kind", &LATENCIES, self, true))
-    }
-
-    fn set_kind(&mut self, i: usize) {
-        *self = LATENCIES[i].default;
-    }
 }
 
 // ----------------------------------------------------------------------

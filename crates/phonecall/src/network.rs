@@ -290,7 +290,7 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`Engine::validate`](crate::Knobs::validate).
+    /// Panics if the config fails [`Engine::validate`].
     pub fn set_engine(&mut self, engine: Engine, seed: u64) {
         self.async_state = match engine {
             Engine::Sync => None,
@@ -302,12 +302,6 @@ impl<S> Network<S> {
             }
         };
         self.buffers = Slot::default();
-    }
-
-    /// Whether the asynchronous engine is installed.
-    #[must_use]
-    pub fn engine_is_async(&self) -> bool {
-        self.async_state.is_some()
     }
 
     /// The continuous virtual clock of the asynchronous engine: the
@@ -352,18 +346,12 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`ChurnConfig::validate`](crate::Knobs::validate) or protects
+    /// Panics if the config fails [`ChurnConfig::validate`] or protects
     /// a node outside this network.
     pub fn set_churn(&mut self, cfg: ChurnConfig, seed: u64) {
         self.churn = cfg
             .is_active()
             .then(|| AdversarySchedule::new(cfg, self.len(), seed));
-    }
-
-    /// The attached dynamic-adversary schedule, if any.
-    #[must_use]
-    pub fn churn_schedule(&self) -> Option<&AdversarySchedule> {
-        self.churn.as_ref()
     }
 
     /// Installs a communication topology (see [`Topology`]): `Random`
@@ -418,17 +406,11 @@ impl<S> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the config fails [`TrafficConfig::validate`](crate::Knobs::validate).
+    /// Panics if the config fails [`TrafficConfig::validate`].
     pub fn set_traffic(&mut self, cfg: TrafficConfig, rumor_bits: u64, seed: u64) {
         self.traffic = cfg
             .is_active()
             .then(|| TrafficPlan::new(cfg, self.len(), rumor_bits, seed));
-    }
-
-    /// The attached workload plan, if any.
-    #[must_use]
-    pub fn traffic_plan(&self) -> Option<&TrafficPlan> {
-        self.traffic.as_ref()
     }
 
     /// Per-rumor final status of the attached workload, in arrival
@@ -512,12 +494,6 @@ impl<S> Network<S> {
     pub fn alive_count(&self) -> usize {
         debug_assert_eq!(self.alive_count, self.alive.count_ones());
         self.alive_count
-    }
-
-    /// The packed alive mask (one bit per node).
-    #[must_use]
-    pub fn alive_mask(&self) -> &BitSet {
-        &self.alive
     }
 
     /// Applies a failure plan: the named nodes die immediately and forever.

@@ -10,7 +10,7 @@
 //! * a [`Topology`] names a graph family (`Ring`, `Torus2D`,
 //!   `RandomRegular`, `ErdosRenyi`, `WattsStrogatz`,
 //!   `PreferentialAttachment`, or an explicit [`Topology::FromAdjacency`]
-//!   edge list);
+//!   graph);
 //! * [`Topology::build`] materializes it **once per network** as a CSR
 //!   [`Adjacency`], deterministically from a seed, regenerating with a
 //!   derived seed until the graph is connected (random families can
@@ -43,11 +43,13 @@
 //! graph; only `Ring`, `Torus2D` and file-loaded graphs are the same in
 //! every trial.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
 use crate::id::NodeIdx;
-use crate::knob::{self, Choice, Kind, Knob, Knobs, Slot, Tag};
+use crate::knob::{self, Kind, Knob, Knobs, Slot};
 use crate::rng::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -73,39 +75,13 @@ pub enum DirectAddressing {
 }
 
 impl DirectAddressing {
-    /// Stable lowercase label (the JSON value of the `"addressing"` knob).
+    /// Stable lowercase label, for tables and plot series.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             DirectAddressing::Overlay => "overlay",
             DirectAddressing::Restricted => "restricted",
         }
-    }
-
-    /// Parses a [`Self::label`] (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the valid labels for anything else.
-    pub fn parse(label: &str) -> Result<Self, String> {
-        match label.to_ascii_lowercase().as_str() {
-            "overlay" => Ok(DirectAddressing::Overlay),
-            "restricted" => Ok(DirectAddressing::Restricted),
-            other => Err(format!(
-                "addressing mode wants \"overlay\" or \"restricted\", got {other:?}"
-            )),
-        }
-    }
-}
-
-impl Choice for DirectAddressing {
-    fn label(&self) -> &'static str {
-        DirectAddressing::label(*self)
-    }
-
-    fn choose(&mut self, label: &str) -> Result<(), String> {
-        *self = DirectAddressing::parse(label)?;
-        Ok(())
     }
 }
 
@@ -143,11 +119,13 @@ pub enum Topology {
     /// probability proportional to degree (seeded from an `(m+1)`-clique).
     /// Heavy-tailed degrees — the hub-and-spoke stress test for fan-in.
     PreferentialAttachment(u32),
-    /// An explicit adjacency list (one neighbor list per node; treated
-    /// as undirected and symmetrized), for any external edge list.
-    /// Exempt from the connectivity requirement — a supplied graph is
-    /// used as-is, partitions included.
-    FromAdjacency(Vec<Vec<u32>>),
+    /// An explicit graph, already in CSR form (built with
+    /// [`Adjacency::from_edges`] from any external edge list) and
+    /// shared, so every network built from this topology copies the
+    /// arrays instead of rebuilding them. Exempt from the connectivity
+    /// requirement — a supplied graph is used as-is, partitions
+    /// included.
+    FromAdjacency(Arc<Adjacency>),
     /// A real-graph snapshot loaded from a SNAP-style edge-list file
     /// (see [`crate::dataset`]): whitespace-separated node-id pairs,
     /// `#` comments, arbitrary non-contiguous ids. Parsed once and
@@ -210,9 +188,9 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the config fails [`Topology::validate`] or
-    /// [`Topology::check`], if an adjacency's length or indices do not fit
-    /// `n`, or if no connected instance emerges within the regeneration
-    /// budget — all with the offending knob named.
+    /// [`Topology::check`] (an adjacency whose size is not `n` among
+    /// them), or if no connected instance emerges within the
+    /// regeneration budget — all with the offending knob named.
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Option<Adjacency> {
         if let Err(e) = self.validate() {
@@ -224,10 +202,8 @@ impl Topology {
         if let Err(e) = self.check(n) {
             panic!("invalid topology: {e}");
         }
-        if let Topology::FromAdjacency(lists) = self {
-            let adj = Adjacency::from_edges(n, &list_edges(lists))
-                .unwrap_or_else(|e| panic!("invalid topology: {e}"));
-            return Some(adj);
+        if let Topology::FromAdjacency(adj) = self {
+            return Some(Adjacency::clone(adj));
         }
         if let Topology::FromFile(path) = self {
             let adj =
@@ -278,7 +254,8 @@ impl Topology {
 
     /// Whether the knobs fit a network of `n` nodes: the `n`-dependent
     /// rules [`Topology::validate`] cannot check (`degree < n`, `n·degree`
-    /// even, `k < n`, `m < n`, one adjacency list per node) and `n ≥ 2`.
+    /// even, `k < n`, `m < n`, an adjacency of exactly `n` nodes) and
+    /// `n ≥ 2`.
     /// [`Topology::build`] panics where this fails; a front end calls it
     /// first to report the error instead. A `FromFile` graph's size is
     /// not checked here: that needs the file.
@@ -290,11 +267,11 @@ impl Topology {
         if n < 2 {
             return Err(format!("gossip needs at least two nodes, got n = {n}"));
         }
-        if let Topology::FromAdjacency(lists) = self {
-            if lists.len() != n {
+        if let Topology::FromAdjacency(adj) = self {
+            if adj.len() != n {
                 return Err(format!(
                     "topology knob \"adjacency\" describes {} nodes but the network has {n}",
-                    lists.len()
+                    adj.len()
                 ));
             }
         }
@@ -321,7 +298,7 @@ impl Topology {
             Topology::ErdosRenyi(p) => format!("ErdosRenyi(p={p})"),
             Topology::WattsStrogatz(k, beta) => format!("WattsStrogatz(k={k}, beta={beta})"),
             Topology::PreferentialAttachment(m) => format!("PreferentialAttachment(m={m})"),
-            Topology::FromAdjacency(lists) => format!("FromAdjacency({} nodes)", lists.len()),
+            Topology::FromAdjacency(adj) => format!("FromAdjacency({} nodes)", adj.len()),
             Topology::FromFile(path) => format!("FromFile({path})"),
         }
     }
@@ -331,11 +308,7 @@ impl Topology {
     /// and deliberately absent.
     #[must_use]
     pub fn catalog() -> Vec<&'static (&'static str, &'static str)> {
-        FAMILIES
-            .iter()
-            .map(|f| &f.catalog)
-            .filter(|c| !c.0.is_empty())
-            .collect()
+        FAMILIES.iter().map(|f| &f.catalog).collect()
     }
 
     /// Parses a `--topo` spec: a catalog name, optionally followed by
@@ -398,48 +371,44 @@ impl Topology {
     }
 }
 
-/// The topology families, once: each kind's JSON name, the value a bare
-/// kind builds (its knobs are the `--topo` defaults), and its
-/// `--list-topos` line. [`Topology::FromAdjacency`] is programmatic-only
-/// and has no catalog line.
+/// The `--topo` families, once: the value a bare spec builds (its knobs
+/// are the `--topo` defaults) and its `--list-topos` line.
+/// [`Topology::FromAdjacency`] is programmatic-only and has no row.
 #[rustfmt::skip]
-static FAMILIES: [Kind<Topology>; 9] = [
-    Kind { name: "complete", default: Topology::Complete,
+static FAMILIES: [Kind<Topology>; 8] = [
+    Kind { default: Topology::Complete,
         catalog: ("complete", "the base model: every pair is an edge") },
-    Kind { name: "ring", default: Topology::Ring,
+    Kind { default: Topology::Ring,
         catalog: ("ring", "cycle, degree 2, diameter n/2") },
-    Kind { name: "torus2d", default: Topology::Torus2D,
+    Kind { default: Topology::Torus2D,
         catalog: ("torus2d", "2-D torus grid, degree <= 4, diameter ~sqrt(n)") },
-    Kind { name: "random_regular", default: Topology::RandomRegular(8),
+    Kind { default: Topology::RandomRegular(8),
         catalog: ("random-regular[:d]", "random simple d-regular graph (default d = 8)") },
-    Kind { name: "erdos_renyi", default: Topology::ErdosRenyi(0.05),
+    Kind { default: Topology::ErdosRenyi(0.05),
         catalog: ("erdos-renyi[:p]",
             "G(n, p) random graph (default p = 0.05; needs p >~ ln n / n)") },
-    Kind { name: "watts_strogatz", default: Topology::WattsStrogatz(6, 0.2),
+    Kind { default: Topology::WattsStrogatz(6, 0.2),
         catalog: ("watts-strogatz[:k,beta]",
             "small world: k-lattice, beta rewiring (default 6, 0.2)") },
-    Kind { name: "preferential_attachment", default: Topology::PreferentialAttachment(4),
+    Kind { default: Topology::PreferentialAttachment(4),
         catalog: ("preferential-attachment[:m]",
             "Barabasi-Albert scale-free, m links per arrival (default m = 4)") },
-    Kind { name: "from_adjacency", default: Topology::FromAdjacency(Vec::new()),
-        catalog: ("", "") },
-    Kind { name: "from_file", default: Topology::FromFile(String::new()),
+    Kind { default: Topology::FromFile(String::new()),
         catalog: ("file:<path>",
             "SNAP-style edge list loaded from <path> (cached as <path>.csrcache)") },
 ];
 
+/// The positional `--topo` knobs of each family, in spec order.
 impl Knobs for Topology {
     fn knobs(&mut self) -> Vec<Knob<'_>> {
         match self {
-            Topology::Complete | Topology::Ring | Topology::Torus2D => Vec::new(),
             Topology::RandomRegular(d) => vec![("degree", Slot::U32(d))],
             Topology::ErdosRenyi(p) => vec![("p", Slot::F64(p))],
             Topology::WattsStrogatz(k, beta) => {
                 vec![("k", Slot::U32(k)), ("beta", Slot::F64(beta))]
             }
             Topology::PreferentialAttachment(m) => vec![("m", Slot::U32(m))],
-            Topology::FromAdjacency(lists) => vec![("adjacency", Slot::Rows(lists))],
-            Topology::FromFile(path) => vec![("path", Slot::Str(path))],
+            _ => Vec::new(),
         }
     }
 
@@ -471,7 +440,7 @@ impl Knobs for Topology {
             Topology::PreferentialAttachment(m) if *m < 1 => {
                 ("m", "an integer >= 1", m.to_string())
             }
-            Topology::FromAdjacency(lists) if lists.is_empty() => (
+            Topology::FromAdjacency(adj) if adj.is_empty() => (
                 "adjacency",
                 "at least one node's neighbor list",
                 "none".into(),
@@ -484,14 +453,6 @@ impl Knobs for Topology {
             _ => return Ok(()),
         };
         Err(format!("topology knob {knob:?} wants {wants}, got {got}"))
-    }
-
-    fn tag(&self) -> Option<Tag> {
-        Some(Tag::of("kind", &FAMILIES, self, true))
-    }
-
-    fn set_kind(&mut self, i: usize) {
-        *self = FAMILIES[i].default.clone();
     }
 }
 
@@ -737,15 +698,6 @@ impl Adjacency {
         queue.len() == n
     }
 
-    /// The adjacency back as per-node neighbor lists, the shape
-    /// [`Topology::FromAdjacency`] holds.
-    #[must_use]
-    pub fn to_lists(&self) -> Vec<Vec<u32>> {
-        (0..self.len() as u32)
-            .map(|v| self.neighbors(v).to_vec())
-            .collect()
-    }
-
     /// Samples a uniformly random **alive** neighbor of `src`, or `None`
     /// when every neighbor is down (the node sits the round out).
     ///
@@ -776,16 +728,6 @@ impl Adjacency {
         }
         unreachable!("pick < alive_deg");
     }
-}
-
-/// The edge list of per-node neighbor lists: `(v, u)` for every `u` in
-/// row `v`, rows in order.
-fn list_edges(lists: &[Vec<u32>]) -> Vec<(u32, u32)> {
-    let mut edges = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-    for (v, row) in lists.iter().enumerate() {
-        edges.extend(row.iter().map(|&u| (v as u32, u)));
-    }
-    edges
 }
 
 // ----------------------------------------------------------------------
@@ -1137,13 +1079,28 @@ mod tests {
         assert!(err.contains("node 1") && err.contains("self-loop"), "{err}");
     }
 
+    /// A [`Topology::FromAdjacency`] over the graph `edges` spans.
+    fn explicit(n: usize, edges: &[(u32, u32)]) -> Topology {
+        Topology::FromAdjacency(Arc::new(Adjacency::from_edges(n, edges).unwrap()))
+    }
+
     #[test]
     fn from_adjacency_topology_allows_disconnection() {
         // A supplied graph is used as-is — partitions included.
-        let t = Topology::FromAdjacency(vec![vec![1], vec![0], vec![3], vec![2]]);
+        let t = explicit(4, &[(0, 1), (2, 3)]);
         let adj = t.build(4, 0).unwrap();
         assert!(!adj.is_connected());
         assert_eq!(adj.edge_count(), 2);
+    }
+
+    /// The edge list of per-node neighbor lists: `(v, u)` for every `u`
+    /// in row `v`, rows in order.
+    fn list_edges(lists: &[Vec<u32>]) -> Vec<(u32, u32)> {
+        let mut edges = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for (v, row) in lists.iter().enumerate() {
+            edges.extend(row.iter().map(|&u| (v as u32, u)));
+        }
+        edges
     }
 
     /// The builder `from_edges` replaced, kept as its reference: mirror
@@ -1286,7 +1243,7 @@ mod tests {
             (Topology::WattsStrogatz(3, 0.1), "\"k\""),
             (Topology::WattsStrogatz(4, -0.1), "\"beta\""),
             (Topology::PreferentialAttachment(0), "\"m\""),
-            (Topology::FromAdjacency(vec![]), "\"adjacency\""),
+            (explicit(0, &[]), "\"adjacency\""),
             (Topology::FromFile(String::new()), "\"path\""),
         ] {
             let err = t.validate().unwrap_err();
@@ -1303,11 +1260,7 @@ mod tests {
             (Topology::PreferentialAttachment(4), 4, "m < n"),
             (Topology::Ring, 1, "at least two nodes"),
             (Topology::Complete, 0, "at least two nodes"),
-            (
-                Topology::FromAdjacency(vec![vec![1], vec![0]]),
-                3,
-                "describes 2 nodes",
-            ),
+            (explicit(2, &[(0, 1)]), 3, "describes 2 nodes"),
         ] {
             let err = t.check(n).unwrap_err();
             assert!(err.contains(wants), "{} on n = {n}: {err}", t.name());
@@ -1319,7 +1272,7 @@ mod tests {
             (Topology::WattsStrogatz(40, 0.1), 41),
             (Topology::PreferentialAttachment(4), 5),
             (Topology::Ring, 2),
-            (Topology::FromAdjacency(vec![vec![1], vec![0]]), 2),
+            (explicit(2, &[(0, 1)]), 2),
         ] {
             assert_eq!(t.check(n), Ok(()), "{} on n = {n}", t.name());
         }
@@ -1401,16 +1354,6 @@ mod tests {
         assert!(err.contains("extra knob"), "{err}");
         let err = Topology::parse_spec("erdos-renyi:7").unwrap_err();
         assert!(err.contains("\"p\""), "{err}");
-    }
-
-    #[test]
-    fn addressing_labels_round_trip() {
-        for mode in [DirectAddressing::Overlay, DirectAddressing::Restricted] {
-            assert_eq!(DirectAddressing::parse(mode.label()).unwrap(), mode);
-        }
-        assert_eq!(DirectAddressing::default(), DirectAddressing::Overlay);
-        let err = DirectAddressing::parse("tunnel").unwrap_err();
-        assert!(err.contains("overlay"), "{err}");
     }
 
     #[test]

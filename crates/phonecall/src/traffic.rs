@@ -35,7 +35,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
-use crate::knob::{Knob, Knobs, Slot};
 use crate::rng::rng_from_seed;
 use rand::Rng;
 
@@ -78,17 +77,6 @@ impl TrafficConfig {
     pub fn is_active(&self) -> bool {
         self.rumors > 0
     }
-}
-
-impl Knobs for TrafficConfig {
-    fn knobs(&mut self) -> Vec<Knob<'_>> {
-        vec![
-            ("rumors", Slot::U32(&mut self.rumors)),
-            ("arrival_rate", Slot::F64(&mut self.arrival_rate)),
-            ("bandwidth", Slot::U32(&mut self.bandwidth)),
-            ("start_round", Slot::U64(&mut self.start_round)),
-        ]
-    }
 
     /// Validates every knob, naming the offending one in the error.
     ///
@@ -97,7 +85,7 @@ impl Knobs for TrafficConfig {
     /// Returns a message like
     /// `traffic knob "arrival_rate" wants a positive finite rate, got 0`
     /// for the first invalid knob.
-    fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         if !(self.arrival_rate.is_finite() && self.arrival_rate > 0.0) {
             return Err(format!(
                 "traffic knob \"arrival_rate\" wants a positive finite rate, got {}",

@@ -173,21 +173,3 @@ fn events_are_one_activation_per_node_step_plus_one_per_message() {
         }
     }
 }
-
-/// The engine survives the scenario's JSON parameter round trip like
-/// every other knob: `params -> render -> parse -> apply` reproduces
-/// the run bit-exactly.
-#[test]
-fn engine_round_trips_through_json_params() {
-    for engine in [
-        Engine::Sync,
-        Engine::Async(AsyncConfig::default()),
-        Engine::Async(Engine::profile("uniform").unwrap()),
-        Engine::Async(Engine::profile("exp").unwrap()),
-    ] {
-        let doc = Value::parse(&engine.params().render()).unwrap();
-        let mut back = Engine::Sync;
-        back.apply_params(&doc).unwrap();
-        assert_eq!(back, engine, "engine lost in the JSON round trip");
-    }
-}

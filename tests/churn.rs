@@ -173,17 +173,3 @@ fn scenario_churn_builder_validates_at_the_builder() {
 fn scenario_loss_builder_validates_at_the_builder() {
     let _ = Scenario::broadcast(16).message_loss(-0.25);
 }
-
-#[test]
-fn churn_params_travel_through_scenario_json() {
-    // The full environment — churn included — round-trips through the
-    // JSON codec, so a churn scenario can be stored in a perf record
-    // and replayed exactly.
-    let mut common = CommonConfig::default();
-    common.churn = stormy();
-    let doc = common.params();
-    let reparsed = Value::parse(&doc.render()).unwrap();
-    let mut rebuilt = CommonConfig::default();
-    rebuilt.apply_params(&reparsed).unwrap();
-    assert_eq!(rebuilt, common);
-}

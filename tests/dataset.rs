@@ -213,20 +213,3 @@ fn file_topology_runs_cold_and_warm_identically() {
         "cold and warm runs must be bit-identical"
     );
 }
-
-#[test]
-fn file_topology_round_trips_through_config_json() {
-    // The full environment round-trip for a file-loaded topology: the
-    // path must survive serialization verbatim (it is a filesystem
-    // string, not a catalog key — no case folding, no normalization).
-    let spec = data_dir().join("ws_1k.txt").to_string_lossy().into_owned();
-    let mut common = CommonConfig::default();
-    common.topology = Topology::FromFile(spec.clone());
-    common.addressing = DirectAddressing::Restricted;
-    let doc = common.params();
-    let reparsed = Value::parse(&doc.render()).unwrap();
-    let mut rebuilt = CommonConfig::default();
-    rebuilt.apply_params(&reparsed).unwrap();
-    assert_eq!(rebuilt, common);
-    assert_eq!(rebuilt.topology, Topology::FromFile(spec));
-}

@@ -56,3 +56,18 @@ fn bounded_fanout_runs() {
 fn coordination_tasks_runs() {
     run_example("coordination_tasks");
 }
+
+/// A size argument that is not an integer is a usage error: the example
+/// prints `usage: <example> [n]` and exits 2 instead of panicking.
+#[test]
+fn bad_size_argument_is_a_usage_error() {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let out = Command::new(cargo)
+        .args(["run", "--quiet", "--example", "quickstart", "--", "abc"])
+        .output()
+        .expect("failed to spawn cargo for example quickstart");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("usage: quickstart [n]"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

@@ -4,6 +4,7 @@
 
 use optimal_gossip::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The registry's names are unique and pinned — experiment CSVs, BENCH
 /// records and the golden table all key on them.
@@ -204,55 +205,25 @@ fn default_params_documents_are_pinned() {
     }
 }
 
-/// The scenario document, pinned the same way: the defaults, and one
-/// config whose churn, traffic, topology, addressing and async engine
-/// are all non-default (with a seed above 2^53, which travels as a
-/// decimal string).
+/// NameDropper's `"topology"` knob is a label: each label runs the
+/// initial knowledge graph it names, and anything else is a
+/// `ParamError` naming what the knob takes.
 #[test]
-fn scenario_params_documents_are_pinned() {
+fn name_dropper_topology_label_picks_the_graph() {
+    let scenario = Scenario::broadcast(64).seed(5);
+    let algo = registry::by_name("NameDropper").unwrap();
+    let run = |doc: &str| algo.run_with_params(&scenario, &Value::parse(doc).unwrap());
     assert_eq!(
-        CommonConfig::default().params().render(),
-        r#"{"seed":12648430,"rumor_bits":256,"source":0,"extra_sources":[],"failures":[],"message_loss":0,"churn":{"crash_rate":0,"batch_size":1,"recovery_rate":0,"burst_enter":0,"burst_exit":0,"burst_loss":0,"start_round":0,"stop_round":null,"protected":[],"max_crashed_frac":0.5},"topology":{"kind":"complete"},"addressing":"overlay","traffic":{"rumors":0,"arrival_rate":1,"bandwidth":0,"start_round":0},"engine":{"mode":"sync"}}"#
+        run(r#"{"topology": "sparse-random"}"#).unwrap(),
+        name_dropper::run_report(64, name_dropper::Topology::SparseRandom, scenario.common())
     );
-    let mut c = CommonConfig::default();
-    c.seed = u64::MAX - 12345;
-    c.rumor_bits = 512;
-    c.source = 1;
-    c.extra_sources = vec![3, 5];
-    c.failures = FailurePlan::explicit(vec![NodeIdx(8), NodeIdx(2)]);
-    c.message_loss = 0.125;
-    c.churn = ChurnConfig {
-        crash_rate: 0.25,
-        batch_size: 4,
-        recovery_rate: 0.1,
-        burst_enter: 0.05,
-        burst_exit: 0.3,
-        burst_loss: 0.6,
-        start_round: 2,
-        stop_round: Some(40),
-        protected: vec![0],
-        max_crashed_frac: 0.4,
-    };
-    c.topology = Topology::WattsStrogatz(4, 0.5);
-    c.addressing = DirectAddressing::Restricted;
-    c.traffic = TrafficConfig {
-        rumors: 32,
-        arrival_rate: 2.5,
-        bandwidth: 3,
-        start_round: 4,
-    };
-    c.engine = Engine::Async(AsyncConfig {
-        rate: 2.0,
-        latency: Latency::Uniform(0.2, 0.9),
-    });
-    let doc = c.params().render();
-    assert_eq!(
-        doc,
-        r#"{"seed":"18446744073709539270","rumor_bits":512,"source":1,"extra_sources":[3,5],"failures":[2,8],"message_loss":0.125,"churn":{"crash_rate":0.25,"batch_size":4,"recovery_rate":0.1,"burst_enter":0.05,"burst_exit":0.3,"burst_loss":0.6,"start_round":2,"stop_round":40,"protected":[0],"max_crashed_frac":0.4},"topology":{"kind":"watts_strogatz","k":4,"beta":0.5},"addressing":"restricted","traffic":{"rumors":32,"arrival_rate":2.5,"bandwidth":3,"start_round":4},"engine":{"mode":"async","rate":2,"latency":{"kind":"uniform","lo":0.2,"hi":0.9}}}"#
+    let err = run(r#"{"topology": "star"}"#).unwrap_err();
+    assert!(
+        err.0.contains("\"ring\"") && err.0.contains("\"sparse-random\""),
+        "{err}"
     );
-    let mut rebuilt = CommonConfig::default();
-    rebuilt.apply_params(&Value::parse(&doc).unwrap()).unwrap();
-    assert_eq!(rebuilt, c, "apply(params()) is the identity");
+    let err = run(r#"{"topology": 3}"#).unwrap_err();
+    assert!(err.0.contains("wants a string"), "{err}");
 }
 
 /// Out-of-range algorithm constants used to run and return `Ok`, quietly
@@ -342,7 +313,9 @@ fn a_scenario_that_does_not_fit_n_is_a_param_error() {
             "\"degree\"",
         ),
         (
-            eight().topology(Topology::FromAdjacency(vec![vec![1], vec![0]])),
+            eight().topology(Topology::FromAdjacency(Arc::new(
+                Adjacency::from_edges(2, &[(0, 1)]).unwrap(),
+            ))),
             "\"adjacency\"",
         ),
     ];

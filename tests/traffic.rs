@@ -126,30 +126,3 @@ fn bandwidth_budget_throttles_but_counts() {
     );
     assert_eq!(free.budget_drops, 0, "unlimited budget drops nothing");
 }
-
-#[test]
-fn traffic_params_travel_through_scenario_json() {
-    // The full environment — workload included — round-trips through
-    // the JSON codec, so a loaded scenario can be stored in a perf
-    // record and replayed exactly.
-    let mut common = CommonConfig::default();
-    common.traffic = TrafficConfig {
-        rumors: 8,
-        arrival_rate: 1.5,
-        bandwidth: 2,
-        start_round: 3,
-    };
-    let doc = common.params();
-    let reparsed = Value::parse(&doc.render()).unwrap();
-    let mut rebuilt = CommonConfig::default();
-    rebuilt.apply_params(&reparsed).unwrap();
-    assert_eq!(rebuilt, common);
-
-    // A bad knob names itself on the way in.
-    let bad = Value::parse(r#"{"traffic": {"rumors": 4, "arrival_rate": -1}}"#).unwrap();
-    let err = CommonConfig::default().apply_params(&bad).unwrap_err();
-    assert!(
-        format!("{err}").contains("\"arrival_rate\""),
-        "error names the knob: {err}"
-    );
-}
