@@ -12,8 +12,9 @@
 //! (neighbor sampling scans the CSR adjacency built once at install
 //! time; it must never allocate per round), with a file-loaded
 //! (`FromFile`) snapshot installed, with the multi-rumor
-//! workload multiplexed over churn and a topology at once (the K known
-//! masks, active list and budget ledger are all sized at install time),
+//! workload multiplexed over churn and a topology at once (the node rows
+//! of known rumors, active list and budget ledger are all sized at
+//! install time),
 //! and at `n = 2^20` — the struct-of-arrays engine sizes its columns
 //! once at construction, so the zero must be scale-independent.
 //!
@@ -200,10 +201,10 @@ fn round_loop_does_not_allocate_in_steady_state() {
     assert_eq!(m.topology_max_degree, 9);
 
     // Same contract with the multi-rumor workload multiplexed on top of
-    // churn *and* a topology: the arrival plan is pre-generated, the K
-    // known masks and the active list are sized at install time, and
-    // the budget ledger resets sparsely — so rumors arriving, spreading
-    // and completing inside the measured window must cost zero
+    // churn *and* a topology: the arrival plan is pre-generated, the
+    // node rows of known rumors and the active list are sized at install
+    // time, and the budget ledger resets sparsely — so rumors arriving,
+    // spreading and completing inside the measured window must cost zero
     // allocations too.
     let mut loaded: Network<St> = Network::new(1 << 10, 46);
     loaded.set_topology(Topology::RandomRegular(8), DirectAddressing::Overlay, 8);

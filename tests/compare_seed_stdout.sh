@@ -70,7 +70,13 @@ runs=(
 
 cd "$(dirname "$0")/.."
 cargo build --release -q -p gossip-bench
-release="$PWD/target/release"
+# Run what that build made: cargo's target directory, which
+# CARGO_TARGET_DIR or a cargo config may move away from ./target
+# (cargo reports it as an absolute path).
+target_dir="$(cargo metadata --no-deps --format-version 1 |
+    sed -n 's/.*"target_directory":"\([^"]*\)".*/\1/p')"
+[[ -n "$target_dir" ]] || { echo "cannot read cargo's target directory" >&2; exit 2; }
+release="$target_dir/release"
 
 # Writes every output of this build under $1: one file per (binary,
 # run) holding stdout then the exit code, and one per binary holding

@@ -89,7 +89,6 @@ fn delta_clustering_is_well_formed_across_grid() {
         for delta in [16usize, 64] {
             let mut cfg = Cluster3Config::default();
             cfg.common.seed = 11;
-            cfg.c2.common.seed = 11;
             let (sim, rep) = cluster3::build(n, delta, &cfg);
             assert!(rep.complete, "n={n} delta={delta}");
             assert!(rep.max_fan_in <= delta as u64, "n={n} delta={delta}");

@@ -75,7 +75,6 @@ fn delta_clustering_under_failures() {
     let f = 300;
     let mut cfg = Cluster3Config::default();
     cfg.common = faulty_common(n, f, 4);
-    cfg.c2.common = cfg.common.clone();
     let (sim, rep) = cluster3::build(n, 64, &cfg);
     assert!(rep.max_fan_in <= 64);
     check_clustering(&sim).expect("well-formed under failures");

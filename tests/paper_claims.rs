@@ -94,7 +94,6 @@ fn theorem9_cluster1_shape() {
 fn theorem18_delta_clustering() {
     let mut cfg = Cluster3Config::default();
     cfg.common.seed = 6;
-    cfg.c2.common.seed = 6;
     let (_s_small, small) = cluster3::build(1 << 9, 32, &cfg);
     let (_s_large, large) = cluster3::build(1 << 15, 32, &cfg);
     assert!(small.complete && large.complete);

@@ -53,7 +53,6 @@ fn delta_clustering_bounds_hold_across_seeds() {
     for seed in 0..SEEDS / 2 {
         let mut cfg = Cluster3Config::default();
         cfg.common.seed = phonecall::derive_seed(0x55, seed);
-        cfg.c2.common.seed = cfg.common.seed;
         let (_sim, rep) = cluster3::build(1024, 64, &cfg);
         assert!(rep.complete, "seed {seed}");
         assert!(
