@@ -18,13 +18,17 @@
 //! `n²/8` bytes, a delivery is a word-OR of two rows, and "a uniformly
 //! random node it knows" is a popcount select. Ranks rather than dense
 //! indices because the draw picks the `k`-th known ID *in ID order*:
-//! with rows in that order the `k`-th set bit is that ID. `n = 2¹⁴` is
-//! 32 MiB of rows.
+//! with rows in that order the `k`-th set bit is that ID. A push names
+//! its sender, whose row at send time sits in one `n × n` snapshot
+//! [`BitMatrix`]: a node sends at most once per step, and both engines
+//! deliver a step's pushes before the next step. `n = 2¹⁴` is 32 MiB of
+//! rows and as much of snapshots.
 
 use std::cell::RefCell;
 
 use phonecall::knob::Choice;
-use phonecall::{Action, BitSet, Delivery, Metrics, Network, NodeId, NodeIdx, Target, Wire};
+use phonecall::{Action, BitMatrix, BitSet, Delivery, Metrics, Network};
+use phonecall::{NodeId, NodeIdx, Target, Wire};
 use rand::Rng;
 use serde::Serialize;
 
@@ -35,24 +39,30 @@ use gossip_core::CommonConfig;
 struct DiscoveryNode {
     /// Ranks of the IDs this node knows (always contains the own rank).
     known: BitSet,
-    /// `known.count_ones()`, maintained by every union.
+    /// How many IDs `known` holds, maintained by every union.
     count: usize,
 }
 
-/// Name-Dropper's message: a list of node IDs, held as a snapshot of the
-/// sender's knowledge row (bit `r` stands for the run's `r`-th smallest
-/// ID). The simulated wire still carries the IDs themselves, `listed` of
-/// them.
-#[derive(Debug)]
+/// Name-Dropper's message: a list of node IDs, held as the sender's row
+/// of the run's snapshot matrix. The simulated wire still carries the
+/// IDs themselves, `listed` of them.
+#[derive(Clone, Copy, Debug)]
 struct IdRow {
-    /// The sender's knowledge at send time, by ID rank.
-    row: BitSet,
-    /// IDs on the wire: every member of `row`, plus the sender's own ID
-    /// once more as the list's closing entry.
+    /// Dense index of the sender, whose snapshot row the message lists.
+    sender: u32,
+    /// IDs on the wire: every member of the row, plus the sender's own
+    /// ID once more as the list's closing entry.
     listed: u64,
     /// Per-ID wire width in bits.
     id_bits: u64,
 }
+
+// A plain value like `gossip_core::Msg`: a heap payload fails the build.
+const _: () = {
+    const fn plain_value<T: Copy>() {}
+    plain_value::<IdRow>();
+    assert!(!std::mem::needs_drop::<IdRow>());
+};
 
 impl Wire for IdRow {
     fn size_bits(&self) -> u64 {
@@ -150,8 +160,7 @@ pub fn run_report(n: usize, topology: Topology, cfg: &CommonConfig) -> gossip_co
 }
 
 /// A Name-Dropper run in progress: the network, the run's ID-rank
-/// tables, and the free list that carries row buffers from deliveries
-/// back to sends.
+/// tables, and the send-time snapshots of the knowledge rows.
 #[derive(Debug)]
 pub struct Discovery {
     net: Network<DiscoveryNode>,
@@ -161,10 +170,9 @@ pub struct Discovery {
     rank_of: Vec<u32>,
     /// `4·log₂² n + 40`.
     round_cap: u64,
-    /// Row buffers of delivered messages, reused by the next sends. A
-    /// `RefCell` because `decide` takes from it and `deliver` gives back
-    /// within one `Network::round` call.
-    free_rows: RefCell<Vec<BitSet>>,
+    /// Row `i`: node `i`'s knowledge when it last sent (`decide` writes
+    /// it and `deliver` reads it within one `Network::round` call).
+    snapshots: RefCell<BitMatrix>,
 }
 
 impl Discovery {
@@ -210,20 +218,20 @@ impl Discovery {
             }
         }
         for st in net.states_mut() {
-            st.count = st.known.count_ones();
+            st.count = st.known.iter_ones().count();
         }
 
         let l = gossip_core::config::log2n(n);
         let round_cap = (4.0 * l * l).ceil() as u64 + 40;
-        // With the per-round log sized here and row buffers recycled, a
-        // loss-free round past the first allocates nothing.
+        // With the per-round log sized here and the snapshot rows
+        // allocated once, a round past the first allocates nothing.
         net.reserve_rounds(round_cap as usize);
         Discovery {
             net,
             by_rank,
             rank_of,
             round_cap,
-            free_rows: RefCell::new(Vec::new()),
+            snapshots: RefCell::new(BitMatrix::new(n, n)),
         }
     }
 
@@ -243,7 +251,7 @@ impl Discovery {
             net,
             by_rank,
             rank_of,
-            free_rows,
+            snapshots,
             ..
         } = self;
         let id_bits = phonecall::id_bits(net.len());
@@ -256,7 +264,8 @@ impl Discovery {
                 // The `k`-th known ID other than the own one, in ID
                 // order: the own bit is skipped by stepping over its
                 // position among the members.
-                let own = rank_of[ctx.idx.as_usize()] as usize;
+                let i = ctx.idx.as_usize();
+                let own = rank_of[i] as usize;
                 let mut k = rng.gen_range(0..st.count - 1);
                 if k >= st.known.rank_below(own) {
                     k += 1;
@@ -265,15 +274,11 @@ impl Discovery {
                 // A snapshot, not a borrow: deliveries later this round
                 // (and latencies under the async engine) change the
                 // sender's row before this message lands.
-                let mut row = free_rows
-                    .borrow_mut()
-                    .pop()
-                    .unwrap_or_else(|| BitSet::new(0));
-                row.clone_from(&st.known);
+                snapshots.borrow_mut().copy_row(i, st.known.words());
                 Action::Push {
                     to: Target::Direct(by_rank[target]),
                     msg: IdRow {
-                        row,
+                        sender: ctx.idx.0,
                         listed: st.count as u64 + 1,
                         id_bits,
                     },
@@ -283,13 +288,10 @@ impl Discovery {
             |s, d| {
                 // The sender's own ID needs no separate insert: a row
                 // always contains its owner.
-                if let Delivery::Push {
-                    msg: IdRow { row, .. },
-                    ..
-                } = d
-                {
-                    s.count = s.known.union_with(&row);
-                    free_rows.borrow_mut().push(row);
+                if let Delivery::Push { msg, .. } = d {
+                    s.count = s
+                        .known
+                        .union_with(snapshots.borrow().row(msg.sender as usize));
                 }
             },
         );
@@ -501,9 +503,9 @@ mod tests {
 
     #[test]
     fn an_id_row_is_charged_by_the_ids_listed() {
-        // Not by the row's width in words.
+        // Not by the sender's index or the snapshot row's width.
         let ids = IdRow {
-            row: BitSet::new(4096),
+            sender: 4095,
             listed: 1,
             id_bits: 20,
         };

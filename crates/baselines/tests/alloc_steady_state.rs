@@ -1,12 +1,14 @@
-//! Counting-allocator proof that a loss-free Name-Dropper round is
-//! allocation-free after warm-up.
+//! Counting-allocator proof that Name-Dropper's rounds allocate
+//! nothing after the first, lossy or not, and that the first allocates
+//! nothing per node.
 //!
-//! Every push carries a snapshot of its sender's knowledge row. The
-//! snapshots are not fresh buffers: a delivery hands its row back to a
-//! free list the next sends draw from, and the per-round metrics log is
-//! sized for the whole run up front — so once the first round has
-//! filled the free list, rounds must perform *zero* heap allocations.
-//! Same shim and the same single-`#[test]` binary as the engine's own
+//! Every push names its sender, whose send-time knowledge row sits in
+//! one snapshot matrix sized when the run is built; the per-round
+//! metrics log is sized for the whole run up front too. So round one
+//! allocates only the engine's scratch columns (one buffer each, plus
+//! the payload column's doublings), and every later round must perform
+//! *zero* heap allocations, also when pushes are lost. Same shim and the same
+//! single-`#[test]` binary as the engine's own
 //! `crates/phonecall/tests/alloc_steady_state.rs`, for the same reasons:
 //! nothing else may run against the counter, and the counter is
 //! thread-local because the libtest harness thread allocates on its own.
@@ -16,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gossip_baselines::name_dropper::{Discovery, Topology};
-use gossip_baselines::CommonConfig;
+use gossip_core::algo::Scenario;
 
 thread_local! {
     /// Allocation-path calls made by *this* thread. Const-initialized so
@@ -59,14 +61,15 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn name_dropper_rounds_do_not_allocate_after_warm_up() {
-    // 200 nodes: a tail word (200 % 64 != 0) in every row.
-    let mut d = Discovery::new(200, Topology::Ring, &CommonConfig::default());
-    // Round one allocates the n row buffers and the engine's scratch
-    // columns; round two finds them all on the free list.
+/// Builds a run outside the counter, then returns the allocations of
+/// round one and of every later round up to completion, with the number
+/// of later rounds and the pushes made.
+fn measure(n: usize, loss: f64) -> (u64, u64, u64, u64) {
+    let scenario = Scenario::broadcast(n).message_loss(loss);
+    let mut d = Discovery::new(n, Topology::Ring, scenario.common());
+    let before = allocations();
     d.round();
-    d.round();
+    let first = allocations() - before;
 
     let before = allocations();
     let mut rounds = 0;
@@ -74,7 +77,13 @@ fn name_dropper_rounds_do_not_allocate_after_warm_up() {
         d.round();
         rounds += 1;
     }
-    let during = allocations() - before;
+    (first, allocations() - before, rounds, d.metrics().pushes)
+}
+
+#[test]
+fn name_dropper_rounds_do_not_allocate_after_the_first() {
+    // 200 nodes: a tail word (200 % 64 != 0) in every row.
+    let (first, during, rounds, pushes) = measure(200, 0.0);
     assert_eq!(
         during, 0,
         "Name-Dropper allocated {during} times over {rounds} rounds"
@@ -82,5 +91,23 @@ fn name_dropper_rounds_do_not_allocate_after_warm_up() {
     // The window must have done the real work for the zero to mean
     // anything: from a ring, discovery takes well over two rounds.
     assert!(rounds > 4, "discovery finished inside the warm-up");
-    assert_eq!(d.metrics().pushes, 200 * (rounds + 2));
+    assert_eq!(pushes, 200 * (rounds + 1));
+
+    // Round one allocates the engine's scratch, not a row per sender.
+    // The scratch's payload column grows by doubling (it is not
+    // presized), so twice the senders cost one more reallocation; a row
+    // per sender would cost 200 more.
+    let (first_at_400, ..) = measure(400, 0.0);
+    assert!(
+        first_at_400 <= first + 1,
+        "round one allocates per node: {first} at n = 200, {first_at_400} at n = 400"
+    );
+
+    // A lost push frees nothing the next send would allocate again.
+    let (_, during, rounds, _) = measure(200, 0.1);
+    assert!(rounds > 4, "lossy discovery finished inside the warm-up");
+    assert_eq!(
+        during, 0,
+        "lossy Name-Dropper allocated {during} times over {rounds} rounds"
+    );
 }

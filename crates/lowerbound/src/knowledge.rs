@@ -10,18 +10,15 @@
 //! broadcast time and empirically lands right at `log₂ log₂ n + O(1)`,
 //! bracketing Theorem 3 from the constructive side.
 //!
-//! State is an `n × n` bit matrix, so keep `n ≤ 2¹³` or so.
+//! State is an `n × n` [`BitMatrix`] (the engine's row kernels, one
+//! row-OR per known ID per round), so keep `n ≤ 2¹³` or so.
 
-use phonecall::{derive_seed, rng_from_seed};
+use phonecall::{derive_seed, rng_from_seed, BitMatrix};
 use rand::Rng;
 
-/// A dense boolean knowledge matrix: `knows[u][v]` ⇔ `u` knows `v`'s ID.
+/// A dense boolean knowledge matrix: row `u`, bit `v` ⇔ `u` knows `v`'s ID.
 #[derive(Clone, Debug)]
-pub struct KnowledgeGraph {
-    n: usize,
-    words: usize,
-    bits: Vec<u64>, // row-major bitset, n rows of `words` u64s
-}
+pub struct KnowledgeGraph(BitMatrix);
 
 impl KnowledgeGraph {
     /// The initial knowledge: everyone knows only themselves (`K₀` plus
@@ -29,55 +26,41 @@ impl KnowledgeGraph {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "need at least one node");
-        let words = n.div_ceil(64);
-        let mut g = KnowledgeGraph {
-            n,
-            words,
-            bits: vec![0; n * words],
-        };
+        let mut known = BitMatrix::new(n, n);
         for v in 0..n {
-            g.set(v, v);
+            known.set(v, v);
         }
-        g
+        KnowledgeGraph(known)
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.0.rows()
     }
 
     /// Whether the graph is empty (never for constructed graphs).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    fn row(&self, u: usize) -> &[u64] {
-        &self.bits[u * self.words..(u + 1) * self.words]
-    }
-
-    /// Marks `u` as knowing `v`.
-    pub fn set(&mut self, u: usize, v: usize) {
-        self.bits[u * self.words + v / 64] |= 1u64 << (v % 64);
+        self.len() == 0
     }
 
     /// Whether `u` knows `v`.
     #[must_use]
     pub fn knows(&self, u: usize, v: usize) -> bool {
-        self.bits[u * self.words + v / 64] >> (v % 64) & 1 == 1
+        self.0.get(u, v)
     }
 
     /// Number of IDs `u` knows (including itself).
     #[must_use]
     pub fn known_count(&self, u: usize) -> usize {
-        self.row(u).iter().map(|w| w.count_ones() as usize).sum()
+        self.0.count_row(u)
     }
 
     /// Whether every node knows every other node.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        (0..self.n).all(|u| self.known_count(u) == self.n)
+        (0..self.len()).all(|u| self.known_count(u) == self.len())
     }
 
     /// One round of the most powerful dynamics: every node samples one
@@ -87,7 +70,7 @@ impl KnowledgeGraph {
     /// knows. Returns the sampled `G_{t+1}` edges (for Lemma 14
     /// containment checks).
     pub fn round(&mut self, rng: &mut impl Rng) -> Vec<(u32, u32)> {
-        let n = self.n;
+        let n = self.len();
         // Sample G_{t+1}: symmetric edges.
         let mut sampled = Vec::with_capacity(n);
         for u in 0..n {
@@ -98,32 +81,17 @@ impl KnowledgeGraph {
                         break c;
                     }
                 };
-                self.set(u, v);
-                self.set(v, u);
+                self.0.set(u, v);
+                self.0.set(v, u);
                 sampled.push((u as u32, v as u32));
             }
         }
-        // Square: row_u |= OR of row_w for all known w. Compute against
-        // the pre-round snapshot so the closure is exactly one step.
-        let snapshot = self.bits.clone();
-        let words = self.words;
-        let mut acc = vec![0u64; words];
+        // Square against the pre-round snapshot so the closure is exactly
+        // one step: row u |= snapshot row v for every v in snapshot row u
+        // (live row u equals snapshot row u until its own turn).
+        let snapshot = self.0.clone();
         for u in 0..n {
-            acc.fill(0);
-            for (wi, word) in snapshot[u * words..(u + 1) * words].iter().enumerate() {
-                let mut w = *word;
-                while w != 0 {
-                    let b = w.trailing_zeros() as usize;
-                    let v = wi * 64 + b;
-                    w &= w - 1;
-                    for (a, s) in acc.iter_mut().zip(&snapshot[v * words..(v + 1) * words]) {
-                        *a |= s;
-                    }
-                }
-            }
-            for (dst, a) in self.bits[u * words..(u + 1) * words].iter_mut().zip(&acc) {
-                *dst |= a;
-            }
+            self.0.or_rows(u, &snapshot, snapshot.row(u));
         }
         sampled
     }
@@ -200,6 +168,52 @@ mod tests {
         let small = rounds_to_complete(64, 3, 20).unwrap();
         let large = rounds_to_complete(2048, 3, 20).unwrap();
         assert!(large <= small + 2, "{small} -> {large}: loglog growth");
+    }
+
+    /// The squaring against a plain `Vec<Vec<bool>>` two-hop closure,
+    /// drawing the same contacts from a twin RNG stream, on sizes around
+    /// the 64-bit word boundaries.
+    #[test]
+    fn squaring_matches_a_naive_two_hop_closure() {
+        for n in [1, 2, 63, 64, 65, 130] {
+            let mut g = KnowledgeGraph::new(n);
+            let mut model: Vec<Vec<bool>> =
+                (0..n).map(|u| (0..n).map(|v| u == v).collect()).collect();
+            let (mut rng, mut twin) = (rng_from_seed(n as u64), rng_from_seed(n as u64));
+            for t in 1..=4 {
+                let mut edges = Vec::new();
+                for u in 0..n {
+                    if n > 1 {
+                        let v = loop {
+                            let c = twin.gen_range(0..n);
+                            if c != u {
+                                break c;
+                            }
+                        };
+                        edges.push((u as u32, v as u32));
+                    }
+                }
+                for &(u, v) in &edges {
+                    model[u as usize][v as usize] = true;
+                    model[v as usize][u as usize] = true;
+                }
+                assert_eq!(g.round(&mut rng), edges, "n {n}, round {t}");
+                model = (0..n)
+                    .map(|u| {
+                        (0..n)
+                            .map(|w| (0..n).any(|v| model[u][v] && model[v][w]))
+                            .collect()
+                    })
+                    .collect();
+                for (u, row) in model.iter().enumerate() {
+                    for (v, &known) in row.iter().enumerate() {
+                        assert_eq!(g.knows(u, v), known, "n {n}, round {t}: {u} knows {v}");
+                    }
+                    let count = row.iter().filter(|&&k| k).count();
+                    assert_eq!(g.known_count(u), count, "n {n}, round {t}: row {u}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod traffic;
 mod wire;
 
 pub use action::{Action, Delivery, Target};
-pub use bitset::BitSet;
+pub use bitset::{BitMatrix, BitSet};
 pub use churn::{AdversarySchedule, ChurnConfig, ChurnRound};
 pub use error::PhoneCallError;
 pub use events::{AsyncConfig, Engine, EventKey, Latency};

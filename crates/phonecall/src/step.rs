@@ -292,7 +292,7 @@ impl<S> Network<S> {
         if delivered {
             if let Some(tp) = self.traffic.as_mut() {
                 let t = tp.on_payload(from.0, to.0);
-                bits += u64::from(t.transferred) * tp.rumor_bits();
+                bits += u64::from(t.transferred) * tp.rumor_bits;
                 self.metrics.rumor_payloads += u64::from(t.transferred);
                 self.metrics.budget_drops += u64::from(t.dropped);
             }

@@ -28,14 +28,14 @@
 //!    seed-derived stream, so the engine RNG draws exactly what it
 //!    always drew and no round-time randomness exists at all;
 //! 3. the round loop stays **allocation-free**: the node rows of known
-//!    rumors (`⌈K/32⌉` words per node), the active list and mask and the
+//!    rumors (`⌈K/64⌉` words per node), the active list and mask and the
 //!    budget counters are all sized at install time
 //!    (`crates/phonecall/tests/alloc_steady_state.rs` measures a
 //!    traffic-enabled network too).
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitMatrix, BitSet};
 use crate::rng::rng_from_seed;
 use rand::Rng;
 
@@ -131,29 +131,25 @@ pub(crate) struct TransferOutcome {
 }
 
 /// A running instance of the workload over one network: the pre-generated
-/// arrival plan, one row of known rumors per node, and the per-round
-/// budget ledger. All storage is sized at install time; the round loop
-/// never allocates.
-///
-/// Knowledge is stored node-major: node `v`'s row is the `row_words`
-/// words `known[v * row_words..]`, with bit `r % 32` of word `r / 32`
-/// set once `v` knows rumor `r`. One delivered payload then reads two
-/// rows and the active mask, whatever K is.
+/// arrival plan, the known rumors as an `n × K` [`BitMatrix`] (a row of
+/// `⌈K/64⌉` words per node, so a delivered payload reads two rows and the
+/// active mask whatever K is), and the per-round budget ledger. All
+/// storage is sized at install time; the round loop never allocates.
 #[derive(Debug)]
 pub struct TrafficPlan {
     cfg: TrafficConfig,
-    rumor_bits: u64,
+    /// The workload rumor payload size in bits (each piggybacked
+    /// transfer charges this much).
+    pub(crate) rumor_bits: u64,
     origins: Vec<u32>,
     arrivals: Vec<u64>,
     completed: Vec<Option<u64>>,
-    /// Words per node row: `⌈K / 32⌉`.
-    row_words: usize,
-    /// The node rows, `n * row_words` words.
-    known: Vec<u32>,
+    /// Row `v`, bit `r`: node `v` knows rumor `r`.
+    known: BitMatrix,
     /// A row with the bit of every active rumor set.
-    active_mask: Vec<u32>,
-    /// End-of-round scratch row: active rumors some alive node lacks.
-    missing: Vec<u32>,
+    active_mask: BitSet,
+    /// End-of-round scratch row: active rumors every alive node knows.
+    everyone: BitSet,
     /// Indices of rumors that have arrived and not yet completed. Under a
     /// binding budget their order picks which wanted rumors ride.
     active: Vec<u32>,
@@ -164,12 +160,6 @@ pub struct TrafficPlan {
     budget_used: Vec<u32>,
     /// Nodes with a nonzero `budget_used` entry (sparse reset).
     charged: Vec<u32>,
-}
-
-/// Word and bit of rumor `r` within a node row.
-#[inline(always)]
-fn slot(r: u32) -> (usize, u32) {
-    (r as usize / 32, 1 << (r % 32))
 }
 
 impl TrafficPlan {
@@ -200,39 +190,20 @@ impl TrafficPlan {
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
             clock += -u.ln() / cfg.arrival_rate;
         }
-        let row_words = k.div_ceil(32);
-        let mut active = Vec::new();
-        active.reserve_exact(k);
-        let mut charged = Vec::new();
-        charged.reserve_exact(n);
         TrafficPlan {
             cfg,
             rumor_bits,
             origins,
             arrivals,
             completed: vec![None; k],
-            row_words,
-            known: vec![0; n * row_words],
-            active_mask: vec![0; row_words],
-            missing: vec![0; row_words],
-            active,
+            known: BitMatrix::new(n, k),
+            active_mask: BitSet::new(k),
+            everyone: BitSet::new(k),
+            active: Vec::with_capacity(k),
             next_arrival: 0,
             budget_used: vec![0; n],
-            charged,
+            charged: Vec::with_capacity(n),
         }
-    }
-
-    /// The workload rumor payload size in bits (each piggybacked
-    /// transfer charges this much).
-    #[must_use]
-    pub fn rumor_bits(&self) -> u64 {
-        self.rumor_bits
-    }
-
-    /// The config this plan was built from.
-    #[must_use]
-    pub fn config(&self) -> &TrafficConfig {
-        &self.cfg
     }
 
     /// Round-boundary step: resets the budget ledger (sparsely — only
@@ -248,11 +219,10 @@ impl TrafficPlan {
         self.charged.clear();
         let mut started = 0;
         while self.next_arrival < self.arrivals.len() && self.arrivals[self.next_arrival] <= round {
-            let r = self.next_arrival as u32;
-            let (w, bit) = slot(r);
-            self.known[self.origins[r as usize] as usize * self.row_words + w] |= bit;
-            self.active_mask[w] |= bit;
-            self.active.push(r);
+            let r = self.next_arrival;
+            self.known.set(self.origins[r] as usize, r);
+            self.active_mask.set(r);
+            self.active.push(r as u32);
             self.next_arrival += 1;
             started += 1;
         }
@@ -269,42 +239,15 @@ impl TrafficPlan {
         if self.active.is_empty() {
             return TransferOutcome::default();
         }
-        let w = self.row_words;
-        let (s, d) = (src as usize * w, dst as usize * w);
-        let mut wanted = 0;
-        for i in 0..w {
-            wanted += (self.known[s + i] & !self.known[d + i] & self.active_mask[i]).count_ones();
-        }
-        if wanted == 0 {
-            return TransferOutcome::default();
-        }
         let budget = self.cfg.bandwidth;
         let room = if budget == 0 {
-            wanted
+            u32::MAX
         } else {
             budget - self.budget_used[src as usize]
         };
-        let sent = if wanted <= room {
-            for i in 0..w {
-                self.known[d + i] |= self.known[s + i] & self.active_mask[i];
-            }
-            wanted
-        } else if room == 0 {
-            0
-        } else {
-            let mut sent = 0;
-            for &r in &self.active {
-                let (i, bit) = slot(r);
-                if self.known[s + i] & !self.known[d + i] & bit != 0 {
-                    self.known[d + i] |= bit;
-                    sent += 1;
-                    if sent == room {
-                        break;
-                    }
-                }
-            }
-            sent
-        };
+        let (s, d, mask) = (src as usize, dst as usize, self.active_mask.words());
+        let wanted = self.known.transfer(s, d, mask, room as usize, &self.active) as u32;
+        let sent = wanted.min(room);
         if budget > 0 && sent > 0 {
             let used = &mut self.budget_used[src as usize];
             if *used == 0 {
@@ -319,46 +262,32 @@ impl TrafficPlan {
     }
 
     /// End-of-round completion scan: a rumor completes when every alive
-    /// node knows it. One pass ORs `!row` over the alive nodes' rows,
-    /// stopping once every active rumor is missing somewhere. Completed
-    /// rumors leave the active list by swap-remove, which reorders it,
-    /// and that order decides which rumors a binding budget lets through
-    /// on later contacts. Their completion round freezes — a node
-    /// crashing afterwards does not un-complete them. Returns the number
-    /// of rumors completed this round.
+    /// node knows it. One pass ANDs the alive rows into a copy of the
+    /// active mask until no active rumor is left in it. Completed rumors
+    /// leave the active list by swap-remove, which reorders it, and that
+    /// order decides which rumors a binding budget lets through later.
+    /// Their completion round freezes — a node crashing afterwards does
+    /// not un-complete them. Returns the number completed this round.
     pub(crate) fn end_round(&mut self, round: u64, alive: &BitSet) -> u32 {
         if self.active.is_empty() {
             return 0;
         }
-        let w = self.row_words;
-        let missing = &mut self.missing[..];
-        missing.fill(0);
-        for (wi, &word) in alive.words().iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let v = wi * 64 + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                // Inactive rumors' bits fold in too; only active ones are read.
-                for (m, &x) in missing.iter_mut().zip(&self.known[v * w..(v + 1) * w]) {
-                    *m |= !x;
-                }
-            }
-            if missing
-                .iter()
-                .zip(&self.active_mask)
-                .all(|(&m, &a)| m & a == a)
-            {
+        let everyone = &mut self.everyone;
+        everyone.set_all();
+        let mut left = everyone.intersect_with(self.active_mask.words());
+        for v in alive.iter_ones() {
+            if !left {
                 break;
             }
+            left = everyone.intersect_with(self.known.row(v));
         }
         let mut done = 0;
         let mut i = 0;
         while i < self.active.len() {
-            let r = self.active[i];
-            let (wi, bit) = slot(r);
-            if missing[wi] & bit == 0 {
-                self.completed[r as usize] = Some(round);
-                self.active_mask[wi] &= !bit;
+            let r = self.active[i] as usize;
+            if everyone.get(r) {
+                self.completed[r] = Some(round);
+                self.active_mask.clear(r);
                 self.active.swap_remove(i);
                 done += 1;
             } else {
@@ -372,21 +301,13 @@ impl TrafficPlan {
     #[must_use]
     pub fn summary(&self) -> Vec<RumorStatus> {
         (0..self.origins.len())
-            .map(|r| {
-                let (wi, bit) = slot(r as u32);
-                let informed = self
-                    .known
-                    .iter()
-                    .skip(wi)
-                    .step_by(self.row_words)
-                    .filter(|&&word| word & bit != 0)
-                    .count();
-                RumorStatus {
-                    origin: self.origins[r],
-                    arrival: self.arrivals[r],
-                    completed: self.completed[r],
-                    informed: informed as u64,
-                }
+            .map(|r| RumorStatus {
+                origin: self.origins[r],
+                arrival: self.arrivals[r],
+                completed: self.completed[r],
+                informed: (0..self.known.rows())
+                    .filter(|&v| self.known.get(v, r))
+                    .count() as u64,
             })
             .collect()
     }
@@ -512,13 +433,11 @@ mod tests {
 
     impl TrafficPlan {
         fn knows(&self, v: u32, r: u32) -> bool {
-            let (w, bit) = slot(r);
-            self.known[v as usize * self.row_words + w] & bit != 0
+            self.known.get(v as usize, r as usize)
         }
 
         fn learn(&mut self, v: u32, r: u32) {
-            let (w, bit) = slot(r);
-            self.known[v as usize * self.row_words + w] |= bit;
+            self.known.set(v as usize, r as usize);
         }
     }
 
@@ -704,19 +623,19 @@ mod tests {
 
         #[test]
         fn node_rows_agree_with_per_rumor_columns(
-            k in 0..7usize,
+            k in 0..11usize,
             bw in 0..4usize,
             n in 1usize..100,
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let rumors = [1, 31, 32, 33, 64, 96, 130][k];
+            let rumors = [1, 31, 32, 33, 63, 64, 65, 96, 128, 129, 130][k];
             let _ = rows_agree_with_columns(rumors, [0, 1, 2, 5][bw], n, seed);
         }
     }
 
     #[test]
     fn node_rows_agree_with_per_rumor_columns_on_every_width() {
-        for rumors in [1, 31, 32, 33, 64, 96, 130] {
+        for rumors in [1, 31, 32, 33, 63, 64, 65, 96, 128, 129, 130] {
             for bandwidth in [0, 1, 2, 5] {
                 let (mut split, mut completed) = (0, 0);
                 for (n, seed) in [(1, 3), (33, 4), (95, 5)] {
