@@ -97,12 +97,25 @@ fn main() {
         );
         norm_tbl.push_row(row);
 
+        // A one-size grid has no R², and so no best law.
+        let r2_cell = |r2: f64| {
+            if r2.is_nan() {
+                "n/a".to_string()
+            } else {
+                format!("{r2:.4}")
+            }
+        };
+        let best_law = if best[0].r2.is_nan() {
+            "n/a"
+        } else {
+            best[0].law.name()
+        };
         fit_tbl.push_row(vec![
             algo.name().to_string(),
             law.name().to_string(),
-            best[0].law.name().to_string(),
-            format!("{:.4}", best[0].r2),
-            format!("{:.4}", predicted_fit.r2),
+            best_law.to_string(),
+            r2_cell(best[0].r2),
+            r2_cell(predicted_fit.r2),
             format!("{:.2}", predicted_fit.c),
         ]);
         fig.add_series(

@@ -101,12 +101,6 @@ impl Scenario {
         }
     }
 
-    /// A scenario from an existing [`CommonConfig`].
-    #[must_use]
-    pub fn with_common(n: usize, common: CommonConfig) -> Self {
-        Scenario { n, common }
-    }
-
     /// Sets the master seed for all randomness of the run.
     #[must_use]
     pub fn seed(self, seed: u64) -> Self {
@@ -458,12 +452,8 @@ pub static CLUSTER2: Algo = Algo {
 };
 
 /// Algorithm 4: a `Θ(Δ)`-clustering in `O(log log n)` rounds with fan-in
-/// `≤ Δ` (Theorem 4/18) — see [`crate::cluster3`].
-///
-/// The task is a `Δ`-clustering *construction*, not a broadcast, reported
-/// through the same [`RunReport`] shape: `informed` counts **clustered**
-/// nodes and `success` means the clustering is complete (every alive node
-/// clustered); `max_fan_in ≤ Δ` is the Theorem 4 guarantee to check.
+/// `≤ Δ` (Theorem 4/18) — see [`crate::cluster3`]; the report reads as
+/// [`cluster3::run_on`] describes (`informed` counts clustered nodes).
 pub static CLUSTER3: Algo = Algo {
     name: "Cluster3",
     about: "Algorithm 4: Theta(delta)-clustering, O(log log n) rounds, fan-in <= delta (Theorem 4)",
@@ -475,11 +465,7 @@ pub static CLUSTER3: Algo = Algo {
         let delta = p.delta_for(scenario.n());
         let mut cfg = p.cfg;
         cfg.common = scenario.common().clone();
-        let (mut sim, delta_report) = cluster3::build(scenario.n(), delta, &cfg);
-        let mut report = sim.report();
-        report.informed = delta_report.clustering.clustered;
-        report.success = delta_report.complete;
-        Ok(report)
+        Ok(cluster3::build(scenario.n(), delta, &cfg).1)
     },
 };
 

@@ -17,14 +17,12 @@
 //! The head-room constant `C''` (default 4) guarantees `2·Δ/C'' ≤ Δ/2`, so
 //! even a freshly doubled cluster keeps its leader within the fan-in bound.
 
-use serde::Serialize;
-
 use crate::config::{log2n, loglog2n, Cluster2Config, Cluster3Config};
 use crate::primitives::{
     activate, bounded_recruit_iteration, dissolve, recruit_merge, resize, square,
     unclustered_pull_round, MergeRule, Who,
 };
-use crate::report::ClusteringStats;
+use crate::report::RunReport;
 use crate::sim::{
     run_phases, ClusterSim, Phase, BOUNDED_CLUSTER_PUSH, GROW_INITIAL_CLUSTERS, SQUARE_CLUSTERS,
     UNCLUSTERED_NODES_PULL,
@@ -55,31 +53,9 @@ pub struct Plan {
     merge_p: f64,
 }
 
-/// Report of a `Δ`-clustering construction.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct DeltaClusteringReport {
-    /// Network size.
-    pub n: usize,
-    /// The requested fan-in bound `Δ`.
-    pub delta: usize,
-    /// The working cluster size `Δ' = Δ / C''`.
-    pub working_size: u64,
-    /// Rounds used.
-    pub rounds: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Total bits.
-    pub bits: u64,
-    /// Maximum per-round per-node communications observed — must be `≤ Δ`.
-    pub max_fan_in: u64,
-    /// Final clustering snapshot.
-    pub clustering: ClusteringStats,
-    /// Whether every alive node ended up clustered.
-    pub complete: bool,
-}
-
 /// Builds a `Θ(Δ)`-clustering over a fresh `n`-node network and returns
-/// the simulation (for running broadcasts on top) plus the report.
+/// the simulation (for running broadcasts on top) plus the report (see
+/// [`run_on`]).
 ///
 /// # Panics
 ///
@@ -89,12 +65,12 @@ pub struct DeltaClusteringReport {
 /// ```
 /// use gossip_core::{cluster3, Cluster3Config};
 /// let (sim, report) = cluster3::build(1 << 10, 64, &Cluster3Config::default());
-/// assert!(report.complete);
+/// assert!(report.success);
 /// assert!(report.max_fan_in <= 64);
 /// assert!(sim.clustering_stats().clusters > 1);
 /// ```
 #[must_use]
-pub fn build(n: usize, delta: usize, cfg: &Cluster3Config) -> (ClusterSim, DeltaClusteringReport) {
+pub fn build(n: usize, delta: usize, cfg: &Cluster3Config) -> (ClusterSim, RunReport) {
     let mut sim = ClusterSim::new(n, &cfg.common);
     let report = run_on(&mut sim, delta, cfg);
     (sim, report)
@@ -106,10 +82,16 @@ pub const MIN_DELTA: usize = 8;
 
 /// Runs the `Δ`-clustering construction on an existing simulation.
 ///
+/// The task is a construction, not a broadcast, reported in the
+/// [`RunReport`] shape: `informed` counts **clustered** nodes, `success`
+/// means every alive node is clustered, and `max_fan_in ≤ Δ` is the
+/// Theorem 4 guarantee. The report holds a copy of the phases; the
+/// simulation keeps them, so a broadcast run on top still lists them.
+///
 /// # Panics
 ///
 /// Panics if `delta < 8` ([`MIN_DELTA`]).
-pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> DeltaClusteringReport {
+pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> RunReport {
     assert!(
         delta >= MIN_DELTA,
         "delta-clusterings need delta >= {MIN_DELTA} (paper: log^w(1) n)"
@@ -139,25 +121,18 @@ pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> Delta
     };
     run_phases(sim, &plan, PHASES);
 
-    let m = sim.net.metrics();
     let clustering = sim.clustering_stats();
-    DeltaClusteringReport {
-        n,
-        delta,
-        working_size: working,
-        rounds: m.rounds,
-        messages: m.messages,
-        bits: m.bits,
-        max_fan_in: m.max_fan_in,
+    RunReport {
         clustering,
-        complete: clustering.unclustered == 0,
+        phases: sim.phases().to_vec(),
+        ..RunReport::of(&sim.net, clustering.clustered, clustering.unclustered == 0)
     }
 }
 
 /// The working cluster size `Δ' = ⌊Δ / C''⌋` (floored at 2) the
-/// construction aims for — the single source of truth behind
-/// [`DeltaClusteringReport::working_size`], exported so consumers (e.g.
-/// experiment E5's size-band column) never re-derive it.
+/// construction aims for — the single source of truth, exported so
+/// consumers (the broadcast's loop budget, experiment E5's size-band
+/// column) never re-derive it.
 #[must_use]
 pub fn working_size(delta: usize, cfg: &Cluster3Config) -> u64 {
     ((delta as f64 / cfg.c_headroom).floor() as u64).max(2)
@@ -245,7 +220,7 @@ mod tests {
     fn builds_complete_clustering() {
         let (sim, report) = build(1 << 11, 64, &cfg(1));
         assert!(
-            report.complete,
+            report.success,
             "unclustered: {}",
             report.clustering.unclustered
         );
@@ -267,7 +242,7 @@ mod tests {
     fn cluster_sizes_are_theta_delta() {
         let delta = 64;
         let (sim, report) = build(1 << 11, delta, &cfg(3));
-        assert!(report.complete);
+        assert!(report.success);
         // Θ(Δ): sizes within [Δ/16, Δ/2] given head-room C''=4.
         check_delta_clustering(&sim, delta / 16, delta / 2)
             .unwrap_or_else(|e| panic!("{e}; stats: {:?}", report.clustering));

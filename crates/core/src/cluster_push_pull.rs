@@ -40,7 +40,7 @@ use phonecall::Target;
 pub fn run(n: usize, delta: usize, cfg: &PushPullConfig) -> RunReport {
     let mut c3 = cfg.cluster3.clone();
     c3.common = cfg.common.clone();
-    let (mut sim, _delta_report) = crate::cluster3::build(n, delta, &c3);
+    let (mut sim, _) = crate::cluster3::build(n, delta, &c3);
     broadcast_on(&mut sim, delta, cfg)
 }
 
@@ -58,7 +58,7 @@ pub const PHASES: &[Phase<u32>] = &[
 
 /// Broadcasts the rumor over an existing `Δ`-clustering.
 pub fn broadcast_on(sim: &mut ClusterSim, delta: usize, cfg: &PushPullConfig) -> RunReport {
-    let working = ((delta as f64 / cfg.cluster3.c_headroom).floor()).max(2.0);
+    let working = crate::cluster3::working_size(delta, &cfg.cluster3) as f64;
     // Growth factor ≈ Δ'/2 per iteration.
     let budget = (log2n(sim.n()) / (working / 2.0).log2().max(1.0)).ceil() as u32 + cfg.loop_slack;
     run_phases(sim, &budget, PHASES);

@@ -280,19 +280,26 @@ mod tests {
         // Cluster A (leader node 0, active) pushes into cluster B (leader
         // node 32, inactive, so merge-eligible): every arrival is A's ID.
         let n = 64;
-        let mut s = ClusterSim::new(n, &CommonConfig::default());
-        for i in 0..n {
-            let leader = s.net.id_of(NodeIdx(if i < 32 { 0 } else { 32 }));
-            s.net.states_mut()[i].follow = Follow::Of(leader);
-            s.net.states_mut()[i].active = i < 32;
-        }
-        s.net.enable_trace(1024);
-        merge_iteration(&mut s, Merge::Recruit(MergeRule::Random));
-        let events = s.net.trace().events();
+        let two_clusters = || {
+            let mut s = ClusterSim::new(n, &CommonConfig::default());
+            for i in 0..n {
+                let leader = s.net.id_of(NodeIdx(if i < 32 { 0 } else { 32 }));
+                s.net.states_mut()[i].follow = Follow::Of(leader);
+                s.net.states_mut()[i].active = i < 32;
+            }
+            s
+        };
+        // The iteration's push round, replayed on a twin: it is the
+        // iteration's first step, so the twin's arrival log is exactly
+        // what the followers heard.
+        let mut twin = two_clusters();
+        push_recruits(&mut twin, Who::ActiveOnly);
         let mut heard = vec![0u64; n];
-        for e in events.iter().filter(|e| e.round == events[0].round) {
-            heard[e.to.as_usize()] += 1;
+        for (to, _) in twin.arrivals.iter() {
+            heard[to.as_usize()] += 1;
         }
+        let mut s = two_clusters();
+        merge_iteration(&mut s, Merge::Recruit(MergeRule::Random));
         // B's followers relay what they heard, one `Candidates` each,
         // charged per listed ID.
         let relayed: Vec<u64> = heard[33..].iter().copied().filter(|&k| k > 0).collect();

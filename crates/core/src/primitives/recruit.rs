@@ -166,7 +166,6 @@ mod tests {
     use crate::config::CommonConfig;
     use crate::primitives::sample_singletons;
     use crate::verify::check_clustering;
-    use phonecall::EventKind;
 
     fn sim_with(n: usize, seed: u64, p: f64) -> ClusterSim {
         let mut common = CommonConfig::default();
@@ -193,15 +192,16 @@ mod tests {
     fn a_node_recruited_twice_joins_the_cluster_delivered_first() {
         let mut s = sim_with(256, 11, 0.5);
         let before: Vec<_> = s.net.states().iter().map(|x| x.leader()).collect();
-        s.net.enable_trace(1024);
-        grow_push_round(&mut s, Who::AllClustered);
-        // What each node heard, in the order the engine delivered it.
+        // What each node heard, in the order the engine delivered it: the
+        // round's push, replayed on a twin, whose arrival log is left
+        // unfolded.
+        let mut twin = sim_with(256, 11, 0.5);
+        push_recruits(&mut twin, Who::AllClustered);
         let mut heard = vec![Vec::new(); 256];
-        for e in s.net.trace().events() {
-            if e.kind == EventKind::Push {
-                heard[e.to.as_usize()].push(before[e.from.as_usize()].expect("a pusher leads"));
-            }
+        for (to, cid) in twin.arrivals.iter() {
+            heard[to.as_usize()].push(cid);
         }
+        grow_push_round(&mut s, Who::AllClustered);
         let mut contested = 0;
         for (i, ids) in heard.iter().enumerate() {
             if before[i].is_none() && !ids.is_empty() {

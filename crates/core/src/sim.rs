@@ -669,7 +669,7 @@ mod tests {
         let (n, delta) = (512, 64);
         let c1 = cluster1::run(n, &Cluster1Config::default());
         let c2 = cluster2::run(n, &Cluster2Config::default());
-        let (c3, c3_report) = cluster3::build(n, delta, &Cluster3Config::default());
+        let c3 = cluster3::build(n, delta, &Cluster3Config::default()).1;
         let cpp = cluster_push_pull::run(n, delta, &PushPullConfig::default());
         // `cluster_push_pull::run` builds its Δ-clustering on the same sim.
         let cpp_table = [names(cluster3::PHASES), names(cluster_push_pull::PHASES)].concat();
@@ -681,12 +681,7 @@ mod tests {
                 c1.rounds,
             ),
             ("Cluster2", names(cluster2::PHASES), &c2.phases, c2.rounds),
-            (
-                "Cluster3",
-                names(cluster3::PHASES),
-                c3.phases(),
-                c3_report.rounds,
-            ),
+            ("Cluster3", names(cluster3::PHASES), &c3.phases, c3.rounds),
             ("ClusterPushPull", cpp_table, &cpp.phases, cpp.rounds),
         ];
         for (algo, table, phases, rounds) in rows {

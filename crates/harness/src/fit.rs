@@ -97,6 +97,9 @@ pub struct ScalingFit {
 
 /// Fits `y ≈ c·f(n)` by least squares through the origin.
 ///
+/// A single point always fits exactly and has no goodness of fit, so its
+/// `r2` is NaN (and [`best_fits`] ranks it last); `c` is still fitted.
+///
 /// # Panics
 ///
 /// Panics if the series is empty or lengths differ.
@@ -111,7 +114,9 @@ pub fn fit_ratio(ns: &[f64], ys: &[f64], law: ScalingLaw) -> ScalingFit {
     let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
     let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
     let ss_res: f64 = fs.iter().zip(ys).map(|(f, y)| (y - c * f).powi(2)).sum();
-    let r2 = if ss_tot > 0.0 {
+    let r2 = if ys.len() < 2 {
+        f64::NAN
+    } else if ss_tot > 0.0 {
         1.0 - ss_res / ss_tot
     } else {
         f64::from(u8::from(ss_res == 0.0))
@@ -127,8 +132,13 @@ pub fn best_fits(ns: &[f64], ys: &[f64]) -> Vec<ScalingFit> {
         .map(|law| fit_ratio(ns, ys, law))
         .collect();
     // Total order, matching the `Summary::from_samples` NaN policy: a
-    // NaN-poisoned R² sorts to the back instead of panicking mid-sweep.
-    fits.sort_by(|a, b| b.r2.total_cmp(&a.r2));
+    // NaN R² (of either sign) sorts to the back instead of panicking
+    // mid-sweep.
+    fits.sort_by(|a, b| {
+        a.r2.is_nan()
+            .cmp(&b.r2.is_nan())
+            .then(b.r2.total_cmp(&a.r2))
+    });
     fits
 }
 
@@ -175,6 +185,25 @@ mod tests {
         let f = fit_ratio(&xs, &ys, ScalingLaw::Constant);
         assert!((f.c - 4.0).abs() < 1e-12);
         assert!(f.r2 >= 1.0 - 1e-12);
+    }
+
+    #[test]
+    fn one_point_has_no_r2() {
+        // Every law fits one point exactly, so float rounding alone used
+        // to decide between R² 1 and 0 and with it the "best" law.
+        for law in ScalingLaw::all() {
+            let f = fit_ratio(&[256.0], &[12.0], law);
+            assert!(f.r2.is_nan(), "{law:?}: r2 {}", f.r2);
+            assert!(
+                (f.c * law.eval(256.0) - 12.0).abs() < 1e-9,
+                "{law:?}: c still fits"
+            );
+        }
+        let fits = best_fits(&[256.0], &[12.0]);
+        assert!(fits.iter().all(|f| f.r2.is_nan()));
+        // Two points are enough for an R².
+        let f = fit_ratio(&[256.0, 1024.0], &[8.0, 10.0], ScalingLaw::Log);
+        assert!(f.r2.is_finite());
     }
 
     #[test]

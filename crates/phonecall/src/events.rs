@@ -25,7 +25,7 @@
 //! That is all this module decides: *when* nodes activate and messages
 //! land, and with which verdict. What an activation resolves to and what
 //! a landing costs — boundary moves, topology gating, charging, traffic
-//! piggybacking, fan-in, tracing — is the step core (`step.rs`), the
+//! piggybacking, fan-in — is the step core (`step.rs`), the
 //! very methods the synchronous phases call.
 //!
 //! The step ends when the queue drains (activation chains are finite:
@@ -1092,7 +1092,7 @@ impl<S> Network<S> {
                     self.land_push(src, dst, msg, lost, &mut stats, &mut deliver);
                 }
                 MsgKind::PullReq { lost, rep_lost } => {
-                    self.land_pull_request(src, dst, lost, &mut stats);
+                    self.land_pull_request(dst, lost, &mut stats);
                     if !self.hears(dst, lost) {
                         continue;
                     }

@@ -131,7 +131,6 @@ mod network;
 mod rng;
 mod step;
 pub mod topology;
-mod trace;
 mod traffic;
 mod wire;
 
@@ -149,6 +148,5 @@ pub use rng::{
     derive_seed, rng_from_seed, ASYNC_CLOCK_STREAM, ASYNC_DELIVERY_STREAM, ASYNC_LATENCY_STREAM,
 };
 pub use topology::{Adjacency, DirectAddressing, Topology};
-pub use trace::{Event, EventKind, Trace};
 pub use traffic::{RumorStatus, TrafficConfig, TrafficPlan};
 pub use wire::{header_bits, id_bits, Wire};

@@ -95,32 +95,6 @@ impl Metrics {
     pub fn bits_per_node(&self, n: usize) -> f64 {
         self.bits as f64 / n as f64
     }
-
-    /// Accumulates another metrics block (e.g. a later phase of the same
-    /// run) into this one.
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.payload_messages += other.payload_messages;
-        self.bits += other.bits;
-        self.pushes += other.pushes;
-        self.pull_requests += other.pull_requests;
-        self.pull_replies += other.pull_replies;
-        self.max_fan_in = self.max_fan_in.max(other.max_fan_in);
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.burst_rounds += other.burst_rounds;
-        // Graph shape is a property of the run, not a flow; keep the
-        // densest phase's values.
-        self.topology_edges = self.topology_edges.max(other.topology_edges);
-        self.topology_max_degree = self.topology_max_degree.max(other.topology_max_degree);
-        self.rumors_started += other.rumors_started;
-        self.rumors_completed += other.rumors_completed;
-        self.rumor_payloads += other.rumor_payloads;
-        self.budget_drops += other.budget_drops;
-        self.per_round.extend(other.per_round.iter().copied());
-    }
 }
 
 /// Accounting for one synchronous round.
@@ -145,39 +119,6 @@ pub struct RoundStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_sums_and_maxes() {
-        let mut a = Metrics {
-            rounds: 2,
-            messages: 10,
-            bits: 100,
-            max_fan_in: 3,
-            rumors_started: 4,
-            rumors_completed: 2,
-            ..Default::default()
-        };
-        let b = Metrics {
-            rounds: 1,
-            messages: 5,
-            bits: 50,
-            max_fan_in: 7,
-            rumors_started: 1,
-            rumors_completed: 1,
-            rumor_payloads: 9,
-            budget_drops: 3,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.rounds, 3);
-        assert_eq!(a.messages, 15);
-        assert_eq!(a.bits, 150);
-        assert_eq!(a.max_fan_in, 7);
-        assert_eq!(a.rumors_started, 5, "workload counters flow additively");
-        assert_eq!(a.rumors_completed, 3);
-        assert_eq!(a.rumor_payloads, 9);
-        assert_eq!(a.budget_drops, 3);
-    }
 
     #[test]
     fn per_node_averages() {

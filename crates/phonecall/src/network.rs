@@ -20,8 +20,8 @@
 //! fixed (synchrony).
 //!
 //! This module owns only that *schedule*. What an activation resolves to
-//! and what a landing message costs — charging, loss, fan-in, tracing — is
-//! the step core of [`crate::step`], shared with the asynchronous engine
+//! and what a landing message costs — charging, loss, fan-in — is the
+//! step core of [`crate::step`], shared with the asynchronous engine
 //! ([`crate::events`]).
 
 use rand::rngs::SmallRng;
@@ -37,7 +37,6 @@ use crate::metrics::{Metrics, RoundStats};
 use crate::rng::{derive_seed, rng_from_seed};
 use crate::step::Slot;
 use crate::topology::{Adjacency, DirectAddressing, Topology};
-use crate::trace::Trace;
 use crate::traffic::{RumorStatus, TrafficConfig, TrafficPlan};
 use crate::wire::{header_bits, Wire};
 
@@ -70,7 +69,6 @@ pub struct Network<S> {
     pub(crate) rng: SmallRng,
     pub(crate) metrics: Metrics,
     pub(crate) header_bits: u64,
-    pub(crate) trace: Trace,
     /// Independent per-message loss probability (transient link failures;
     /// 0.0 = reliable links, the paper's base model).
     pub(crate) loss: f64,
@@ -261,7 +259,6 @@ impl<S> Network<S> {
             rng: rng_from_seed(derive_seed(seed, 2)),
             metrics: Metrics::default(),
             header_bits: header_bits(n),
-            trace: Trace::disabled(),
             loss: 0.0,
             churn: None,
             topo: None,
@@ -515,17 +512,6 @@ impl<S> Network<S> {
         }
     }
 
-    /// Enables event tracing with the given capacity.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Trace::with_capacity(cap);
-    }
-
-    /// The recorded trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Samples a uniformly random node other than `src` (alive or dead —
     /// the caller cannot know liveness, matching the model).
     ///
@@ -653,7 +639,7 @@ impl<S> Network<S> {
         }
         for (k, reply) in sc.responses.drain(..).enumerate() {
             let (src, dst) = (NodeIdx(sc.pull_src[k]), NodeIdx(sc.pull_dst[k]));
-            self.land_pull_request(src, dst, verdict(&sc.pull_req_lost, k), &mut stats);
+            self.land_pull_request(dst, verdict(&sc.pull_req_lost, k), &mut stats);
             if let Some(msg) = reply {
                 let lost = verdict(&sc.pull_rep_lost, k);
                 self.land_reply(dst, src, msg, lost, &mut stats, &mut deliver);
@@ -692,7 +678,6 @@ mod tests {
     use super::*;
     use crate::action::Target;
     use crate::events::AsyncConfig;
-    use crate::trace::EventKind;
 
     #[derive(Clone, Debug)]
     struct Unit;
@@ -1206,29 +1191,40 @@ mod tests {
     }
 
     #[test]
-    fn lost_push_to_alive_node_traces_dropped_lost() {
-        // Bugfix: a loss-dropped push to an alive node used to be traced
-        // as DroppedDead, indistinguishable from a dead destination.
-        for engine in engines() {
-            let mut net = net_on(&engine, 8, 31);
+    fn every_landed_push_counts_in_fan_in_lost_or_dead() {
+        // The fan-in rule the step core applies: a push that lands counts
+        // in its destination's fan-in whether or not it is delivered.
+        same_charges(|engine| {
+            let n = 8;
+            let mut net = net_on(engine, n, 31);
             net.set_message_loss(1.0);
-            net.enable_trace(100);
             everyone_pushes(&mut net);
-            assert_eq!(net.trace().events().len(), 8);
-            assert!(
-                net.trace()
-                    .events()
-                    .iter()
-                    .all(|e| e.kind == EventKind::DroppedLost),
-                "alive destination + bad link = DroppedLost"
+            let delivered: u32 = net.states().iter().map(|s| s.pushes).sum();
+            assert_eq!(delivered, 0, "every push lost in transit");
+            let fan_sum: u32 = net.last_fan_in().iter().sum();
+            assert_eq!(
+                fan_sum,
+                2 * n as u32,
+                "n initiations plus n lost pushes, each counted at its destination"
             );
-            // A dead destination still traces DroppedDead, lossy link or not.
-            let mut net = net_on(&engine, 2, 31);
+            net.metrics().clone()
+        });
+        same_charges(|engine| {
+            let mut net = net_on(engine, 2, 31);
             net.apply_failures(&FailurePlan::explicit(vec![NodeIdx(1)]));
-            net.enable_trace(10);
             everyone_pushes(&mut net);
-            assert_eq!(net.trace().events()[0].kind, EventKind::DroppedDead);
-        }
+            assert_eq!(
+                net.states()[1].pushes,
+                0,
+                "a dead node is delivered nothing"
+            );
+            assert_eq!(
+                net.last_fan_in(),
+                &[1, 1],
+                "node 0's initiation, its push at node 1"
+            );
+            net.metrics().clone()
+        });
     }
 
     #[test]
@@ -1369,20 +1365,5 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn trace_records_pushes() {
-        for engine in engines() {
-            let mut net = net_on(&engine, 4, 8);
-            net.enable_trace(100);
-            everyone_pushes(&mut net);
-            assert_eq!(net.trace().events().len(), 4);
-            assert!(net
-                .trace()
-                .events()
-                .iter()
-                .all(|e| e.kind == EventKind::Push));
-        }
     }
 }

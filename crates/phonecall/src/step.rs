@@ -5,8 +5,8 @@
 //! queue of [`crate::events`] — are schedulers over these methods: they
 //! decide *when* a node activates and *when* (and with which loss
 //! verdict) a message lands, and nothing else. Every boundary move,
-//! target-resolution rule, charging statement, fan-in count and trace
-//! event lives here, and no method asks which engine called it.
+//! target-resolution rule, charging statement and fan-in count lives
+//! here, and no method asks which engine called it.
 //!
 //! The methods are `#[inline(always)]`, not `#[inline]`: they are
 //! instantiated in the algorithm crates with the closures inside, and
@@ -23,8 +23,16 @@
 //! (`messages`/`bits`/`pull_replies`/`payload_messages`). What is *not*
 //! charged is a reply that was never sent — when the pull request itself
 //! was lost in transit, the responder stayed silent, exactly like a
-//! request to a dead node. Receiver-side accounting (fan-in) counts only
-//! messages that arrived.
+//! request to a dead node.
+//!
+//! # Fan-in
+//!
+//! A node's fan-in for a step counts its own initiation plus every
+//! message that *landed* at it, delivered or not: a push counts at its
+//! destination even when the link lost it or the destination is dead,
+//! and a pull request counts at a dead responder. The one exception is a
+//! pull request lost in transit, which counts nowhere. A pull reply
+//! never counts at the puller (the puller's initiation already did).
 
 use std::any::Any;
 use std::fmt;
@@ -36,7 +44,6 @@ use crate::id::NodeIdx;
 use crate::metrics::RoundStats;
 use crate::network::{Network, NodeCtx};
 use crate::topology::DirectAddressing;
-use crate::trace::{Event, EventKind};
 use crate::wire::Wire;
 
 /// Type-erased holder for the running engine's per-message-type buffers.
@@ -200,14 +207,6 @@ impl<S> Network<S> {
         self.metrics.pushes += 1;
         self.fan_in[d] += 1;
         self.touched.set(d);
-        let kind = if delivered {
-            EventKind::Push
-        } else if alive {
-            EventKind::DroppedLost
-        } else {
-            EventKind::DroppedDead
-        };
-        self.record(src, dst, kind);
         if delivered {
             let from = self.ids.id_of(src);
             deliver(&mut self.states[d], Delivery::Push { from, msg });
@@ -215,27 +214,17 @@ impl<S> Network<S> {
     }
 
     /// Lands a pull request at `dst`: header-only and sender-paid whether
-    /// or not it arrives. A request `lost` in transit never reaches the
-    /// responder, so it charges no responder-side fan-in and is traced as
-    /// a drop, not a pull. Whether a reply and a pulled-by notification
-    /// are due is [`Self::hears`].
+    /// or not it arrives. It counts in `dst`'s fan-in unless it was
+    /// `lost` in transit; a request to a dead `dst` still counts. Whether
+    /// a reply and a pulled-by notification are due is [`Self::hears`].
     #[inline(always)]
-    pub(crate) fn land_pull_request(
-        &mut self,
-        src: NodeIdx,
-        dst: NodeIdx,
-        lost: bool,
-        stats: &mut RoundStats,
-    ) {
+    pub(crate) fn land_pull_request(&mut self, dst: NodeIdx, lost: bool, stats: &mut RoundStats) {
         stats.messages += 1;
         stats.bits += self.header_bits;
         self.metrics.pull_requests += 1;
-        if lost {
-            self.record(src, dst, EventKind::DroppedLost);
-        } else {
+        if !lost {
             self.fan_in[dst.as_usize()] += 1;
             self.touched.set(dst.as_usize());
-            self.record(src, dst, EventKind::PullRequest);
         }
     }
 
@@ -263,10 +252,7 @@ impl<S> Network<S> {
     ) {
         self.charge_payload(from, to, msg.size_bits(), !lost, stats);
         self.metrics.pull_replies += 1;
-        if lost {
-            self.record(from, to, EventKind::DroppedLost);
-        } else {
-            self.record(from, to, EventKind::PullReply);
+        if !lost {
             let from = self.ids.id_of(from);
             deliver(
                 &mut self.states[to.as_usize()],
@@ -301,16 +287,6 @@ impl<S> Network<S> {
         stats.bits += bits;
         self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
         self.metrics.payload_messages += 1;
-    }
-
-    #[inline(always)]
-    fn record(&mut self, from: NodeIdx, to: NodeIdx, kind: EventKind) {
-        self.trace.record(Event {
-            round: self.round,
-            from,
-            to,
-            kind,
-        });
     }
 
     /// Closes a step: the workload's end-of-step check (a rumor completes

@@ -90,7 +90,7 @@ fn delta_clustering_is_well_formed_across_grid() {
             let mut cfg = Cluster3Config::default();
             cfg.common.seed = 11;
             let (sim, rep) = cluster3::build(n, delta, &cfg);
-            assert!(rep.complete, "n={n} delta={delta}");
+            assert!(rep.success, "n={n} delta={delta}");
             assert!(rep.max_fan_in <= delta as u64, "n={n} delta={delta}");
             check_delta_clustering(&sim, 1, delta)
                 .unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));

@@ -96,7 +96,7 @@ fn theorem18_delta_clustering() {
     cfg.common.seed = 6;
     let (_s_small, small) = cluster3::build(1 << 9, 32, &cfg);
     let (_s_large, large) = cluster3::build(1 << 15, 32, &cfg);
-    assert!(small.complete && large.complete);
+    assert!(small.success && large.success);
     assert!(small.max_fan_in <= 32 && large.max_fan_in <= 32);
     assert!(
         (large.rounds as f64) < small.rounds as f64 * 1.5,

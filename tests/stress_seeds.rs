@@ -54,7 +54,7 @@ fn delta_clustering_bounds_hold_across_seeds() {
         let mut cfg = Cluster3Config::default();
         cfg.common.seed = phonecall::derive_seed(0x55, seed);
         let (_sim, rep) = cluster3::build(1024, 64, &cfg);
-        assert!(rep.complete, "seed {seed}");
+        assert!(rep.success, "seed {seed}");
         assert!(
             rep.max_fan_in <= 64,
             "seed {seed}: fan-in {}",

@@ -13,7 +13,7 @@
 use optimal_gossip::prelude::*;
 
 use gossip_harness::{run_trials_on, run_trials_seq};
-use phonecall::{Action, ChurnRound, Delivery, EventKind, Target};
+use phonecall::{Action, ChurnRound, Delivery, Target};
 use std::sync::Arc;
 
 /// The canonical sparse-but-mixing topology of this suite.
@@ -119,38 +119,43 @@ fn parallel_runner_is_thread_count_invariant_under_topology() {
 
 #[test]
 fn random_contacts_are_confined_to_edges() {
-    // Every traced communication of a pure Random workload must travel
-    // along a graph edge.
-    let mut net: Network<u32> = Network::new(64, 5);
+    // Every communication of a pure Random workload must travel along a
+    // graph edge. Each node's state is its own index and every payload is
+    // its sender's, so `deliver` sees both ends of each contact; with
+    // everyone alive and no loss, every contact is delivered.
+    let n = 64;
+    let mut net: Network<u32> = Network::with_state_fn(n, 5, |idx, _| idx.0);
     net.set_topology(expander(), DirectAddressing::Overlay, 99);
-    net.enable_trace(10_000);
     let adj = net.topology_adjacency().expect("installed").clone();
+    let ids: Vec<NodeId> = (0..n as u32).map(|i| net.id_of(NodeIdx(i))).collect();
+    let mut contacts: Vec<(u32, u32)> = Vec::new();
     for _ in 0..20 {
         net.round(
             |ctx, _rng| {
                 if ctx.idx.0 % 2 == 0 {
                     Action::Push {
                         to: Target::Random,
-                        msg: 1u64,
+                        msg: u64::from(ctx.idx.0),
                     }
                 } else {
                     Action::<u64>::Pull { to: Target::Random }
                 }
             },
             |s| Some(u64::from(*s)),
-            |s, _d| *s += 1,
+            |s, d| {
+                let from = match d {
+                    Delivery::Push { msg, .. } | Delivery::PullReply { msg, .. } => msg as u32,
+                    Delivery::PulledBy(id) => ids.iter().position(|&x| x == id).unwrap() as u32,
+                };
+                contacts.push((from, *s));
+            },
         );
     }
-    let events = net.trace().events();
-    assert!(!events.is_empty());
-    for e in events {
+    assert!(!contacts.is_empty());
+    for (from, to) in contacts {
         assert!(
-            adj.contains_edge(e.from.0, e.to.0),
-            "round {}: {:?} from {} to {} crossed a non-edge",
-            e.round,
-            e.kind,
-            e.from,
-            e.to
+            adj.contains_edge(from, to),
+            "a contact from {from} to {to} crossed a non-edge"
         );
     }
 }
@@ -200,7 +205,6 @@ fn churned_neighbors_leave_the_contact_distribution_and_recoveries_reenter() {
     // after recovering it must receive traffic again.
     let mut net: Network<u32> = Network::new(8, 17);
     net.set_topology(Topology::Ring, DirectAddressing::Overlay, 31);
-    net.enable_trace(100_000);
     net.set_churn(
         ChurnConfig {
             crash_rate: 1.0,
@@ -213,7 +217,11 @@ fn churned_neighbors_leave_the_contact_distribution_and_recoveries_reenter() {
         77,
     );
     let mut alive_history: Vec<Vec<bool>> = Vec::new();
+    // Pushes each node was delivered, per round.
+    let mut received: Vec<Vec<u32>> = Vec::new();
     for _ in 0..60 {
+        let before = net.states().to_vec();
+        let pushes_before = net.metrics().pushes;
         net.round(
             |_ctx, _rng| Action::Push {
                 to: Target::Random,
@@ -226,30 +234,31 @@ fn churned_neighbors_leave_the_contact_distribution_and_recoveries_reenter() {
                 }
             },
         );
+        let got: Vec<u32> = net
+            .states()
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| a - b)
+            .collect();
+        // No loss: a push that landed but was not delivered is exactly a
+        // push to a dead node, and there is none.
+        let delivered: u32 = got.iter().sum();
+        assert_eq!(
+            net.metrics().pushes - pushes_before,
+            u64::from(delivered),
+            "round {}: a push targeted a dead node",
+            received.len()
+        );
         alive_history.push((0..8).map(|i| net.is_alive(NodeIdx(i))).collect());
+        received.push(got);
     }
     assert_eq!(net.metrics().crashes, 3, "the outage fired");
     assert_eq!(net.metrics().recoveries, 3, "and drained");
-    // No traced event ever targets a node that was dead that round.
-    for e in net.trace().events() {
-        assert!(
-            alive_history[e.round as usize][e.to.0 as usize],
-            "round {}: dead node {} was sampled",
-            e.round, e.to
-        );
-        assert_eq!(e.kind, EventKind::Push);
-    }
     // Every recovered node receives traffic again after the outage.
-    let crashed: Vec<u32> = (0..8u32)
-        .filter(|&i| !alive_history[5][i as usize])
-        .collect();
+    let crashed: Vec<usize> = (0..8).filter(|&i| !alive_history[5][i]).collect();
     assert_eq!(crashed.len(), 3);
     for &i in &crashed {
-        let back_in = net
-            .trace()
-            .events()
-            .iter()
-            .any(|e| e.to.0 == i && alive_history[e.round as usize][i as usize]);
+        let back_in = (6..received.len()).any(|r| alive_history[r][i] && received[r][i] > 0);
         assert!(back_in, "recovered node {i} re-entered the distribution");
     }
 }
