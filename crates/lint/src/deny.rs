@@ -2,8 +2,8 @@
 //!
 //! Deny-list rules fire only inside the simulation crates (see
 //! [`crate::SIM_CRATE_PREFIXES`]): those four `src/` trees are the code
-//! whose behavior the 200 pinned golden digests freeze, so anything
-//! that injects ambient state — hash randomization, OS entropy, wall
+//! whose behavior the pinned golden rows freeze, so anything that
+//! injects ambient state — hash randomization, OS entropy, wall
 //! clocks, environment variables — is an error there even when today's
 //! call site happens to be harmless. A harmless call site gets a
 //! suppression with its proof, which is the audit trail the next

@@ -1,10 +1,11 @@
 //! **detlint** — the workspace determinism linter.
 //!
-//! Every PR so far has proved determinism *dynamically*: 200 pinned
-//! golden digests, 1/2/4/7-thread byte-equality, seed-build stdout
-//! compares. This crate guards it *statically*, so the hazards those
-//! suites would eventually catch as an unbisectable flake are instead
-//! compile-time-style errors with a file and line. Four rule families:
+//! The test suites prove determinism *dynamically*: the pinned golden
+//! rows of `tests/pins/`, 1/2/4/7-thread byte-equality, seed-build
+//! stdout compares. This crate guards it *statically*, so the hazards
+//! those suites would eventually catch as an unbisectable flake are
+//! instead compile-time-style errors with a file and line. Three rule
+//! families:
 //!
 //! 1. **Determinism deny-list** ([`deny`]): `HashMap`/`HashSet`
 //!    (RandomState iteration order), `thread_rng`/`rand::random`
@@ -23,10 +24,6 @@
 //!    every crate root (libs, bins), and any `unsafe` token elsewhere
 //!    must carry an audit suppression (today: exactly one, the
 //!    `GlobalAlloc` counting shim in the allocation-regression test).
-//! 4. **Golden-table consistency** ([`goldens`]): the pinned digest
-//!    tables in `tests/golden_reports.rs` are cross-checked for
-//!    duplicate rows and full registry coverage (all eleven algorithms
-//!    present in every grid, the same number of times).
 //!
 //! # Suppressions
 //!
@@ -51,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod deny;
-pub mod goldens;
 pub mod lexer;
 pub mod registry;
 pub mod streams;
@@ -91,8 +87,6 @@ pub enum Rule {
     StreamLabel,
     /// Two streams claiming the same label on the same parent.
     StreamCollision,
-    /// A duplicate/missing/uncovered row in a pinned golden table.
-    GoldenTable,
     /// The committed stream registry no longer matches the source.
     RegistryDrift,
     /// A malformed suppression (no justification, unknown rule, ...).
@@ -112,7 +106,6 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid_unsafe",
             Rule::StreamLabel => "stream_label",
             Rule::StreamCollision => "stream_collision",
-            Rule::GoldenTable => "golden_table",
             Rule::RegistryDrift => "registry_drift",
             Rule::BadSuppression => "bad_suppression",
         }
@@ -130,7 +123,6 @@ impl Rule {
             Rule::ForbidUnsafe,
             Rule::StreamLabel,
             Rule::StreamCollision,
-            Rule::GoldenTable,
             Rule::RegistryDrift,
             Rule::BadSuppression,
         ]
@@ -138,15 +130,12 @@ impl Rule {
         .find(|r| r.name() == name)
     }
 
-    /// Whether a suppression comment may silence this rule. Table
-    /// consistency, registry drift and malformed suppressions cannot be
-    /// waved through — they are always errors.
+    /// Whether a suppression comment may silence this rule. Registry
+    /// drift and malformed suppressions cannot be waved through — they
+    /// are always errors.
     #[must_use]
     pub const fn suppressible(self) -> bool {
-        !matches!(
-            self,
-            Rule::GoldenTable | Rule::RegistryDrift | Rule::BadSuppression
-        )
+        !matches!(self, Rule::RegistryDrift | Rule::BadSuppression)
     }
 }
 
@@ -532,9 +521,6 @@ pub fn lint_files(files: &[SourceFile], committed_registry: Option<&str>) -> Lin
         if in_stream_scope(&file.path) {
             let excluded = test_mod_ranges(&lexed.tokens);
             all_sites.extend(streams::extract(&file.path, &lexed.tokens, &excluded));
-        }
-        if file.path.ends_with("tests/golden_reports.rs") {
-            goldens::check(&file.path, &file.text, &mut findings);
         }
     }
 

@@ -275,8 +275,8 @@ fn malformed_suppressions_are_findings_and_do_not_silence() {
     assert_eq!(fired(&report, Rule::BadSuppression).len(), 1);
 
     // Unsuppressible rule.
-    let golden = "fn f() {} // detlint: allow(golden_table) — please\n";
-    let report = lint(&[("tests/x.rs", golden)]);
+    let drift = "fn f() {} // detlint: allow(registry_drift) — please\n";
+    let report = lint(&[("tests/x.rs", drift)]);
     assert_eq!(fired(&report, Rule::BadSuppression).len(), 1);
 }
 
@@ -291,96 +291,6 @@ fn doc_comments_mentioning_directives_are_prose() {
         "{report:?}"
     );
     assert_eq!(report.suppressed().count(), 0);
-}
-
-// ------------------------------------------------------- golden tables
-
-/// Builds a minimal well-formed `golden_reports.rs` body, then lets the
-/// caller vandalize one table's rows.
-fn golden_fixture(vandalize: impl Fn(&str, &mut Vec<String>)) -> String {
-    let mut out = String::new();
-    for &(table, arity) in gossip_lint::goldens::TABLES {
-        let mut rows: Vec<String> = gossip_lint::goldens::row_names(table)
-            .0
-            .iter()
-            .map(|algo| {
-                if arity == 3 {
-                    format!("    (\"{algo}\", 64, 1, 10, 20, 30, 64),")
-                } else {
-                    format!("    (\"{algo}\", \"grid/x\", 10, 20, 30, 64),")
-                }
-            })
-            .collect();
-        vandalize(table, &mut rows);
-        out.push_str(&format!("const {table}: &[Golden] = &[\n"));
-        for r in rows {
-            out.push_str(&r);
-            out.push('\n');
-        }
-        out.push_str("];\n");
-    }
-    out
-}
-
-#[test]
-fn coherent_golden_tables_lint_clean() {
-    let text = golden_fixture(|_, _| {});
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert!(fired(&report, Rule::GoldenTable).is_empty(), "{report:?}");
-}
-
-#[test]
-fn duplicate_rows_missing_algorithms_and_strays_are_findings() {
-    // Duplicate grid key: the duplicate itself, plus the uneven
-    // coverage it creates.
-    let text = golden_fixture(|t, rows| {
-        if t == "CHURN_GOLDEN" {
-            rows.push(rows[0].clone());
-        }
-    });
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 2, "{report:?}");
-
-    // An algorithm dropped from one table: one missing-coverage finding.
-    let text = golden_fixture(|t, rows| {
-        if t == "TRAFFIC_GOLDEN" {
-            rows.retain(|r| !r.contains("NameDropper"));
-        }
-    });
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
-
-    // A row pinning an algorithm the registry does not know.
-    let text = golden_fixture(|t, rows| {
-        if t == "GOLDEN" {
-            rows.push("    (\"Cluster9\", 64, 1, 1, 2, 3, 64),".to_string());
-        }
-    });
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
-
-    // A graph row naming a family no generator builds.
-    let text = golden_fixture(|t, rows| {
-        if t == "GRAPH_GOLDEN" {
-            rows.push("    (\"Hypercube\", 64, 1, 1, 2, 3, 64),".to_string());
-        }
-    });
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
-
-    // Uneven coverage: one algorithm pinned at more grid points.
-    let text = golden_fixture(|t, rows| {
-        if t == "DATASET_GOLDEN" {
-            rows.push("    (\"Push\", \"grid/y\", 1, 2, 3, 64),".to_string());
-        }
-    });
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
-
-    // A table missing wholesale.
-    let text = golden_fixture(|_, _| {}).replace("const GOLDEN:", "const OLDEN:");
-    let report = lint(&[("tests/golden_reports.rs", text.as_str())]);
-    assert_eq!(fired(&report, Rule::GoldenTable).len(), 1, "{report:?}");
 }
 
 // ------------------------------------------------------------ registry

@@ -80,9 +80,11 @@ fn async_reports_differ_across_seeds() {
 
 /// Sync-inertness: a scenario that spells out `Engine::Sync` runs
 /// bit-identical to one that never mentions an engine at all — the
-/// async machinery draws nothing unless installed. (The pinned golden
-/// tables in `golden_reports.rs` extend this check back to the digests
-/// generated before the async subsystem existed.)
+/// async machinery draws nothing unless installed. (The `broadcast`,
+/// `churn`, `topology` and `traffic` suites of `golden_reports.rs`
+/// extend this check back to the values pinned before the async
+/// subsystem existed; the `async` and `latency` suites pin the async
+/// timeline itself.)
 #[test]
 fn explicit_sync_engine_is_inert() {
     for algo in registry::all() {

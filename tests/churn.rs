@@ -3,8 +3,9 @@
 //! invariance of the parallel runner under an active schedule, builder
 //! validation, and schedule-sharing across algorithms.
 //!
-//! The canonical churn scenario of `tests/golden_reports.rs` pins exact
-//! digests; this suite pins the *properties* those digests rely on.
+//! The `churn` suite of `tests/golden_reports.rs` pins exact fields
+//! under a canonical scenario (`tests/pins/churn.tsv`); this suite pins
+//! the *properties* those fields rely on.
 
 use optimal_gossip::prelude::*;
 

@@ -7,9 +7,9 @@
 //! behavior through the public `load` path, ingestion edge cases, and
 //! cold-vs-warm run equality for file-loaded topologies.
 //!
-//! The `DATASET_GOLDEN` table of `tests/golden_reports.rs` pins exact
-//! digests on the `ws_1k` snapshot; this suite pins the *properties*
-//! those digests rely on.
+//! The `dataset` suite of `tests/golden_reports.rs` pins exact fields
+//! on the `ws_1k` snapshot (`tests/pins/dataset.tsv`); this suite pins
+//! the *properties* those fields rely on.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,12 +1,12 @@
 //! Workspace-level detlint smoke: the committed stream-label registry
-//! matches a fresh extraction, the whole tree lints clean, and the
-//! linter's hardcoded algorithm list tracks the real registry.
+//! matches a fresh extraction, the whole tree lints clean, every
+//! suppression stays justified, and the committed graph pins name every
+//! generated topology family.
 //!
 //! This is the `cargo test` face of the CI `detlint` job — a stream
 //! change, a stray `HashMap` in a simulation crate, or an unjustified
 //! suppression fails the ordinary test run too, not just CI.
 
-use gossip_baselines::registry;
 use gossip_lint::{collect_workspace, lint_files, registry::render, Rule, REGISTRY_FILE};
 
 fn workspace_root() -> &'static std::path::Path {
@@ -62,24 +62,13 @@ fn committed_registry_matches_fresh_extraction() {
 }
 
 #[test]
-fn lint_algorithm_list_tracks_the_real_registry() {
-    let real: std::collections::BTreeSet<&str> = registry::all().iter().map(|a| a.name()).collect();
-    let lint: std::collections::BTreeSet<&str> =
-        gossip_lint::goldens::ALGORITHMS.iter().copied().collect();
-    assert_eq!(
-        real, lint,
-        "gossip_lint::goldens::ALGORITHMS is out of sync with registry::all(); \
-         teach the linter the new name so golden coverage stays enforced"
-    );
-}
-
-#[test]
 fn lint_graph_family_list_tracks_the_topology_catalog() {
-    let real: std::collections::BTreeSet<&str> = phonecall::Topology::catalog()
+    // Reads the committed `tests/pins/graph.tsv` as text and runs no
+    // simulation: a family added to the catalog fails here before the
+    // graph suite in `golden_reports.rs` builds a single graph.
+    let generated: std::collections::BTreeSet<&str> = phonecall::Topology::catalog()
         .iter()
-        .filter_map(|(spec, _)| {
-            phonecall::Topology::parse_spec(spec.split('[').next().unwrap_or("")).ok()
-        })
+        .filter_map(|(spec, _)| phonecall::Topology::parse_spec(spec.split('[').next()?).ok())
         .filter(|t| {
             !matches!(
                 t,
@@ -88,14 +77,17 @@ fn lint_graph_family_list_tracks_the_topology_catalog() {
         })
         .map(|t| t.name())
         .collect();
-    let lint: std::collections::BTreeSet<&str> = gossip_lint::goldens::GRAPH_FAMILIES
-        .iter()
-        .copied()
+    let pins = std::fs::read_to_string(workspace_root().join("tests/pins/graph.tsv"))
+        .expect("the graph pins are committed");
+    let pinned: std::collections::BTreeSet<&str> = pins
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split('/').next())
         .collect();
     assert_eq!(
-        real, lint,
-        "gossip_lint::goldens::GRAPH_FAMILIES is out of sync with the generated \
-         topology families; teach the linter the new name so GRAPH_GOLDEN covers it"
+        pinned, generated,
+        "tests/pins/graph.tsv is out of sync with the generated topology families; \
+         add the family to graph_grid in golden_reports.rs and re-pin with GOLDEN_REGEN=1"
     );
 }
 

@@ -2,14 +2,14 @@
 //! engine (packed bitset flags, u32 id plumbing, simulation-owned node
 //! scratch, batched contact resolution) must be *behaviorally invisible*.
 //!
-//! The golden tables in `golden_reports.rs` pin fixed grid points; this
+//! The suites of `golden_reports.rs` pin fixed grid points; this
 //! file covers the space *between* them. A proptest draws random
 //! `(n, seed, churn, topology, addressing)` corners and asserts two runs
 //! produce **bit-identical** `RunReport`s — any hidden state in the
 //! arrival log, leader rows, scratch columns or bitsets that leaks across
 //! runs, and
 //! any draw-order drift that depends on layout, fails here on corners no
-//! pinned table thought to cover. A second test re-proves the
+//! pinned suite thought to cover. A second test re-proves the
 //! thread-count invariance contract at `n = 2^17`, where the bitset
 //! word count and scratch columns are large enough that a false-sharing
 //! or reuse bug would actually bite.

@@ -7,8 +7,9 @@
 //! distribution, recoveries re-enter it), builder validation, and the
 //! JSON round-trip of the topology environment.
 //!
-//! The `TOPOLOGY_GOLDEN` table of `tests/golden_reports.rs` pins exact
-//! digests; this suite pins the *properties* those digests rely on.
+//! The `topology` and `graph` suites of `tests/golden_reports.rs` pin
+//! exact fields (`tests/pins/{topology,graph}.tsv`); this suite pins the
+//! *properties* those fields rely on.
 
 use optimal_gossip::prelude::*;
 

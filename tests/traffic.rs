@@ -3,10 +3,9 @@
 //! determinism, inertness of the default config, schedule-sharing
 //! across algorithms, and composition with churn and topologies.
 //!
-//! The canonical traffic scenario of `tests/golden_reports.rs` pins
-//! exact digests; this suite pins the *properties* those digests rely
-//! on, plus the digests of one scenario wider than a 32-bit word of
-//! rumors.
+//! The `traffic` and `wide` suites of `tests/golden_reports.rs` pin
+//! exact fields of loaded runs (`tests/pins/{traffic,wide}.tsv`); this
+//! suite pins the *properties* those fields rely on.
 
 use optimal_gossip::prelude::*;
 
@@ -125,64 +124,4 @@ fn bandwidth_budget_throttles_but_counts() {
         "the budget must actually throttle"
     );
     assert_eq!(free.budget_drops, 0, "unlimited budget drops nothing");
-}
-
-/// Digest of one run of the multi-word scenario: the report's counters
-/// plus an FNV-1a fold of every rumor's final status.
-type WideDigest = (&'static str, u32, u64, u64, u64, u64, u64, usize, u64);
-
-fn wide_digest(name: &'static str, bandwidth: u32) -> WideDigest {
-    let algo = registry::by_name(name).unwrap();
-    let r = algo.run(
-        &Scenario::broadcast(512)
-            .seed(3)
-            .rumors(96, 4.0)
-            .bandwidth(bandwidth),
-    );
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for s in &r.rumors {
-        for x in [
-            u64::from(s.origin),
-            s.arrival,
-            s.completed.unwrap_or(u64::MAX),
-            s.informed,
-        ] {
-            for b in x.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    }
-    (
-        name,
-        bandwidth,
-        r.rounds,
-        r.messages,
-        r.bits,
-        r.rumor_payloads,
-        r.budget_drops,
-        r.rumors_completed(),
-        h,
-    )
-}
-
-#[test]
-fn multi_word_rumor_rows_match_golden_digests() {
-    // 96 rumors span three 32-bit words of knowledge per node. A budget
-    // of 2 binds on most contacts, which pins the budget's choice of
-    // which rumor rides; the unlimited rows pin completions across all
-    // three words. Only NameDropper completes rumors under the budget,
-    // so only its row sees the active-list order that completions
-    // reshuffle.
-    #[rustfmt::skip]
-    const WIDE_GOLDEN: [WideDigest; 7] = [
-        ("Cluster2", 2, 79, 14266, 1841868, 3980, 254347, 0, 6324651952990498538),
-        ("PushPull", 2, 8, 4446, 859384, 700, 105, 0, 5003411096319316021),
-        ("Karp", 2, 28, 5982, 1921784, 2906, 1514, 0, 1763321081536409682),
-        ("Cluster2", 0, 79, 14266, 13381324, 49056, 0, 96, 13548224033569014780),
-        ("PushPull", 0, 8, 4446, 923640, 951, 0, 0, 16661406131281187992),
-        ("Karp", 0, 28, 5982, 2930424, 6846, 0, 0, 4402204461689466861),
-        ("NameDropper", 2, 32, 16384, 69215718, 19400, 30675, 10, 3741912548810225743),
-    ];
-    let got: Vec<WideDigest> = WIDE_GOLDEN.iter().map(|w| wide_digest(w.0, w.1)).collect();
-    assert_eq!(got, WIDE_GOLDEN, "the multi-word workload drifted");
 }
