@@ -77,34 +77,33 @@ fn push_pull_loop(sim: &mut ClusterSim, budget: u32) {
 
 /// Members of clusters informed at `epoch` push the rumor to random nodes.
 fn newly_informed_push_round(sim: &mut ClusterSim, epoch: u32) {
+    let informed_at = &sim.informed_at;
     push_round(
         &mut sim.net,
         sim.wire,
         |s| {
-            (s.informed && s.informed_at == Some(epoch)).then_some((Target::Random, MsgKind::Rumor))
+            (s.informed && informed_at[s.idx.as_usize()] == Some(epoch))
+                .then_some((Target::Random, MsgKind::Rumor))
         },
         |s, kind| s.informed |= kind == MsgKind::Rumor,
     );
 }
 
-/// `ClusterShare` that also stamps `informed_at = epoch` on every node
-/// whose informed flag flips during the share. The epoch is the loop's
-/// program counter — synchronous and known to every node — so no extra
-/// bits travel.
+/// `ClusterShare`, then [`stamp`]: the epoch is the loop's program
+/// counter — synchronous and known to every node — so no extra bits
+/// travel.
 fn share_with_epoch(sim: &mut ClusterSim, epoch: u32) {
-    let before: Vec<bool> = sim.net.states().iter().map(|s| s.informed).collect();
     share_rumor(sim);
-    for (i, s) in sim.net.states_mut().iter_mut().enumerate() {
-        if s.informed && !before[i] {
-            s.informed_at = Some(epoch);
-        }
-    }
-    // The source's cluster counts as epoch-0 seed.
-    if epoch == 0 {
-        for s in sim.net.states_mut() {
-            if s.informed && s.informed_at.is_none() {
-                s.informed_at = Some(0);
-            }
+    stamp(sim, epoch);
+}
+
+/// Stamps `epoch` on every informed node not yet stamped. At epoch 0
+/// that is the source's cluster, the seed.
+fn stamp(sim: &mut ClusterSim, epoch: u32) {
+    sim.informed_at.resize(sim.net.len(), None);
+    for (s, at) in sim.net.states().iter().zip(&mut sim.informed_at) {
+        if s.informed && at.is_none() {
+            *at = Some(epoch);
         }
     }
 }
@@ -121,11 +120,7 @@ fn uninformed_pull_round(sim: &mut ClusterSim, epoch: u32) {
     pull_round(&mut sim.net, &mut sim.replies, ask, |s, kind| {
         s.informed |= kind == MsgKind::Rumor;
     });
-    for s in sim.net.states_mut() {
-        if s.informed && s.informed_at.is_none() {
-            s.informed_at = Some(epoch);
-        }
-    }
+    stamp(sim, epoch);
 }
 
 #[cfg(test)]

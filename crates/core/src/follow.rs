@@ -19,6 +19,13 @@ pub enum Follow {
     Of(NodeId),
 }
 
+// `Unclustered` takes the zero no `NodeId` has, so a follow variable is
+// one word; `ClusterNode`'s 32 bytes rely on it.
+const _: () = {
+    assert!(std::mem::size_of::<Option<NodeId>>() == 8);
+    assert!(std::mem::size_of::<Follow>() == 8);
+};
+
 impl Follow {
     /// Whether the node belongs to a cluster.
     #[must_use]

@@ -13,15 +13,18 @@
 //!
 //! # Layout
 //!
-//! A [`Msg`] is a plain value: it is `Copy`, has no destructor, is 32
-//! bytes, and `Option<Msg>` is no larger (the enum tag has spare values).
-//! The engine keeps a column of each per round and moves, buffers and
-//! drops every message it carries, and [`crate::sim::ClusterSim`] keeps
-//! one prepared response per node; without drop glue each of those is
-//! a plain copy, and a pull response is copied once per puller. Every
-//! variant fits 16 payload bytes: counts of nodes are `u32` (`n` fits
-//! one), and a variable-length payload is a [`Span`] into a column its
-//! primitive owns and fills before the round that carries it. A column
+//! A [`Msg`] is a plain value: it is `Copy`, has no destructor, is 24
+//! bytes (a 16-byte [`MsgKind`] and the 8-byte stamped size), and
+//! `Option<Msg>` is no larger (the enum tag has spare values). The engine
+//! keeps one payload column per round and moves, buffers and drops every
+//! message it carries, and [`crate::sim::ClusterSim`] keeps one prepared
+//! response per node; without drop glue each of those is a plain copy,
+//! and a pull response is copied once per puller. Every variant fits 12
+//! payload bytes beside the tag: counts of nodes are `u32` (`n` fits
+//! one), an `Option<NodeId>` is 8 bytes (a [`NodeId`] is never zero, so
+//! `None` takes the zero), and a variable-length payload is a [`Span`]
+//! into a column its primitive owns and fills before the round that
+//! carries it. A column
 //! lives for that one round: nothing writes it while the round runs, so
 //! a span read at delivery sees the list as it was at send time, under
 //! either engine, and the primitive empties the column once the round is
@@ -163,8 +166,9 @@ pub struct Msg {
 // payload back in a message, or a wider one, fails the build here.
 const _: () = {
     assert!(!std::mem::needs_drop::<Msg>());
-    assert!(std::mem::size_of::<Msg>() <= 32);
-    assert!(std::mem::size_of::<Option<Msg>>() == std::mem::size_of::<Msg>());
+    assert!(std::mem::size_of::<MsgKind>() == 16);
+    assert!(std::mem::size_of::<Msg>() == 24);
+    assert!(std::mem::size_of::<Option<Msg>>() == 24);
 };
 
 impl Msg {

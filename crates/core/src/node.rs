@@ -1,4 +1,4 @@
-//! Per-node algorithm state: 48 bytes of protocol state per node.
+//! Per-node algorithm state: 32 bytes of protocol state per node.
 //!
 //! [`Network::round`](phonecall::Network::round) activates every alive
 //! node every round, and in most rounds most nodes send nothing (three
@@ -6,11 +6,14 @@
 //! drags through the cache per idle node are a first-order cost. A
 //! [`ClusterNode`] therefore holds only what the paper's protocol reads
 //! and writes — `follow`, activation, informedness, the cluster size —
-//! plus the node's own index: 48 bytes, under a cache line. (Deliberately
-//! not `#[repr(align(64))]`: glibc serves an over-aligned megabyte from
-//! the heap rather than by `mmap`, and a process that builds and drops
-//! many simulations then fragments — 3× the peak RSS on the benchmark's
-//! `async_latency`.)
+//! plus the node's own index: 32 bytes, two to a cache line. `follow` is
+//! one word because a [`NodeId`] is never zero, and what only one
+//! algorithm reads stays out: ClusterPushPull's per-node informing epoch
+//! is a [`ClusterSim`](crate::sim::ClusterSim) column that only that
+//! broadcast fills. (Deliberately not `#[repr(align(64))]`: glibc serves
+//! an over-aligned megabyte from the heap rather than by `mmap`, and a
+//! process that builds and drops many simulations then fragments — 3×
+//! the peak RSS on the benchmark's `async_latency`.)
 //!
 //! Nor does a node queue what it receives. Each reader folds its
 //! messages where it needs them: the cluster IDs a push round delivers go
@@ -54,10 +57,14 @@ pub struct ClusterNode {
     /// Cluster size at the previous measurement, for growth-rate stopping
     /// rules.
     pub prev_size: u32,
-    /// Iteration at which this node's cluster became informed
-    /// (ClusterPushPull's "newly informed" tracking).
-    pub informed_at: Option<u32>,
 }
+
+// The idle-activation budget: a round streams this struct once per alive
+// node, so leader working memory, prepared responses, received IDs and
+// one algorithm's bookkeeping stay out of it (they are `ClusterSim`
+// columns keyed by `idx`). A regression shows up here before it shows up
+// as RSS or a slower round at n = 2^19.
+const _: () = assert!(std::mem::size_of::<ClusterNode>() == 32);
 
 impl ClusterNode {
     /// Fresh, unclustered, uninformed state for the node at `idx`.
@@ -72,7 +79,6 @@ impl ClusterNode {
             needs_flatten: false,
             size: 1,
             prev_size: 1,
-            informed_at: None,
         }
     }
 
@@ -114,22 +120,6 @@ mod tests {
 
     fn node(raw: u64) -> ClusterNode {
         ClusterNode::new(NodeIdx(0), NodeId::from_raw(raw))
-    }
-
-    #[test]
-    fn a_node_is_one_cache_line() {
-        // The idle-activation budget: a round streams this struct once
-        // per alive node, so leader working memory, prepared responses and
-        // received IDs stay out of it (they are `ClusterSim` scratch keyed
-        // by `idx`).
-        // A regression back to inline scratch shows up here before it
-        // shows up as a slower round at n = 2^19.
-        assert!(
-            std::mem::size_of::<ClusterNode>() <= 48,
-            "ClusterNode grew to {} bytes — keep per-primitive scratch in \
-             ClusterSim, not inline",
-            std::mem::size_of::<ClusterNode>()
-        );
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! * [`LeaderTable`] — member and merge-candidate lists, one row per node
 //!   that ever led;
 //! * `Arrivals` — the cluster IDs a push round delivered, as one log of
-//!   `(receiver, ID)` pairs. The invariant: entries are appended in
-//!   delivery order (under either engine), and the primitive that filled
-//!   the log clears it before it returns, so the log is empty between
-//!   primitives. Grouped by receiver, the log is also the column a
-//!   member's relayed `Candidates` span points into.
+//!   `(receiver, ID)` entries (a receiver column beside an ID column).
+//!   The invariant: entries are appended in delivery order (under either
+//!   engine), and the primitive that filled the log clears it before it
+//!   returns, so the log is empty between primitives. Grouped by
+//!   receiver, the log is also the column a member's relayed
+//!   `Candidates` span points into.
 //! * the leader-list column — the new leader IDs a `ClusterResize`
 //!   announcement lists, one run per announcing leader, which each
 //!   `Leaders` reply names by [`crate::msg::Span`]. The invariant: a
@@ -55,6 +56,7 @@
 //! that reads them, and `pull_round` clears them before it returns, so
 //! no reply outlives its round and none is left between primitives.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use phonecall::{Action, Delivery, FailurePlan, Network, NodeId, NodeIdx, Target};
@@ -223,12 +225,17 @@ impl LeaderTable {
 /// The `(receiver, cluster ID)` pairs delivered by a push round, in
 /// delivery order (see the module docs for who fills and clears it).
 ///
-/// [`Self::group`] buckets the log by receiver once, with a stable
-/// counting pass, after which [`Self::of`] reads one node's arrivals in
-/// O(1). All three columns keep their capacity across [`Self::clear`].
+/// The log is two parallel columns, receivers and IDs, so an entry costs
+/// 12 bytes, not a padded 16-byte pair. [`Self::group`] buckets the log
+/// by receiver once, with a stable counting pass, after which
+/// [`Self::of`] reads one node's arrivals in O(1). Every column keeps
+/// its capacity across [`Self::clear`].
 #[derive(Debug, Default)]
 pub(crate) struct Arrivals {
-    log: Vec<(NodeIdx, NodeId)>,
+    /// The receiver of each logged ID, parallel to `ids`.
+    to: Vec<NodeIdx>,
+    /// The logged IDs, in delivery order.
+    ids: Vec<NodeId>,
     /// After `group`: the logged IDs bucketed by receiver, each bucket in
     /// delivery order.
     grouped: Vec<NodeId>,
@@ -239,19 +246,20 @@ pub(crate) struct Arrivals {
 impl Arrivals {
     /// Logs that the node at `to` received `id`.
     pub(crate) fn push(&mut self, to: NodeIdx, id: NodeId) {
-        self.log.push((to, id));
+        self.to.push(to);
+        self.ids.push(id);
     }
 
     /// The log in delivery order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeIdx, NodeId)> + '_ {
-        self.log.iter().copied()
+        self.to.iter().copied().zip(self.ids.iter().copied())
     }
 
     /// Buckets the log by receiver over `n` nodes, for [`Self::of`].
     pub(crate) fn group(&mut self, n: usize) {
         self.start.clear();
         self.start.resize(n + 1, 0);
-        for (to, _) in &self.log {
+        for to in &self.to {
             self.start[to.as_usize()] += 1;
         }
         // Running ends; filling from the back then walks each end down to
@@ -261,9 +269,9 @@ impl Arrivals {
             end += *s;
             *s = end;
         }
-        self.grouped.clear();
-        self.grouped.resize(self.log.len(), NodeId::from_raw(0));
-        for &(to, id) in self.log.iter().rev() {
+        // Every slot is overwritten below; the copy only sizes the column.
+        self.grouped.clone_from(&self.ids);
+        for (to, &id) in self.to.iter().zip(&self.ids).rev() {
             let s = &mut self.start[to.as_usize()];
             *s -= 1;
             self.grouped[*s as usize] = id;
@@ -296,7 +304,8 @@ impl Arrivals {
 
     /// Empties the log and its grouping.
     pub(crate) fn clear(&mut self) {
-        self.log.clear();
+        self.to.clear();
+        self.ids.clear();
         self.grouped.clear();
         self.start.clear();
     }
@@ -357,6 +366,12 @@ pub struct ClusterSim {
     /// The leader-list column the `Leaders` replies point into (see the
     /// module docs).
     pub(crate) leader_lists: Vec<NodeId>,
+    /// ClusterPushPull's epoch at which each node became informed, by
+    /// node index; empty unless that broadcast ran.
+    pub(crate) informed_at: Vec<Option<u32>>,
+    /// [`Self::clustering_stats`]' per-leader member counts, kept so a
+    /// caller that asks every iteration allocates once.
+    cluster_sizes: RefCell<Vec<u32>>,
     /// The run's wire sizes: every message is built by [`WireSizes::msg`].
     pub wire: WireSizes,
     /// RNG for algorithm-level coins (leader activation flips etc.),
@@ -383,6 +398,8 @@ impl ClusterSim {
             leaders: LeaderTable::new(n),
             arrivals: Arrivals::default(),
             leader_lists: Vec::new(),
+            informed_at: Vec::new(),
+            cluster_sizes: RefCell::default(),
             wire: WireSizes {
                 id_bits: phonecall::id_bits(n),
                 rumor_bits: common.rumor_bits,
@@ -500,23 +517,45 @@ impl ClusterSim {
         map
     }
 
-    /// Summary statistics of the current clustering.
+    /// Summary statistics of the current clustering, grouped by raw
+    /// `follow` value like [`Self::cluster_map`], without building it:
+    /// one pass counts each alive clustered node at its leader's index in
+    /// a column the sim keeps for the purpose, one pass over that column
+    /// folds the sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `follow` value names no node of this network (every
+    /// value a primitive writes is an ID some message carried).
     #[must_use]
     pub fn clustering_stats(&self) -> ClusteringStats {
-        let map = self.cluster_map();
-        let sizes: Vec<usize> = map.values().map(Vec::len).collect();
-        let clustered: usize = sizes.iter().sum();
-        let alive = self.alive_count();
+        let mut sizes = self.cluster_sizes.borrow_mut();
+        sizes.clear();
+        sizes.resize(self.n(), 0);
+        for s in self.alive_states() {
+            if let Some(leader) = s.leader() {
+                let at = self.net.resolve(leader).expect("a leader of this network");
+                sizes[at.as_usize()] += 1;
+            }
+        }
+        let (mut clusters, mut clustered, mut min_size, mut max_size) = (0, 0, usize::MAX, 0);
+        for &size in sizes.iter().filter(|&&size| size > 0) {
+            let size = size as usize;
+            clusters += 1;
+            clustered += size;
+            min_size = min_size.min(size);
+            max_size = max_size.max(size);
+        }
         ClusteringStats {
-            clusters: map.len(),
+            clusters,
             clustered,
-            unclustered: alive - clustered,
-            min_size: sizes.iter().copied().min().unwrap_or(0),
-            max_size: sizes.iter().copied().max().unwrap_or(0),
-            mean_size: if map.is_empty() {
+            unclustered: self.alive_count() - clustered,
+            min_size: if clusters == 0 { 0 } else { min_size },
+            max_size,
+            mean_size: if clusters == 0 {
                 0.0
             } else {
-                clustered as f64 / map.len() as f64
+                clustered as f64 / clusters as f64
             },
         }
     }

@@ -21,8 +21,19 @@
 //! `ids[idx]`, so a foreign ID sharing a home slot still resolves to
 //! `None`. The table has `(2n).next_power_of_two()` slots (load ≤ ½): a
 //! lookup is one shift, on average about one slot load and one `ids` load.
+//!
+//! # Zero is not an ID
+//!
+//! [`NodeId`] wraps a `NonZeroU64`, so `Option<NodeId>` — a `follow`
+//! variable, a `FollowVal` message — is 8 bytes, not 16: the compiler
+//! spends the unused zero on `None`. The ID space loses one value of
+//! 2^64, and the stream loses nothing in practice: the SplitMix64
+//! finalizer is a bijection that maps only 0 to 0, so [`IdSpace::new`]
+//! meets a zero draw only when its counter is 0 (one seed in 2^64 per
+//! draw position), and it skips that draw the way it skips a collision.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use serde::{Deserialize, Serialize};
 
@@ -31,36 +42,43 @@ use serde::{Deserialize, Serialize};
 /// `NodeId`s are what algorithms learn, store in `follow` variables, compare
 /// (cluster IDs are ordered by leader ID in the paper) and put in messages.
 /// They are deliberately *not* convertible back to a dense index without the
-/// engine's directory.
+/// engine's directory. Never zero (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(u64);
+pub struct NodeId(NonZeroU64);
 
 impl NodeId {
     /// Raw 64-bit value of the address (for hashing / serialization).
     #[must_use]
     pub const fn raw(self) -> u64 {
-        self.0
+        self.0.get()
     }
 
     /// Reconstructs an ID from its raw value.
     ///
     /// Intended for deserialization and tests; algorithms should only use
     /// IDs handed to them by the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` is 0, which no [`IdSpace`] issues.
     #[must_use]
     pub const fn from_raw(raw: u64) -> Self {
-        NodeId(raw)
+        match NonZeroU64::new(raw) {
+            Some(raw) => NodeId(raw),
+            None => panic!("0 is not a node ID"),
+        }
     }
 }
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NodeId({:#010x})", self.0)
+        write!(f, "NodeId({:#010x})", self.raw())
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#010x}", self.0)
+        write!(f, "{:#010x}", self.raw())
     }
 }
 
@@ -101,9 +119,10 @@ const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The directory mapping between dense indices and wire IDs.
 ///
-/// Construction assigns every index a pseudo-random 64-bit address derived
-/// from the run seed with a SplitMix64-style mix, giving a deterministic,
-/// collision-free (retried on collision), unordered-looking ID space.
+/// Construction assigns every index a pseudo-random nonzero 64-bit address
+/// derived from the run seed with a SplitMix64-style mix, giving a
+/// deterministic, collision-free (retried on collision or zero),
+/// unordered-looking ID space.
 #[derive(Clone, Debug)]
 pub struct IdSpace {
     ids: Vec<NodeId>,
@@ -126,12 +145,15 @@ impl IdSpace {
         let mut space = Self::with_room(n);
         let mut counter = seed ^ GOLDEN;
         for _ in 0..n {
-            // Draw mixed values until we find a fresh one (collisions in a
-            // 64-bit space are vanishingly rare but must not corrupt the
-            // directory).
+            // Draw mixed values until we find a fresh nonzero one
+            // (collisions in a 64-bit space are vanishingly rare but must
+            // not corrupt the directory; zero comes only from counter 0).
             let id = loop {
                 counter = counter.wrapping_add(GOLDEN);
-                let candidate = NodeId(splitmix64(counter));
+                let Some(raw) = NonZeroU64::new(splitmix64(counter)) else {
+                    continue;
+                };
+                let candidate = NodeId(raw);
                 if space.resolve(candidate).is_none() {
                     break candidate;
                 }
@@ -156,7 +178,7 @@ impl IdSpace {
     /// Gives `id` (not yet present) the next dense index.
     fn insert(&mut self, id: NodeId) {
         let mask = self.slots.len() - 1;
-        let mut at = (id.0 >> self.shift) as usize;
+        let mut at = (id.raw() >> self.shift) as usize;
         while self.slots[at] != EMPTY {
             at = (at + 1) & mask;
         }
@@ -194,7 +216,7 @@ impl IdSpace {
     #[must_use]
     pub fn resolve(&self, id: NodeId) -> Option<NodeIdx> {
         let mask = self.slots.len() - 1;
-        let mut at = (id.0 >> self.shift) as usize;
+        let mut at = (id.raw() >> self.shift) as usize;
         loop {
             let idx = self.slots[at];
             if idx == EMPTY {
@@ -242,7 +264,8 @@ mod tests {
     /// The directory this module had before the open-addressed table — the
     /// same ID stream behind a standard map — kept as the oracle. (It was a
     /// `HashMap`; a `BTreeMap` answers the same lookups and keeps hash
-    /// order out of the crate, test code included.)
+    /// order out of the crate, test code included.) Like the directory, it
+    /// skips a zero draw.
     fn reference(n: usize, seed: u64) -> (Vec<NodeId>, BTreeMap<NodeId, NodeIdx>) {
         let mut ids = Vec::with_capacity(n);
         let mut directory = BTreeMap::new();
@@ -250,7 +273,11 @@ mod tests {
         for i in 0..n {
             let id = loop {
                 counter = counter.wrapping_add(GOLDEN);
-                let candidate = NodeId(splitmix64(counter));
+                let raw = splitmix64(counter);
+                if raw == 0 {
+                    continue;
+                }
+                let candidate = NodeId::from_raw(raw);
                 if !directory.contains_key(&candidate) {
                     break candidate;
                 }
@@ -261,15 +288,23 @@ mod tests {
         (ids, directory)
     }
 
+    /// The seed whose first counter is 0: its first draw is the one
+    /// zero SplitMix64 returns.
+    const ZERO_FIRST: u64 = GOLDEN.wrapping_neg() ^ GOLDEN;
+
+    fn flip(id: NodeId) -> NodeId {
+        NodeId::from_raw(id.raw() ^ 1)
+    }
+
     #[test]
     fn directory_matches_the_map_reference() {
         for n in [1, 2, 3, 255, 256, 257, 65_536] {
-            for seed in [0, 1, 0xB11, u64::MAX] {
+            for seed in [0, 1, 0xB11, u64::MAX, ZERO_FIRST] {
                 let space = IdSpace::new(n, seed);
                 let (ids, directory) = reference(n, seed);
                 assert_eq!(space.ids(), &ids[..], "n = {n}, seed = {seed}");
-                let foreign = [NodeId(0), NodeId(u64::MAX)];
-                let flipped = ids.iter().map(|id| NodeId(id.0 ^ 1));
+                let foreign = [NodeId::from_raw(1), NodeId::from_raw(u64::MAX)];
+                let flipped = ids.iter().copied().map(flip);
                 for id in ids.iter().copied().chain(foreign).chain(flipped) {
                     assert_eq!(
                         space.resolve(id),
@@ -279,9 +314,7 @@ mod tests {
                 }
                 // A flipped low bit never lands on another generated ID at
                 // these sizes, so every one of them is foreign.
-                assert!(ids
-                    .iter()
-                    .all(|id| space.resolve(NodeId(id.0 ^ 1)).is_none()));
+                assert!(ids.iter().all(|&id| space.resolve(flip(id)).is_none()));
             }
         }
     }
@@ -291,7 +324,7 @@ mod tests {
         // 80 IDs → 256 slots keyed on the top 8 bits. 72 IDs share the
         // last home slot, so their chain wraps past the end of the table
         // and runs through the homes of the 8 IDs inserted after them.
-        let top = |home: u64, low: u64| NodeId(home << 56 | low);
+        let top = |home: u64, low: u64| NodeId::from_raw(home << 56 | low);
         let mut ids: Vec<NodeId> = (0..72).map(|k| top(255, k)).collect();
         ids.extend((0..8).map(|home| top(home, 7)));
         let space = IdSpace::from_ids(&ids);
@@ -323,6 +356,22 @@ mod tests {
         assert_eq!(fnv(0), 0x7625_9bbf_8283_5000);
         assert_eq!(fnv(7), 0xc924_6a68_42cf_bcd7);
         assert_eq!(fnv(0xB11), 0xc903_b822_37f2_3a5c);
+    }
+
+    #[test]
+    fn a_zero_draw_is_skipped() {
+        assert_eq!(splitmix64(0), 0, "the finalizer's one fixed zero");
+        let space = IdSpace::new(4, ZERO_FIRST);
+        assert!(space.ids().iter().all(|id| id.raw() != 0));
+        // The first ID is the second draw: counter GOLDEN.
+        assert_eq!(space.ids()[0].raw(), splitmix64(GOLDEN));
+        assert_eq!(space.ids(), &reference(4, ZERO_FIRST).0[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 is not a node ID")]
+    fn zero_is_not_an_id() {
+        let _ = NodeId::from_raw(0);
     }
 
     #[test]

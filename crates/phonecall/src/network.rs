@@ -115,18 +115,14 @@ pub(crate) struct TopologyView {
 /// Per-round scratch for one message type `M`, laid out struct-of-arrays:
 /// the resolved push and pull contacts of the current round live in
 /// parallel `u32` index columns (streamed through twice per round —
-/// resolve, then apply), payloads and responses in their own columns.
-/// Everything is reused across rounds so the steady-state round loop
-/// performs no allocation.
+/// resolve, then apply), and the messages they carry in one payload
+/// column. Everything is reused across rounds so the steady-state round
+/// loop performs no allocation.
 struct Scratch<M> {
     /// Resolved push sources, one `u32` per push.
     push_src: Vec<u32>,
     /// Resolved push destinations, parallel to `push_src`.
     push_dst: Vec<u32>,
-    /// Push payloads, parallel to `push_src`. Payloads are *moved* to the
-    /// recipient on delivery — a push is delivered at most once, so the
-    /// engine never clones a message.
-    push_msg: Vec<M>,
     /// Per-push loss verdicts for the round (empty when the loss knob is
     /// zero — no draws at all, keeping the RNG stream identical to the
     /// loss-free engine).
@@ -140,8 +136,14 @@ struct Scratch<M> {
     pull_req_lost: Vec<bool>,
     /// Per-pull *reply-leg* loss verdicts, parallel to `pull_req_lost`.
     pull_rep_lost: Vec<bool>,
-    /// Pull responses, parallel to `pull_src`.
-    responses: Vec<Option<M>>,
+    /// The round's messages: first one payload per push, parallel to
+    /// `push_src` (always `Some`), then one response per pull, parallel
+    /// to `pull_src` (`None` when the responder stays silent). An alive
+    /// node takes at most one action, so the column never holds more
+    /// than `n` entries. Payloads are *moved* to their recipient on
+    /// delivery — a message is delivered at most once, so the engine
+    /// never clones one.
+    payloads: Vec<Option<M>>,
 }
 
 // Not derived: a derive would demand `M: Default`.
@@ -150,13 +152,12 @@ impl<M> Default for Scratch<M> {
         Scratch {
             push_src: Vec::new(),
             push_dst: Vec::new(),
-            push_msg: Vec::new(),
             push_lost: Vec::new(),
             pull_src: Vec::new(),
             pull_dst: Vec::new(),
             pull_req_lost: Vec::new(),
             pull_rep_lost: Vec::new(),
-            responses: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 }
@@ -165,39 +166,39 @@ impl<M> Scratch<M> {
     fn clear(&mut self) {
         self.push_src.clear();
         self.push_dst.clear();
-        self.push_msg.clear();
         self.push_lost.clear();
         self.pull_src.clear();
         self.pull_dst.clear();
         self.pull_req_lost.clear();
         self.pull_rep_lost.clear();
-        self.responses.clear();
+        self.payloads.clear();
     }
 
     /// Pre-sizes the cheap index columns to `n` contacts so a full-
     /// participation round resolves without a single mid-round
-    /// reallocation. The payload/response columns grow amortized to
-    /// their steady-state high-water mark instead — pre-sizing them to
-    /// `n` would pin `n · size_of::<M>()` bytes even for algorithms
-    /// where only a few nodes speak per round.
-    fn presize(&mut self, n: usize) {
+    /// reallocation, and the loss-verdict columns too when the step is
+    /// `lossy` (a loss-free step never writes them). The payload column
+    /// grows amortized to its steady-state high-water mark instead —
+    /// pre-sizing it to `n` would pin `n · size_of::<Option<M>>()` bytes
+    /// even for algorithms where only a few nodes speak per round.
+    /// Called on cleared columns, so a reserve is a no-op once the
+    /// column's capacity reaches `n`.
+    fn presize(&mut self, n: usize, lossy: bool) {
         for col in [
             &mut self.push_src,
             &mut self.push_dst,
             &mut self.pull_src,
             &mut self.pull_dst,
         ] {
-            if col.capacity() < n {
-                col.reserve_exact(n - col.len());
-            }
+            col.reserve_exact(n);
         }
-        for col in [
-            &mut self.push_lost,
-            &mut self.pull_req_lost,
-            &mut self.pull_rep_lost,
-        ] {
-            if col.capacity() < n {
-                col.reserve_exact(n - col.len());
+        if lossy {
+            for col in [
+                &mut self.push_lost,
+                &mut self.pull_req_lost,
+                &mut self.pull_rep_lost,
+            ] {
+                col.reserve_exact(n);
             }
         }
     }
@@ -543,9 +544,10 @@ impl<S> Network<S> {
     /// [`Metrics::per_round`]).
     ///
     /// The round loop is allocation-free in steady state: the resolved
-    /// contact columns and the response buffer live in scratch storage
-    /// reused across rounds (per message type `M`), push payloads are
-    /// moved — not cloned — to their recipient, and per-round stats are
+    /// contact columns and the one payload column (pushes, then
+    /// responses) live in scratch storage reused across rounds (per
+    /// message type `M`), messages are moved — not cloned — to their
+    /// recipient, and per-round stats are
     /// `Copy`. Only the `per_round` log grows (amortized; see
     /// [`Self::reserve_rounds`]).
     ///
@@ -571,7 +573,7 @@ impl<S> Network<S> {
         let (mut stats, loss) = self.begin_step();
         let mut scratch = self.buffers.take::<Scratch<M>>();
         scratch.clear();
-        scratch.presize(self.len());
+        scratch.presize(self.len(), loss > 0.0);
 
         // Phase 1: activate every alive node, word-streaming the alive
         // mask (64 dead nodes cost one load), and collect the resolved
@@ -585,7 +587,7 @@ impl<S> Network<S> {
                     Some((dst, Action::Push { msg, .. })) => {
                         scratch.push_src.push(idx.0);
                         scratch.push_dst.push(dst.0);
-                        scratch.push_msg.push(msg);
+                        scratch.payloads.push(Some(msg));
                     }
                     Some((dst, Action::Pull { .. })) => {
                         scratch.pull_src.push(idx.0);
@@ -616,7 +618,7 @@ impl<S> Network<S> {
             } else {
                 None
             };
-            scratch.responses.push(resp);
+            scratch.payloads.push(resp);
         }
 
         // Phase 2b: batch the push-loss verdicts (landing makes no draws;
@@ -629,15 +631,18 @@ impl<S> Network<S> {
 
         // Phase 3: land pushes, then pull requests with their replies,
         // then — deferred, so no reply reflects it — the pulled-by
-        // notifications. Payloads are moved out of the scratch buffer
-        // (capacity is retained for the next round).
+        // notifications. Payloads are moved out of the scratch column
+        // (capacity is retained for the next round): the pushes' first,
+        // the responses after them.
         let sc = &mut *scratch;
-        for (k, msg) in sc.push_msg.drain(..).enumerate() {
+        let mut payloads = sc.payloads.drain(..);
+        for (k, msg) in payloads.by_ref().take(sc.push_src.len()).enumerate() {
             let (src, dst) = (NodeIdx(sc.push_src[k]), NodeIdx(sc.push_dst[k]));
             let lost = verdict(&sc.push_lost, k);
+            let msg = msg.expect("a push carries its payload");
             self.land_push(src, dst, msg, lost, &mut stats, &mut deliver);
         }
-        for (k, reply) in sc.responses.drain(..).enumerate() {
+        for (k, reply) in payloads.enumerate() {
             let (src, dst) = (NodeIdx(sc.pull_src[k]), NodeIdx(sc.pull_dst[k]));
             self.land_pull_request(dst, verdict(&sc.pull_req_lost, k), &mut stats);
             if let Some(msg) = reply {
@@ -1225,6 +1230,114 @@ mod tests {
             );
             net.metrics().clone()
         });
+    }
+
+    #[test]
+    fn every_message_reaches_its_receiver_with_its_senders_payload() {
+        // Pushes and pull responses share one payload column, pushes
+        // first: a round in which every alive node acts, pushes and pulls
+        // interleaved by index, must hand each push its sender's payload
+        // and each reply its responder's, wherever the column splits.
+        #[derive(Clone, Copy, Debug)]
+        struct Tag {
+            from: u32,
+            reply: bool,
+        }
+        impl Wire for Tag {
+            fn size_bits(&self) -> u64 {
+                8
+            }
+        }
+        #[derive(Default)]
+        struct Got {
+            own: u32,
+            pushes: u32,
+            replies: u32,
+        }
+        let (n, dead) = (32u32, 5u32);
+        // Even nodes push, odd nodes pull (node 1 pulls the dead node);
+        // nobody calls itself.
+        let push_to = |i: u32| (3 * i + 1) % n;
+        let pull_to = |i: u32| if i == 1 { dead } else { (5 * i + 2) % n };
+        let alive_targets = |parity: u32, to: &dyn Fn(u32) -> u32| -> u32 {
+            (0..n)
+                .filter(|&i| i != dead && i % 2 == parity && to(i) != dead)
+                .count() as u32
+        };
+        let (pushes_to_alive, pulls_of_alive) =
+            (alive_targets(0, &push_to), alive_targets(1, &pull_to));
+        for engine in engines() {
+            for loss in [0.0, 0.3] {
+                let mut net = Network::with_state_fn(n as usize, 32, |idx, _| Got {
+                    own: idx.0,
+                    ..Got::default()
+                });
+                net.set_engine(engine.clone(), 32);
+                net.set_message_loss(loss);
+                net.apply_failures(&FailurePlan::explicit(vec![NodeIdx(dead)]));
+                let ids: Vec<NodeId> = (0..n).map(|i| net.id_of(NodeIdx(i))).collect();
+                let index_of = |id: NodeId| ids.iter().position(|&x| x == id).unwrap() as u32;
+                net.round(
+                    |ctx, _rng| {
+                        let i = ctx.idx.0;
+                        if i % 2 == 0 {
+                            Action::Push {
+                                to: Target::Direct(ids[push_to(i) as usize]),
+                                msg: Tag {
+                                    from: i,
+                                    reply: false,
+                                },
+                            }
+                        } else {
+                            Action::Pull {
+                                to: Target::Direct(ids[pull_to(i) as usize]),
+                            }
+                        }
+                    },
+                    |s| {
+                        Some(Tag {
+                            from: s.own,
+                            reply: true,
+                        })
+                    },
+                    |s, d| match d {
+                        Delivery::Push { from, msg } => {
+                            assert!(!msg.reply, "a reply landed as a push");
+                            assert_eq!(msg.from, index_of(from), "another sender's payload");
+                            assert_eq!(push_to(msg.from), s.own, "pushed elsewhere");
+                            s.pushes += 1;
+                        }
+                        Delivery::PullReply { from, msg } => {
+                            assert!(msg.reply, "a push payload landed as a reply");
+                            assert_eq!(msg.from, index_of(from), "another responder's reply");
+                            assert_eq!(pull_to(s.own), msg.from, "answered by the wrong node");
+                            s.replies += 1;
+                        }
+                        Delivery::PulledBy(_) => {}
+                    },
+                );
+                let states = net.states();
+                let pushes: u32 = states.iter().map(|s| s.pushes).sum();
+                let replies: u32 = states.iter().map(|s| s.replies).sum();
+                if loss == 0.0 {
+                    assert_eq!(pushes, pushes_to_alive, "{engine:?}: every push arrives");
+                    assert_eq!(
+                        replies, pulls_of_alive,
+                        "{engine:?}: every pull is answered"
+                    );
+                } else {
+                    assert!(
+                        pushes > 0 && pushes < pushes_to_alive,
+                        "{engine:?}: {pushes}"
+                    );
+                    assert!(
+                        replies > 0 && replies < pulls_of_alive,
+                        "{engine:?}: {replies}"
+                    );
+                }
+                assert_eq!(states[1].replies, 0, "the dead node never answers");
+            }
+        }
     }
 
     #[test]

@@ -1218,7 +1218,8 @@ mod tests {
 
     #[test]
     fn graph_golden_edge_cases_take_the_regeneration_paths() {
-        // The cells `GRAPH_GOLDEN` pins for the retry stream: the first
+        // The cells of the `graph` suite in `tests/golden_reports.rs`
+        // (`tests/pins/graph.tsv`) that pin the retry stream: the first
         // attempt (stream 0 of the build seed) is unpairable or
         // disconnected, so the pinned graph comes from a retry.
         let first = |seed: u64| rng_from_seed(derive_seed(seed, 0));
